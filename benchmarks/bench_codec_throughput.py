@@ -1,4 +1,4 @@
-"""Wire codec throughput: the ``repro-bin/v1`` binary codec vs json.
+"""Wire codec throughput: the ``repro-bin/v2`` binary codec vs json.
 
 Not a paper figure — this benchmark guards the *wire substrate* under
 the load harness (PR 10's hand-rolled struct codec and zero-copy frame
@@ -80,7 +80,7 @@ def _build_corpus():
                 op_id=i,
                 cause_kind="FastRead",
                 reply=ack,
-            ).to_wire()
+            )
         frames.extend(
             [
                 (reader(1 + i % 5), server(1), FastRead(op_id=i, tag=tag, r_counter=i % 7), None),

@@ -62,10 +62,39 @@ class SignedStatement:
     signature: SignedPayload
 
     def statement_payload(self) -> Tuple:
-        """The canonical tuple the server signs."""
-        return _statement_payload(
-            self.server, self.seq, self.client, self.op_id, self.cause_kind, self.reply
-        )
+        """The canonical tuple the server signs, computed from this
+        statement's own fields (never from the signature's claimed
+        payload) on first use and kept: ``reply.to_wire()`` is the
+        expensive part of verifying a statement."""
+        payload = self.__dict__.get("_payload")
+        if payload is None:
+            payload = self.__dict__["_payload"] = _statement_payload(
+                self.server, self.seq, self.client, self.op_id, self.cause_kind, self.reply
+            )
+        return payload
+
+    @classmethod
+    def from_envelope(
+        cls,
+        server: ProcessId,
+        client: ProcessId,
+        reply: Any,
+        seq: int,
+        cause_kind: str,
+        tag: bytes,
+    ) -> "SignedStatement":
+        """The statement a reply frame ``server -> client`` implies, plus
+        the three things it cannot imply: the send-order ``seq``, the
+        request echo and the server's HMAC ``tag``.  The signature's
+        payload is the tuple recomputed here from those fields, so
+        :func:`verify_statement` checks ``tag`` against what was
+        actually received."""
+        op_id = getattr(reply, "op_id", None)
+        payload = _statement_payload(server, seq, client, op_id, cause_kind, reply)
+        signature = SignedPayload(server, payload, tag)
+        stmt = cls(server, seq, client, op_id, cause_kind, reply, signature)
+        stmt.__dict__["_payload"] = payload
+        return stmt
 
     def describe(self) -> str:
         return (

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from repro.errors import SignatureError
 from repro.sim.ids import ProcessId
@@ -46,32 +46,57 @@ def _canonical(data: Any) -> bytes:
     accountability layer signs full reply statements, so lists and
     (string-or-scalar-keyed) dicts are supported alongside the tuples
     the register protocols sign.
+
+    A :class:`~repro.sim.ids.ProcessId` is a ``NamedTuple`` and is
+    signed as the 2-tuple it is (``t2(s6:server,int:1)``); there is no
+    pid-specific form, and every signature ever made depends on that.
+    Encoders are looked up by exact type; a subclass adopts its first
+    encodable base's on first use, its scalars named by the subclass.
     """
-    if isinstance(data, tuple):
-        parts = [_canonical(item) for item in data]
-        return b"t%d(" % len(parts) + b",".join(parts) + b")"
-    if isinstance(data, (int, float, bool)) or data is None:
-        return f"{type(data).__name__}:{data!r}".encode("utf8")
-    if isinstance(data, str):
-        raw = data.encode("utf8")
-        return b"s%d:" % len(raw) + raw
-    if isinstance(data, bytes):
-        return b"b%d:" % len(data) + data
-    if isinstance(data, ProcessId):
-        return f"p:{data.kind}:{data.index}".encode("utf8")
-    if isinstance(data, frozenset):
-        parts = sorted(_canonical(item) for item in data)
-        return b"f%d{" % len(parts) + b",".join(parts) + b"}"
-    if isinstance(data, list):
-        parts = [_canonical(item) for item in data]
-        return b"l%d[" % len(parts) + b",".join(parts) + b"]"
-    if isinstance(data, dict):
-        items = sorted(
-            (_canonical(key), _canonical(value)) for key, value in data.items()
-        )
-        body = b",".join(key + b"=" + value for key, value in items)
-        return b"d%d{" % len(items) + body + b"}"
+    return _CANONICAL.get(type(data), _c_subclass)(data)
+
+
+def _c_scalar(data: Any) -> bytes:
+    return f"{type(data).__name__}:{data!r}".encode("utf8")
+
+
+def _c_str(data: str) -> bytes:
+    raw = data.encode("utf8")
+    return b"s%d:" % len(raw) + raw
+
+
+def _c_frozenset(data: frozenset) -> bytes:
+    parts = sorted([_canonical(item) for item in data])
+    return b"f%d{" % len(parts) + b",".join(parts) + b"}"
+
+
+def _c_dict(data: dict) -> bytes:
+    items = sorted([(_canonical(key), _canonical(val)) for key, val in data.items()])
+    body = b",".join([key + b"=" + val for key, val in items])
+    return b"d%d{" % len(items) + body + b"}"
+
+
+def _c_subclass(data: Any) -> bytes:
+    for base in type(data).__mro__:
+        if base in _CANONICAL:
+            encode = _c_scalar if base in (int, float) else _CANONICAL[base]
+            _CANONICAL[type(data)] = encode
+            return encode(data)
     raise SignatureError(f"cannot canonicalise {type(data).__name__} for signing")
+
+
+_CANONICAL: Dict[type, Callable[[Any], bytes]] = {
+    tuple: lambda data: b"t%d(" % len(data) + b",".join([_canonical(i) for i in data]) + b")",
+    int: lambda data: b"int:%d" % data,
+    bool: lambda data: b"bool:True" if data else b"bool:False",
+    float: _c_scalar,
+    type(None): lambda data: b"NoneType:None",
+    str: _c_str,
+    bytes: lambda data: b"b%d:" % len(data) + data,
+    frozenset: _c_frozenset,
+    list: lambda data: b"l%d[" % len(data) + b",".join([_canonical(i) for i in data]) + b"]",
+    dict: _c_dict,
+}
 
 
 @dataclass(frozen=True)

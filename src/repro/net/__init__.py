@@ -9,7 +9,7 @@ virtual-time event queue.
 Modules:
 
 * :mod:`repro.net.codec` — wire framing (length prefix; the hand-rolled
-  ``repro-bin/v1`` binary serializer, JSON, or the optional msgpack
+  ``repro-bin/v2`` binary serializer, JSON, or the optional msgpack
   serializer) over the message registry of
   :mod:`repro.registers.messages`, plus the per-connection serializer
   preamble and the zero-copy :class:`FrameBuffer`.

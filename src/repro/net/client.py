@@ -38,6 +38,8 @@ import random
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.accountability.statements import TranscriptLog
+from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ProtocolError, SimulationError
 from repro.net.chaos import BackoffPolicy, ChaosInjector, DegradationLedger
 from repro.net.codec import (
@@ -175,9 +177,6 @@ class ClientPool:
         self.transcript = None
         self._stmt_authority = None
         if collect_statements:
-            from repro.accountability import TranscriptLog
-            from repro.crypto.signatures import SignatureAuthority
-
             self._stmt_authority = SignatureAuthority(statement_seed)
             self.transcript = TranscriptLog(authority_seed=statement_seed)
         self.preamble_timeout = preamble_timeout
@@ -330,7 +329,13 @@ class ClientPool:
         except ProtocolError:
             return  # garbage from a server: drop, keep the connection
         if statement is not None and self.transcript is not None:
-            self._collect_statement(statement)
+            # Key derivation for the claimed signer (idempotent) — the
+            # trusted-verifier analogue of a public-key lookup.  record
+            # checks the server's HMAC over the tuple recomputed from
+            # what this frame carried; anything else is counted as
+            # rejected, never retained.
+            self._stmt_authority.register(statement.server)
+            self.transcript.record(statement, self._stmt_authority)
         if self.chaos is not None and server_pid is not None:
             self.chaos.apply(
                 server_pid.index,
@@ -353,26 +358,6 @@ class ClientPool:
             self._mismatch = (server_pid, name)
             if conn is not None:
                 conn.close()
-
-    def _collect_statement(self, statement: Dict[str, Any]) -> None:
-        """Verify and retain one frame's accountability statement.
-
-        A statement that does not even parse is as worthless as one
-        with a bad signature: both are counted as rejected and dropped
-        (blame can only ever rest on what a server verifiably said).
-        """
-        from repro.accountability import SignedStatement
-        from repro.errors import SpecificationError
-
-        try:
-            stmt = SignedStatement.from_wire(statement)
-        except SpecificationError:
-            self.transcript.rejected += 1
-            return
-        # Key derivation for the claimed signer (idempotent) — the
-        # trusted-verifier analogue of a public-key lookup.
-        self._stmt_authority.register(stmt.server)
-        self.transcript.record(stmt, self._stmt_authority)
 
     def connection_down(
         self, server_pid: ProcessId, conn: Optional[PoolConnection] = None

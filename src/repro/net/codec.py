@@ -4,16 +4,17 @@ A frame on the socket is ``4-byte big-endian length || body``.  Three
 body serializers are available, negotiated per connection by a preamble
 frame (see :func:`encode_preamble`):
 
-* ``binary`` — the hand-rolled ``repro-bin/v1`` struct codec and the
+* ``binary`` — the hand-rolled ``repro-bin/v2`` struct codec and the
   default of the CLI entry points (:func:`default_serializer`).  The
   body is ``kind byte || flags || src pid || dst pid || fields``
-  (plus an optional trailing accountability-statement section), with
+  (plus, under flag ``0x02``, the ``seq || cause || tag`` of the
+  server's accountability statement about this reply), with
   per-message-type pack/unpack functions generated from the
   :data:`~repro.registers.messages.MESSAGE_TYPES` registry — no
   intermediate dict is built on either side.
 * ``json`` — always available (stdlib), compact separators, UTF-8; the
   body is the dict ``{"s": src, "d": dst, "p": payload.to_wire()}``
-  with an optional ``"a"`` statement slot.
+  with an optional ``"a"`` slot holding ``SignedStatement.to_wire()``.
 * ``msgpack`` — the same envelope dict through the optional ``msgpack``
   package; available only when that package is importable (it is a dev
   extra, not a runtime dependency) and only ever selected explicitly.
@@ -32,15 +33,10 @@ import struct
 from dataclasses import fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.accountability.statements import SignedStatement
 from repro.crypto.signatures import SignedPayload
 from repro.errors import ProtocolError
-from repro.registers.messages import (
-    MESSAGE_TYPES,
-    WIRE_KIND_BYTES,
-    decode_message,
-    wire_decode_value,
-    wire_encode_value,
-)
+from repro.registers.messages import MESSAGE_TYPES, WIRE_KIND_BYTES, decode_message
 from repro.registers.timestamps import MWTimestamp, SignedValueTag, ValueTag
 from repro.sim.ids import ProcessId
 from repro.spec.histories import parse_pid
@@ -60,7 +56,7 @@ MAX_FRAME = 16 * 1024 * 1024
 BINARY_SERIALIZER = "binary"
 
 #: Format label of the binary body layout; bump on incompatible change.
-BINARY_FORMAT = "repro-bin/v1"
+BINARY_FORMAT = "repro-bin/v2"
 
 
 def _json_dumps(obj: Any) -> bytes:
@@ -100,7 +96,7 @@ def default_serializer() -> str:
 
 
 # ----------------------------------------------------------------------
-# binary value codec (repro-bin/v1)
+# binary value codec (repro-bin/v2)
 #
 # Varints are LEB128; signed ints are zigzag-mapped first.  Every value
 # is a one-byte type tag followed by its payload, except in positions
@@ -132,7 +128,9 @@ _T_DICT = 0x0F
 _ROLE_CODE = {"server": 0, "reader": 1, "writer": 2}
 _ROLE_KIND = ("server", "reader", "writer")
 
-_FLAG_STATEMENT = 0x01
+#: Bit 0x01 was the self-contained statement section of ``repro-bin/v1``;
+#: it stays unassigned so a v1 peer's accountable frames fail loudly.
+_FLAG_STATEMENT = 0x02
 
 
 # The writers and readers below carry explicit single-byte fast paths:
@@ -346,12 +344,6 @@ class _Reader:
         self.pos = 0
 
 
-def _r_byte(r: _Reader) -> int:
-    b = r.buf[r.pos]
-    r.pos += 1
-    return b
-
-
 def _r_uvar(r: _Reader) -> int:
     buf = r.buf
     pos = r.pos
@@ -380,15 +372,6 @@ def _r_int(r: _Reader) -> int:
     else:
         zz = _r_uvar(r)
     return (zz >> 1) if not (zz & 1) else -((zz + 1) >> 1)
-
-
-def _r_take(r: _Reader, n: int) -> Any:
-    pos = r.pos
-    end = pos + n
-    if end > len(r.buf):
-        raise ValueError(f"section of {n} bytes runs past the frame end")
-    r.pos = end
-    return r.buf[pos:end]
 
 
 def _r_str(r: _Reader) -> str:
@@ -614,78 +597,39 @@ for _name, _kind_byte in WIRE_KIND_BYTES.items():
 del _name, _kind_byte, _pack, _unpack
 
 
-def _w_statement(buf: bytearray, statement: Dict[str, Any]) -> None:
-    """Append the accountability statement section.
-
-    The slot arrives as a ``SignedStatement.to_wire`` dict (that is the
-    transport-level contract); it is re-encoded structurally so the
-    binary path never ships a serialized dict.
-    """
-    try:
-        server = parse_pid(statement["server"])
-        seq = statement["seq"]
-        client = parse_pid(statement["client"])
-        op_id = statement["op_id"]
-        cause = statement["cause"]
-        reply = decode_message(statement["reply"])
-        sig = wire_decode_value(statement["sig"])
-    except (KeyError, TypeError, ValueError, ProtocolError) as exc:
+def _w_statement(
+    buf: bytearray, src: ProcessId, dst: ProcessId, payload: Any, stmt: SignedStatement
+) -> None:
+    """Append the statement section: what the envelope does not say."""
+    if (
+        stmt.server != src
+        or stmt.client != dst
+        or stmt.signature.signer != src
+        or stmt.op_id != getattr(payload, "op_id", None)
+        or (stmt.reply is not payload and stmt.reply != payload)
+    ):
         raise ProtocolError(
-            f"cannot binary-encode statement slot: {exc}"
-        ) from exc
-    entry = _BINARY_PACK.get(type(reply))
-    if entry is None or not isinstance(sig, SignedPayload):
-        raise ProtocolError(
-            "cannot binary-encode statement slot: reply or signature "
-            "outside the wire registry"
+            f"statement {stmt.describe()} (op {stmt.op_id}) does not describe "
+            f"the frame {src} -> {dst} {type(payload).__name__} that carries it"
         )
-    _w_pid(buf, server)
-    _w_uvar(buf, seq)
-    _w_pid(buf, client)
-    if op_id is None:
-        buf.append(0)
-    else:
-        buf.append(1)
-        _w_int(buf, op_id)
-    _w_str(buf, cause)
-    buf.append(entry[0])
-    entry[1](buf, reply)
-    _w_pid(buf, sig.signer)
-    _w_value(buf, sig.payload)
-    _w_bytes(buf, sig.tag)
+    _w_uvar(buf, stmt.seq)
+    _w_str(buf, stmt.cause_kind)
+    _w_bytes(buf, stmt.signature.tag)
 
 
-def _r_statement(r: _Reader) -> Dict[str, Any]:
-    server = _r_pid(r)
-    seq = _r_uvar(r)
-    client = _r_pid(r)
-    op_id = _r_int(r) if _r_byte(r) else None
-    cause = _r_str(r)
-    kind_byte = _r_byte(r)
-    unpack = _BINARY_UNPACK.get(kind_byte)
-    if unpack is None:
-        raise ValueError(f"unknown statement reply kind byte {kind_byte:#04x}")
-    reply = unpack(r)
-    sig = SignedPayload(signer=_r_pid(r), payload=_r_value(r), tag=_r_bytes(r))
-    # Rebuild the exact ``SignedStatement.to_wire`` dict the json path
-    # carries: ``to_wire``/``wire_encode_value`` are deterministic, so
-    # the result is equal to what the sender framed.
-    return {
-        "server": str(server),
-        "seq": seq,
-        "client": str(client),
-        "op_id": op_id,
-        "cause": cause,
-        "reply": reply.to_wire(),
-        "sig": wire_encode_value(sig),
-    }
+def _r_statement(
+    r: _Reader, src: ProcessId, dst: ProcessId, payload: Any
+) -> SignedStatement:
+    return SignedStatement.from_envelope(
+        src, dst, payload, seq=_r_uvar(r), cause_kind=_r_str(r), tag=_r_bytes(r)
+    )
 
 
 def _encode_binary_frame(
     src: ProcessId,
     dst: ProcessId,
     payload: Any,
-    statement: Optional[Dict[str, Any]],
+    statement: Optional[SignedStatement],
     scratch: bytearray,
 ) -> bytes:
     entry = _BINARY_PACK.get(type(payload))
@@ -703,7 +647,7 @@ def _encode_binary_frame(
     _w_pid(buf, dst)
     entry[1](buf, payload)
     if statement is not None:
-        _w_statement(buf, statement)
+        _w_statement(buf, src, dst, payload, statement)
     body_len = len(buf) - HEADER.size
     if body_len > MAX_FRAME:
         raise ProtocolError(f"frame body of {body_len} bytes exceeds MAX_FRAME")
@@ -713,7 +657,7 @@ def _encode_binary_frame(
 
 def _decode_binary_body(
     body: Any,
-) -> Tuple[ProcessId, ProcessId, Any, Optional[Dict[str, Any]]]:
+) -> Tuple[ProcessId, ProcessId, Any, Optional[SignedStatement]]:
     r = _Reader(body)
     try:
         kind_byte = body[0]
@@ -723,10 +667,14 @@ def _decode_binary_body(
             raise ValueError("not a registered kind byte")
         flags = body[1]
         r.pos = 2
+        if flags and flags != _FLAG_STATEMENT:
+            raise ValueError(
+                f"flags byte {flags:#04x} has bits {BINARY_FORMAT} does not define"
+            )
         src = _r_pid(r)
         dst = _r_pid(r)
         payload = unpack(r)
-        statement = _r_statement(r) if flags & _FLAG_STATEMENT else None
+        statement = _r_statement(r, src, dst, payload) if flags else None
         if r.pos != len(body):
             raise ValueError(f"{len(body) - r.pos} trailing bytes after message")
     except ProtocolError:
@@ -807,20 +755,20 @@ class Codec:
         src: ProcessId,
         dst: ProcessId,
         payload: Any,
-        statement: Optional[Dict[str, Any]] = None,
+        statement: Optional[SignedStatement] = None,
     ) -> bytes:
-        """Frame one message; ``statement`` optionally attaches a signed
-        accountability statement (a
-        :meth:`~repro.accountability.statements.SignedStatement.to_wire`
-        dict) under the ``"a"`` key (json/msgpack) or the statement
-        section (binary).  Peers that predate the field — or run with
-        accountability off — ignore it, so the extension is backward
-        compatible in both directions."""
+        """Frame one message; ``statement`` optionally attaches the
+        server's :class:`~repro.accountability.statements.SignedStatement`
+        about this very reply.  json/msgpack ship its ``to_wire()`` dict
+        under the ``"a"`` key; binary ships only ``seq``, ``cause_kind``
+        and the signature tag, because the envelope already says the
+        rest — so a statement about some other frame is a
+        :class:`ProtocolError` there."""
         if self._scratch is not None:
             return _encode_binary_frame(src, dst, payload, statement, self._scratch)
         record = {"s": str(src), "d": str(dst), "p": payload.to_wire()}
         if statement is not None:
-            record["a"] = statement
+            record["a"] = statement.to_wire()
         body = self._dumps(record)
         if len(body) > MAX_FRAME:
             raise ProtocolError(f"frame body of {len(body)} bytes exceeds MAX_FRAME")
@@ -831,10 +779,11 @@ class Codec:
 
     def decode_body_full(
         self, body: Any
-    ) -> Tuple[ProcessId, ProcessId, Any, Optional[Dict[str, Any]]]:
+    ) -> Tuple[ProcessId, ProcessId, Any, Optional[SignedStatement]]:
         """Like :meth:`decode_body`, also surfacing the frame's optional
-        accountability statement dict (``None`` when absent).  ``body``
-        may be ``bytes`` or a ``memoryview`` from :class:`FrameBuffer`."""
+        accountability statement (``None`` when absent; parsed, *not*
+        verified).  ``body`` may be ``bytes`` or a ``memoryview`` from
+        :class:`FrameBuffer`."""
         if self._scratch is not None:
             return _decode_binary_body(body)
         try:
@@ -843,6 +792,8 @@ class Codec:
             dst = parse_pid(record["d"])
             payload = decode_message(record["p"])
             statement = record.get("a")
+            if statement is not None:
+                statement = SignedStatement.from_wire(statement)
         except ProtocolError:
             raise
         except Exception as exc:  # malformed body: report, don't crash the loop

@@ -24,6 +24,8 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional, Set, Tuple
 
+from repro import accountability
+from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.chaos import ChaosInjector, FaultPlan
 from repro.net.codec import (
@@ -185,8 +187,6 @@ class NetServer:
             # Every party derives the same authority from the shared
             # cluster seed, so statements signed here verify in any
             # other OS process holding the seed.
-            from repro.crypto.signatures import SignatureAuthority
-
             self._stmt_authority = SignatureAuthority(seed)
             self._stmt_seq = 0
             self._stmt_cause = ""
@@ -275,11 +275,11 @@ class NetServer:
             return  # client vanished between request and reply
         statement = None
         if self.accountable and dst.is_client and isinstance(payload, SERVER_REPLIES):
-            from repro.accountability import sign_statement
-
             seq = self._stmt_seq
             self._stmt_seq += 1
-            statement = sign_statement(
+            # Resolved on the package at call time: that attribute is
+            # the seam tracers and tests patch.
+            statement = accountability.sign_statement(
                 self._stmt_authority,
                 server=self.pid,
                 seq=seq,
@@ -287,7 +287,7 @@ class NetServer:
                 op_id=getattr(payload, "op_id", None),
                 cause_kind=self._stmt_cause,
                 reply=payload,
-            ).to_wire()
+            )
             self.statements_signed += 1
         frame = self.codec.encode_frame(src, dst, payload, statement=statement)
         if self.chaos is not None:

@@ -29,11 +29,14 @@ fields (tags, process ids, frozensets, tuples, signature material).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, FrozenSet
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet
 
+from repro.crypto.signatures import SignedPayload
 from repro.errors import ProtocolError
+from repro.registers.timestamps import MWTimestamp, SignedValueTag, ValueTag
 from repro.sim.ids import ProcessId
+from repro.spec.histories import parse_pid
 
 #: Version stamp embedded in every ``to_wire`` dict.  Bump on any
 #: incompatible change to a message's field set or the value encoding;
@@ -47,67 +50,65 @@ def wire_encode_value(value: Any) -> Any:
 
     Scalars pass through; everything else becomes a dict tagged with
     ``"__k"`` naming the constructor.  The closed set of structured
-    types is exactly what register-protocol messages may carry.
+    types is exactly what register-protocol messages may carry
+    (looked up by exact type; a subclass adopts its first encodable
+    base's encoder on first use).
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    # Local imports: timestamps imports crypto which imports ids; keeping
-    # messages import-light preserves the layering (messages has no
-    # module-level dependency on the tag machinery).
-    from repro.crypto.signatures import SignedPayload
-    from repro.registers.timestamps import MWTimestamp, SignedValueTag, ValueTag
+    return _ENCODERS.get(type(value), _encode_subclass)(value)
 
-    if isinstance(value, ProcessId):
-        return {"__k": "pid", "id": str(value)}
-    if isinstance(value, ValueTag):
-        return {
-            "__k": "tag",
-            "ts": wire_encode_value(value.ts),
-            "value": wire_encode_value(value.value),
-            "prev": wire_encode_value(value.prev_value),
-        }
-    if isinstance(value, SignedValueTag):
-        return {
-            "__k": "stag",
-            "ts": value.ts,
-            "value": wire_encode_value(value.value),
-            "prev": wire_encode_value(value.prev_value),
-            "signed": wire_encode_value(value.signed),
-        }
-    if isinstance(value, MWTimestamp):
-        return {"__k": "mwts", "num": value.num, "wid": value.wid}
-    if isinstance(value, SignedPayload):
-        return {
-            "__k": "signed",
-            "signer": str(value.signer),
-            "payload": wire_encode_value(value.payload),
-            "tag": value.tag.hex(),
-        }
-    if isinstance(value, frozenset):
-        return {
-            "__k": "fset",
-            "items": sorted(
-                (wire_encode_value(item) for item in value),
-                key=lambda enc: repr(enc),
-            ),
-        }
-    if isinstance(value, tuple):
-        return {"__k": "tuple", "items": [wire_encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return {"__k": "list", "items": [wire_encode_value(v) for v in value]}
-    if isinstance(value, dict):
-        # Plain (untagged) dicts, e.g. the reply-body dict inside a
-        # signed accountability statement.  Items are key-sorted so the
-        # encoding is deterministic.
-        return {
-            "__k": "dict",
-            "items": [
-                [wire_encode_value(key), wire_encode_value(val)]
-                for key, val in sorted(value.items(), key=lambda kv: repr(kv[0]))
-            ],
-        }
-    if isinstance(value, bytes):
-        return {"__k": "bytes", "hex": value.hex()}
+
+def _e_dict(value: dict) -> Dict[str, Any]:
+    # Plain (untagged) dicts, e.g. the reply-body dict inside a signed
+    # accountability statement.  Items are key-sorted so the encoding
+    # is deterministic.
+    return {
+        "__k": "dict",
+        "items": [
+            [wire_encode_value(key), wire_encode_value(val)]
+            for key, val in sorted(value.items(), key=lambda kv: repr(kv[0]))
+        ],
+    }
+
+
+_ENCODERS: Dict[type, Callable[[Any], Any]] = {
+    **dict.fromkeys((type(None), bool, int, float, str), lambda value: value),
+    ProcessId: lambda value: {"__k": "pid", "id": str(value)},
+    ValueTag: lambda value: {
+        "__k": "tag",
+        "ts": wire_encode_value(value.ts),
+        "value": wire_encode_value(value.value),
+        "prev": wire_encode_value(value.prev_value),
+    },
+    SignedValueTag: lambda value: {
+        "__k": "stag",
+        "ts": value.ts,
+        "value": wire_encode_value(value.value),
+        "prev": wire_encode_value(value.prev_value),
+        "signed": wire_encode_value(value.signed),
+    },
+    MWTimestamp: lambda value: {"__k": "mwts", "num": value.num, "wid": value.wid},
+    SignedPayload: lambda value: {
+        "__k": "signed",
+        "signer": str(value.signer),
+        "payload": wire_encode_value(value.payload),
+        "tag": value.tag.hex(),
+    },
+    frozenset: lambda value: {
+        "__k": "fset",
+        "items": sorted([wire_encode_value(item) for item in value], key=repr),
+    },
+    tuple: lambda value: {"__k": "tuple", "items": [wire_encode_value(v) for v in value]},
+    list: lambda value: {"__k": "list", "items": [wire_encode_value(v) for v in value]},
+    dict: _e_dict,
+    bytes: lambda value: {"__k": "bytes", "hex": value.hex()},
+}
+
+
+def _encode_subclass(value: Any) -> Any:
+    for base in type(value).__mro__:
+        if base in _ENCODERS:
+            encode = _ENCODERS[type(value)] = _ENCODERS[base]
+            return encode(value)
     raise ProtocolError(
         f"cannot wire-encode {type(value).__name__}: {value!r} is outside "
         "the closed set of register-message field types"
@@ -118,48 +119,39 @@ def wire_decode_value(data: Any) -> Any:
     """Inverse of :func:`wire_encode_value`."""
     if not isinstance(data, dict):
         return data
-    from repro.crypto.signatures import SignedPayload
-    from repro.registers.timestamps import MWTimestamp, SignedValueTag, ValueTag
-    from repro.spec.histories import parse_pid
+    decode = _DECODERS.get(data.get("__k"))
+    if decode is None:
+        raise ProtocolError(f"cannot wire-decode value tagged {data.get('__k')!r}")
+    return decode(data)
 
-    kind = data.get("__k")
-    if kind == "pid":
-        return parse_pid(data["id"])
-    if kind == "tag":
-        return ValueTag(
-            ts=wire_decode_value(data["ts"]),
-            value=wire_decode_value(data["value"]),
-            prev_value=wire_decode_value(data["prev"]),
-        )
-    if kind == "stag":
-        return SignedValueTag(
-            ts=data["ts"],
-            value=wire_decode_value(data["value"]),
-            prev_value=wire_decode_value(data["prev"]),
-            signed=wire_decode_value(data["signed"]),
-        )
-    if kind == "mwts":
-        return MWTimestamp(num=data["num"], wid=data["wid"])
-    if kind == "signed":
-        return SignedPayload(
-            signer=parse_pid(data["signer"]),
-            payload=wire_decode_value(data["payload"]),
-            tag=bytes.fromhex(data["tag"]),
-        )
-    if kind == "fset":
-        return frozenset(wire_decode_value(item) for item in data["items"])
-    if kind == "tuple":
-        return tuple(wire_decode_value(item) for item in data["items"])
-    if kind == "list":
-        return [wire_decode_value(item) for item in data["items"]]
-    if kind == "dict":
-        return {
-            wire_decode_value(key): wire_decode_value(val)
-            for key, val in data["items"]
-        }
-    if kind == "bytes":
-        return bytes.fromhex(data["hex"])
-    raise ProtocolError(f"cannot wire-decode value tagged {kind!r}")
+
+_DECODERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
+    "pid": lambda data: parse_pid(data["id"]),
+    "tag": lambda data: ValueTag(
+        ts=wire_decode_value(data["ts"]),
+        value=wire_decode_value(data["value"]),
+        prev_value=wire_decode_value(data["prev"]),
+    ),
+    "stag": lambda data: SignedValueTag(
+        ts=data["ts"],
+        value=wire_decode_value(data["value"]),
+        prev_value=wire_decode_value(data["prev"]),
+        signed=wire_decode_value(data["signed"]),
+    ),
+    "mwts": lambda data: MWTimestamp(num=data["num"], wid=data["wid"]),
+    "signed": lambda data: SignedPayload(
+        signer=parse_pid(data["signer"]),
+        payload=wire_decode_value(data["payload"]),
+        tag=bytes.fromhex(data["tag"]),
+    ),
+    "fset": lambda data: frozenset([wire_decode_value(v) for v in data["items"]]),
+    "tuple": lambda data: tuple([wire_decode_value(v) for v in data["items"]]),
+    "list": lambda data: [wire_decode_value(v) for v in data["items"]],
+    "dict": lambda data: {
+        wire_decode_value(key): wire_decode_value(val) for key, val in data["items"]
+    },
+    "bytes": lambda data: bytes.fromhex(data["hex"]),
+}
 
 
 class WireMessage:
@@ -167,13 +159,13 @@ class WireMessage:
 
     def to_wire(self) -> Dict[str, Any]:
         """JSON-ready dict: version stamp, type name, encoded fields."""
+        # ``__dataclass_fields__`` is the field table ``fields()`` would
+        # re-filter on every call; no message declares pseudo-fields.
+        values = self.__dict__
         return {
             "v": WIRE_VERSION,
             "t": type(self).__name__,
-            "f": {
-                field.name: wire_encode_value(getattr(self, field.name))
-                for field in fields(self)
-            },
+            "f": {name: wire_encode_value(values[name]) for name in self.__dataclass_fields__},
         }
 
     @classmethod
@@ -323,7 +315,7 @@ MESSAGE_TYPES = {
     cls.__name__: cls for cls in (*CLIENT_REQUESTS, *SERVER_REPLIES, MaxMinGossip)
 }
 
-#: One-byte kind codes of the binary serializer (``repro-bin/v1``): the
+#: One-byte kind codes of the binary serializer (``repro-bin/v2``): the
 #: registry sorted by class name, numbered from 1.  Kind byte 0 is
 #: reserved, and bytes >= 0x80 never name a kind — JSON bodies start at
 #: ``{`` (0x7B is below 0x80 but is also never a kind because the table

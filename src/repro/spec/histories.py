@@ -102,14 +102,21 @@ class Operation:
             proc=parse_pid(record["proc"]),
             kind=record["kind"],
             invoked_at=float(record["invoked_at"]),
-            value=record.get("value"),
-            result=record.get("result"),
+            value=_tupled(record.get("value")),
+            result=_tupled(record.get("result")),
             responded_at=(
                 None
                 if record.get("responded_at") is None
                 else float(record["responded_at"])
             ),
         )
+
+
+def _tupled(value: Any) -> Any:
+    """JSON has no tuples: a loaded list was a (hashable) tuple value."""
+    if isinstance(value, list):
+        return tuple(_tupled(item) for item in value)
+    return value
 
 
 _KIND_OF_PREFIX = {"s": SERVER, "r": READER, "w": WRITER}

@@ -7,10 +7,14 @@ shard transcripts merge into an audited load report, and the standalone
 (0 = certificates verified, 1 = tampered, 3 = nothing to prove).
 """
 
+import asyncio
 import json
+
+import pytest
 
 from repro.accountability import audit_all
 from repro.cli import main
+from repro.errors import ProtocolError
 from repro.net import run_net_workload
 from repro.registers.base import ClusterConfig
 
@@ -52,6 +56,50 @@ class TestSocketStatements:
         assert revived.to_dict() == result.transcript.to_dict()
         assert audit_all(revived) == []
 
+    def test_transcript_is_serializer_blind(self):
+        """The audit input is the same whichever serializer carried it:
+        json ships whole statements, binary rebuilds them from the
+        envelope plus seq / cause / tag."""
+        from repro.net.client import ClientPool
+        from repro.net.server import build_net_cluster, start_servers
+        from repro.sim.ids import reader, writer
+
+        config = ClusterConfig(S=3, t=0, R=1)
+
+        async def run(serializer):
+            servers = await start_servers(
+                "abd", config, seed=5, serializer=serializer, accountable=True
+            )
+            pool = ClientPool(
+                {s.pid: s.address for s in servers},
+                serializer=serializer,
+                collect_statements=True,
+                statement_seed=5,
+            )
+            cluster = build_net_cluster("abd", config, seed=5)
+            pool.add_clients([*cluster.readers, *cluster.writers])
+            try:
+                await pool.connect()
+                # t = 0: every round waits for all three replies, so
+                # each op's statements are in before the next op starts.
+                for step in (1, 2):
+                    await pool.run_op(writer(1), "write", value=step, timeout=15)
+                    await pool.run_op(reader(1), "read", timeout=15)
+            finally:
+                await pool.close()
+                for srv in servers:
+                    await srv.stop()
+            payload = pool.transcript.to_dict()
+            # arrival order across the three connections is timing
+            payload["statements"].sort(key=lambda st: (st["server"], st["seq"]))
+            return payload
+
+        as_json = asyncio.run(run("json"))
+        as_binary = asyncio.run(run("binary"))
+        assert len(as_json["statements"]) == 3 * (2 + 2 * 2)
+        assert as_json["rejected"] == 0
+        assert as_binary == as_json
+
     def test_plain_runs_have_no_transcript_and_no_statements(self):
         result = run_net_workload(
             "abd",
@@ -64,7 +112,7 @@ class TestSocketStatements:
 
 
 class TestWireStatementHandling:
-    def make_pool(self):
+    def make_pool(self, serializer=None):
         from repro.net.client import ClientPool
         from repro.sim.ids import server
 
@@ -72,65 +120,124 @@ class TestWireStatementHandling:
         return ClientPool(
             addrs,
             seed=0,
+            serializer=serializer,
             collect_statements=True,
             statement_seed=0,
         )
 
-    def forged(self):
-        """A syntactically valid statement whose signature is garbage."""
+    def signed(self, seed=0):
+        """The statement ``s1`` sends ``r1`` about one FastReadAck, signed
+        in signing domain ``seed`` (the pool verifies in domain 0)."""
         from repro.accountability import sign_statement
         from repro.crypto.signatures import SignatureAuthority
         from repro.registers import messages as msg
         from repro.registers.timestamps import ValueTag
         from repro.sim.ids import reader, server, writer
 
-        stmt = sign_statement(
-            SignatureAuthority(seed=999),  # wrong signing domain
+        return sign_statement(
+            SignatureAuthority(seed=seed),
             server=server(1),
             seq=0,
             client=reader(1),
-            op_id=1,
+            op_id=3,
             cause_kind="FastRead",
             reply=msg.FastReadAck(
-                op_id=1,
+                op_id=3,
                 tag=ValueTag(1, 1),
                 seen=frozenset({writer(1)}),
                 r_counter=0,
             ),
         )
-        return stmt.to_wire()
+
+    def frame_body(self, serializer, stmt):
+        from repro.net.codec import HEADER, get_codec
+
+        frame = get_codec(serializer).encode_frame(
+            stmt.server, stmt.client, stmt.reply, statement=stmt
+        )
+        return frame[HEADER.size:]
 
     def test_forged_statement_rejected_not_fatal(self):
         pool = self.make_pool()
-        pool._collect_statement(self.forged())
+        # signed in the wrong domain: well-formed, but not s1's HMAC here
+        pool.handle_frame(self.frame_body(None, self.signed(seed=999)))
         assert len(pool.transcript) == 0
         assert pool.transcript.rejected == 1
 
-    def test_garbage_statement_rejected_not_fatal(self):
+    def test_garbage_json_statement_slot_drops_the_frame(self):
+        # The "a" slot is parsed at the codec boundary: a slot that does
+        # not parse makes the frame undecodable, and the pool drops it
+        # like any other garbage — nothing retained, nothing raised.
+        from repro.net.codec import get_codec
+
+        record = json.loads(bytes(self.frame_body("json", self.signed())))
+        record["a"] = {"server": "s1"}  # missing every other field
+        body = json.dumps(record).encode("utf8")
+        with pytest.raises(ProtocolError, match="malformed signed statement"):
+            get_codec("json").decode_body_full(body)
         pool = self.make_pool()
-        pool._collect_statement({"server": "s1"})  # missing every field
+        pool.handle_frame(body)
         assert len(pool.transcript) == 0
-        assert pool.transcript.rejected == 1
+
+    def test_honest_frame_is_retained(self):
+        for serializer in ("json", "binary"):
+            pool = self.make_pool(serializer)
+            pool.handle_frame(self.frame_body(serializer, self.signed()))
+            assert pool.transcript.statements == [self.signed()]
+            assert pool.transcript.rejected == 0
+
+    @pytest.mark.parametrize(
+        "what, offset, delta",
+        [
+            ("src", 3, 1),  # s1 -> s2
+            ("dst", 5, 1),  # r1 -> r2
+            ("payload op_id", 6, 2),  # zigzag 6 -> 8: op 3 -> op 4
+            ("seq", -43, 1),
+            ("cause", -41, 1),  # "FastRead" -> "GastRead"
+            ("tag", -1, 1),
+        ],
+    )
+    def test_binary_tamper_matrix(self, what, offset, delta):
+        """Everything a binary frame implies or states about its
+        statement is under the server's HMAC: one flipped byte anywhere
+        is a rejection — counted, nothing retained, connection kept."""
+        from repro.net.codec import get_codec
+        from repro.sim.ids import server
+
+        class Conn:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        honest = bytes(self.frame_body("binary", self.signed()))
+        body = bytearray(honest)
+        body[offset] += delta
+        _, _, _, tampered = get_codec("binary").decode_body_full(bytes(body))
+        assert tampered != self.signed(), what
+        pool, conn = self.make_pool("binary"), Conn()
+        pool.handle_frame(bytes(body), server(1), conn)
+        assert pool.transcript.rejected == 1, what
+        assert len(pool.transcript) == 0
+        assert not conn.closed
+        # the connection still works: the honest frame is retained next
+        pool.handle_frame(honest, server(1), conn)
+        assert len(pool.transcript) == 1 and pool.transcript.rejected == 1
 
     def test_codec_round_trips_the_statement_slot(self):
         from repro.net.codec import HEADER, get_codec
-        from repro.registers import messages as msg
-        from repro.registers.timestamps import ValueTag
-        from repro.sim.ids import reader, server
 
         codec = get_codec()
-        reply = msg.QueryReply(op_id=1, tag=ValueTag(1, 1))
-        frame = codec.encode_frame(
-            server(1), reader(1), reply, statement={"k": "v"}
-        )
-        body = frame[HEADER.size:]
-        src, dst, payload, statement = codec.decode_body_full(body)
-        assert (src, dst, payload) == (server(1), reader(1), reply)
-        assert statement == {"k": "v"}
+        stmt = self.signed()
+        src, dst, reply = stmt.server, stmt.client, stmt.reply
+        body = self.frame_body(None, stmt)
+        assert codec.decode_body_full(body) == (src, dst, reply, stmt)
+        # the "a" slot is the statement's own wire dict, nothing else
+        assert json.loads(bytes(body))["a"] == stmt.to_wire()
         # the 3-tuple decoder ignores the slot (back-compat)
-        assert codec.decode_body(body) == (src, dst, payload)
+        assert codec.decode_body(body) == (src, dst, reply)
         # and frames without the slot decode to None
-        plain = codec.encode_frame(server(1), reader(1), reply)
+        plain = codec.encode_frame(src, dst, reply)
         assert codec.decode_body_full(plain[HEADER.size:])[3] is None
 
 

@@ -1,10 +1,14 @@
-"""The binary wire codec (``repro-bin/v1``) and the zero-copy pipeline.
+"""The binary wire codec (``repro-bin/v2``) and the zero-copy pipeline.
 
 Three contracts under test:
 
 * **Cross-serializer parity** — for every registered message kind, with
-  and without the accountability statement slot, ``binary`` and ``json``
-  (and ``msgpack`` when importable) frames decode to *equal* results.
+  and without an accountability statement, ``binary`` and ``json`` (and
+  ``msgpack`` when importable) frames decode to *equal* results: equal
+  messages and equal, verifying ``SignedStatement`` objects.  The binary
+  statement section ships only ``seq``/``cause``/``tag``; everything
+  else is the envelope's, so a statement about another frame does not
+  encode and a tampered envelope does not verify.
 * **Zero-copy framing** — :class:`FrameBuffer` hands out ``memoryview``
   slices, reassembles a byte-split binary stream split at *every* offset
   identically, and never copies whole-frame input.
@@ -126,19 +130,20 @@ def _sample_message(name):
     return samples[name]
 
 
-def _sample_statement(name, seed=3):
-    """A real signed statement whose reply is the sample message."""
-    authority = SignatureAuthority(seed)
-    authority.register(server(1))
-    return sign_statement(
-        authority,
+def _sample_statement(name, seed=3, **overrides):
+    """A real signed statement by ``s1`` to ``r2`` about the sample
+    message — the statement a frame ``s1 -> r2`` of it would carry."""
+    message = _sample_message(name)
+    fields = dict(
         server=server(1),
         seq=7,
         client=reader(2),
-        op_id=5,
+        op_id=message.op_id,
         cause_kind="FastRead",
-        reply=_sample_message(name),
-    ).to_wire()
+        reply=message,
+    )
+    fields.update(overrides)
+    return sign_statement(SignatureAuthority(seed), **fields)
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +185,7 @@ class TestSerializerSelection:
         }
         assert len(set(WIRE_KIND_BYTES.values())) == len(MESSAGE_TYPES)
         assert max(WIRE_KIND_BYTES.values()) < 0x80
-        assert BINARY_FORMAT == "repro-bin/v1"
+        assert BINARY_FORMAT == "repro-bin/v2"
 
 
 # ----------------------------------------------------------------------
@@ -207,31 +212,47 @@ class TestCrossSerializerParity:
     def test_every_kind_with_and_without_statement_slot(self, name, with_statement):
         message = _sample_message(name)
         statement = _sample_statement(name) if with_statement else None
-        decoded = {}
+        authority = SignatureAuthority(3)
+        authority.register(server(1))
         for serializer in available_serializers():
             codec = Codec(serializer)
             frame = codec.encode_frame(
                 server(1), reader(2), message, statement=statement
             )
-            decoded[serializer] = codec.decode_body_full(
-                FrameBuffer().feed(frame)[0]
-            )
-        for serializer, got in decoded.items():
+            got = codec.decode_body_full(FrameBuffer().feed(frame)[0])
             assert got == (server(1), reader(2), message, statement), serializer
+            if with_statement:
+                # an equal object, not merely an equal dict: it verifies
+                # and says what the signer signed
+                assert isinstance(got[3], SignedStatement)
+                assert verify_statement(authority, got[3])
+                assert got[3].signature.payload == statement.signature.payload
 
-    def test_statement_survives_binary_and_reverifies(self):
+    def test_binary_statement_section_is_seq_cause_tag(self):
+        message = _sample_message("FastReadAck")
         statement = _sample_statement("FastReadAck")
         codec = Codec("binary")
-        frame = codec.encode_frame(
-            server(1), reader(2), _sample_message("FastReadAck"),
-            statement=statement,
-        )
-        _, _, _, got = codec.decode_body_full(FrameBuffer().feed(frame)[0])
-        rebuilt = SignedStatement.from_wire(got)
-        authority = SignatureAuthority(3)
-        authority.register(server(1))
-        assert verify_statement(authority, rebuilt)
-        assert rebuilt.statement_payload() == rebuilt.signature.payload
+        plain = codec.encode_frame(server(1), reader(2), message)
+        signed = codec.encode_frame(server(1), reader(2), message, statement=statement)
+        section = bytes([7, len("FastRead")]) + b"FastRead" + bytes([32]) + statement.signature.tag
+        assert signed[4:] == plain[4:5] + b"\x02" + plain[6:] + section
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("server", server(2)),
+            ("client", reader(3)),
+            ("reply", FastReadAck(op_id=3, tag=ValueTag(9, "x"), seen=frozenset(), r_counter=1)),
+            ("op_id", 5),
+        ],
+    )
+    def test_statement_about_another_frame_does_not_encode(self, field, value):
+        statement = _sample_statement("FastReadAck", **{field: value})
+        with pytest.raises(ProtocolError, match="does not describe the frame"):
+            Codec("binary").encode_frame(
+                server(1), reader(2), _sample_message("FastReadAck"),
+                statement=statement,
+            )
 
     @given(message=messages)
     @settings(max_examples=100, deadline=None)
@@ -251,7 +272,7 @@ class TestZeroCopyFrameBuffer:
         frames = [
             codec.encode_frame(reader(1), server(1), _sample_message("FastRead")),
             codec.encode_frame(
-                server(1), reader(1), _sample_message("FastReadAck"),
+                server(1), reader(2), _sample_message("FastReadAck"),
                 statement=_sample_statement("FastReadAck"),
             ),
             codec.encode_frame(writer(1), server(2), _sample_message("FastWrite")),
@@ -307,6 +328,23 @@ class TestBinaryErrorContext:
         codec = Codec("binary")
         with pytest.raises(ProtocolError, match=r"kind byte 0x63.*offset 1"):
             codec.decode_body(b"\x63\x00garbage")
+
+    @pytest.mark.parametrize("flags", [0x01, 0x03, 0x04, 0x82])
+    def test_unknown_flag_bits_rejected_by_name(self, flags):
+        # 0x01 was the v1 statement section: a mixed-build accountable
+        # pairing must fail per frame, not mis-parse the section.
+        codec = Codec("binary")
+        frame = codec.encode_frame(
+            server(1), reader(2), _sample_message("FastReadAck"),
+            statement=_sample_statement("FastReadAck"),
+        )
+        body = bytearray(frame[4:])
+        assert body[1] == 0x02
+        body[1] = flags
+        with pytest.raises(
+            ProtocolError, match=rf"offset 2 of \d+\): flags byte {flags:#04x}"
+        ):
+            codec.decode_body_full(bytes(body))
 
     def test_truncated_frame_names_kind_and_offset(self):
         codec = Codec("binary")
