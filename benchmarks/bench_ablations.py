@@ -16,7 +16,7 @@ behind the results:
 
 import pytest
 
-from repro.bounds.indistinguishability import verify_crash_chain
+from repro.bounds import verify_crash_chain
 from repro.registers.ablations import ABLATIONS
 from repro.spec.histories import BOTTOM
 
@@ -46,7 +46,7 @@ def test_indistinguishability_chain(benchmark, S, t, R):
     "S,t,b,R", [(7, 1, 1, 2), (13, 2, 1, 3)], ids=lambda v: str(v)
 )
 def test_byzantine_indistinguishability_chain(benchmark, S, t, b, R):
-    from repro.bounds.byzantine_indistinguishability import verify_byzantine_chain
+    from repro.bounds import verify_byzantine_chain
 
     report = benchmark(lambda: verify_byzantine_chain(S, t, b, R))
     assert report.all_hold, report.describe()

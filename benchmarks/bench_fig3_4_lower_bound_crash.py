@@ -13,7 +13,7 @@ feasible point — the theorem's "if and only if" as a table.
 
 
 from repro.analysis.sweep import boundary_cases
-from repro.bounds.crash_construction import run_crash_lower_bound
+from repro.bounds import run_crash_lower_bound
 from repro.bounds.feasibility import construction_applies
 from repro.errors import InfeasibleConstructionError
 from repro.spec.histories import BOTTOM

@@ -12,7 +12,7 @@ degenerate case that collapses onto Proposition 5.
 """
 
 
-from repro.bounds.byzantine_construction import run_byzantine_lower_bound
+from repro.bounds import run_byzantine_lower_bound
 from repro.bounds.feasibility import construction_applies
 from repro.errors import InfeasibleConstructionError
 from repro.spec.histories import BOTTOM

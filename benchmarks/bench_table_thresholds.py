@@ -15,8 +15,8 @@ import pytest
 
 from repro.analysis.sweep import boundary_cases
 from repro.analysis.tables import render_table
-from repro.bounds.byzantine_construction import run_byzantine_lower_bound
-from repro.bounds.crash_construction import run_crash_lower_bound
+from repro.bounds import run_byzantine_lower_bound
+from repro.bounds import run_crash_lower_bound
 from repro.bounds.feasibility import max_readers, threshold_table
 from repro.registers.base import ClusterConfig
 from repro.workloads import ClosedLoopWorkload, run_workload

@@ -60,8 +60,7 @@ def main() -> None:
           f"violations: {int(baseline.violated)}")
 
     banner("Bonus: the proofs' indistinguishability chains, executed")
-    from repro.bounds.byzantine_indistinguishability import verify_byzantine_chain
-    from repro.bounds.indistinguishability import verify_crash_chain
+    from repro.bounds import verify_byzantine_chain, verify_crash_chain
 
     print(verify_crash_chain(S=4, t=1, R=2).describe())
     print()

@@ -19,11 +19,13 @@ from typing import Callable, List, Tuple
 
 from repro.analysis.metrics import summarize
 from repro.analysis.tables import render_table
-from repro.bounds.byzantine_construction import run_byzantine_lower_bound
-from repro.bounds.byzantine_indistinguishability import verify_byzantine_chain
-from repro.bounds.crash_construction import run_crash_lower_bound
+from repro.bounds import (
+    run_byzantine_lower_bound,
+    run_crash_lower_bound,
+    verify_byzantine_chain,
+    verify_crash_chain,
+)
 from repro.bounds.feasibility import max_readers
-from repro.bounds.indistinguishability import verify_crash_chain
 from repro.bounds.mwmr_construction import (
     run_mwmr_impossibility,
     run_sequential_family,
@@ -324,7 +326,7 @@ def _read_mean(protocol: str, config: ClusterConfig, seed: int = 1) -> float:
         seed=seed,
         latency=HOP,
     )
-    assert result.check_atomic().ok or protocol == "regular-fast"
+    assert result.check_atomic().ok
     return summarize(result.read_latencies()).mean
 
 

@@ -1,18 +1,21 @@
 """Lower-bound machinery: thresholds and executable impossibility proofs."""
 
 from repro.bounds.blocks import Block, partition_byzantine, partition_crash
-from repro.bounds.byzantine_construction import run_byzantine_lower_bound
-from repro.bounds.crash_construction import ConstructionResult, run_crash_lower_bound
+from repro.bounds.construction import (
+    ConstructionResult,
+    run_byzantine_lower_bound,
+    run_crash_lower_bound,
+)
 from repro.bounds.diagrams import (
     render_block_diagram,
     render_partial_writes,
     render_threshold_frontier,
 )
-from repro.bounds.byzantine_indistinguishability import verify_byzantine_chain
 from repro.bounds.indistinguishability import (
     ChainReport,
     ClaimCheck,
     ReadView,
+    verify_byzantine_chain,
     verify_crash_chain,
 )
 from repro.bounds.feasibility import (

@@ -61,36 +61,6 @@ def _spread(pool: List[ProcessId], bucket_count: int, cap: int) -> List[List[Pro
     return buckets
 
 
-def partition_crash(S: int, t: int, R: int) -> List[Block]:
-    """The ``R + 2`` blocks of the Section 5 construction.
-
-    Returns blocks ``B1..B(R+2)``, each of size at most ``t``, jointly
-    covering all ``S`` servers.  ``B_{R+1}`` (the block that alone
-    receives the write) and ``B_{R+2}`` are filled to the cap first.
-    """
-    if t < 1:
-        raise InfeasibleConstructionError("the construction needs t >= 1")
-    if R < 2:
-        raise InfeasibleConstructionError("Proposition 5 needs R >= 2")
-    if (R + 2) * t < S:
-        raise InfeasibleConstructionError(
-            f"cannot partition S={S} servers into {R + 2} blocks of size <= t={t}: "
-            "the parameters are inside the feasible region (R < S/t - 2)"
-        )
-    pool = servers(S)
-    pivot = pool[: t]                      # becomes B_{R+1}
-    rest = pool[t:]
-    tail = rest[: t]                       # becomes B_{R+2}
-    remainder = rest[t:]
-    spread = _spread(remainder, R, t)      # B_1..B_R
-    blocks = [
-        Block(name=f"B{i + 1}", members=tuple(spread[i])) for i in range(R)
-    ]
-    blocks.append(Block(name=f"B{R + 1}", members=tuple(pivot)))
-    blocks.append(Block(name=f"B{R + 2}", members=tuple(tail)))
-    return blocks
-
-
 def partition_byzantine(
     S: int, t: int, b: int, R: int
 ) -> Tuple[List[Block], List[Block]]:
@@ -99,11 +69,13 @@ def partition_byzantine(
     Returns ``(t_blocks, b_blocks)`` with ``T1..T(R+2)`` of size <= t
     and ``B1..B(R+1)`` of size <= b.  ``T_{R+1}`` and ``B_{R+1}`` — the
     write's only recipients, the latter two-faced — are filled first.
+    With ``b = 0`` every ``B`` block is empty and the ``T`` blocks are
+    Section 5's partition (see :func:`partition_crash`).
     """
     if t < 1:
         raise InfeasibleConstructionError("the construction needs t >= 1")
     if R < 2:
-        raise InfeasibleConstructionError("Proposition 10 needs R >= 2")
+        raise InfeasibleConstructionError("Propositions 5 and 10 need R >= 2")
     if (R + 2) * t + (R + 1) * b < S:
         raise InfeasibleConstructionError(
             f"S={S}, t={t}, b={b}, R={R} lie inside the feasible region "
@@ -132,6 +104,22 @@ def partition_byzantine(
     b_blocks = [Block(name=f"B{i + 1}", members=tuple(b_spread[i])) for i in range(R)]
     b_blocks.append(Block(name=f"B{R + 1}", members=tuple(b_pivot)))
     return t_blocks, b_blocks
+
+
+def partition_crash(S: int, t: int, R: int) -> List[Block]:
+    """The ``R + 2`` blocks of the Section 5 construction.
+
+    Crash is the ``b = 0`` case: these are the general partition's
+    ``T`` blocks under Section 5's names ``B1..B(R+2)``, each of size
+    at most ``t``, jointly covering all ``S`` servers, with ``B_{R+1}``
+    (the block that alone receives the write) and ``B_{R+2}`` filled to
+    the cap first.
+    """
+    t_blocks, _ = partition_byzantine(S, t, 0, R)
+    return [
+        Block(name=f"B{i}", members=block.members)
+        for i, block in enumerate(t_blocks, start=1)
+    ]
 
 
 def block_map(blocks: Sequence[Block]) -> Dict[str, Block]:

@@ -2,7 +2,7 @@
 
 The paper depicts an invocation as a column of rectangles, one per
 server block the invocation's message actually reached.  We render the
-same picture from a :class:`~repro.bounds.crash_construction.ConstructionResult`:
+same picture from a :class:`~repro.bounds.construction.ConstructionResult`:
 rows are blocks, columns are invocations, ``██`` marks a delivered
 request and ``..`` a skipped block — making the executed schedule
 visually comparable with the figures in the paper.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.bounds.blocks import Block
-from repro.bounds.crash_construction import ConstructionResult
+from repro.bounds.construction import ConstructionResult
 from repro.spec.histories import Operation
 
 FILLED = "██"

@@ -1,24 +1,34 @@
-"""The Section 5 indistinguishability chain, executed.
+"""The indistinguishability chain of Sections 5 and 6.2, executed.
 
-:mod:`repro.bounds.crash_construction` executes only the *final* run
+:mod:`repro.bounds.construction` executes only the *final* run
 ``pr^C``.  The proof, however, rests on a chain of pairwise
 indistinguishability claims:
 
 * ``pr_i  ~r_i  ◊pr_i`` — reader ``r_i`` receives byte-identical acks in
-  the run where block ``B_i``'s steps happened and the run where they
-  were deleted (``i = 1..R``);
+  the run where block ``T_i``'s steps happened and ``B_i`` then *lost
+  its memory* (a :class:`~repro.faults.byzantine.MemoryWipeServer`
+  forgets the write before ``r_i`` reads), and the run where those steps
+  were deleted and ``B_i`` simply never received anything
+  (``i = 1..R``);
 * ``pr^A ~r_1 pr^B`` — ``r_1`` cannot tell the run with the partial
-  ``write(1)`` from the run with no write at all;
+  ``write(1)``, where the two-faced ``B_{R+1}`` answers it from its
+  blank shadow face, from the run with no write at all;
 * ``pr^C ~r_1 pr^D`` — likewise after ``r_1``'s second read.
 
 This module *executes both sides of every claim* as independent runs of
-the actual Figure 2 protocol (instantiated beyond its threshold) and
-compares the distinguished reader's delivered acknowledgements
-message-by-message.  The result is a machine-checked transcript of the
-proof's skeleton: each indistinguishability holds (ack sequences equal,
-hence equal return values), the anchored run returns 1, and the chain
-transports that 1 to ``◊pr_R`` while ``pr^B``/``pr^D`` pin ``r_1`` to
-``⊥`` — which is exactly why ``pr^C`` violates atomicity.
+the actual protocol (instantiated beyond its threshold) and compares the
+distinguished reader's delivered acknowledgements message-by-message.
+The result is a machine-checked transcript of the proof's skeleton:
+each indistinguishability holds (ack sequences equal, hence equal
+return values), the anchored run returns 1, and the chain transports
+that 1 to ``◊pr_R`` while ``pr^B``/``pr^D`` pin ``r_1`` to ``⊥`` — which
+is exactly why ``pr^C`` violates atomicity.
+
+Crash is the ``b = 0`` case: the ``B`` blocks are empty, so nothing is
+wiped and nobody is two-faced, and the runs are of Figure 2 instead of
+the signed Figure 5.  Signatures are never forged anywhere in the chain:
+the adversary only destroys or withholds information, which is
+precisely why Proposition 10 holds *despite* unforgeable signatures.
 """
 
 from __future__ import annotations
@@ -26,12 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence, Tuple
 
-from repro.bounds.blocks import Block, partition_crash
-from repro.registers.base import ClusterConfig
-from repro.registers.fast_crash import build_cluster
+from repro.bounds.construction import BlockRun, run_tail
 from repro.registers import messages as msg
-from repro.sim.controller import ScriptedExecution
-from repro.sim.ids import ProcessId, reader, writer
+from repro.sim.ids import ProcessId
+from repro.sim.messages import Envelope
 from repro.spec.histories import Operation
 
 #: Fingerprint of one delivered ack: everything the reader's automaton
@@ -91,11 +99,13 @@ class ClaimCheck:
 
 @dataclass
 class ChainReport:
-    """All claims of the Section 5 chain for one parameter set."""
+    """All claims of the chain for one parameter set (``b = 0``: the
+    Section 5 chain; otherwise Section 6.2's)."""
 
     S: int
     t: int
     R: int
+    b: int = 0
     claims: List[ClaimCheck] = field(default_factory=list)
     anchored_value: Any = None  # r_1's return in pr_1 (forced by atomicity)
     final_values: Tuple[Any, Any] = (None, None)  # (r_R in ◊pr_R, r1 2nd in pr^C)
@@ -105,9 +115,10 @@ class ChainReport:
         return all(claim.holds for claim in self.claims)
 
     def describe(self) -> str:
+        section, b = ("5", "") if self.b == 0 else ("6.2", f"b={self.b}, ")
         lines = [
-            f"Section 5 indistinguishability chain at S={self.S}, t={self.t}, "
-            f"R={self.R}:"
+            f"Section {section} indistinguishability chain at S={self.S}, "
+            f"t={self.t}, {b}R={self.R}:"
         ]
         lines.extend("  " + claim.describe() for claim in self.claims)
         lines.append(f"  anchored: r1 returns {self.anchored_value!r} in pr_1")
@@ -118,127 +129,113 @@ class ChainReport:
         return "\n".join(lines)
 
 
-class _Runner:
-    """One scripted execution over the block partition."""
-
-    def __init__(self, S: int, t: int, R: int, blocks: Sequence[Block]) -> None:
-        self.config = ClusterConfig(S=S, t=t, R=R)
-        self.blocks = list(blocks)
-        self.numbered = self.blocks[:R]
-        self.pivot = self.blocks[R]       # B_{R+1}
-        self.tail = self.blocks[R + 1]    # B_{R+2}
-        cluster = build_cluster(self.config, enforce=False)
-        self.execution = ScriptedExecution()
-        cluster.install(self.execution)
-
-    def members(self, blocks: Sequence[Block]) -> List[ProcessId]:
-        out: List[ProcessId] = []
-        for block in blocks:
-            out.extend(block.members)
-        return out
-
-    def write(self, to_blocks: Sequence[Block], complete: bool = False) -> Operation:
-        op = self.execution.invoke(writer(1), "write", 1)
-        targets = self.members(to_blocks)
-        self.execution.deliver_requests(op, to=targets)
-        if complete:
-            self.execution.deliver_replies(op, from_=targets)
-        return op
-
-    def read_requests(self, index: int, to_blocks: Sequence[Block]) -> Operation:
-        op = self.execution.invoke(reader(index), "read")
-        self.execution.deliver_requests(op, to=self.members(to_blocks))
-        return op
-
-    def finish_read(self, op: Operation, from_blocks: Sequence[Block]) -> ReadView:
-        order = self.members(from_blocks)
-        delivered = self.execution.deliver_replies(op, from_=order)
-        acks = [
-            _fingerprint(env.src, env.payload)
-            for env in delivered
-            if isinstance(env.payload, msg.FastReadAck)
-        ]
-        return ReadView(
-            reader_name=str(op.proc), acks=acks, result=op.result
-        )
+def _view(op: Operation, heard: Sequence[Envelope]) -> ReadView:
+    acks = [
+        _fingerprint(env.src, env.payload)
+        for env in heard
+        if isinstance(env.payload, msg.FastReadAck)
+    ]
+    return ReadView(reader_name=str(op.proc), acks=acks, result=op.result)
 
 
-def _pr_run(S: int, t: int, R: int, i: int, blocks: Sequence[Block]) -> ReadView:
+def _protocol(b: int) -> str:
+    return "fast-crash" if b == 0 else "fast-byzantine"
+
+
+def _ri_view(run: BlockRun, i: int) -> ReadView:
+    """``r_i`` reads skipping ``T_i`` and completes — the closing step
+    ``pr_i`` and ``◊pr_i`` share."""
+    others = run.numbered[: i - 1] + run.numbered[i:]
+    op = run.read(i, others + [run.pivot, run.tail] + run.b_numbered + [run.b_pivot])
+    return _view(
+        op, run.replies(op, [run.pivot, run.b_pivot, run.tail] + others + run.b_numbered)
+    )
+
+
+def _pr_run(S: int, t: int, b: int, R: int, i: int) -> ReadView:
     """Execute ``pr_i`` and return ``r_i``'s view.
 
-    ``pr_i`` extends ``◊pr_{i-1}``: the write reached ``B_i..B_{R+1}``
-    (completing only for ``i = 1``, where it reached ``B_1..B_{R+1}``
-    and the writer got its acks); reads ``r_1..r_{i-1}`` skip
-    ``{B_j | h <= j <= i-1}`` with only ``r_{i-1}`` completed; ``r_i``
-    skips ``B_i`` and completes.
+    ``pr_i`` extends ``◊pr_{i-1}``: the write reached ``T_i.. ∪ B_i..``
+    (completing only for ``i = 1``, where it reached every block but
+    ``T_{R+2}`` and the writer got its acks); reads ``r_1..r_{i-1}``
+    skip ``{T_j | h <= j <= i-1}`` with only ``r_{i-1}`` completed;
+    ``B_i`` then loses its memory, and ``r_i`` reads.
     """
-    run = _Runner(S, t, R, blocks)
-    write_targets = run.numbered[i - 1 :] + [run.pivot]
-    run.write(write_targets, complete=(i == 1))
-    for h in range(1, i):
-        to_blocks = run.numbered[: h - 1] + run.numbered[i - 1 :] + [run.pivot, run.tail]
-        op = run.read_requests(h, to_blocks)
-        if h == i - 1:
-            reply_blocks = [run.pivot, run.tail] + run.numbered[: h - 1] + run.numbered[i - 1 :]
-            run.finish_read(op, reply_blocks)
-    read_blocks = (
-        run.numbered[: i - 1] + run.numbered[i:] + [run.pivot, run.tail]
+    run = BlockRun(S, t, b, R, _protocol(b), wiped=i)
+    run.write(
+        run.numbered[i - 1 :] + [run.pivot] + run.b_numbered[i - 1 :] + [run.b_pivot],
+        complete=(i == 1),
     )
-    op = run.read_requests(i, read_blocks)
-    reply_order = [run.pivot, run.tail] + run.numbered[: i - 1] + run.numbered[i:]
-    return run.finish_read(op, reply_order)
+    for h in range(1, i):
+        op = run.read(
+            h,
+            run.numbered[: h - 1]
+            + run.numbered[i - 1 :]
+            + [run.pivot, run.tail]
+            + run.b_numbered[:h]
+            + run.b_numbered[i - 1 :]
+            + [run.b_pivot],
+        )
+        if h == i - 1:
+            # r_{i-1} completed in ◊pr_{i-1}; which replies it got is
+            # irrelevant to r_i, which never hears r_{i-1}.
+            run.replies(op, [run.pivot, run.b_pivot, run.tail])
+    run.wipe()  # B_i forgets everything, including the write
+    return _ri_view(run, i)
 
 
-def _diamond_run(S: int, t: int, R: int, i: int, blocks: Sequence[Block]) -> ReadView:
+def _diamond_run(S: int, t: int, b: int, R: int, i: int) -> ReadView:
     """Execute ``◊pr_i`` and return ``r_i``'s view.
 
-    The write reached only ``B_{i+1}..B_{R+1}``; reads ``r_1..r_{i-1}``
-    skip ``{B_j | h <= j <= i}`` and stay incomplete; ``r_i`` skips
-    ``B_i`` and completes.
+    The write reached only ``T_{i+1}.. ∪ B_{i+1}..``; reads
+    ``r_1..r_{i-1}`` skip ``{T_j | h <= j <= i}`` and stay incomplete;
+    ``B_i`` is honest and blank; ``r_i`` reads.
     """
-    run = _Runner(S, t, R, blocks)
-    run.write(run.numbered[i:] + [run.pivot], complete=False)
+    run = BlockRun(S, t, b, R, _protocol(b))
+    run.write(run.numbered[i:] + [run.pivot] + run.b_numbered[i:] + [run.b_pivot])
     for h in range(1, i):
-        to_blocks = run.numbered[: h - 1] + run.numbered[i:] + [run.pivot, run.tail]
-        run.read_requests(h, to_blocks)
-    read_blocks = run.numbered[: i - 1] + run.numbered[i:] + [run.pivot, run.tail]
-    op = run.read_requests(i, read_blocks)
-    reply_order = [run.pivot, run.tail] + run.numbered[: i - 1] + run.numbered[i:]
-    return run.finish_read(op, reply_order)
+        run.read(
+            h,
+            run.numbered[: h - 1]
+            + run.numbered[i:]
+            + [run.pivot, run.tail]
+            + run.b_numbered[:h]
+            + run.b_numbered[i:]
+            + [run.b_pivot],
+        )
+    return _ri_view(run, i)
 
 
-def _tail_run(
-    S: int, t: int, R: int, blocks: Sequence[Block], with_write: bool
-) -> Tuple[ReadView, ReadView, Any]:
-    """Execute ``pr^A``+``pr^C`` (``with_write=True``) or the write-free
-    twins ``pr^B``+``pr^D``.  Returns r1's two views and r_R's result.
-    """
-    run = _Runner(S, t, R, blocks)
-    if with_write:
-        run.write([run.pivot], complete=False)
-    reads = []
-    for h in range(1, R + 1):
-        to_blocks = run.numbered[: h - 1] + [run.pivot, run.tail]
-        reads.append(run.read_requests(h, to_blocks))
-    last = reads[-1]
-    run.finish_read(
-        last, [run.pivot, run.tail] + run.numbered[: R - 1]
+def _verify_chain(S: int, t: int, b: int, R: int) -> ChainReport:
+    report = ChainReport(S=S, t=t, R=R, b=b)
+    for i in range(1, R + 1):
+        left = _pr_run(S, t, b, R, i)
+        right = _diamond_run(S, t, b, R, i)
+        report.claims.append(
+            ClaimCheck(name=f"pr_{i} ~r{i} ◊pr_{i}", left_view=left, right_view=right)
+        )
+        if i == 1:
+            report.anchored_value = left.result
+
+    written, blank = (
+        run_tail(S, t, b, R, _protocol(b), with_write=flag) for flag in (True, False)
     )
-    first = reads[0]
-    # pr^A: r1 hears B_{R+2}, then the late blocks B_1..B_R.
-    view_parts: List[AckFingerprint] = []
-    part = run.finish_read(first, [run.tail])
-    view_parts.extend(part.acks)
-    run.execution.deliver_requests(first, to=run.members(run.numbered))
-    part = run.finish_read(first, run.numbered)
-    view_parts.extend(part.acks)
-    first_view = ReadView(
-        reader_name=str(first.proc), acks=view_parts, result=first.result
+    report.claims.append(
+        ClaimCheck(
+            name="pr^A ~r1 pr^B",
+            left_view=_view(written.first_read, written.first_heard),
+            right_view=_view(blank.first_read, blank.first_heard),
+        )
     )
-    # pr^C: r1's second read, skipping B_{R+1}.
-    second = run.read_requests(1, run.numbered + [run.tail])
-    second_view = run.finish_read(second, run.numbered + [run.tail])
-    return first_view, second_view, last.result
+    report.claims.append(
+        ClaimCheck(
+            name="pr^C ~r1 pr^D",
+            left_view=_view(written.second_read, written.second_heard),
+            right_view=_view(blank.second_read, blank.second_heard),
+        )
+    )
+    report.final_values = (written.last_read.result, written.second_read.result)
+    return report
 
 
 def verify_crash_chain(S: int, t: int, R: int) -> ChainReport:
@@ -247,25 +244,13 @@ def verify_crash_chain(S: int, t: int, R: int) -> ChainReport:
     Requires the impossible regime (``(R+2)t >= S``), like the
     construction itself.
     """
-    blocks = partition_crash(S=S, t=t, R=R)
-    report = ChainReport(S=S, t=t, R=R)
+    return _verify_chain(S, t, 0, R)
 
-    for i in range(1, R + 1):
-        left = _pr_run(S, t, R, i, blocks)
-        right = _diamond_run(S, t, R, i, blocks)
-        report.claims.append(
-            ClaimCheck(name=f"pr_{i} ~r{i} ◊pr_{i}", left_view=left, right_view=right)
-        )
-        if i == 1:
-            report.anchored_value = left.result
 
-    first_a, second_c, rR_result = _tail_run(S, t, R, blocks, with_write=True)
-    first_b, second_d, _ = _tail_run(S, t, R, blocks, with_write=False)
-    report.claims.append(
-        ClaimCheck(name="pr^A ~r1 pr^B", left_view=first_a, right_view=first_b)
-    )
-    report.claims.append(
-        ClaimCheck(name="pr^C ~r1 pr^D", left_view=second_c, right_view=second_d)
-    )
-    report.final_values = (rR_result, second_c.result)
-    return report
+def verify_byzantine_chain(S: int, t: int, b: int, R: int) -> ChainReport:
+    """Execute every indistinguishability claim of the Section 6.2 proof.
+
+    Requires the impossible regime (``(R+2)t + (R+1)b >= S``), like the
+    construction itself.
+    """
+    return _verify_chain(S, t, b, R)

@@ -32,8 +32,12 @@ from typing import List, Optional
 
 from repro.analysis.metrics import latency_by_kind
 from repro.analysis.tables import render_table
-from repro.bounds.byzantine_construction import run_byzantine_lower_bound
-from repro.bounds.crash_construction import run_crash_lower_bound
+from repro.bounds import (
+    run_byzantine_lower_bound,
+    run_crash_lower_bound,
+    verify_byzantine_chain,
+    verify_crash_chain,
+)
 from repro.bounds.diagrams import render_block_diagram, render_threshold_frontier
 from repro.bounds.feasibility import max_readers
 from repro.bounds.mwmr_construction import run_mwmr_impossibility
@@ -247,14 +251,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     if args.model == "crash":
-        from repro.bounds.indistinguishability import verify_crash_chain
-
         report = verify_crash_chain(S=args.servers, t=args.t, R=args.readers)
     else:
-        from repro.bounds.byzantine_indistinguishability import (
-            verify_byzantine_chain,
-        )
-
         report = verify_byzantine_chain(
             S=args.servers, t=args.t, b=args.b, R=args.readers
         )
@@ -1071,8 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--serializer",
         default=None,
-        help="wire serializer (default binary; also json, and msgpack "
-        "when installed)",
+        help="wire serializer (default binary; also json)",
     )
     srv.add_argument(
         "--no-enforce",
@@ -1148,8 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument(
         "--serializer",
         default=None,
-        help="wire serializer (default binary; also json, and msgpack "
-        "when installed)",
+        help="wire serializer (default binary; also json)",
     )
     load.add_argument(
         "--sim-check",

@@ -116,11 +116,6 @@ def _init_worker(counter, shared_memo=None) -> None:
     _SHARED_MEMO = shared_memo
 
 
-#: Backwards-compatible alias (the initializer used to carry only the
-#: budget counter).
-_init_shared_budget = _init_worker
-
-
 class SharedTransitionBudget(TransitionBudget):
     """Drains a fleet-wide allowance in chunks.
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.registers import ablations
+from repro.registers.ablations import FLAWS, Flaw
 from repro.registers.base import Cluster, ClusterConfig
-from repro.registers.registry import PROTOCOLS
+from repro.registers.registry import PROTOCOLS, ProtocolSpec
 
 #: The property the explorer's oracle checks for a target.
 ATOMIC = "atomic"
@@ -48,85 +48,40 @@ class ExploreTarget:
     multi_writer: bool = False
 
 
-def _registry_target(name: str) -> ExploreTarget:
-    spec = PROTOCOLS[name]
+def _registry_target(spec: ProtocolSpec) -> ExploreTarget:
     return ExploreTarget(
-        name=name,
+        name=spec.name,
         summary=spec.summary,
-        build=lambda config, _spec=spec: _spec.build(config, enforce=False),
+        build=lambda config: spec.build(config, enforce=False),
         requirement=spec.requirement,
-        # The regular register is judged against regularity (its actual
-        # contract); everything else against atomicity/linearizability.
-        property=ATOMIC if spec.atomic or spec.name == "naive-fast-mwmr" else REGULAR,
-        expected_ok=spec.atomic or spec.name == "regular-fast",
+        # Each protocol is judged against its declared contract: the
+        # regular register against regularity, everything else against
+        # atomicity/linearizability — which the strawman claims and fails.
+        property=spec.contract,
+        expected_ok=spec.atomic or spec.contract == REGULAR,
         multi_writer=spec.multi_writer,
     )
 
 
-_ABLATION_CLASSES = {
-    "eager-reader": {"reader_cls": ablations.EagerReader},
-    "timid-reader": {"reader_cls": ablations.TimidReader},
-    "no-seen-reset": {"server_cls": ablations.NoResetServer},
-    "no-counter": {"server_cls": ablations.NoCounterServer},
-    "hasty-writer": {"writer_cls": ablations.HastyWriter},
-}
-
-#: Ablations of Figure 5's Byzantine defenses: each removes one check
-#: and is expected to lose *inside* the feasible region once the
-#: adversary's content choices (a ``byzantine_budget``) are in play —
-#: ``gullible-reader`` to a single forged tag, ``crash-predicate`` to
-#: evidence-starving stale lies after a completed write.
-_BYZANTINE_ABLATION_CLASSES = {
-    "gullible-reader": ablations.GullibleReader,
-    "crash-predicate": ablations.CrashPredicateReader,
-}
-
-
-def _ablation_target(flaw: str) -> ExploreTarget:
-    classes = _ABLATION_CLASSES[flaw]
-    fast_crash = PROTOCOLS["fast-crash"]
+def _flaw_target(flaw: Flaw) -> ExploreTarget:
+    """One row of the flaw table.  The Figure 5 rows are expected to
+    lose *inside* the feasible region only once the adversary's content
+    choices (a ``byzantine_budget``) are in play."""
+    figure = PROTOCOLS[flaw.base.PROTOCOL_NAME].paper_source.split(",")[0]
     return ExploreTarget(
-        name=f"fast-crash@{flaw}",
-        summary=f"Figure 2 with the {flaw} ablation (deliberately broken)",
-        build=lambda config, _c=classes: ablations.build_ablated_cluster(config, **_c),
-        requirement=fast_crash.requirement,
+        name=flaw.target,
+        summary=f"{figure} with the {flaw.name} ablation (deliberately broken)",
+        build=flaw.build,
+        requirement=flaw.base.requirement,
         property=ATOMIC,
-        # The no-counter ablation is the one component whose necessity
-        # only the full Lemma 4 case analysis establishes; no short
-        # schedule breaks it, so it is not *expected* to lose here.
-        expected_ok=flaw == "no-counter",
+        expected_ok=flaw.expected_ok,
     )
 
 
-def _byzantine_ablation_target(flaw: str) -> ExploreTarget:
-    reader_cls = _BYZANTINE_ABLATION_CLASSES[flaw]
-    fast_byzantine = PROTOCOLS["fast-byzantine"]
-    return ExploreTarget(
-        name=f"fast-byzantine@{flaw}",
-        summary=f"Figure 5 with the {flaw} ablation (deliberately broken)",
-        build=lambda config, _cls=reader_cls: (
-            ablations.build_byzantine_ablated_cluster(config, reader_cls=_cls)
-        ),
-        requirement=fast_byzantine.requirement,
-        property=ATOMIC,
-        expected_ok=False,
-    )
-
-
-def _build_targets() -> Dict[str, ExploreTarget]:
-    targets: Dict[str, ExploreTarget] = {}
-    for name in PROTOCOLS:
-        targets[name] = _registry_target(name)
-    for flaw in _ABLATION_CLASSES:
-        target = _ablation_target(flaw)
-        targets[target.name] = target
-    for flaw in _BYZANTINE_ABLATION_CLASSES:
-        target = _byzantine_ablation_target(flaw)
-        targets[target.name] = target
-    return targets
-
-
-TARGETS: Dict[str, ExploreTarget] = _build_targets()
+TARGETS: Dict[str, ExploreTarget] = {
+    **{spec.name: _registry_target(spec) for spec in PROTOCOLS.values()},
+    **{flaw.target: _flaw_target(flaw) for flaw in FLAWS.values()},
+}
 
 
 def get_target(name: str) -> ExploreTarget:

@@ -9,8 +9,7 @@ virtual-time event queue.
 Modules:
 
 * :mod:`repro.net.codec` — wire framing (length prefix; the hand-rolled
-  ``repro-bin/v2`` binary serializer, JSON, or the optional msgpack
-  serializer) over the message registry of
+  ``repro-bin/v2`` binary serializer or JSON) over the message registry of
   :mod:`repro.registers.messages`, plus the per-connection serializer
   preamble and the zero-copy :class:`FrameBuffer`.
 * :mod:`repro.net.runtime` — :class:`AsyncRuntime`, the seam

@@ -15,9 +15,6 @@ frame (see :func:`encode_preamble`):
 * ``json`` — always available (stdlib), compact separators, UTF-8; the
   body is the dict ``{"s": src, "d": dst, "p": payload.to_wire()}``
   with an optional ``"a"`` slot holding ``SignedStatement.to_wire()``.
-* ``msgpack`` — the same envelope dict through the optional ``msgpack``
-  package; available only when that package is importable (it is a dev
-  extra, not a runtime dependency) and only ever selected explicitly.
 
 Both sides of a connection must use the same serializer; the preamble
 makes a mismatch loud instead of a silent decode storm.  Frames larger
@@ -40,11 +37,6 @@ from repro.registers.messages import MESSAGE_TYPES, WIRE_KIND_BYTES, decode_mess
 from repro.registers.timestamps import MWTimestamp, SignedValueTag, ValueTag
 from repro.sim.ids import ProcessId
 from repro.spec.histories import parse_pid
-
-try:  # optional accelerator; never a hard dependency
-    import msgpack as _msgpack
-except ImportError:  # pragma: no cover - absent in the baked image
-    _msgpack = None
 
 HEADER = struct.Struct(">I")
 
@@ -72,11 +64,6 @@ def _json_loads(body: Any) -> Any:
 SERIALIZERS: Dict[str, Tuple[Callable[[Any], bytes], Callable[[bytes], Any]]] = {
     "json": (_json_dumps, _json_loads),
 }
-if _msgpack is not None:  # pragma: no cover - optional path
-    SERIALIZERS["msgpack"] = (
-        lambda obj: _msgpack.packb(obj, use_bin_type=True),
-        lambda body: _msgpack.unpackb(body, raw=False),
-    )
 
 
 def available_serializers() -> Tuple[str, ...]:
@@ -696,8 +683,7 @@ def _decode_binary_body(
 # connection preamble
 
 #: First body byte 0xA5 collides with no serializer: JSON bodies start
-#: at ``{``, binary bodies at a kind byte <= len(MESSAGE_TYPES), msgpack
-#: envelope maps at 0x8x.
+#: at ``{``, binary bodies at a kind byte <= len(MESSAGE_TYPES).
 PREAMBLE_MAGIC = b"\xa5repro-wire/1\x00"
 
 
@@ -745,8 +731,7 @@ class Codec:
         else:
             available = ", ".join(available_serializers())
             raise ProtocolError(
-                f"unknown serializer {serializer!r}; available: {available} "
-                "(msgpack appears only when the optional package is installed)"
+                f"unknown serializer {serializer!r}; available: {available}"
             )
         self.serializer = serializer
 
@@ -759,7 +744,7 @@ class Codec:
     ) -> bytes:
         """Frame one message; ``statement`` optionally attaches the
         server's :class:`~repro.accountability.statements.SignedStatement`
-        about this very reply.  json/msgpack ship its ``to_wire()`` dict
+        about this very reply.  json ships its ``to_wire()`` dict
         under the ``"a"`` key; binary ships only ``seq``, ``cause_kind``
         and the signature tag, because the envelope already says the
         rest — so a statement about some other frame is a
@@ -855,8 +840,7 @@ def get_codec(serializer: Optional[str] = None) -> Codec:
     """Codec for ``serializer``; ``None`` selects ``json``.
 
     The ``None`` default is the *library* compatibility default — it
-    never auto-selects msgpack or binary.  CLI entry points pass
-    :func:`default_serializer` (``binary``) explicitly; ``msgpack`` is
-    only ever used when named here and importable.
+    never auto-selects binary.  CLI entry points pass
+    :func:`default_serializer` (``binary``) explicitly.
     """
     return Codec(serializer or "json")

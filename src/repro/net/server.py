@@ -63,10 +63,7 @@ def build_net_cluster(
             f"protocol {protocol!r} needs server-to-server links, which the "
             "networked topology (clients dial servers) does not provide"
         )
-    spec = get_protocol(protocol)
-    if protocol == "fast-byzantine":
-        return spec.build(config, enforce=enforce, seed=seed)
-    return spec.build(config, enforce=enforce)
+    return get_protocol(protocol).build(config, enforce=enforce, seed=seed)
 
 
 class ServerConnection(asyncio.Protocol):

@@ -14,26 +14,22 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.errors import ConfigurationError
 from repro.registers import messages as msg
 from repro.registers.base import (
     AckSet,
+    Automata,
     Cluster,
     ClusterConfig,
     RegisterClient,
     StorageServer,
+    assemble_cluster,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
-from repro.registers.vectorized import VectorProfile
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context
 from repro.spec.histories import BOTTOM, Operation
 
 PROTOCOL_NAME = "abd"
-
-#: Fixed-round layout for the batch kernel: two-phase reads (query +
-#: write-back), so reads are never fast.
-VECTOR_PROFILE = VectorProfile(read_phases=2, fast_reads=False)
 
 QUERY_PHASE = "query"
 STORE_PHASE = "store"
@@ -115,18 +111,10 @@ class AbdReader(RegisterClient):
                 ctx.complete(self._chosen.value)
 
 
-def build_cluster(config: ClusterConfig, enforce: bool = True) -> Cluster:
-    if enforce:
-        problem = requirement(config)
-        if problem is not None:
-            raise ConfigurationError(problem)
-    servers = [StorageServer(pid, INITIAL_TAG) for pid in config.server_ids]
-    readers = [AbdReader(pid, config) for pid in config.reader_ids]
-    writers = [AbdWriter(pid, config) for pid in config.writer_ids]
-    return Cluster(
-        config=config,
-        protocol=PROTOCOL_NAME,
-        servers=servers,
-        readers=readers,
-        writers=writers,
-    )
+AUTOMATA = Automata(
+    lambda pid, _config: StorageServer(pid, INITIAL_TAG), AbdReader, AbdWriter
+)
+
+
+def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
+    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

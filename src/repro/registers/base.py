@@ -7,14 +7,15 @@
 * :class:`StorageServer` — the generic adopt-if-newer tag store used by
   every non-fast protocol (ABD, SWSR, regular, MWMR, max-min writes).
 * :class:`Cluster` — the assembled processes of one protocol instance,
-  ready to install into either runtime.
+  ready to install into either runtime, and :func:`assemble_cluster`,
+  the one place a protocol's class triple becomes a cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ConfigurationError
@@ -205,3 +206,54 @@ class Cluster:
                 f"replacement for {expected} has wrong pid {process.pid}"
             )
         self.servers[index - 1] = process
+
+
+class Automata(NamedTuple):
+    """A protocol's declared components: its three automaton factories.
+
+    Each is called as ``(pid, config)``.  The automata of a ``signed``
+    protocol additionally receive the deployment's shared
+    :class:`~repro.crypto.signatures.SignatureAuthority`.
+    """
+
+    server: Callable[..., Process]
+    reader: Callable[..., ClientProcess]
+    writer: Callable[..., ClientProcess]
+    signed: bool = False
+
+
+def assemble_cluster(
+    protocol: str,
+    config: ClusterConfig,
+    requirement: Callable[[ClusterConfig], Optional[str]],
+    automata: Automata,
+    enforce: bool = True,
+    seed: int = 0,
+) -> Cluster:
+    """Build one protocol deployment from its declared components.
+
+    ``seed`` derives a signed protocol's authority (same seed, same keys
+    — which is how parties in different OS processes verify each
+    other's signatures) and is ignored elsewhere.  ``enforce=False``
+    skips the feasibility check: the lower-bound constructions, the
+    explorer and the ablations deliberately run protocols beyond their
+    threshold.
+    """
+    if enforce:
+        problem = requirement(config)
+        if problem is not None:
+            raise ConfigurationError(problem)
+    authority = None
+    extra: tuple = ()
+    if automata.signed:
+        authority = SignatureAuthority(seed=seed)
+        authority.register(ids.writer(1))
+        extra = (authority,)
+    return Cluster(
+        config=config,
+        protocol=protocol,
+        servers=[automata.server(pid, config, *extra) for pid in config.server_ids],
+        readers=[automata.reader(pid, config, *extra) for pid in config.reader_ids],
+        writers=[automata.writer(pid, config, *extra) for pid in config.writer_ids],
+        authority=authority,
+    )

@@ -17,30 +17,38 @@ Differences from the crash protocol (Section 6.1):
 * the predicate's message requirement weakens from ``S - a·t`` to
   ``S - a·t - (a-1)·b``, accounting for ``b`` liars among the acks.
 
-With ``b = 0`` the protocol degenerates to Figure 2 economics but keeps
-signature overheads; benchmarks compare both.
+Figure 5 *is* Figure 2 plus those three items, and the code says so:
+the automata below subclass :mod:`repro.registers.fast_crash`'s and
+override only the guards Figure 5 changes.  With ``b = 0`` the protocol
+produces operation-for-operation the histories of Figure 2 (pinned by
+``tests/registers/test_fast_family.py``) but keeps signature
+overheads; benchmarks compare both.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.crypto.signatures import SignatureAuthority
-from repro.errors import ConfigurationError
 from repro.registers import messages as msg
-from repro.registers.base import AckSet, Cluster, ClusterConfig, RegisterClient
-from repro.registers.predicates import seen_predicate
+from repro.registers.base import Automata, Cluster, ClusterConfig, assemble_cluster
+from repro.registers.fast_crash import (
+    FastCrashReader,
+    FastCrashServer,
+    FastCrashWriter,
+)
 from repro.registers.timestamps import (
     INITIAL_SIGNED_TAG,
     SignedValueTag,
     sign_tag,
     verify_tag,
 )
-from repro.sim.ids import ProcessId, client_index, writer as writer_id
-from repro.sim.process import Context, Process
-from repro.spec.histories import BOTTOM, Operation
+from repro.sim.ids import ProcessId, writer as writer_id
 
 PROTOCOL_NAME = "fast-byzantine"
+
+#: The only process whose signature makes a tag authentic.
+WRITER = writer_id(1)
 
 
 def requirement(config: ClusterConfig) -> Optional[str]:
@@ -56,12 +64,11 @@ def requirement(config: ClusterConfig) -> Optional[str]:
     return None
 
 
-class FastByzantineServer(Process):
-    """Server automaton of Figure 5, lines 23-35.
+class _Signed:
+    """What every Figure 5 automaton adds to its Figure 2 base: the
+    shared signature authority and the unsigned initial tag."""
 
-    Honest servers ignore any message whose tag fails authentication —
-    this is the ``receivevalid`` of the pseudo-code.
-    """
+    initial_tag = INITIAL_SIGNED_TAG
 
     def __init__(
         self,
@@ -69,188 +76,63 @@ class FastByzantineServer(Process):
         config: ClusterConfig,
         authority: SignatureAuthority,
     ) -> None:
-        super().__init__(pid)
-        self.config = config
+        super().__init__(pid, config)
         self.authority = authority
-        self.writer = writer_id(1)
-        self.tag: SignedValueTag = INITIAL_SIGNED_TAG
-        self.seen: set = set()
-        self.counter: Dict[int, int] = {}
 
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not isinstance(payload, (msg.FastRead, msg.FastWrite)):
-            return
-        if not verify_tag(self.authority, self.writer, payload.tag):
-            return  # forged or damaged tag: drop the whole message
-        cidx = client_index(src)
-        if payload.r_counter < self.counter.get(cidx, 0):
-            return
-        if payload.tag.ts > self.tag.ts:
-            self.tag = payload.tag
-            self.seen = {src}
-        else:
-            self.seen.add(src)
-        self.counter[cidx] = payload.r_counter
-        ack_type = msg.FastReadAck if isinstance(payload, msg.FastRead) else msg.FastWriteAck
-        ctx.send(
-            src,
-            ack_type(
-                op_id=payload.op_id,
-                tag=self.tag,
-                seen=frozenset(self.seen),
-                r_counter=payload.r_counter,
-            ),
-        )
+    def _authentic(self, tag: Any) -> bool:
+        return verify_tag(self.authority, WRITER, tag)
 
 
-class FastByzantineWriter(RegisterClient):
+class FastByzantineServer(_Signed, FastCrashServer):
+    """Server automaton of Figure 5, lines 23-35."""
+
+    def _admit(self, payload: Any, src: ProcessId) -> bool:
+        """``receivevalid``: a forged or damaged tag drops the whole
+        message before the counter check ever sees it."""
+        return self._authentic(payload.tag) and super()._admit(payload, src)
+
+
+class FastByzantineWriter(_Signed, FastCrashWriter):
     """Writer automaton of Figure 5, lines 1-8: signs what it writes."""
 
-    def __init__(
-        self,
-        pid: ProcessId,
-        config: ClusterConfig,
-        authority: SignatureAuthority,
-    ) -> None:
-        super().__init__(pid, config)
-        self.authority = authority
-        self.ts = 1
-        self.last_value: Any = BOTTOM
-        self._pending_tag: Optional[SignedValueTag] = None
-        self._acks: Optional[AckSet] = None
+    def _make_tag(self, value: Any) -> SignedValueTag:
+        return sign_tag(self.authority, self.pid, self.ts, value, self.last_value)
 
-    def on_invoke(self, op: Operation, ctx: Context) -> None:
-        tag = sign_tag(self.authority, self.pid, self.ts, op.value, self.last_value)
-        self._pending_tag = tag
-        self._acks = AckSet(self.config.quorum)
-        ctx.multicast(
-            self.config.server_ids,
-            msg.FastWrite(op_id=op.op_id, tag=tag, r_counter=0),
-        )
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload):
-            return
-        if not isinstance(payload, msg.FastWriteAck):
-            return
-        assert self._pending_tag is not None and self._acks is not None
-        # A valid ack must echo the exact signed tag being written: an
-        # honest server adopted it (nothing newer can exist — timestamps
-        # are created only here).
-        if payload.tag != self._pending_tag:
-            return
-        if self._acks.add(src, payload):
-            self.ts += 1
-            self.last_value = self._pending_tag.value
-            self._pending_tag = None
-            ctx.complete("ok")
+    def _ack_matches(self, payload: msg.FastWriteAck) -> bool:
+        """A valid ack echoes the exact signed tag being written: an
+        honest server adopted it (nothing newer can exist — timestamps
+        are created only here)."""
+        return payload.tag == self._pending_tag
 
 
-class FastByzantineReader(RegisterClient):
+class FastByzantineReader(_Signed, FastCrashReader):
     """Reader automaton of Figure 5, lines 9-22."""
-
-    def __init__(
-        self,
-        pid: ProcessId,
-        config: ClusterConfig,
-        authority: SignatureAuthority,
-    ) -> None:
-        super().__init__(pid, config)
-        self.authority = authority
-        self.writer = writer_id(1)
-        self.max_tag: SignedValueTag = INITIAL_SIGNED_TAG
-        self.r_counter = 0
-        self._acks: Optional[AckSet] = None
-        self._written_back_ts = 0
-
-    def on_invoke(self, op: Operation, ctx: Context) -> None:
-        self.r_counter += 1
-        self._acks = AckSet(self.config.quorum)
-        self._written_back_ts = self.max_tag.ts
-        ctx.multicast(
-            self.config.server_ids,
-            msg.FastRead(op_id=op.op_id, tag=self.max_tag, r_counter=self.r_counter),
-        )
 
     def _ack_valid(self, payload: msg.FastReadAck) -> bool:
         """Figure 5 line 15's ``receivevalid`` filter.
 
         Any failure proves the sender malicious: honest servers reply
         with a writer-signed (or initial) tag at least as new as the one
-        this read wrote back, with the reader recorded in ``seen``.
+        this read wrote back — ``max_tag``, which cannot change while
+        the read is pending — with the reader recorded in ``seen``.
         """
-        if payload.r_counter != self.r_counter:
-            return False
-        if not verify_tag(self.authority, self.writer, payload.tag):
-            return False
-        if payload.tag.ts < self._written_back_ts:
-            return False
-        if self.pid not in payload.seen:
-            return False
-        return True
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload):
-            return
-        if not isinstance(payload, msg.FastReadAck):
-            return
-        if not self._ack_valid(payload):
-            return
-        assert self._acks is not None
-        if self._acks.add(src, payload):
-            self._decide(ctx)
-
-    def _decide(self, ctx: Context) -> None:
-        assert self._acks is not None
-        acks = self._acks.payloads()
-        max_ts = max(ack.tag.ts for ack in acks)
-        max_acks = [ack for ack in acks if ack.tag.ts == max_ts]
-        self.max_tag = max_acks[0].tag
-        ok = seen_predicate(
-            [ack.seen for ack in max_acks],
-            S=self.config.S,
-            t=self.config.t,
-            R=self.config.R,
-            b=self.config.b,
+        return (
+            super()._ack_valid(payload)
+            and self._authentic(payload.tag)
+            and payload.tag.ts >= self.max_tag.ts
+            and self.pid in payload.seen
         )
-        if ok:
-            ctx.complete(self.max_tag.value)
-        else:
-            ctx.complete(self.max_tag.prev_value)
+
+    def _predicate_b(self) -> int:
+        """Line 19 asks ``(a-1)·b`` fewer messages: ``b`` may be liars."""
+        return self.config.b
 
 
-def build_cluster(
-    config: ClusterConfig,
-    enforce: bool = True,
-    authority: Optional[SignatureAuthority] = None,
-    seed: int = 0,
-    reader_cls: type = FastByzantineReader,
-) -> Cluster:
-    """Assemble a fast Byzantine cluster with a shared signature authority.
+AUTOMATA = Automata(
+    FastByzantineServer, FastByzantineReader, FastByzantineWriter, signed=True
+)
 
-    ``reader_cls`` lets the ablation targets swap in deliberately
-    weakened readers while keeping servers and writer faithful.
-    """
-    if enforce:
-        problem = requirement(config)
-        if problem is not None:
-            raise ConfigurationError(problem)
-    authority = authority or SignatureAuthority(seed=seed)
-    authority.register(writer_id(1))
-    servers = [
-        FastByzantineServer(pid, config, authority) for pid in config.server_ids
-    ]
-    readers = [
-        reader_cls(pid, config, authority) for pid in config.reader_ids
-    ]
-    writers = [
-        FastByzantineWriter(pid, config, authority) for pid in config.writer_ids
-    ]
-    return Cluster(
-        config=config,
-        protocol=PROTOCOL_NAME,
-        servers=servers,
-        readers=readers,
-        writers=writers,
-        authority=authority,
-    )
+
+def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
+    """Assemble a fast Byzantine cluster with a shared signature authority."""
+    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

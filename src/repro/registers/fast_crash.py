@@ -24,32 +24,36 @@ How it works (Section 4):
 The ``counter`` array at servers ensures a server never answers a stale
 read message of a reader after answering a newer one (used in case <5>2
 of the Lemma 4 proof).
+
+These three automata are the single implementation of the fast-register
+family.  Each load-bearing step of the pseudo-code is one small named
+method — a *guard* — so that Figure 5
+(:mod:`repro.registers.fast_byzantine`) overrides only what it adds and
+every ablation of :mod:`repro.registers.ablations` is a one-guard
+override.  Guards are methods, never per-instance state: the explorer
+fingerprints every automaton attribute.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, FrozenSet, List, Optional
 
-from repro.errors import ConfigurationError
 from repro.registers import messages as msg
 from repro.registers.base import (
     AckSet,
+    Automata,
     Cluster,
     ClusterConfig,
     RegisterClient,
+    assemble_cluster,
 )
 from repro.registers.predicates import seen_predicate
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
-from repro.registers.vectorized import VectorProfile
 from repro.sim.ids import ProcessId, client_index
 from repro.sim.process import Context, Process
 from repro.spec.histories import BOTTOM, Operation
 
 PROTOCOL_NAME = "fast-crash"
-
-#: Fixed-round layout for the batch kernel: one-round reads whose value
-#: is gated by the ``seen``-predicate, one-round writes.
-VECTOR_PROFILE = VectorProfile(predicate_reads=True)
 
 
 def requirement(config: ClusterConfig) -> Optional[str]:
@@ -73,10 +77,12 @@ def requirement(config: ClusterConfig) -> Optional[str]:
 class FastCrashServer(Process):
     """Server automaton of Figure 2, lines 23-35."""
 
+    initial_tag: Any = INITIAL_TAG
+
     def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
         super().__init__(pid)
         self.config = config
-        self.tag: ValueTag = INITIAL_TAG
+        self.tag = self.initial_tag
         self.seen: set = set()
         # counter[i]: newest read counter seen from client index i
         # (0 = the writer, i = reader r_i), Figure 2 line 25.
@@ -92,15 +98,9 @@ class FastCrashServer(Process):
             ack_type = msg.FastWriteAck
         else:
             return
-        cidx = client_index(src)
-        if payload.r_counter < self.counter.get(cidx, 0):
-            return  # stale message of an earlier read by this client
-        if payload.tag.ts > self.tag.ts:
-            self.tag = payload.tag
-            self.seen = {src}
-        else:
-            self.seen.add(src)
-        self.counter[cidx] = payload.r_counter
+        if not self._admit(payload, src):
+            return
+        self._absorb(payload.tag, src)
         ctx.send(
             src,
             ack_type(
@@ -111,9 +111,27 @@ class FastCrashServer(Process):
             ),
         )
 
+    def _admit(self, payload: Any, src: ProcessId) -> bool:
+        """Line 26: refuse a message older than one this client already
+        had answered; record the counter of an admitted one."""
+        cidx = client_index(src)
+        if payload.r_counter < self.counter.get(cidx, 0):
+            return False  # stale message of an earlier read by this client
+        self.counter[cidx] = payload.r_counter
+        return True
+
+    def _absorb(self, tag: Any, src: ProcessId) -> None:
+        """Lines 27-30: adopt a newer tag and restart ``seen`` from the
+        sender, or add the sender to the current tag's witnesses."""
+        if tag.ts > self.tag.ts:
+            self.tag = tag
+            self.seen = {src}
+        else:
+            self.seen.add(src)
+
     def describe_state(self) -> str:
         seen = ",".join(sorted(str(p) for p in self.seen))
-        return f"FastCrashServer({self.pid}, tag={self.tag}, seen={{{seen}}})"
+        return f"{type(self).__name__}({self.pid}, tag={self.tag}, seen={{{seen}}})"
 
 
 class FastCrashWriter(RegisterClient):
@@ -123,13 +141,13 @@ class FastCrashWriter(RegisterClient):
         super().__init__(pid, config)
         self.ts = 1  # next timestamp to write
         self.last_value: Any = BOTTOM
-        self._pending_tag: Optional[ValueTag] = None
+        self._pending_tag: Any = None
         self._acks: Optional[AckSet] = None
 
     def on_invoke(self, op: Operation, ctx: Context) -> None:
-        tag = ValueTag(ts=self.ts, value=op.value, prev_value=self.last_value)
+        tag = self._make_tag(op.value)
         self._pending_tag = tag
-        self._acks = AckSet(self.config.quorum)
+        self._acks = AckSet(self._write_quorum())
         request = msg.FastWrite(op_id=op.op_id, tag=tag, r_counter=0)
         ctx.multicast(self.config.server_ids, request)
 
@@ -139,21 +157,36 @@ class FastCrashWriter(RegisterClient):
         if not isinstance(payload, msg.FastWriteAck):
             return
         assert self._pending_tag is not None and self._acks is not None
-        if payload.tag.ts != self._pending_tag.ts:
-            return  # ack for some other timestamp; cannot happen w/ single writer
+        if not self._ack_matches(payload):
+            return
         if self._acks.add(src, payload):
             self.ts += 1
             self.last_value = self._pending_tag.value
             self._pending_tag = None
             ctx.complete("ok")
 
+    def _make_tag(self, value: Any) -> Any:
+        """Line 3: the next timestamp with the value and its predecessor."""
+        return ValueTag(ts=self.ts, value=value, prev_value=self.last_value)
+
+    def _write_quorum(self) -> int:
+        """Line 6: a write returns after ``S - t`` acks."""
+        return self.config.quorum
+
+    def _ack_matches(self, payload: msg.FastWriteAck) -> bool:
+        """An ack counts when it carries the timestamp being written
+        (no other can occur with a single writer)."""
+        return payload.tag.ts == self._pending_tag.ts
+
 
 class FastCrashReader(RegisterClient):
     """Reader automaton of Figure 2, lines 9-22."""
 
+    initial_tag: Any = INITIAL_TAG
+
     def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
         super().__init__(pid, config)
-        self.max_tag: ValueTag = INITIAL_TAG
+        self.max_tag = self.initial_tag
         self.r_counter = 0
         self._acks: Optional[AckSet] = None
 
@@ -170,50 +203,52 @@ class FastCrashReader(RegisterClient):
             return
         if not isinstance(payload, msg.FastReadAck):
             return
-        if payload.r_counter != self.r_counter:
+        if not self._ack_valid(payload):
             return
         assert self._acks is not None
         if self._acks.add(src, payload):
             self._decide(ctx)
 
+    def _ack_valid(self, payload: msg.FastReadAck) -> bool:
+        """Line 15: the ack answers this read, not an earlier one."""
+        return payload.r_counter == self.r_counter
+
     def _decide(self, ctx: Context) -> None:
-        """Figure 2 lines 16-22: pick maxTS, apply the predicate."""
+        """Lines 16-22: pick maxTS; return its value if safe, else the
+        previous one (whose write must already have completed)."""
         assert self._acks is not None
         acks = self._acks.payloads()
         max_ts = max(ack.tag.ts for ack in acks)
         max_acks = [ack for ack in acks if ack.tag.ts == max_ts]
         self.max_tag = max_acks[0].tag
-        ok = seen_predicate(
-            [ack.seen for ack in max_acks],
-            S=self.config.S,
-            t=self.config.t,
-            R=self.config.R,
-            b=0,
-        )
-        if ok:
+        if self._safe([ack.seen for ack in max_acks]):
             ctx.complete(self.max_tag.value)
         else:
             ctx.complete(self.max_tag.prev_value)
 
+    def _safe(self, seen_sets: List[FrozenSet[ProcessId]]) -> bool:
+        """Line 19: the predicate over the maxTS acks' ``seen`` sets."""
+        return seen_predicate(
+            seen_sets,
+            S=self.config.S,
+            t=self.config.t,
+            R=self.config.R,
+            b=self._predicate_b(),
+        )
 
-def build_cluster(config: ClusterConfig, enforce: bool = True) -> Cluster:
+    def _predicate_b(self) -> int:
+        """The predicate's ``(a-1)·b`` slack: none in the crash model."""
+        return 0
+
+
+AUTOMATA = Automata(FastCrashServer, FastCrashReader, FastCrashWriter)
+
+
+def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
     """Assemble a fast crash-model cluster.
 
     ``enforce=False`` skips the feasibility check — used deliberately by
     the Section 5 lower-bound construction, which runs this very
     protocol *beyond* its threshold to exhibit the atomicity violation.
     """
-    if enforce:
-        problem = requirement(config)
-        if problem is not None:
-            raise ConfigurationError(problem)
-    servers = [FastCrashServer(pid, config) for pid in config.server_ids]
-    readers = [FastCrashReader(pid, config) for pid in config.reader_ids]
-    writers = [FastCrashWriter(pid, config) for pid in config.writer_ids]
-    return Cluster(
-        config=config,
-        protocol=PROTOCOL_NAME,
-        servers=servers,
-        readers=readers,
-        writers=writers,
-    )
+    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

@@ -19,25 +19,21 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.errors import ConfigurationError
 from repro.registers import messages as msg
 from repro.registers.base import (
     AckSet,
+    Automata,
     Cluster,
     ClusterConfig,
     RegisterClient,
+    assemble_cluster,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
-from repro.registers.vectorized import VectorProfile
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context, Process
 from repro.spec.histories import BOTTOM, Operation
 
 PROTOCOL_NAME = "maxmin"
-
-#: Fixed-round layout for the batch kernel: one client round, but the
-#: servers' gossip round adds a message delay and defeats fastness.
-VECTOR_PROFILE = VectorProfile(gossip=True, fast_reads=False)
 
 PoolKey = Tuple[ProcessId, int]
 
@@ -174,18 +170,8 @@ class MaxMinReader(RegisterClient):
             ctx.complete(chosen.value)
 
 
-def build_cluster(config: ClusterConfig, enforce: bool = True) -> Cluster:
-    if enforce:
-        problem = requirement(config)
-        if problem is not None:
-            raise ConfigurationError(problem)
-    servers = [MaxMinServer(pid, config) for pid in config.server_ids]
-    readers = [MaxMinReader(pid, config) for pid in config.reader_ids]
-    writers = [MaxMinWriter(pid, config) for pid in config.writer_ids]
-    return Cluster(
-        config=config,
-        protocol=PROTOCOL_NAME,
-        servers=servers,
-        readers=readers,
-        writers=writers,
-    )
+AUTOMATA = Automata(MaxMinServer, MaxMinReader, MaxMinWriter)
+
+
+def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
+    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

@@ -319,7 +319,7 @@ MESSAGE_TYPES = {
 #: registry sorted by class name, numbered from 1.  Kind byte 0 is
 #: reserved, and bytes >= 0x80 never name a kind — JSON bodies start at
 #: ``{`` (0x7B is below 0x80 but is also never a kind because the table
-#: stops at ``len(MESSAGE_TYPES)``), msgpack maps at 0x8x and the
+#: stops at ``len(MESSAGE_TYPES)``) and the
 #: connection preamble at 0xA5, so the first body byte identifies the
 #: framing unambiguously.  Renaming or adding a message type re-numbers
 #: the table: that is a wire-format change and must bump

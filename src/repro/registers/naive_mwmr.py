@@ -27,10 +27,12 @@ from typing import Any, Optional
 from repro.registers import messages as msg
 from repro.registers.base import (
     AckSet,
+    Automata,
     Cluster,
     ClusterConfig,
     RegisterClient,
     StorageServer,
+    assemble_cluster,
 )
 from repro.registers.timestamps import INITIAL_MW_TAG, MWTimestamp, ValueTag
 from repro.sim.ids import ProcessId
@@ -100,14 +102,10 @@ class NaiveMwmrReader(RegisterClient):
             ctx.complete(highest.value)
 
 
-def build_cluster(config: ClusterConfig, enforce: bool = True) -> Cluster:
-    servers = [StorageServer(pid, INITIAL_MW_TAG) for pid in config.server_ids]
-    readers = [NaiveMwmrReader(pid, config) for pid in config.reader_ids]
-    writers = [NaiveMwmrWriter(pid, config) for pid in config.writer_ids]
-    return Cluster(
-        config=config,
-        protocol=PROTOCOL_NAME,
-        servers=servers,
-        readers=readers,
-        writers=writers,
-    )
+AUTOMATA = Automata(
+    lambda pid, _config: StorageServer(pid, INITIAL_MW_TAG), NaiveMwmrReader, NaiveMwmrWriter
+)
+
+
+def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
+    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

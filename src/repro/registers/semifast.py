@@ -32,15 +32,16 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.errors import ConfigurationError
 from repro.registers import messages as msg
 from repro.registers.abd import AbdWriter
 from repro.registers.base import (
     AckSet,
+    Automata,
     Cluster,
     ClusterConfig,
     RegisterClient,
     StorageServer,
+    assemble_cluster,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId
@@ -118,21 +119,13 @@ class SemifastReader(RegisterClient):
         )
 
 
-def build_cluster(config: ClusterConfig, enforce: bool = True) -> Cluster:
-    if enforce:
-        problem = requirement(config)
-        if problem is not None:
-            raise ConfigurationError(problem)
-    servers = [StorageServer(pid, INITIAL_TAG) for pid in config.server_ids]
-    readers = [SemifastReader(pid, config) for pid in config.reader_ids]
-    writers = [AbdWriter(pid, config) for pid in config.writer_ids]
-    return Cluster(
-        config=config,
-        protocol=PROTOCOL_NAME,
-        servers=servers,
-        readers=readers,
-        writers=writers,
-    )
+AUTOMATA = Automata(
+    lambda pid, _config: StorageServer(pid, INITIAL_TAG), SemifastReader, AbdWriter
+)
+
+
+def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
+    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)
 
 
 def fast_read_ratio(cluster: Cluster) -> float:

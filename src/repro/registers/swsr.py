@@ -17,27 +17,23 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.errors import ConfigurationError
 from repro.registers import messages as msg
 from repro.registers.abd import AbdWriter
 from repro.registers.base import (
     AckSet,
+    Automata,
     Cluster,
     ClusterConfig,
     RegisterClient,
     StorageServer,
+    assemble_cluster,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
-from repro.registers.vectorized import VectorProfile
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context
 from repro.spec.histories import Operation
 
 PROTOCOL_NAME = "swsr-fast"
-
-#: Fixed-round layout for the batch kernel: one-round reads with a
-#: monotonic local tag (the tag never changes a crash-free verdict).
-VECTOR_PROFILE = VectorProfile()
 
 
 def requirement(config: ClusterConfig) -> Optional[str]:
@@ -77,18 +73,10 @@ class SwsrReader(RegisterClient):
             ctx.complete(self.last_tag.value)
 
 
-def build_cluster(config: ClusterConfig, enforce: bool = True) -> Cluster:
-    if enforce:
-        problem = requirement(config)
-        if problem is not None:
-            raise ConfigurationError(problem)
-    servers = [StorageServer(pid, INITIAL_TAG) for pid in config.server_ids]
-    readers = [SwsrReader(pid, config) for pid in config.reader_ids]
-    writers = [AbdWriter(pid, config) for pid in config.writer_ids]
-    return Cluster(
-        config=config,
-        protocol=PROTOCOL_NAME,
-        servers=servers,
-        readers=readers,
-        writers=writers,
-    )
+AUTOMATA = Automata(
+    lambda pid, _config: StorageServer(pid, INITIAL_TAG), SwsrReader, AbdWriter
+)
+
+
+def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
+    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

@@ -10,11 +10,14 @@ the invocation time alone, without dispatching events.
 A :class:`VectorProfile` is a protocol's declaration of that fixed
 round structure — which fields of the scalar automaton survive as
 batch arrays and how the wire footprint scales with the server count.
-Protocol modules own their profile (next to the automaton it abstracts)
-and the registry exposes it on :class:`~repro.registers.registry.ProtocolSpec`;
-protocols without a profile (semifast's data-dependent second round,
-the MWMR two-phase writers, Byzantine variants) simply opt out and the
-sweep runner falls back to the scalar engine for them.
+A registry entry (:class:`~repro.registers.registry.ProtocolSpec`)
+declares the two facts only the kernel needs, ``gossip`` and
+``predicate_reads``; the round counts and fastness are the spec's own
+``read_rounds`` / ``write_rounds`` / ``fast_reads``, which the spec
+binds into its profile rather than stating them twice.  Protocols
+without a profile (semifast's data-dependent second round, the MWMR
+two-phase writers, Byzantine variants) simply opt out and the sweep
+runner falls back to the scalar engine for them.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ class VectorProfile:
     """Round structure of one fixed-round register automaton.
 
     Attributes:
-        read_phases: client round trips per read (1 for the fast
-            protocols, 2 for ABD's query + write-back).
-        write_phases: client round trips per write.
         gossip: servers run one all-to-all gossip round before
             answering a read (the max-min register).  Adds one message
             delay to reads and ``S * (S - 1)`` messages per read, and
@@ -37,16 +37,15 @@ class VectorProfile:
         predicate_reads: the read value is gated by the Figure 2
             ``seen``-predicate, so the kernel must fold the per-server
             seen sets (as client bitmasks) alongside the tag field.
-        fast_reads: reads satisfy the Section 3.2 fastness definition
-            in the crash-free constant-latency regime the kernel
-            models (servers reply immediately and clients use one
-            round).
+        read_phases, write_phases, fast_reads: the owning spec's
+            ``read_rounds``, ``write_rounds`` and ``fast_reads``, bound
+            by ``ProtocolSpec``; never stated in a declaration.
     """
 
-    read_phases: int = 1
-    write_phases: int = 1
     gossip: bool = False
     predicate_reads: bool = False
+    read_phases: int = 1
+    write_phases: int = 1
     fast_reads: bool = True
 
     def read_delay_hops(self, servers: int) -> int:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.sweep import boundary_cases
-from repro.bounds.byzantine_construction import run_byzantine_lower_bound
+from repro.bounds import run_byzantine_lower_bound
 from repro.bounds.feasibility import construction_applies, fast_feasible
 from repro.errors import InfeasibleConstructionError
 from repro.spec.histories import BOTTOM

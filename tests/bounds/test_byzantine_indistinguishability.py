@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bounds.byzantine_indistinguishability import verify_byzantine_chain
+from repro.bounds import verify_byzantine_chain
 from repro.errors import InfeasibleConstructionError
 from repro.spec.histories import BOTTOM
 

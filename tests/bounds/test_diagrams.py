@@ -1,7 +1,7 @@
 """Tests for the ASCII block diagrams."""
 
 from repro.bounds.blocks import partition_crash
-from repro.bounds.crash_construction import run_crash_lower_bound
+from repro.bounds import run_crash_lower_bound
 from repro.bounds.diagrams import (
     FILLED,
     SKIPPED,

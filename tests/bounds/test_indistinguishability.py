@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bounds.indistinguishability import verify_crash_chain
+from repro.bounds import verify_crash_chain
 from repro.errors import InfeasibleConstructionError
 from repro.spec.histories import BOTTOM
 

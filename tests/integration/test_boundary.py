@@ -13,8 +13,8 @@ This pair is the executable form of "if and only if".
 import pytest
 
 from repro.analysis.sweep import boundary_cases
-from repro.bounds.byzantine_construction import run_byzantine_lower_bound
-from repro.bounds.crash_construction import run_crash_lower_bound
+from repro.bounds import run_byzantine_lower_bound
+from repro.bounds import run_crash_lower_bound
 from repro.registers.base import ClusterConfig
 from repro.sim.latency import ExponentialLatency
 from repro.workloads import ClosedLoopWorkload, run_workload

@@ -3,8 +3,8 @@
 Three contracts under test:
 
 * **Cross-serializer parity** — for every registered message kind, with
-  and without an accountability statement, ``binary`` and ``json`` (and
-  ``msgpack`` when importable) frames decode to *equal* results: equal
+  and without an accountability statement, ``binary`` and ``json``
+  frames decode to *equal* results: equal
   messages and equal, verifying ``SignedStatement`` objects.  The binary
   statement section ships only ``seq``/``cause``/``tag``; everything
   else is the envelope's, so a statement about another frame does not
@@ -30,7 +30,6 @@ from repro.net.chaos import ChaosInjector, FaultPlan, LinkFaults, build_run_reco
 from repro.net.codec import (
     BINARY_FORMAT,
     BINARY_SERIALIZER,
-    SERIALIZERS,
     Codec,
     FrameBuffer,
     available_serializers,
@@ -160,23 +159,14 @@ class TestSerializerSelection:
         assert "json" in listed
 
     def test_get_codec_none_stays_json(self):
-        # Library compatibility default: never auto-selects msgpack or
-        # binary — exactly what the docstring now says.
+        # Library compatibility default: never auto-selects binary —
+        # exactly what the docstring now says.
         assert get_codec().serializer == "json"
         assert get_codec(None).serializer == "json"
         assert "never auto-selects" in get_codec.__doc__
 
     def test_get_codec_binary(self):
         assert get_codec("binary").serializer == "binary"
-
-    def test_msgpack_only_when_importable(self):
-        has_msgpack = "msgpack" in SERIALIZERS
-        try:
-            import msgpack  # noqa: F401
-
-            assert has_msgpack
-        except ImportError:
-            assert not has_msgpack
 
     def test_kind_byte_registry_is_the_sorted_registry(self):
         assert WIRE_KIND_BYTES == {

@@ -91,6 +91,7 @@ class TestExecuteSpec:
         assert summary.messages > 0
         assert summary.atomic_ok is True
         assert summary.read.count > 0
+        assert summary.read.count + summary.write.count == summary.ops_complete
 
     def test_same_spec_same_summary(self):
         spec = SweepSpec(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.bounds.crash_construction import run_crash_lower_bound
+from repro.bounds import run_crash_lower_bound
 from repro.registers.base import ClusterConfig
 from repro.sim.latency import ConstantLatency
 from repro.spec.atomicity import check_swmr_atomicity
