@@ -91,9 +91,10 @@ class FraudProof:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FraudProof":
-        if data.get("format") != FRAUD_PROOF_FORMAT:
+        fmt = data.get("format") if isinstance(data, dict) else None
+        if fmt != FRAUD_PROOF_FORMAT:
             raise SpecificationError(
-                f"unsupported fraud proof format {data.get('format')!r} "
+                f"unsupported fraud proof format {fmt!r} "
                 f"(this build reads {FRAUD_PROOF_FORMAT})"
             )
         try:

@@ -30,8 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.crypto.signatures import SignatureAuthority, SignedPayload
-from repro.errors import SpecificationError
+from repro.crypto.signatures import (
+    CanonicalPayload,
+    SignatureAuthority,
+    SignedPayload,
+    _canonical,
+)
+from repro.errors import ProtocolError, SpecificationError
 from repro.registers import messages as msg
 from repro.registers.messages import decode_message, wire_decode_value, wire_encode_value
 from repro.sim.ids import ProcessId
@@ -62,13 +67,21 @@ class SignedStatement:
     signature: SignedPayload
 
     def statement_payload(self) -> Tuple:
-        """The canonical tuple the server signs, computed from this
-        statement's own fields (never from the signature's claimed
-        payload) on first use and kept: ``reply.to_wire()`` is the
-        expensive part of verifying a statement."""
+        """The tuple the server signs, built from this statement's own
+        fields (never from the signature's claimed payload).  This is
+        the *specification* of a statement — what transcripts, fraud
+        proofs and the duplicate-seq comparison read; signing and
+        verifying go through :meth:`signed_payload`, which writes the
+        same bytes without building it."""
+        return self.signed_payload().expand()
+
+    def signed_payload(self) -> "StatementPayload":
+        """What :func:`verify_statement` checks the tag against: this
+        statement's own fields as a self-encoding payload, made on first
+        use and kept (it remembers its bytes)."""
         payload = self.__dict__.get("_payload")
         if payload is None:
-            payload = self.__dict__["_payload"] = _statement_payload(
+            payload = self.__dict__["_payload"] = StatementPayload(
                 self.server, self.seq, self.client, self.op_id, self.cause_kind, self.reply
             )
         return payload
@@ -86,15 +99,12 @@ class SignedStatement:
         """The statement a reply frame ``server -> client`` implies, plus
         the three things it cannot imply: the send-order ``seq``, the
         request echo and the server's HMAC ``tag``.  The signature's
-        payload is the tuple recomputed here from those fields, so
+        payload stands for the tuple those fields imply, so
         :func:`verify_statement` checks ``tag`` against what was
         actually received."""
         op_id = getattr(reply, "op_id", None)
-        payload = _statement_payload(server, seq, client, op_id, cause_kind, reply)
-        signature = SignedPayload(server, payload, tag)
-        stmt = cls(server, seq, client, op_id, cause_kind, reply, signature)
-        stmt.__dict__["_payload"] = payload
-        return stmt
+        payload = StatementPayload(server, seq, client, op_id, cause_kind, reply)
+        return _statement(payload, SignedPayload(server, payload, tag))
 
     def describe(self) -> str:
         return (
@@ -118,8 +128,13 @@ class SignedStatement:
 
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "SignedStatement":
+        """Parse a :meth:`to_wire` dict from an untrusted source.  Shape
+        is settled here — a statement that parses has an ``int`` seq and
+        a :class:`SignedPayload` signature with a ``bytes`` tag — so
+        that verifying and auditing it end in a verdict, whatever it
+        claims."""
         try:
-            return cls(
+            stmt = cls(
                 server=parse_pid(data["server"]),
                 seq=data["seq"],
                 client=parse_pid(data["client"]),
@@ -128,19 +143,83 @@ class SignedStatement:
                 reply=decode_message(data["reply"]),
                 signature=wire_decode_value(data["sig"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, ProtocolError) as exc:
             raise SpecificationError(f"malformed signed statement: {exc}") from None
+        signature = stmt.signature
+        if type(stmt.seq) is not int:
+            raise SpecificationError(f"malformed signed statement: seq {stmt.seq!r} is not an int")
+        if not isinstance(signature, SignedPayload) or not isinstance(signature.tag, bytes):
+            raise SpecificationError(
+                f"malformed signed statement: sig {data['sig']!r} is not a signature"
+            )
+        return stmt
 
 
-def _statement_payload(
-    server: ProcessId,
-    seq: int,
-    client: ProcessId,
-    op_id: Optional[int],
-    cause_kind: str,
-    reply: Any,
-) -> Tuple:
-    return (STATEMENT_DOMAIN, server, seq, client, op_id, cause_kind, reply.to_wire())
+_STATEMENT_BYTES = b"t7(" + _canonical(STATEMENT_DOMAIN) + b",%b,%b,%b,%b,%b,%b)"
+
+
+class StatementPayload(CanonicalPayload):
+    """The tuple a server signs, held as the six fields that vary.
+
+    The signature of every statement made or received in this process
+    carries one of these where a parsed statement carries the tuple
+    itself; it compares equal to that tuple and travels as it, so the
+    difference shows in no ``==`` and on no wire.
+    """
+
+    __slots__ = ("fields", "_bytes")
+
+    def __init__(
+        self,
+        server: ProcessId,
+        seq: int,
+        client: ProcessId,
+        op_id: Optional[int],
+        cause_kind: str,
+        reply: Any,
+    ) -> None:
+        self.fields = (server, seq, client, op_id, cause_kind, reply)
+        self._bytes: Optional[bytes] = None
+
+    def expand(self) -> Tuple:
+        """The specification: what is signed is ``_canonical`` of this."""
+        *plain, reply = self.fields
+        return (STATEMENT_DOMAIN, *plain, reply.to_wire())
+
+    def canonical_bytes(self) -> bytes:
+        """``_canonical(self.expand())`` written directly (and kept): the
+        plain elements by the general encoder, the reply by its class's
+        compiled writer instead of through ``to_wire()``."""
+        data = self._bytes
+        if data is None:
+            server, seq, client, op_id, cause_kind, reply = self.fields
+            data = self._bytes = _STATEMENT_BYTES % (
+                _canonical(server),
+                _canonical(seq),
+                _canonical(client),
+                _canonical(op_id),
+                _canonical(cause_kind),
+                reply.canonical_wire(),
+            )
+        return data
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, StatementPayload):
+            other = other.expand()
+        return self.expand() == other
+
+    __hash__ = None  # type: ignore[assignment]  # as the tuple, which holds a dict
+
+    def __repr__(self) -> str:
+        return repr(self.expand())
+
+
+def _statement(payload: StatementPayload, signature: SignedPayload) -> SignedStatement:
+    """The statement whose fields ``payload`` holds, under ``signature``;
+    it remembers ``payload`` as its own (see ``signed_payload``)."""
+    stmt = SignedStatement(*payload.fields, signature)
+    stmt.__dict__["_payload"] = payload
+    return stmt
 
 
 def sign_statement(
@@ -154,29 +233,19 @@ def sign_statement(
 ) -> SignedStatement:
     """Sign a reply on behalf of ``server`` (registering it if needed)."""
     authority.register(server)
-    signed = authority.sign(
-        server, _statement_payload(server, seq, client, op_id, cause_kind, reply)
-    )
-    return SignedStatement(
-        server=server,
-        seq=seq,
-        client=client,
-        op_id=op_id,
-        cause_kind=cause_kind,
-        reply=reply,
-        signature=signed,
-    )
+    payload = StatementPayload(server, seq, client, op_id, cause_kind, reply)
+    return _statement(payload, authority.sign(server, payload))
 
 
 def verify_statement(authority: SignatureAuthority, stmt: SignedStatement) -> bool:
     """True iff the statement's signature is the named server's, over the
-    statement tuple recomputed from the statement's own fields (the
+    statement bytes recomputed from the statement's own fields (the
     embedded signature's claimed payload is deliberately ignored)."""
     if stmt.signature.signer != stmt.server:
         return False
     candidate = SignedPayload(
         signer=stmt.server,
-        payload=stmt.statement_payload(),
+        payload=stmt.signed_payload(),
         tag=stmt.signature.tag,
     )
     return authority.verify(candidate)
@@ -203,7 +272,9 @@ def reply_claims(reply: Any) -> Tuple[Optional[Any], Optional[Any]]:
     invariant the auditor's contradiction predicate checks.
     """
     if isinstance(reply, (msg.FastReadAck, msg.FastWriteAck, msg.QueryReply)):
-        return reply.tag.ts, reply.tag.ts
+        # getattr: a parsed reply's fields hold whatever their signer chose
+        ts = getattr(reply.tag, "ts", None)
+        return ts, ts
     if isinstance(reply, msg.MaxMinReadAck):
         # The ack tag is the gossip-pool max, which the server adopts
         # before answering — a sound floor.  It is *not* the current
@@ -211,7 +282,7 @@ def reply_claims(reply: Any) -> Tuple[Optional[Any], Optional[Any]]:
         # server's own tag may have advanced past the pool max (e.g. a
         # Store applied after its contribution), so an honest ack can
         # legitimately trail the server's latest StoreAck.
-        return reply.tag.ts, None
+        return getattr(reply.tag, "ts", None), None
     if isinstance(reply, msg.StoreAck):
         return reply.ts, None
     return None, None
@@ -274,16 +345,22 @@ class TranscriptLog:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TranscriptLog":
-        if data.get("format") != cls.FORMAT:
+        fmt = data.get("format") if isinstance(data, dict) else None
+        if fmt != cls.FORMAT:
             raise SpecificationError(
-                f"unsupported transcript format {data.get('format')!r} "
-                f"(this build reads {cls.FORMAT})"
+                f"unsupported transcript format {fmt!r} (this build reads {cls.FORMAT})"
             )
-        log = cls(authority_seed=data["authority_seed"])
-        log.rejected = data.get("rejected", 0)
-        log.statements = [
-            SignedStatement.from_wire(item) for item in data["statements"]
-        ]
+        seed, items = data.get("authority_seed"), data.get("statements")
+        rejected = data.get("rejected", 0)
+        if type(seed) is not int or type(rejected) is not int or not isinstance(items, list):
+            raise SpecificationError(
+                "malformed transcript: needs an int 'authority_seed', an int "
+                "'rejected' and a list of 'statements' "
+                f"(got {seed!r}, {rejected!r} and a {type(items).__name__})"
+            )
+        log = cls(authority_seed=seed)
+        log.rejected = rejected
+        log.statements = [SignedStatement.from_wire(item) for item in items]
         return log
 
 

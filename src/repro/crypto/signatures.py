@@ -52,6 +52,13 @@ def _canonical(data: Any) -> bytes:
     pid-specific form, and every signature ever made depends on that.
     Encoders are looked up by exact type; a subclass adopts its first
     encodable base's on first use, its scalars named by the subclass.
+
+    This function is the *specification* of the signed bytes.  A hot
+    path that signs one fixed shape many times (accountability
+    statements) hands :meth:`SignatureAuthority.sign` a
+    :class:`CanonicalPayload` that writes the same bytes directly; such
+    a writer is pinned to ``_canonical(payload.expand())`` by
+    differential test, never trusted on its own.
     """
     return _CANONICAL.get(type(data), _c_subclass)(data)
 
@@ -85,7 +92,26 @@ def _c_subclass(data: Any) -> bytes:
     raise SignatureError(f"cannot canonicalise {type(data).__name__} for signing")
 
 
+class CanonicalPayload:
+    """A payload that writes its own canonical bytes.
+
+    Stands for the plain payload :meth:`expand` returns; the contract is
+    ``canonical_bytes() == _canonical(expand())``.  Signing or verifying
+    one is therefore signing or verifying what it stands for — the HMAC
+    is still computed and compared in :class:`SignatureAuthority` only.
+    """
+
+    __slots__ = ()
+
+    def canonical_bytes(self) -> bytes:
+        raise NotImplementedError
+
+    def expand(self) -> Any:
+        raise NotImplementedError
+
+
 _CANONICAL: Dict[type, Callable[[Any], bytes]] = {
+    CanonicalPayload: lambda data: data.canonical_bytes(),
     tuple: lambda data: b"t%d(" % len(data) + b",".join([_canonical(i) for i in data]) + b")",
     int: lambda data: b"int:%d" % data,
     bool: lambda data: b"bool:True" if data else b"bool:False",
@@ -157,14 +183,19 @@ class SignatureAuthority:
 
     def verify(self, signed: SignedPayload) -> bool:
         """True iff ``signed`` was produced by :meth:`sign` for its
-        claimed signer and payload."""
-        if not isinstance(signed, SignedPayload):
+        claimed signer and payload.  Byzantine code may hand this
+        anything shaped like a :class:`SignedPayload`: a tag that is not
+        ``bytes`` or a signer that cannot be looked up is a rejection,
+        not an exception."""
+        if not isinstance(signed, SignedPayload) or not isinstance(signed.tag, bytes):
             return False
-        if signed.signer not in self._secrets:
+        try:
+            secret = self._secrets.get(signed.signer)
+        except TypeError:  # unhashable signer
             return False
-        expected = hmac.new(
-            self._secrets[signed.signer], _canonical(signed.payload), hashlib.sha256
-        ).digest()
+        if secret is None:
+            return False
+        expected = hmac.new(secret, _canonical(signed.payload), hashlib.sha256).digest()
         return hmac.compare_digest(expected, signed.tag)
 
     def forge(self, claimed_signer: ProcessId, payload: Any) -> SignedPayload:
@@ -179,4 +210,4 @@ class SignatureAuthority:
         return SignedPayload(signer=claimed_signer, payload=payload, tag=fake_tag)
 
 
-__all__ = ["SignatureAuthority", "SignedPayload"]
+__all__ = ["CanonicalPayload", "SignatureAuthority", "SignedPayload"]

@@ -30,9 +30,10 @@ fields (tags, process ids, frozensets, tuples, signature material).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet
+from operator import itemgetter
+from typing import Any, Callable, Dict, FrozenSet, List, Tuple
 
-from repro.crypto.signatures import SignedPayload
+from repro.crypto.signatures import _CANONICAL, CanonicalPayload, SignedPayload, _canonical
 from repro.errors import ProtocolError
 from repro.registers.timestamps import MWTimestamp, SignedValueTag, ValueTag
 from repro.sim.ids import ProcessId
@@ -101,6 +102,8 @@ _ENCODERS: Dict[type, Callable[[Any], Any]] = {
     list: lambda value: {"__k": "list", "items": [wire_encode_value(v) for v in value]},
     dict: _e_dict,
     bytes: lambda value: {"__k": "bytes", "hex": value.hex()},
+    # A self-encoding signature payload travels as what it stands for.
+    CanonicalPayload: lambda value: wire_encode_value(value.expand()),
 }
 
 
@@ -113,6 +116,138 @@ def _encode_subclass(value: Any) -> Any:
         f"cannot wire-encode {type(value).__name__}: {value!r} is outside "
         "the closed set of register-message field types"
     )
+
+
+# ----------------------------------------------------------------------
+# canonical bytes of the wire form, written directly
+#
+# An accountability statement signs ``_canonical`` of a tuple holding
+# ``reply.to_wire()``; building that dict only to sort and join it again
+# was most of what a signature cost.  The writers below produce
+# ``_canonical(wire_encode_value(value))`` straight from the value.
+# ``_ENCODERS`` and ``_canonical`` stay the specification, and
+# tests/registers/test_canonical_wire.py holds the writers to it byte
+# for byte.  What a faster-looking writer gets wrong:
+#
+# * ``True == 1 == 1.0`` (equal, hash-equal) sign as ``bool:True`` /
+#   ``int:1`` / ``float:1.0``: dispatch is by exact type, whatever is
+#   outside the table goes through the specification, and nothing is
+#   cached under a field *value* (``_PID_FORMS`` is consulted only for
+#   exact-typed pids);
+# * a wire dict's items are in the order of their canonicalised keys
+#   (``s10:…`` before ``s2:…``): computed at import, never written down;
+# * a frozenset's items are in ``wire_encode_value``'s order, by
+#   ``repr`` of their *wire* form (``r1 < r10 < r2``), not by bytes.
+
+
+def canonical_wire_value(value: Any) -> bytes:
+    """``_canonical(wire_encode_value(value))`` without the wire form."""
+    return _CANONICAL_WIRE.get(type(value), _cw_specification)(value)
+
+
+def _cw_specification(value: Any) -> bytes:
+    return _canonical(wire_encode_value(value))
+
+
+def _wire_dict_writer(constants: Dict[str, Any], slots: Dict[str, Any]) -> Tuple[bytes, str]:
+    """``(template, args)`` writing the canonical bytes of a wire dict.
+
+    ``constants`` are the items whose value is fixed.  ``slots`` maps
+    each remaining key to a Python expression over ``v`` yielding the
+    canonical bytes of its value, or to the ``(template, args)`` of a
+    nested wire dict.  ``template % (args)`` is then ``_canonical`` of
+    the whole dict, its items in ``_c_dict`` order.  (Keys, kind and
+    class names are identifiers: no ``%`` to escape.)
+    """
+    parts = {_canonical(key): (_canonical(val), "") for key, val in constants.items()}
+    for key, slot in slots.items():
+        parts[_canonical(key)] = (b"%b", slot + ", ") if isinstance(slot, str) else slot
+    ordered = sorted(parts)
+    items = [key + b"=" + parts[key][0] for key in ordered]
+    template = b"d%d{" % len(items) + b",".join(items) + b"}"
+    return template, "".join([parts[key][1] for key in ordered])
+
+
+def _compile_writer(template: bytes, args: str) -> Callable[[Any], bytes]:
+    return eval(f"lambda v: {template!r} % ({args})", _WRITER_GLOBALS)  # noqa: S307
+
+
+def _struct_writer(kind: str, **slots: str) -> Callable[[Any], bytes]:
+    return _compile_writer(*_wire_dict_writer({"__k": kind}, slots))
+
+
+def _c_listed(parts: List[bytes]) -> bytes:
+    return b"l%d[" % len(parts) + b",".join(parts) + b"]"
+
+
+#: ``(repr, canonical bytes)`` of a pid's wire form, both taken from the
+#: specification.  ``r1 == ProcessId("reader", True)`` and they hash
+#: alike, so ``_cw_fset_items`` looks here only after checking the exact
+#: types; bounded because peers choose the pids.
+_PID_FORMS: Dict[ProcessId, Tuple[str, bytes]] = {}
+
+
+def _pid_forms(pid: ProcessId) -> Tuple[str, bytes]:
+    forms = _PID_FORMS.get(pid)
+    if forms is None:
+        wire = wire_encode_value(pid)
+        forms = repr(wire), _canonical(wire)
+        if len(_PID_FORMS) < 4096:
+            _PID_FORMS[pid] = forms
+    return forms
+
+
+def _cw_fset_items(value: frozenset) -> bytes:
+    keyed = []
+    for item in value:
+        if type(item) is ProcessId and type(item[1]) is int and type(item[0]) is str:
+            keyed.append(_pid_forms(item))
+        else:
+            wire = wire_encode_value(item)
+            keyed.append((repr(wire), _canonical(wire)))
+    keyed.sort(key=itemgetter(0))
+    return _c_listed([form for _, form in keyed])
+
+
+_WRITER_GLOBALS: Dict[str, Any] = {
+    "_w": canonical_wire_value,
+    "_c": _canonical,
+    "_str": _CANONICAL[str],
+    "_listed": _c_listed,
+    "_fset_items": _cw_fset_items,
+}
+
+#: A writer per ``_ENCODERS`` entry that real replies carry (a plain
+#: dict goes through the specification): ``_w`` where the encoder
+#: recurses through ``wire_encode_value``, ``_c`` where it passes the
+#: attribute on as it is, ``_str`` where it stores a string it made.
+_CANONICAL_WIRE: Dict[type, Callable[[Any], bytes]] = {
+    **{kind: _CANONICAL[kind] for kind in (type(None), bool, int, float, str)},
+    ProcessId: _struct_writer("pid", id="_str(str(v))"),
+    ValueTag: _struct_writer("tag", ts="_w(v.ts)", value="_w(v.value)", prev="_w(v.prev_value)"),
+    SignedValueTag: _struct_writer(
+        "stag", ts="_c(v.ts)", value="_w(v.value)", prev="_w(v.prev_value)", signed="_w(v.signed)"
+    ),
+    MWTimestamp: _struct_writer("mwts", num="_c(v.num)", wid="_c(v.wid)"),
+    SignedPayload: _struct_writer(
+        "signed", signer="_str(str(v.signer))", payload="_w(v.payload)", tag="_str(v.tag.hex())"
+    ),
+    frozenset: _struct_writer("fset", items="_fset_items(v)"),
+    tuple: _struct_writer("tuple", items="_listed([_w(i) for i in v])"),
+    list: _struct_writer("list", items="_listed([_w(i) for i in v])"),
+    bytes: _struct_writer("bytes", hex="_str(v.hex())"),
+}
+
+_MESSAGE_WRITERS: Dict[type, Callable[[Any], bytes]] = {}
+
+
+def _compile_message_writer(cls: type) -> Callable[[Any], bytes]:
+    """The writer of ``_canonical(message.to_wire())`` for one class,
+    derived from the field table ``to_wire`` itself walks."""
+    fields = _wire_dict_writer({}, {name: f"_w(v.{name})" for name in cls.__dataclass_fields__})
+    frame = _wire_dict_writer({"v": WIRE_VERSION, "t": cls.__name__}, {"f": fields})
+    writer = _MESSAGE_WRITERS[cls] = _compile_writer(*frame)
+    return writer
 
 
 def wire_decode_value(data: Any) -> Any:
@@ -167,6 +302,12 @@ class WireMessage:
             "t": type(self).__name__,
             "f": {name: wire_encode_value(values[name]) for name in self.__dataclass_fields__},
         }
+
+    def canonical_wire(self) -> bytes:
+        """``_canonical(self.to_wire())``, written without the dict: the
+        bytes an accountability statement signs for this message."""
+        cls = type(self)
+        return (_MESSAGE_WRITERS.get(cls) or _compile_message_writer(cls))(self)
 
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "WireMessage":

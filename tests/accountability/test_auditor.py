@@ -235,3 +235,120 @@ class TestFraudProofArtifact:
         text = self._proof().describe()
         assert "tag-regression by s1" in text
         assert "s1#0" in text and "s1#1" in text
+
+
+class TestHostileCertificates:
+    """A certificate is input from whoever wants someone blamed: every
+    malformed shape is a ``SpecificationError`` at the parse boundary,
+    and everything that parses ends in a verdict."""
+
+    def payload(self):
+        return json.loads(json.dumps(TestFraudProofArtifact()._proof().to_dict()))
+
+    @pytest.mark.parametrize(
+        "mutate, complaint",
+        [
+            (lambda p: p["first"]["sig"].__setitem__("tag", "zz"), "non-hexadecimal"),
+            (lambda p: p["first"]["sig"].__setitem__("tag", 5), "malformed signed statement"),
+            (lambda p: p["first"].__setitem__("sig", None), "sig None is not a signature"),
+            (lambda p: p["first"].__setitem__("sig", "x"), "sig 'x' is not a signature"),
+            (
+                lambda p: p["second"].__setitem__("sig", {"__k": "pid", "id": "s1"}),
+                "not a signature",
+            ),
+            (lambda p: p["second"].__setitem__("sig", {"__k": "nope"}), "cannot wire-decode"),
+            (lambda p: p["second"]["sig"].__setitem__("signer", "x9"), "malformed process id"),
+            (lambda p: p["first"].__setitem__("seq", "0"), "seq '0' is not an int"),
+            (lambda p: p["first"].__setitem__("seq", None), "seq None is not an int"),
+            (lambda p: p["first"].__setitem__("seq", True), "seq True is not an int"),
+            (lambda p: p["first"].__setitem__("reply", 5), "malformed signed statement"),
+            (
+                lambda p: p["first"]["reply"].__setitem__("f", {"bogus": 1}),
+                "malformed signed statement",
+            ),
+            (lambda p: p.__setitem__("first", "s1#0"), "malformed"),
+            (lambda p: p.__setitem__("accused", 1), "malformed fraud proof"),
+        ],
+    )
+    def test_malformed_is_a_named_error(self, mutate, complaint):
+        payload = self.payload()
+        mutate(payload)
+        with pytest.raises(SpecificationError, match=complaint):
+            verify_fraud_proof(payload)
+
+    @pytest.mark.parametrize("payload", [None, 5, "proof", [], [{"format": FRAUD_PROOF_FORMAT}]])
+    def test_a_proof_that_is_not_an_object_is_an_unsupported_format(self, payload):
+        with pytest.raises(SpecificationError, match="unsupported fraud proof"):
+            verify_fraud_proof(payload)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: p["second"]["reply"]["f"].__setitem__("tag", 5),
+            lambda p: p["second"]["reply"]["f"].__setitem__("tag", None),
+            lambda p: p["first"].__setitem__("op_id", {"__k": "x"}),
+            lambda p: p["first"].__setitem__("cause", [1, 2]),
+            lambda p: p["first"]["sig"].__setitem__("payload", None),
+        ],
+    )
+    def test_well_formed_nonsense_is_a_verdict(self, mutate):
+        payload = self.payload()
+        mutate(payload)
+        assert verify_fraud_proof(payload) in (True, False)
+
+    def test_validly_signed_nonsense_is_a_verdict_too(self):
+        # Keys derive from the recorded seed, so a hostile certificate can
+        # carry *valid* signatures over replies whose fields make no sense.
+        authority = SignatureAuthority(seed=0)
+        odd = [
+            sign_statement(
+                authority, server=server(1), seq=seq, client=reader(1), op_id=1,
+                cause_kind="FastRead",
+                reply=msg.FastReadAck(op_id=1, tag=tag, seen=frozenset(), r_counter=0),
+            )
+            for seq, tag in enumerate([5, None])
+        ]
+        proof = FraudProof(server(1), TAG_REGRESSION, odd[0], odd[1], authority_seed=0)
+        assert verify_fraud_proof(json.loads(json.dumps(proof.to_dict()))) is False
+        assert audit_all(transcript(*odd)) == []
+
+
+class TestHostileTranscripts:
+    def good(self):
+        authority = SignatureAuthority(seed=0)
+        return json.loads(json.dumps(transcript(stmt(authority, 0, ts=1)).to_dict()))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.pop("authority_seed"),
+            lambda d: d.__setitem__("authority_seed", "0"),
+            lambda d: d.__setitem__("statements", 5),
+            lambda d: d.pop("statements"),
+            lambda d: d.__setitem__("statements", {"0": d["statements"][0]}),
+            lambda d: d.__setitem__("rejected", None),
+        ],
+    )
+    def test_malformed_transcript_is_a_named_error(self, mutate):
+        data = self.good()
+        mutate(data)
+        with pytest.raises(SpecificationError, match="malformed transcript"):
+            TranscriptLog.from_dict(data)
+
+    def test_malformed_statement_inside_is_a_named_error(self):
+        data = self.good()
+        data["statements"][0]["sig"]["tag"] = "not hex"
+        with pytest.raises(SpecificationError, match="malformed signed statement"):
+            TranscriptLog.from_dict(data)
+        data["statements"] = [None]
+        with pytest.raises(SpecificationError, match="malformed signed statement"):
+            TranscriptLog.from_dict(data)
+
+    @pytest.mark.parametrize("data", [None, 5, [], "repro-transcript/v1"])
+    def test_a_transcript_that_is_not_an_object(self, data):
+        with pytest.raises(SpecificationError, match="unsupported transcript"):
+            TranscriptLog.from_dict(data)
+
+    def test_the_untouched_transcript_still_loads_and_audits(self):
+        log = TranscriptLog.from_dict(self.good())
+        assert len(log) == 1 and audit_all(log) == []

@@ -109,3 +109,35 @@ class TestCanonicalisation:
     def test_describe_is_short(self, authority):
         signed = authority.sign(writer(1), (1, "v", "p"))
         assert "signed by w1" in signed.describe()
+
+
+class TestVerifyNeverRaises:
+    """Byzantine code may construct arbitrary ``SignedPayload`` objects;
+    ``verify`` answers "True iff…", so each is a rejection."""
+
+    @pytest.mark.parametrize("tag", ["00" * 32, None, 7, 1.5, ["\x00"] * 32, bytearray(32)])
+    def test_tag_that_is_not_bytes(self, authority, tag):
+        fake = SignedPayload(signer=writer(1), payload=(3, "value", "prev"), tag=tag)
+        assert authority.verify(fake) is False
+
+    def test_the_right_tag_as_hex_text_is_still_not_a_signature(self, authority):
+        signed = authority.sign(writer(1), (3, "value", "prev"))
+        fake = SignedPayload(signed.signer, signed.payload, signed.tag.hex())
+        assert authority.verify(fake) is False
+
+    @pytest.mark.parametrize("signer", [[writer(1)], {"kind": "writer"}, {1}, None, "w1", 1])
+    def test_signer_that_cannot_be_looked_up(self, authority, signer):
+        tag = authority.sign(writer(1), "x").tag
+        assert authority.verify(SignedPayload(signer=signer, payload="x", tag=tag)) is False
+
+    def test_verify_tag_survives_a_hostile_signature(self, authority):
+        from repro.registers.timestamps import SignedValueTag, verify_tag
+
+        hostile = SignedValueTag(
+            ts=3, value="v", prev_value="p",
+            signed=SignedPayload(signer=writer(1), payload=(3, "v", "p"), tag=None),
+        )
+        assert verify_tag(authority, writer(1), hostile) is False
+
+    def test_honest_signatures_still_verify(self, authority):
+        assert authority.verify(authority.sign(writer(1), (3, "value", "prev"))) is True

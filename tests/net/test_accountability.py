@@ -179,6 +179,15 @@ class TestWireStatementHandling:
         pool.handle_frame(body)
         assert len(pool.transcript) == 0
 
+    @pytest.mark.parametrize("sig", [None, "x", {"__k": "signed", "signer": "s1", "payload": None, "tag": "zz"}])
+    def test_json_statement_without_a_signature_drops_the_frame(self, sig):
+        # used to parse, then kill handle_frame with an AttributeError
+        record = json.loads(bytes(self.frame_body("json", self.signed())))
+        record["a"]["sig"] = sig
+        pool = self.make_pool()
+        pool.handle_frame(json.dumps(record).encode("utf8"))
+        assert len(pool.transcript) == 0 and pool.transcript.rejected == 0
+
     def test_honest_frame_is_retained(self):
         for serializer in ("json", "binary"):
             pool = self.make_pool(serializer)
@@ -278,6 +287,31 @@ class TestAuditCommand:
         code = main(["audit", self.write(tmp_path, proof)])
         assert code == 1
         assert "TAMPERED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda stmt: stmt["sig"].__setitem__("tag", "zz" + stmt["sig"]["tag"][2:]),
+            lambda stmt: stmt.__setitem__("sig", None),
+            lambda stmt: stmt.__setitem__("sig", "x"),
+            lambda stmt: stmt.__setitem__("seq", "0"),
+        ],
+        ids=["badhex", "nosig", "strsig", "strseq"],
+    )
+    def test_malformed_certificate_exits_1_without_a_traceback(self, mutate, capsys, tmp_path):
+        ce = self.v3_artifact()
+        proof = json.loads(json.dumps(ce.accountability["proof"]))
+        mutate(proof["first"])
+        code = main(["audit", self.write(tmp_path, proof)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.startswith("MALFORMED certificate: malformed signed statement")
+        assert "Traceback" not in captured.out + captured.err
+        # inside a counterexample artifact it is the same verdict
+        payload = json.loads(json.dumps(ce.to_dict()))
+        payload["accountability"]["proof"] = proof
+        assert main(["audit", self.write(tmp_path, payload)]) == 1
+        assert "MALFORMED certificate" in capsys.readouterr().out
 
     def test_pre_v3_counterexample_exits_3(self, capsys, tmp_path):
         ce = self.v3_artifact()
