@@ -49,7 +49,6 @@ def render_explore_stats(result) -> str:
     scenario = result.scenario
     config = scenario.config
     exhaustive = result.mode == "exhaustive"
-    engine = getattr(result, "engine", None)
     memo_hits = getattr(stats, "memo_hits", 0)
     shared_hits = getattr(stats, "shared_memo_hits", 0)
     byzantine_budget = getattr(scenario, "byzantine_budget", 0)
@@ -63,7 +62,7 @@ def render_explore_stats(result) -> str:
         f"b={config.b}, {adversary})",
         f"mode          : {result.mode}  depth<={result.depth}  "
         + (
-            f"engine={engine}  reduction={'on' if result.reduce else 'off'}"
+            f"reduction={'on' if result.reduce else 'off'}"
             if exhaustive
             else f"walks={result.walks} seed={result.seed}"
         ),

@@ -305,6 +305,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     import os
 
     from repro.analysis.report import render_explore_stats
+    from repro.errors import ReproError, ScheduleError
     from repro.explore import (
         Counterexample,
         ExploreScenario,
@@ -316,8 +317,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     if args.replay:
         import json as json_mod
-
-        from repro.errors import ReproError, ScheduleError
 
         try:
             with open(args.replay, "r", encoding="utf-8") as handle:
@@ -346,8 +345,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"explore: {exc}", file=sys.stderr)
         return 2
-    from repro.errors import ReproError
-
     try:
         config = config_from_args(args)
         scenario = ExploreScenario(
@@ -362,29 +359,32 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"explore: {exc}", file=sys.stderr)
         return 2
-    if args.mode == "exhaustive":
-        result = explore_parallel(
-            scenario,
-            depth=args.depth,
-            reduce=not args.no_reduce,
-            parallel=args.parallel,
-            max_transitions=args.max_transitions,
-            max_counterexamples=args.max_counterexamples,
-            shrink=not args.no_shrink,
-            engine=args.engine,
-            memoize=False if args.no_memo else None,
-        )
-    else:
-        result = random_walks_parallel(
-            scenario,
-            depth=args.depth,
-            walks=args.walks,
-            seed=args.seed,
-            parallel=args.parallel,
-            max_counterexamples=args.max_counterexamples,
-            shrink=not args.no_shrink,
-            policy=args.policy,
-        )
+    try:
+        if args.mode == "exhaustive":
+            result = explore_parallel(
+                scenario,
+                depth=args.depth,
+                reduce=not args.no_reduce,
+                parallel=args.parallel,
+                max_transitions=args.max_transitions,
+                max_counterexamples=args.max_counterexamples,
+                shrink=not args.no_shrink,
+                memoize=not args.no_memo,
+            )
+        else:
+            result = random_walks_parallel(
+                scenario,
+                depth=args.depth,
+                walks=args.walks,
+                seed=args.seed,
+                parallel=args.parallel,
+                max_counterexamples=args.max_counterexamples,
+                shrink=not args.no_shrink,
+                policy=args.policy,
+            )
+    except ScheduleError as exc:  # bounds that would search nothing
+        print(f"explore: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         payload = {
             "scenario": scenario.to_dict(),
@@ -953,18 +953,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel", type=int, default=1, help="worker processes (1 = serial)"
     )
     xpl.add_argument(
-        "--engine",
-        default="incremental",
-        choices=["incremental", "stateless"],
-        help="exhaustive mode: incremental (snapshot/undo driver with "
-        "fingerprint memoization; the default) or stateless (the "
-        "prefix-replaying reference engine)",
-    )
-    xpl.add_argument(
         "--no-memo",
         action="store_true",
-        help="disable fingerprint memoization (the incremental engine "
-        "then produces stats bit-identical to the stateless one)",
+        help="exhaustive mode: disable fingerprint memoization (the plain "
+        "sleep-set search the memo's soundness is tested against)",
     )
     xpl.add_argument(
         "--no-reduce",

@@ -23,15 +23,11 @@ from repro.explore.choices import (
 )
 from repro.explore.driver import Action, ExploreScenario, ScheduleDriver
 from repro.explore.explorer import (
-    ENGINES,
     EXHAUSTIVE,
-    INCREMENTAL,
     RANDOM,
-    STATELESS,
     ExploreResult,
     ExploreStats,
-    FingerprintBloom,
-    SharedMemo,
+    Memo,
     TransitionBudget,
     explore,
     random_walks,
@@ -55,22 +51,18 @@ __all__ = [
     "Action",
     "ChoiceSource",
     "Counterexample",
-    "ENGINES",
     "EXHAUSTIVE",
     "ExploreResult",
     "ExploreScenario",
     "ExploreShard",
     "ExploreStats",
     "ExploreTarget",
-    "FingerprintBloom",
-    "INCREMENTAL",
+    "Memo",
     "Oracle",
     "RANDOM",
     "RandomChooser",
     "ReplayChooser",
-    "STATELESS",
     "ScheduleDriver",
-    "SharedMemo",
     "TARGETS",
     "TransitionBudget",
     "build_counterexample",

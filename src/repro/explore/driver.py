@@ -197,11 +197,14 @@ class ScheduleDriver:
 
     Two construction modes:
 
-    * ``undo=False`` (default) — the stateless reference mode: cheap to
-      construct, exploration rebuilds one per path prefix.
-    * ``undo=True`` — incremental mode: the underlying execution keeps
-      an undo journal, and :meth:`mark`/:meth:`undo` let a DFS pop the
-      delta of the last action(s) instead of replaying the prefix.
+    * ``undo=False`` (default) — replay mode: cheap to construct, runs
+      a schedule forward once.  Used by random walks, schedule
+      shrinking, counterexample replay and the tests' prefix-replaying
+      reference search.
+    * ``undo=True`` — search mode: the underlying execution keeps an
+      undo journal, and :meth:`mark`/:meth:`undo` let the exhaustive
+      DFS pop the delta of the last action(s) instead of replaying the
+      prefix.
     """
 
     def __init__(self, scenario: ExploreScenario, undo: bool = False) -> None:
@@ -281,7 +284,7 @@ class ScheduleDriver:
         return self._resolve_op(op_label)
 
     # ------------------------------------------------------------------
-    # snapshot / undo protocol (incremental engine)
+    # snapshot / undo protocol (exhaustive search)
 
     @property
     def undo_enabled(self) -> bool:
@@ -766,7 +769,7 @@ def collect_transcript(scenario: ExploreScenario, labels) -> Tuple:
 
     Statement signing is never active during the search itself (it
     would have to participate in the undo journal); instead a violating
-    schedule is re-run here on a fresh stateless driver whose execution
+    schedule is re-run here on a fresh replay-mode driver whose execution
     carries a :class:`~repro.accountability.recorder.StatementRecorder`.
     Corrupted replies go through
     :meth:`~repro.sim.controller.ScriptedExecution.corrupt_reply`, so

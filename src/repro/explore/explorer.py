@@ -13,25 +13,21 @@ Two modes share the driver's choice-point API:
   root via :func:`repro.sim.rng.substream`, so a sweep of walks is
   exactly reproducible and trivially shardable.
 
-Exhaustive search runs on one of two **engines**:
-
-* ``incremental`` (default) — one driver with an undo journal
-  (:meth:`ScheduleDriver.mark` / :meth:`ScheduleDriver.undo`):
-  backtracking pops the last action's delta in O(|delta|), and a
-  **fingerprint memo** on top of the sleep sets collapses diamond-shaped
-  interleavings: a state already explored clean to the same remaining
-  depth (with a sleep set no larger than the current one — Godefroid's
-  condition for combining sleep sets with state matching) is not
-  re-explored; its covered-schedule count is credited to the stats and
-  ``memo_hits`` is incremented.  The memo is verdict-sound: an entry is
-  stored only for subtrees fully explored without a violation, and the
-  sleep-set reduction itself never loses a violation, so a cached clean
-  subtree certifies every schedule the current node would have explored.
-* ``stateless`` — the Verisoft-style reference engine: backtracking
-  re-executes the schedule prefix.  Kept as the cross-check oracle: with
-  memoization off, the incremental engine's verdicts, counterexamples
-  and stats counters are bit-identical to this engine's (asserted by the
-  differential suite and the throughput benchmark).
+Exhaustive search runs on one driver with an undo journal
+(:meth:`ScheduleDriver.mark` / :meth:`ScheduleDriver.undo`): backtracking
+pops the last action's delta in O(|delta|), and a **fingerprint memo**
+(:class:`Memo`) on top of the sleep sets collapses diamond-shaped
+interleavings: a state already explored clean to the same remaining
+depth (with a sleep set no larger than the current one — Godefroid's
+condition for combining sleep sets with state matching) is not
+re-explored; its covered-schedule count is credited to the stats and
+``memo_hits`` is incremented.  The memo is verdict-sound: an entry is
+stored only for subtrees fully explored without a violation, and the
+sleep-set reduction itself never loses a violation, so a cached clean
+subtree certifies every schedule the current node would have explored.
+``memoize=False`` is the plain sleep-set search that soundness is tested
+against; the prefix-replaying search it must match bit for bit lives
+with the tests (``tests/explore/_replay_reference.py``).
 
 Both modes feed each history through the
 :class:`~repro.explore.oracle.Oracle` after every completed operation
@@ -41,9 +37,8 @@ and, on violation, shrink the schedule to a 1-minimal counterexample
 
 from __future__ import annotations
 
-import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ScheduleError
@@ -64,9 +59,8 @@ DEFAULT_MAX_TRANSITIONS = 2_000_000
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
 
-INCREMENTAL = "incremental"
-STATELESS = "stateless"
-ENGINES = (INCREMENTAL, STATELESS)
+#: Subtree roots a cut search leaves unexplored: ``(prefix, prefix_sleep)``.
+Frontier = List[Tuple[Tuple[str, ...], Tuple[Action, ...]]]
 
 #: Memoization is skipped when fewer than this many actions remain: a
 #: leaf-adjacent subtree costs less to re-explore than its state costs
@@ -90,30 +84,14 @@ class ExploreStats:
     detectability_gaps: int = 0  # audited violations with no certificate
 
     def merge(self, other: "ExploreStats") -> None:
-        self.transitions += other.transitions
-        self.schedules += other.schedules
-        self.sleep_pruned += other.sleep_pruned
-        self.memo_hits += other.memo_hits
-        self.shared_memo_hits += other.shared_memo_hits
-        self.max_depth_seen = max(self.max_depth_seen, other.max_depth_seen)
-        self.max_enabled = max(self.max_enabled, other.max_enabled)
-        self.violations += other.violations
-        self.fraud_proofs += other.fraud_proofs
-        self.detectability_gaps += other.detectability_gaps
+        """High-water marks (``max_*``) merge by ``max``, counters by ``+``."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            high_water = f.name.startswith("max_")
+            setattr(self, f.name, max(mine, theirs) if high_water else mine + theirs)
 
     def to_dict(self) -> Dict:
-        return {
-            "transitions": self.transitions,
-            "schedules": self.schedules,
-            "sleep_pruned": self.sleep_pruned,
-            "memo_hits": self.memo_hits,
-            "shared_memo_hits": self.shared_memo_hits,
-            "max_depth_seen": self.max_depth_seen,
-            "max_enabled": self.max_enabled,
-            "violations": self.violations,
-            "fraud_proofs": self.fraud_proofs,
-            "detectability_gaps": self.detectability_gaps,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def record_accountability(self, ce: Counterexample) -> None:
         """Tally the audit verdict attached to one violation."""
@@ -138,7 +116,6 @@ class ExploreResult:
     complete: bool = True  # False when the transition budget truncated DFS
     walks: int = 0
     seed: Optional[int] = None
-    engine: str = INCREMENTAL
 
     @property
     def found_violation(self) -> bool:
@@ -156,7 +133,6 @@ class ExploreResult:
             complete=self.complete and other.complete,
             walks=self.walks + other.walks,
             seed=self.seed if self.seed is not None else other.seed,
-            engine=self.engine,
         )
         merged.stats.merge(other.stats)
         seen = {ce.key() for ce in merged.counterexamples}
@@ -173,9 +149,9 @@ class TransitionBudget:
     """A consumable transition allowance, optionally wall-clock bounded.
 
     ``tick()`` returns ``False`` on the tick that exhausts the budget —
-    the caller then stops counting that transition, matching the
-    truncation semantics the stateless engine always had.  The deadline
-    (when given) is checked every 256 ticks to keep the hot path cheap.
+    the caller then stops counting that transition (a truncated run
+    reports one transition fewer than it executed).  The deadline (when
+    given) is checked every 256 ticks to keep the hot path cheap.
     """
 
     __slots__ = ("limit", "spent", "exhausted", "_deadline")
@@ -201,7 +177,7 @@ class TransitionBudget:
         return not self.exhausted
 
 
-class _Memo:
+class Memo:
     """Fingerprint memo of clean subtrees.
 
     An entry records the sleep-set labels the subtree was explored
@@ -212,23 +188,32 @@ class _Memo:
     stored exploration then covered a superset of the schedules the
     current node would enumerate (Godefroid's condition for combining
     sleep sets with state matching).
+
+    ``base`` is a read-only table of the same shape (another search's
+    :meth:`hottest` entries) consulted on a local miss: the parallel
+    fan-out ships one to every worker so diamond states that span shard
+    boundaries resolve once instead of once per shard.  Its entries
+    certify clean subtrees of the same search, so they are sound under
+    exactly the conditions above.
     """
 
     #: Entries kept per fingerprint; diamond states rarely recur with
     #: more than a few distinct (sleep set, depth) combinations.
     MAX_VARIANTS = 6
 
-    __slots__ = ("table", "hits")
+    __slots__ = ("table", "hits", "base")
 
-    def __init__(self) -> None:
+    def __init__(self, base: Optional[Dict[Tuple, List[Tuple]]] = None) -> None:
         self.table: Dict[Tuple, List[Tuple]] = {}
-        #: Per-fingerprint hit counts — the "hot state" signal the
-        #: cross-process prefilter (:class:`SharedMemo`) is seeded from.
+        #: Per-fingerprint local hit counts — what :meth:`hottest` ranks by.
         self.hits: Dict[Tuple, int] = {}
+        self.base = base or {}
 
     def lookup(
         self, key: Tuple, sleep_labels: frozenset, depth_left: int
-    ) -> Optional[Tuple]:
+    ) -> Tuple[Optional[Tuple], bool]:
+        """``(entry, from_base)`` of a stored exploration covering this
+        node, or ``(None, False)``."""
         # Prefer an exact-depth, exact-sleep entry: its schedule count is
         # exactly what this node would have enumerated.  Deeper or
         # smaller-sleep entries are equally *sound* (they certify a
@@ -243,7 +228,14 @@ class _Memo:
                     best = entry
         if best is not None:
             self.hits[key] = self.hits.get(key, 0) + 1
-        return best
+            return best, False
+        # Tuple hashes are not cached: probing an *empty* base would
+        # re-hash a multi-kB fingerprint on every miss of a serial run.
+        if self.base:
+            for entry in self.base.get(key, ()):
+                if entry[1] >= depth_left and entry[0] <= sleep_labels:
+                    return entry, True
+        return None, False
 
     def store(
         self,
@@ -265,128 +257,34 @@ class _Memo:
                 (sleep_labels, depth_left, schedules, rel_depth)
             )
 
+    def hottest(self, n: int) -> Dict[Tuple, List[Tuple]]:
+        """The ``n`` hottest fingerprints with their entries — a ``base``
+        for other searches' memos.
 
-class FingerprintBloom:
-    """Compact membership prefilter over canonical fingerprint keys.
-
-    Hashes must agree across worker processes, so the two probe
-    positions are derived from BLAKE2b over the key's ``repr`` (a pure
-    function of the canonical encoding) rather than Python's
-    per-process-randomised ``hash``.  False positives only cost one
-    extra dict probe in :class:`SharedMemo`; false negatives only cost
-    a missed cross-process hit — never soundness.
-    """
-
-    __slots__ = ("bits", "mask")
-
-    def __init__(self, bits: bytearray, mask: int) -> None:
-        self.bits = bits
-        self.mask = mask
-
-    @classmethod
-    def empty(cls, capacity: int) -> "FingerprintBloom":
-        """A filter sized for ``capacity`` keys (~16 bits per key)."""
-        size = 1 << max(12, (max(capacity, 1) * 16).bit_length())
-        return cls(bytearray(size // 8), size - 1)
-
-    @staticmethod
-    def _probes(key: Tuple) -> Tuple[int, int]:
-        digest = hashlib.blake2b(
-            repr(key).encode("utf-8"), digest_size=16
-        ).digest()
-        return (
-            int.from_bytes(digest[:8], "little"),
-            int.from_bytes(digest[8:], "little"),
-        )
-
-    def add(self, key: Tuple) -> None:
-        for probe in self._probes(key):
-            position = probe & self.mask
-            self.bits[position >> 3] |= 1 << (position & 7)
-
-    def __contains__(self, key: Tuple) -> bool:
-        for probe in self._probes(key):
-            position = probe & self.mask
-            if not self.bits[position >> 3] & (1 << (position & 7)):
-                return False
-        return True
-
-
-class SharedMemo:
-    """Read-only cross-process slice of a fingerprint memo.
-
-    Built once (in the parent, from a bounded seeding probe of the same
-    search) and shipped to every worker through the pool initializer:
-    the per-shard memos stay private, but diamond states that span
-    shard boundaries — re-reachable under several prefixes — resolve
-    against this table instead of being re-explored once per shard.
-    Every entry certifies a subtree the probe fully explored clean, so
-    lookups are sound under exactly the conditions of :class:`_Memo`
-    (stored sleep set ⊆ current, stored depth ≥ needed).
-
-    The bloom filter fronts the table: most states are *not* hot, and
-    one bloom test (two bit probes over a digest) answers those without
-    touching the entry dict.
-    """
-
-    __slots__ = ("bloom", "entries")
-
-    #: Hot entries shipped at most; keeps the initializer payload small.
-    MAX_ENTRIES = 4096
-
-    def __init__(
-        self, bloom: FingerprintBloom, entries: Dict[Tuple, List[Tuple]]
-    ) -> None:
-        self.bloom = bloom
-        self.entries = entries
-
-    @classmethod
-    def build(
-        cls, memo: _Memo, max_entries: int = MAX_ENTRIES
-    ) -> Optional["SharedMemo"]:
-        """Select the probe memo's hottest entries behind a bloom filter.
-
-        Hotness is the probe's own hit count (states that already
-        recurred once are the ones that span shard boundaries), with
-        covered-schedule weight as the tiebreak; the selection is a
-        pure function of the memo contents, so every worker count sees
-        the same shared table.  Returns ``None`` when the probe stored
-        nothing worth sharing.
+        Ranked by local hit count (states that already recurred once are
+        the ones that span shard boundaries), then by covered schedules,
+        then by DFS insertion order: a pure function of the search.
         """
-        if not memo.table:
-            return None
         ranked = sorted(
-            memo.table.items(),
+            self.table.items(),
             key=lambda item: (
-                -memo.hits.get(item[0], 0),
+                -self.hits.get(item[0], 0),
                 -max(entry[2] for entry in item[1]),
-                repr(item[0]),
             ),
-        )[:max_entries]
-        bloom = FingerprintBloom.empty(len(ranked))
-        entries: Dict[Tuple, List[Tuple]] = {}
-        for key, variants in ranked:
-            bloom.add(key)
-            entries[key] = list(variants)
-        return cls(bloom, entries)
-
-    def lookup(
-        self, key: Tuple, sleep_labels: frozenset, depth_left: int
-    ) -> Optional[Tuple]:
-        if key not in self.bloom:
-            return None
-        for entry in self.entries.get(key, ()):
-            if entry[1] >= depth_left and entry[0] <= sleep_labels:
-                return entry
-        return None
+        )
+        return dict(ranked[:n])
 
 
-def _replay_prefix(
-    scenario: ExploreScenario, prefix: Sequence[str]
-) -> ScheduleDriver:
-    driver = ScheduleDriver(scenario)
-    driver.run(prefix)
-    return driver
+def _check_bounds(depth: int, max_counterexamples: int) -> None:
+    """A negative depth never reaches the ``depth_left == 0`` leaf test
+    (an unbounded search) and a zero quota stops before the first node
+    (a "clean" verdict on nothing): both are errors, not searches."""
+    if depth < 0:
+        raise ScheduleError(f"depth must be >= 0, got {depth}")
+    if max_counterexamples < 1:
+        raise ScheduleError(
+            f"max_counterexamples must be >= 1, got {max_counterexamples}"
+        )
 
 
 def explore(
@@ -396,14 +294,13 @@ def explore(
     max_transitions: int = DEFAULT_MAX_TRANSITIONS,
     max_counterexamples: int = 1,
     shrink: bool = True,
-    engine: str = INCREMENTAL,
-    memoize: Optional[bool] = None,
+    memoize: bool = True,
     prefix: Sequence[str] = (),
     prefix_sleep: Sequence[Action] = (),
     budget: Optional[TransitionBudget] = None,
     max_seconds: Optional[float] = None,
-    memo: Optional[_Memo] = None,
-    shared_memo: Optional[SharedMemo] = None,
+    memo: Optional[Memo] = None,
+    cut: Optional[Tuple[int, Frontier]] = None,
 ) -> ExploreResult:
     """Enumerate every schedule of ``scenario`` up to ``depth`` actions.
 
@@ -412,18 +309,20 @@ def explore(
     touch disjoint processes and shift only timestamps, never the
     real-time precedence a verdict depends on).
 
-    ``engine`` selects the exploration core: ``"incremental"`` (undo
-    journal + fingerprint memo) or ``"stateless"`` (prefix re-execution,
-    the reference).  ``memoize`` defaults to on for the incremental
-    engine and is ignored by the stateless one; with ``memoize=False``
-    the two engines produce bit-identical results, stats included.
+    ``memoize=False`` turns the fingerprint memo off: the plain
+    sleep-set search, whose verdicts, counterexamples and stats are the
+    reference the memo's soundness is tested against.
 
     ``prefix``/``prefix_sleep`` restrict the search to the subtree below
     one action sequence, carrying the sleep set the serial enumeration
-    would have given that node — the parallel fan-out uses this to shard
-    deep work without double-exploring.  Prefix transitions are *not*
-    counted here (the shard planner that chose the prefix counts them
-    exactly once).
+    would have given that node, and ``cut=(level, frontier)`` is the
+    other half: the search stops at every node ``level`` actions deep
+    that still has depth left and appends its ``(prefix, prefix_sleep)``
+    to ``frontier`` instead of descending.  The parallel fan-out shards
+    deep work with the pair — one cut run counts everything above the
+    frontier exactly once, one prefix run per frontier node counts the
+    rest — so nothing is double-explored.  A cut run never memoizes (a
+    cut subtree is not a clean one).
 
     ``budget`` shares one transition allowance across several calls
     (parallel shards); when omitted a fresh
@@ -432,31 +331,26 @@ def explore(
 
     ``memo`` lets the caller supply (and afterwards inspect) the
     fingerprint memo — the parallel fan-out's seeding probe harvests
-    its entries this way.  ``shared_memo`` is a read-only
-    :class:`SharedMemo` consulted on local-memo misses; hits are
-    counted separately (``shared_memo_hits``) and credited exactly like
-    local ones.  Both are ignored when memoization is off.
+    its :meth:`Memo.hottest` entries this way and hands them to every
+    shard as ``Memo(base=...)``; hits on the base are counted separately
+    (``shared_memo_hits``) and credited exactly like local ones.
+    Ignored when memoization is off.
 
     Violations stop the search once ``max_counterexamples`` schedules
     have been found (each shrunk and packaged); the stats still count
-    everything explored up to that point.
+    everything explored up to that point.  ``depth < 0`` or
+    ``max_counterexamples < 1`` raise :class:`ScheduleError`.
     """
-    if engine not in ENGINES:
-        raise ScheduleError(f"unknown exploration engine {engine!r}")
-    use_memo = memoize if memoize is not None else engine == INCREMENTAL
-    if engine == STATELESS:
-        use_memo = False
+    _check_bounds(depth, max_counterexamples)
     stats = ExploreStats()
     oracle = Oracle.for_scenario(scenario)
     counterexamples: List[Counterexample] = []
     if budget is None:
         budget = TransitionBudget(max_transitions, max_seconds=max_seconds)
-    if not use_memo:
+    if not memoize or cut is not None:
         memo = None
-        shared_memo = None
     elif memo is None:
-        memo = _Memo()
-    incremental = engine == INCREMENTAL
+        memo = Memo()
 
     def record_violation(schedule: Sequence[str]) -> None:
         stats.violations += 1
@@ -484,9 +378,18 @@ def explore(
         depth_left: int,
     ) -> int:
         """Explore below the driver's state; returns the deepest path
-        length covered in this subtree (for memo depth credit)."""
+        length covered in this subtree (for memo depth credit).
+
+        The one driver is an argument, not a closure variable: ``dfs``
+        refers to itself, so what it closes over is freed by the cycle
+        collector rather than on return (+3 MB peak RSS, measured)."""
         deepest = len(path)
         if len(counterexamples) >= max_counterexamples or budget.exhausted:
+            return deepest
+        if cut is not None and len(path) == cut[0] and depth_left > 0:
+            # The shard rooted here does this node's own accounting; at
+            # depth_left == 0 the node is a leaf and is finished below.
+            cut[1].append((tuple(path), tuple(sleep.values())))
             return deepest
         stats.max_depth_seen = max(stats.max_depth_seen, deepest)
         key = None
@@ -494,14 +397,12 @@ def explore(
         if memo is not None and depth_left >= MEMO_MIN_DEPTH:
             key = driver.fingerprint()
             sleep_labels = frozenset(sleep)
-            hit = memo.lookup(key, sleep_labels, depth_left)
+            hit, from_base = memo.lookup(key, sleep_labels, depth_left)
             if hit is not None:
-                stats.memo_hits += 1
-            elif shared_memo is not None:
-                hit = shared_memo.lookup(key, sleep_labels, depth_left)
-                if hit is not None:
+                if from_base:
                     stats.shared_memo_hits += 1
-            if hit is not None:
+                else:
+                    stats.memo_hits += 1
                 stats.schedules += hit[2]
                 deepest = len(path) + min(hit[3], depth_left)
                 stats.max_depth_seen = max(stats.max_depth_seen, deepest)
@@ -519,7 +420,6 @@ def explore(
         violations_before = stats.violations
         truncated = False
         done: List[Action] = []
-        fresh: Optional[ScheduleDriver] = driver  # valid for child 0
         for action in candidates:
             if len(counterexamples) >= max_counterexamples or budget.exhausted:
                 truncated = True
@@ -532,25 +432,17 @@ def explore(
             for sleeper in done:
                 if sleeper.independent_of(action):
                     child_sleep[sleeper.label] = sleeper
-            if incremental:
-                child = driver
-                mark = driver.mark()
-            else:
-                if fresh is None:
-                    fresh = _replay_prefix(scenario, path)
-                child = fresh
-                fresh = None
-            child.apply(action.label)
+            mark = driver.mark()
+            driver.apply(action.label)
             if not budget.tick():
                 stats.schedules += 1
                 truncated = True
-                if incremental:
-                    child.undo(mark)
+                driver.undo(mark)
                 break
             stats.transitions += 1
             path.append(action.label)
-            now_complete = child.responses()
-            if now_complete > responses and not oracle.judge(child.history):
+            now_complete = driver.responses()
+            if now_complete > responses and not oracle.judge(driver.history):
                 record_violation(path)
                 stats.schedules += 1
                 deepest = max(deepest, len(path))
@@ -558,7 +450,7 @@ def explore(
                 deepest = max(
                     deepest,
                     dfs(
-                        child,
+                        driver,
                         path,
                         child_sleep if reduce else {},
                         now_complete,
@@ -566,8 +458,7 @@ def explore(
                     ),
                 )
             path.pop()
-            if incremental:
-                child.undo(mark)
+            driver.undo(mark)
             if reduce:
                 done.append(action)
         if (
@@ -585,7 +476,7 @@ def explore(
             )
         return deepest
 
-    root = ScheduleDriver(scenario, undo=incremental)
+    root = ScheduleDriver(scenario, undo=True)
     root.run(prefix)
     root_path = list(prefix)
     initial_sleep: Dict[str, Action] = (
@@ -600,7 +491,6 @@ def explore(
         stats=stats,
         counterexamples=counterexamples,
         complete=not budget.exhausted,
-        engine=engine,
     )
 
 
@@ -630,6 +520,7 @@ def random_walks(
     shape of the paper's lower-bound runs), and ``mixed`` — the default —
     alternates between them by walk parity.
     """
+    _check_bounds(depth, max_counterexamples)
     stats = ExploreStats()
     oracle = Oracle.for_scenario(scenario)
     counterexamples: List[Counterexample] = []
@@ -674,5 +565,4 @@ def random_walks(
         complete=True,
         walks=walks,
         seed=seed,
-        engine=STATELESS,
     )

@@ -3,16 +3,16 @@
 Work is split into self-contained, picklable shards and pushed through
 :func:`repro.sim.batch.map_parallel`:
 
-* **Exhaustive mode** shards by *k-action prefixes*: a shard planner
-  walks the top of the serial search tree (same sleep-set algebra, same
-  oracle judgements, same counters) and deepens level by level until the
-  frontier holds at least :data:`SHARD_TARGET` subtrees — so even when
+* **Exhaustive mode** shards by *k-action prefixes*: the planner runs
+  the serial search itself (:func:`explore` with a ``cut``) over the top
+  of the tree, one level deeper each time, until the frontier it leaves
+  behind holds at least :data:`SHARD_TARGET` subtrees — so even when
   the root branches less than the worker count, deep runs keep many
   workers busy.  Each frontier shard carries its prefix and the exact
-  sleep set the serial enumeration would have handed that node (the
+  sleep set the serial enumeration handed that node (the
   :class:`~repro.explore.driver.Action` objects pickle whole), so the
   union of subtrees equals the serial search with nothing
-  double-explored.  Prefix transitions are counted once, by the planner.
+  double-explored.  Prefix transitions are counted once, by the cut run.
 * **Random mode** shards into contiguous walk ranges.
 
 The transition budget is *shared*: workers drain one global allowance
@@ -32,24 +32,25 @@ key.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.explore.driver import Action, ExploreScenario, ScheduleDriver
+from repro.explore.driver import Action, ExploreScenario
 from repro.explore.explorer import (
     DEFAULT_MAX_TRANSITIONS,
     EXHAUSTIVE,
-    INCREMENTAL,
+    RANDOM,
     ExploreResult,
     ExploreStats,
-    SharedMemo,
+    Frontier,
+    Memo,
     TransitionBudget,
-    _Memo,
+    _check_bounds,
     explore,
     random_walks,
 )
-from repro.explore.oracle import Counterexample, Oracle, build_counterexample
-from repro.sim.batch import map_parallel
+from repro.sim.batch import default_mp_context, map_parallel
 
 #: Shard planning deepens the prefix frontier until at least this many
 #: subtrees exist (or the tree runs out).  A constant — never the worker
@@ -75,8 +76,7 @@ class ExploreShard:
     shrink: bool = True
     max_transitions: int = DEFAULT_MAX_TRANSITIONS
     max_counterexamples: int = 1
-    engine: str = INCREMENTAL
-    memoize: Optional[bool] = None
+    memoize: bool = True
     # exhaustive shards: the frontier prefix and its inherited sleep set
     prefix: Tuple[str, ...] = ()
     prefix_sleep: Tuple[Action, ...] = ()
@@ -94,10 +94,10 @@ class ExploreShard:
 #: initializer (inherited over fork, re-initialized over spawn).
 _SHARED_COUNTER = None
 
-#: Worker-side handle to the cross-process fingerprint memo (a
-#: read-only :class:`~repro.explore.explorer.SharedMemo`), set by the
+#: Worker-side read-only memo base (the seeding probe's
+#: :meth:`~repro.explore.explorer.Memo.hottest` entries), set by the
 #: same initializer.
-_SHARED_MEMO = None
+_SHARED_BASE = None
 
 #: Transitions a worker grabs from the shared counter per lock
 #: acquisition; small enough that an exhausted budget truncates all
@@ -109,11 +109,14 @@ BUDGET_CHUNK = 512
 #: remaining allowance so tight budgets stay with the shards.
 PROBE_TRANSITIONS = 20_000
 
+#: Hot probe entries shipped at most; keeps the initializer payload small.
+SHARED_ENTRIES = 4096
 
-def _init_worker(counter, shared_memo=None) -> None:
-    global _SHARED_COUNTER, _SHARED_MEMO
+
+def _init_worker(counter, base=None) -> None:
+    global _SHARED_COUNTER, _SHARED_BASE
     _SHARED_COUNTER = counter
-    _SHARED_MEMO = shared_memo
+    _SHARED_BASE = base
 
 
 class SharedTransitionBudget(TransitionBudget):
@@ -169,12 +172,11 @@ def execute_shard(shard: ExploreShard) -> ExploreResult:
                 max_transitions=shard.max_transitions,
                 max_counterexamples=shard.max_counterexamples,
                 shrink=shard.shrink,
-                engine=shard.engine,
                 memoize=shard.memoize,
                 prefix=shard.prefix,
                 prefix_sleep=shard.prefix_sleep,
                 budget=budget,
-                shared_memo=_SHARED_MEMO,
+                memo=Memo(base=_SHARED_BASE),
             )
         finally:
             if budget is not None:
@@ -195,135 +197,40 @@ def execute_shard(shard: ExploreShard) -> ExploreResult:
 # shard planning (exhaustive mode)
 
 
-@dataclass
-class _ShardPlan:
-    """Planner output: base counters for the explored top levels plus
-    the frontier subtrees left for the workers."""
-
-    stats: ExploreStats
-    counterexamples: List[Counterexample]
-    frontier: List[Tuple[Tuple[str, ...], Tuple[Action, ...]]]
-    complete: bool = True
-
-
 def _plan_shards(
     scenario: ExploreScenario,
     depth: int,
     reduce: bool,
     shrink: bool,
     max_counterexamples: int,
-    budget: TransitionBudget,
-    target: int = SHARD_TARGET,
-    max_levels: int = MAX_SHARD_DEPTH,
-) -> _ShardPlan:
-    """Expand the serial search tree level by level into shard prefixes.
+    max_transitions: int,
+) -> Tuple[ExploreResult, Frontier]:
+    """Cut the serial search into a counted top and a frontier of shards.
 
-    The planner *is* the serial DFS restricted to the top ``k`` levels:
-    identical sleep-set inheritance, identical counter updates,
-    identical oracle judgements on every edge it executes — so
-    ``planner stats + sum(shard stats)`` equals the serial run's stats.
-    Paths that terminate (or violate) above the frontier are finished
-    here and never become shards.
+    Re-runs :func:`explore` cut at level 1, 2, … (the top levels are a
+    few hundred transitions) until the frontier holds
+    :data:`SHARD_TARGET` subtrees, the tree runs out or
+    :data:`MAX_SHARD_DEPTH` is reached, and returns that run's own
+    result as the base: ``base stats + sum(shard stats)`` equals the
+    serial run's stats because the base *is* the serial run above the
+    cut.  The run is unmemoized, so the base does not depend on memo
+    state and the top levels are never fingerprinted.
     """
-    stats = ExploreStats()
-    oracle = Oracle.for_scenario(scenario)
-    counterexamples: List[Counterexample] = []
-    plan = _ShardPlan(stats, counterexamples, [])
-
-    def record_violation(schedule: Tuple[str, ...]) -> None:
-        stats.violations += 1
-        ce = build_counterexample(
+    for level in range(1, MAX_SHARD_DEPTH + 1):
+        frontier: Frontier = []
+        base = explore(
             scenario,
-            schedule,
-            oracle,
-            provenance={
-                "mode": EXHAUSTIVE,
-                "depth": depth,
-                "reduce": reduce,
-                "found_at": list(schedule),
-            },
+            depth,
+            reduce=reduce,
+            max_transitions=max_transitions,
+            max_counterexamples=max_counterexamples,
             shrink=shrink,
+            memoize=False,
+            cut=(level, frontier),
         )
-        if all(existing.key() != ce.key() for existing in counterexamples):
-            counterexamples.append(ce)
-
-    frontier: List[Tuple[Tuple[str, ...], Tuple[Action, ...], int]] = [
-        ((), (), 0)
-    ]
-    level = 0
-    while frontier and len(frontier) < target and level < min(max_levels, depth):
-        level += 1
-        next_frontier: List[Tuple[Tuple[str, ...], Tuple[Action, ...], int]] = []
-        for prefix, sleep_actions, responses in frontier:
-            if len(counterexamples) >= max_counterexamples or budget.exhausted:
-                # Stop expanding; untouched nodes stay shards (workers
-                # apply their own quota, as shards always have).  Only
-                # budget exhaustion marks the search incomplete.
-                plan.complete = plan.complete and not budget.exhausted
-                next_frontier.append((prefix, sleep_actions, responses))
-                continue
-            driver = ScheduleDriver(scenario)
-            driver.run(prefix)
-            stats.max_depth_seen = max(stats.max_depth_seen, len(prefix))
-            enabled = driver.enabled()
-            stats.max_enabled = max(stats.max_enabled, len(enabled))
-            sleep = {action.label: action for action in sleep_actions}
-            candidates = [a for a in enabled if a.label not in sleep]
-            stats.sleep_pruned += len(enabled) - len(candidates)
-            if not candidates:
-                stats.schedules += 1
-                continue
-            done: List[Action] = []
-            for action in candidates:
-                if (
-                    len(counterexamples) >= max_counterexamples
-                    or budget.exhausted
-                ):
-                    plan.complete = plan.complete and not budget.exhausted
-                    break
-                child_sleep = [
-                    sleeper
-                    for sleeper in sleep.values()
-                    if sleeper.independent_of(action)
-                ]
-                child_sleep.extend(
-                    sleeper
-                    for sleeper in done
-                    if sleeper.independent_of(action)
-                )
-                child = ScheduleDriver(scenario)
-                child.run(prefix)
-                child.apply(action.label)
-                if not budget.tick():
-                    stats.schedules += 1
-                    plan.complete = False
-                    break
-                stats.transitions += 1
-                child_prefix = prefix + (action.label,)
-                now_complete = child.responses()
-                if now_complete > responses and not oracle.judge(child.history):
-                    record_violation(child_prefix)
-                    stats.schedules += 1
-                elif len(child_prefix) >= depth:
-                    # the frontier reached the depth bound: this path is
-                    # a complete schedule, not a shard
-                    stats.max_depth_seen = max(
-                        stats.max_depth_seen, len(child_prefix)
-                    )
-                    stats.schedules += 1
-                else:
-                    next_frontier.append(
-                        (
-                            child_prefix,
-                            tuple(child_sleep) if reduce else (),
-                            now_complete,
-                        )
-                    )
-                if reduce:
-                    done.append(action)
-        frontier = next_frontier
-    plan.frontier = [(prefix, sleep) for prefix, sleep, _ in frontier]
-    return plan
+        if not frontier or len(frontier) >= SHARD_TARGET:
+            break
+    return base, frontier
 
 
 def _merge(scenario: ExploreScenario, mode: str, depth: int,
@@ -352,8 +259,7 @@ def explore_parallel(
     max_counterexamples: int = 1,
     shrink: bool = True,
     mp_context: Optional[str] = None,
-    engine: str = INCREMENTAL,
-    memoize: Optional[bool] = None,
+    memoize: bool = True,
 ) -> ExploreResult:
     """Exhaustive exploration, sharded by k-action prefixes.
 
@@ -368,26 +274,8 @@ def explore_parallel(
     scheduling — so stats (and which of several equivalent
     counterexamples is kept) may then differ from the unsharded run.
     """
-    import multiprocessing
-
-    planner_budget = TransitionBudget(max_transitions)
-    plan = _plan_shards(
-        scenario,
-        depth,
-        reduce=reduce,
-        shrink=shrink,
-        max_counterexamples=max_counterexamples,
-        budget=planner_budget,
-    )
-    base = ExploreResult(
-        scenario=scenario,
-        mode=EXHAUSTIVE,
-        depth=depth,
-        reduce=reduce,
-        stats=plan.stats,
-        counterexamples=plan.counterexamples,
-        complete=plan.complete,
-        engine=engine,
+    base, frontier = _plan_shards(
+        scenario, depth, reduce, shrink, max_counterexamples, max_transitions
     )
     shards = [
         ExploreShard(
@@ -397,80 +285,54 @@ def explore_parallel(
             reduce=reduce,
             shrink=shrink,
             max_counterexamples=max_counterexamples,
-            engine=engine,
             memoize=memoize,
             prefix=prefix,
             prefix_sleep=sleep,
         )
-        for prefix, sleep in plan.frontier
+        for prefix, sleep in frontier
     ]
-    remaining = max(0, max_transitions - planner_budget.spent)
-    parallel = max(1, int(parallel))
-    use_memo = engine == INCREMENTAL and (memoize is None or memoize)
+    remaining = max(0, max_transitions - base.stats.transitions)
     shared = None
-    if use_memo and len(shards) > 1 and remaining > 0:
+    if memoize and len(shards) > 1 and remaining > 0:
         # Seeding probe for the cross-process memo: a bounded run of
         # the same search (same reduction, same oracle) whose memo
         # entries — clean, fully-explored subtrees — are certified for
-        # every shard.  The hottest ones ship to the workers behind a
-        # bloom prefilter, so diamond states spanning shard boundaries
-        # collapse once instead of once per shard.  The probe is a pure
-        # function of (scenario, bounds): shard results stay identical
-        # for every worker count, and its transitions are drawn from —
-        # and reported against — the shared allowance.
+        # every shard.  The hottest ones ship to the workers as the
+        # read-only base of each shard's memo, so diamond states
+        # spanning shard boundaries collapse once instead of once per
+        # shard.  The probe is a pure function of (scenario, bounds):
+        # shard results stay identical for every worker count, and its
+        # transitions are drawn from — and reported against — the
+        # shared allowance.
         probe_budget = TransitionBudget(
             max(1, min(PROBE_TRANSITIONS, remaining // 4))
         )
-        probe_memo = _Memo()
+        probe_memo = Memo()
         explore(
             scenario,
             depth=depth,
             reduce=reduce,
             shrink=False,
-            max_counterexamples=1,
-            engine=INCREMENTAL,
-            memoize=True,
             budget=probe_budget,
             memo=probe_memo,
         )
-        shared = SharedMemo.build(probe_memo)
+        shared = probe_memo.hottest(SHARED_ENTRIES)
         base.stats.transitions += probe_budget.spent
         remaining = max(0, remaining - probe_budget.spent)
-    if parallel == 1 or len(shards) <= 1:
-        # In-process path: one plain budget object shared across the
-        # shards; never touches the worker-global budget slot, so a
-        # serial call cannot leak state into later parallel ones.
-        budget = TransitionBudget(max(1, remaining))
-        results = [
-            explore(
-                shard.scenario,
-                depth=shard.depth,
-                reduce=shard.reduce,
-                max_counterexamples=shard.max_counterexamples,
-                shrink=shard.shrink,
-                engine=shard.engine,
-                memoize=shard.memoize,
-                prefix=shard.prefix,
-                prefix_sleep=shard.prefix_sleep,
-                budget=budget,
-                shared_memo=shared,
-            )
-            for shard in shards
-        ]
-    else:
-        ctx_name = mp_context or None
-        from repro.sim.batch import default_mp_context
-
-        ctx = multiprocessing.get_context(ctx_name or default_mp_context())
-        counter = ctx.Value("q", remaining)
+    ctx = multiprocessing.get_context(mp_context or default_mp_context())
+    try:
         results, _ = map_parallel(
             execute_shard,
             shards,
             parallel,
-            ctx_name,
+            mp_context,
             initializer=_init_worker,
-            initargs=(counter, shared),
+            initargs=(ctx.Value("q", remaining), shared),
         )
+    finally:
+        # An in-process map ran the initializer here: leave no drained
+        # allowance behind for a later direct execute_shard() call.
+        _init_worker(None)
     return _merge(
         scenario, EXHAUSTIVE, depth, reduce, [base] + results,
         max_counterexamples,
@@ -494,7 +356,7 @@ def random_walks_parallel(
     ``parallel`` — so the merged result (stats included) is identical
     for every worker count.
     """
-    parallel = max(1, int(parallel))
+    _check_bounds(depth, max_counterexamples)
     shard_count = min(16, walks) if walks else 1
     base, extra = divmod(walks, shard_count)
     shards = []
@@ -506,7 +368,7 @@ def random_walks_parallel(
         shards.append(
             ExploreShard(
                 scenario=scenario,
-                mode="random",
+                mode=RANDOM,
                 depth=depth,
                 shrink=shrink,
                 max_counterexamples=max_counterexamples,
@@ -519,7 +381,7 @@ def random_walks_parallel(
         start += size
     results, _ = map_parallel(execute_shard, shards, parallel, mp_context)
     merged = _merge(
-        scenario, "random", depth, False, results, max_counterexamples
+        scenario, RANDOM, depth, False, results, max_counterexamples
     )
     merged.walks = walks
     merged.seed = seed

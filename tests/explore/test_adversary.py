@@ -3,7 +3,7 @@
 The adversary layer's acceptance surface: lie actions obey the
 corruption budget, survive snapshot/undo exactly like honest actions,
 canonicalise into fingerprints (equal fingerprints ⇒ identical future
-lie menus), keep the two engines bit-identical, and — the point of it
+lie menus), keep search and replay reference bit-identical, and — the point of it
 all — re-derive the Section 6 threshold dynamically: the feasible
 region stays clean exhaustively while the beyond-threshold
 configuration yields a shrunk, replayable equivocation counterexample.
@@ -22,6 +22,7 @@ from repro.explore import (
     random_walks,
 )
 from repro.registers.base import ClusterConfig
+from tests.explore._replay_reference import replay_explore
 
 #: Smallest beyond-threshold Byzantine configuration: the Section 6
 #: bound needs S > (R+2)t + (R+1)b = 5, so S=3 is fair game.
@@ -126,12 +127,9 @@ class TestScenarioSerialization:
 class TestEngineIdentityWithLies:
     def test_bit_identical_with_memo_off(self):
         scenario = byz_scenario()
-        stateless = explore(
-            scenario, 5, engine="stateless", max_counterexamples=3
-        )
+        stateless = replay_explore(scenario, 5, max_counterexamples=3)
         incremental = explore(
-            scenario, 5, engine="incremental", memoize=False,
-            max_counterexamples=3,
+            scenario, 5, memoize=False, max_counterexamples=3
         )
         assert stateless.stats.to_dict() == incremental.stats.to_dict()
         assert [ce.to_json() for ce in stateless.counterexamples] == [

@@ -1,7 +1,8 @@
-"""Differential and property tests for the exploration engines.
+"""Differential and property tests for the exhaustive search.
 
-The incremental engine (undo journal + fingerprint memo) must be an
-*observably identical* replacement for the stateless reference:
+The search (undo journal + fingerprint memo; ``incremental`` below)
+must be *observably identical* to the prefix-replaying reference in
+``_replay_reference.py`` (``stateless`` below):
 
 * with memoization off, stats, verdicts, counterexample artifacts and
   completeness are bit-identical across every registry target and
@@ -25,6 +26,7 @@ from repro.explore import (
     explore,
 )
 from repro.registers.base import ClusterConfig
+from tests.explore._replay_reference import replay_explore
 
 #: One bounded configuration per explorable target: every registry
 #: protocol plus every ablation, at a depth each finishes in well under
@@ -78,15 +80,9 @@ class TestEngineIdentity:
         self, target, config, kwargs, depth
     ):
         scenario = _scenario(target, config, kwargs)
-        stateless = explore(
-            scenario, depth, engine="stateless", max_counterexamples=3
-        )
+        stateless = replay_explore(scenario, depth, max_counterexamples=3)
         incremental = explore(
-            scenario,
-            depth,
-            engine="incremental",
-            memoize=False,
-            max_counterexamples=3,
+            scenario, depth, memoize=False, max_counterexamples=3
         )
         assert stateless.stats.to_dict() == incremental.stats.to_dict()
         assert stateless.complete == incremental.complete
@@ -101,8 +97,8 @@ class TestEngineIdentity:
         self, target, config, kwargs, depth
     ):
         scenario = _scenario(target, config, kwargs)
-        memoized = explore(scenario, depth, engine="incremental", memoize=True)
-        reference = explore(scenario, depth, engine="stateless")
+        memoized = explore(scenario, depth, memoize=True)
+        reference = replay_explore(scenario, depth)
         assert memoized.found_violation == reference.found_violation
         assert memoized.complete == reference.complete
         if memoized.found_violation:
@@ -113,13 +109,6 @@ class TestEngineIdentity:
                 memoized.counterexamples[0].schedule
                 == reference.counterexamples[0].schedule
             )
-
-    def test_unknown_engine_rejected(self):
-        scenario = _scenario("fast-crash", ClusterConfig(S=4, t=1, R=1), {})
-        from repro.errors import ScheduleError
-
-        with pytest.raises(ScheduleError, match="unknown exploration engine"):
-            explore(scenario, 3, engine="magic")
 
 
 class TestSharedBudget:
@@ -134,7 +123,7 @@ class TestSharedBudget:
 
     def test_wall_clock_deadline_truncates(self):
         scenario = _scenario("fast-crash", ClusterConfig(S=5, t=1, R=2), {})
-        result = explore(scenario, 12, engine="stateless", max_seconds=0.05)
+        result = explore(scenario, 12, memoize=False, max_seconds=0.05)
         assert not result.complete
 
 

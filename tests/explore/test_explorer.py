@@ -9,10 +9,13 @@ explored state count by a large factor without losing violations.
 
 import pytest
 
+from repro.errors import ScheduleError
 from repro.explore import (
     ExploreScenario,
     explore,
+    explore_parallel,
     random_walks,
+    random_walks_parallel,
     replay_counterexample,
 )
 from repro.registers.base import ClusterConfig
@@ -61,6 +64,8 @@ class TestReductionIsEffectiveAndSound:
         assert reduced.complete and full.complete
         ratio = full.stats.transitions / reduced.stats.transitions
         assert ratio >= 5.0, f"reduction only {ratio:.1f}x"
+        assert reduced.stats.transitions == 6975
+        assert full.stats.transitions == 39331
         assert reduced.stats.sleep_pruned > 0
         # soundness on this scenario: both agree there is no violation
         assert reduced.stats.violations == 0
@@ -179,6 +184,30 @@ class TestBudget:
         )
         assert not result.complete
         assert result.stats.transitions <= 500
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            explore,
+            explore_parallel,
+            lambda scenario, **bounds: random_walks(scenario, walks=5, **bounds),
+            lambda scenario, **bounds: random_walks_parallel(
+                scenario, walks=5, **bounds
+            ),
+        ],
+        ids=["explore", "explore_parallel", "walks", "walks_parallel"],
+    )
+    def test_bounds_that_search_nothing_are_rejected(self, search):
+        """depth < 0 never reaches the leaf test (an unbounded search);
+        a zero quota stops before the first node and reports "clean"."""
+        scenario = ExploreScenario(
+            "naive-fast-mwmr", ClusterConfig(S=2, t=1, R=1, W=2)
+        )
+        with pytest.raises(ScheduleError, match="depth must be >= 0"):
+            search(scenario, depth=-1)
+        with pytest.raises(ScheduleError, match="max_counterexamples must be"):
+            search(scenario, depth=7, max_counterexamples=0)
+        assert search(scenario, depth=0).stats.schedules >= 1
 
 
 @pytest.mark.parametrize("policy", ["uniform", "quorum", "mixed"])

@@ -1,15 +1,17 @@
 """Determinism of the explorer's multiprocess fan-out."""
 
+import pytest
+
 from repro.explore import (
     ExploreScenario,
-    FingerprintBloom,
-    SharedMemo,
+    ExploreShard,
+    Memo,
+    execute_shard,
     explore,
     explore_parallel,
     random_walks_parallel,
 )
-from repro.explore.explorer import _Memo
-from repro.explore.parallel import SHARD_TARGET, TransitionBudget, _plan_shards
+from repro.explore.parallel import SHARD_TARGET, _plan_shards
 from repro.registers.base import ClusterConfig
 
 
@@ -62,31 +64,46 @@ class TestExhaustiveSharding:
         exist, so more workers than root branches stay busy."""
         scenario = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
         root_branching = 2  # invoke:w1, invoke:r1
-        plan = _plan_shards(
+        _base, frontier = _plan_shards(
             scenario,
             depth=6,
             reduce=True,
             shrink=True,
             max_counterexamples=1,
-            budget=TransitionBudget(10**6),
+            max_transitions=10**6,
         )
-        assert len(plan.frontier) >= SHARD_TARGET > root_branching
-        prefixes = [prefix for prefix, _ in plan.frontier]
+        assert len(frontier) >= SHARD_TARGET > root_branching
+        prefixes = [prefix for prefix, _ in frontier]
         assert all(len(prefix) >= 2 for prefix in prefixes)
         assert len(set(prefixes)) == len(prefixes)  # no double-exploring
 
-    def test_engine_choice_does_not_change_parallel_results(self):
-        scenario = naive_scenario()
-        incremental = explore_parallel(
-            scenario, depth=7, parallel=2, engine="incremental", memoize=False
+    @pytest.mark.parametrize(
+        "depth,counter,expected",
+        [(3, "sleep_pruned", 19), (4, "detectability_gaps", 36)],
+    )
+    def test_sharded_stats_equal_serial_where_the_planner_had_drifted(
+        self, depth, counter, expected
+    ):
+        """The planner is explore() with a cut, so the top levels count
+        what the serial search counts — when it was a hand copy it
+        skipped the leaf's enabled()/sleep accounting (1 pruned at depth
+        3) and the audit verdicts (24 gaps at depth 4)."""
+        scenario = ExploreScenario(
+            "fast-byzantine@gullible-reader",
+            ClusterConfig(S=3, t=1, R=1, b=1),
+            byzantine_budget=1,
+            strategies=("forge",),
         )
-        stateless = explore_parallel(
-            scenario, depth=7, parallel=2, engine="stateless"
+        serial = explore(
+            scenario, depth, memoize=False, max_counterexamples=50
         )
-        assert incremental.stats.to_dict() == stateless.stats.to_dict()
-        assert [ce.to_json() for ce in incremental.counterexamples] == [
-            ce.to_json() for ce in stateless.counterexamples
-        ]
+        sharded = explore_parallel(
+            scenario, depth, parallel=1, memoize=False, max_counterexamples=50
+        )
+        assert sharded.stats.to_dict() == serial.stats.to_dict()
+        stats = sharded.stats
+        assert stats.fraud_proofs + stats.detectability_gaps == stats.violations
+        assert getattr(stats, counter) == expected
 
 
 class TestSharedBudget:
@@ -104,6 +121,17 @@ class TestSharedBudget:
         # per worker; far below the 16-shard x limit blowup this guards
         assert result.stats.transitions <= 2 * limit
 
+    def test_in_process_run_leaves_no_drained_allowance_behind(self):
+        """parallel=1 runs the pool initializer in this process; a later
+        direct execute_shard() must not inherit its spent budget."""
+        scenario = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
+        truncated = explore_parallel(
+            scenario, depth=7, parallel=1, max_transitions=400
+        )
+        assert not truncated.complete
+        shard = ExploreShard(scenario=scenario, mode="exhaustive", depth=5)
+        assert execute_shard(shard).complete
+
     def test_unbinding_budget_keeps_results_identical(self):
         scenario = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
         tight = explore_parallel(
@@ -119,7 +147,7 @@ class TestSharedBudget:
 class TestCrossProcessMemo:
     def test_deep_sharded_run_hits_the_shared_memo(self):
         """Diamond states spanning shard boundaries resolve against the
-        probe-seeded bloom-fronted table: the stat proves it."""
+        probe-seeded base table: the stat proves it."""
         scenario = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
         result = explore_parallel(scenario, depth=12, parallel=2)
         assert result.complete
@@ -138,27 +166,20 @@ class TestCrossProcessMemo:
         assert result.stats.shared_memo_hits == 0
         assert result.stats.memo_hits == 0
 
-    def test_bloom_membership_and_determinism(self):
-        bloom = FingerprintBloom.empty(64)
-        keys = [(("s1", i), ("transit", i % 3)) for i in range(40)]
-        for key in keys[:20]:
-            bloom.add(key)
-        assert all(key in bloom for key in keys[:20])
-        # false positives allowed but must be rare at this load factor
-        false_positives = sum(1 for key in keys[20:] if key in bloom)
-        assert false_positives <= 2
-
-    def test_shared_memo_selects_hot_entries(self):
-        memo = _Memo()
+    def test_memo_base_serves_the_hottest_entries(self):
+        memo = Memo()
         hot, cold = ("hot",), ("cold",)
         memo.store(hot, frozenset(), 5, 7, 3)
         memo.store(cold, frozenset(), 5, 1, 1)
-        assert memo.lookup(hot, frozenset(), 5) is not None  # records a hit
-        shared = SharedMemo.build(memo, max_entries=1)
-        assert shared.lookup(hot, frozenset({"x"}), 4) == (frozenset(), 5, 7, 3)
-        assert shared.lookup(cold, frozenset(), 5) is None
+        assert memo.lookup(hot, frozenset(), 5) == ((frozenset(), 5, 7, 3), False)
+        shared = Memo(base=memo.hottest(1))
+        assert shared.lookup(hot, frozenset({"x"}), 4) == (
+            (frozenset(), 5, 7, 3),
+            True,
+        )
+        assert shared.lookup(cold, frozenset(), 5) == (None, False)
         # stored-depth/sleep-subset soundness conditions still gate hits
-        assert shared.lookup(hot, frozenset(), 6) is None
+        assert shared.lookup(hot, frozenset(), 6) == (None, False)
 
 
 class TestRandomSharding:

@@ -278,6 +278,28 @@ class TestExplore:
         assert main(["explore", "--depth", "4"]) == 2
         assert "--protocol is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--max-counterexamples", "0"], "max_counterexamples must be >= 1"),
+            (["--depth", "-1"], "depth must be >= 0"),
+            (["--depth", "-1", "--mode", "random"], "depth must be >= 0"),
+        ],
+    )
+    def test_a_search_that_would_search_nothing_is_rejected(
+        self, capsys, extra, message
+    ):
+        """A zero quota used to print `0 found`, exit 0 on a target
+        that loses; a negative depth ran unbounded."""
+        assert main(self.BROKEN_ARGS + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("explore: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_depth_zero_is_one_empty_schedule(self, capsys):
+        assert main(self.BROKEN_ARGS + ["--depth", "0"]) == 0
+        assert "schedules     : 1 covered" in capsys.readouterr().out
+
 
 class TestExploreByzantine:
     BEYOND_ARGS = [
