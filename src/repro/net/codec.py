@@ -75,7 +75,7 @@ def default_serializer() -> str:
     """The serializer the CLI entry points speak unless told otherwise.
 
     Always ``"binary"``: the hand-rolled struct codec needs no optional
-    package and is the benchmarked fast path (BENCH_codec.json).
+    package and is the fast path the ledger's ``net-*`` workloads measure.
     Library call sites that pass no serializer keep getting ``json``
     from :func:`get_codec` for compatibility with recorded fixtures.
     """

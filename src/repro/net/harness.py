@@ -112,43 +112,9 @@ class ServerCluster:
         # Build once up front so a bad protocol/config fails in the
         # parent with a real traceback, not S silent child deaths.
         build_net_cluster(protocol, config, seed=seed, enforce=enforce)
-        ctx = multiprocessing.get_context(mp_context or default_mp_context())
-        processes: List[multiprocessing.Process] = []
-        pipes = []
-        for index in range(1, config.S + 1):
-            port = 0 if base_port == 0 else base_port + index - 1
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_server_entry,
-                args=(
-                    protocol, config, index, host, port,
-                    seed, serializer, enforce, send, accountable,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            send.close()
-            processes.append(proc)
-            pipes.append(recv)
-        addresses: List[Tuple[str, int]] = []
-        try:
-            for index, recv in enumerate(pipes, start=1):
-                if not recv.poll(start_timeout):
-                    raise SimulationError(
-                        f"server s{index} did not report a port within "
-                        f"{start_timeout}s"
-                    )
-                addresses.append((host, recv.recv()))
-        except BaseException:
-            for proc in processes:
-                proc.terminate()
-            raise
-        finally:
-            for recv in pipes:
-                recv.close()
-        return cls(
-            processes,
-            addresses,
+        cluster = cls(
+            [],
+            [],
             spawn_args={
                 "protocol": protocol,
                 "config": config,
@@ -161,6 +127,53 @@ class ServerCluster:
                 "accountable": accountable,
             },
         )
+        pipes = []
+        try:
+            for index in range(1, config.S + 1):
+                port = 0 if base_port == 0 else base_port + index - 1
+                proc, recv = cluster._start_member(index, port)
+                cluster.processes.append(proc)
+                pipes.append(recv)
+            for index, recv in enumerate(pipes, start=1):
+                cluster.addresses.append((host, cluster._bound_port(index, recv)))
+        except BaseException:
+            cluster.stop()
+            raise
+        finally:
+            for recv in pipes:
+                recv.close()
+        return cluster
+
+    def _start_member(self, index: int, port: int):
+        """Start server ``s<index>`` on ``port`` (0: ephemeral).
+
+        Returns the process and the pipe its bound port arrives on; the
+        caller owns both from here on.
+        """
+        args = self._spawn_args
+        ctx = multiprocessing.get_context(args["mp_context"] or default_mp_context())
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
+            target=_server_entry,
+            args=(
+                args["protocol"], args["config"], index, args["host"], port,
+                args["seed"], args["serializer"], args["enforce"], send,
+                args["accountable"],
+            ),
+            daemon=True,
+        )
+        proc.start()
+        send.close()
+        return proc, recv
+
+    def _bound_port(self, index: int, recv) -> int:
+        """The port server ``s<index>`` reports having bound."""
+        timeout = self._spawn_args["start_timeout"]
+        if not recv.poll(timeout):
+            raise SimulationError(
+                f"server s{index} did not report a port within {timeout}s"
+            )
+        return recv.recv()
 
     def kill_server(self, index: int) -> None:
         """Hard-kill server ``s<index>`` (1-based): the crash fault."""
@@ -184,39 +197,21 @@ class ServerCluster:
                 "restart_server has no spawn recipe to reuse"
             )
         self.kill_server(index)
-        args = self._spawn_args
-        host, port = self.addresses[index - 1]
-        ctx = multiprocessing.get_context(
-            args["mp_context"] or default_mp_context()
-        )
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_server_entry,
-            args=(
-                args["protocol"], args["config"], index, host, port,
-                args["seed"], args["serializer"], args["enforce"], send,
-                args.get("accountable", False),
-            ),
-            daemon=True,
-        )
-        proc.start()
-        send.close()
+        port = self.addresses[index - 1][1]
+        proc, recv = self._start_member(index, port)
         try:
-            if not recv.poll(args["start_timeout"]):
-                proc.terminate()
+            reported = self._bound_port(index, recv)
+            if reported != port:  # pragma: no cover - port stolen meanwhile
                 raise SimulationError(
-                    f"restarted server s{index} did not report a port within "
-                    f"{args['start_timeout']}s"
+                    f"restarted server s{index} bound port {reported}, "
+                    f"expected {port}"
                 )
-            reported = recv.recv()
+        except BaseException:
+            proc.terminate()
+            proc.join(timeout=10.0)
+            raise
         finally:
             recv.close()
-        if reported != port:  # pragma: no cover - port stolen meanwhile
-            proc.terminate()
-            raise SimulationError(
-                f"restarted server s{index} bound port {reported}, "
-                f"expected {port}"
-            )
         self.processes[index - 1] = proc
 
     def stop(self) -> None:

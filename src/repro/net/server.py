@@ -38,12 +38,15 @@ from repro.net.codec import (
 from repro.net.runtime import AsyncRuntime
 from repro.registers.base import Cluster, ClusterConfig
 from repro.registers.messages import SERVER_REPLIES
-from repro.registers.registry import get_protocol
+from repro.registers.registry import PROTOCOLS, get_protocol
 from repro.sim.ids import ProcessId
 
-#: Protocols whose servers message other servers; unreachable over the
-#: client-dials-server topology of net v1.
-UNSUPPORTED_PROTOCOLS = frozenset({"maxmin"})
+#: Protocols whose servers message other servers — the registry's
+#: ``gossip`` fact; unreachable over the client-dials-server topology
+#: of net v1.
+UNSUPPORTED_PROTOCOLS = frozenset(
+    name for name, spec in PROTOCOLS.items() if spec.vector and spec.vector.gossip
+)
 
 
 def build_net_cluster(

@@ -12,17 +12,16 @@ Requires ``t < S/2`` (quorums of size ``S - t`` must intersect).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, List, Optional
 
-from repro.registers import messages as msg
 from repro.registers.base import (
-    AckSet,
     Automata,
     Cluster,
     ClusterConfig,
-    RegisterClient,
+    QuorumClient,
     StorageServer,
     assemble_cluster,
+    crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId
@@ -31,84 +30,46 @@ from repro.spec.histories import BOTTOM, Operation
 
 PROTOCOL_NAME = "abd"
 
-QUERY_PHASE = "query"
-STORE_PHASE = "store"
-
 
 def requirement(config: ClusterConfig) -> Optional[str]:
-    if config.b != 0:
-        return "ABD as implemented here assumes crash failures only"
-    if config.W != 1:
-        return "this is the single-writer ABD variant"
-    if 2 * config.t >= config.S:
-        return f"ABD needs t < S/2: got t={config.t}, S={config.S}"
-    return None
+    return crash_requirement(
+        config,
+        "ABD as implemented here",
+        "ABD",
+        single_writer="this is the single-writer ABD variant",
+    )
 
 
-class AbdWriter(RegisterClient):
-    """One-round writer: multicast the next tag, await ``S - t`` acks."""
+class AbdWriter(QuorumClient):
+    """One-round writer: store the next local tag."""
 
     def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
         super().__init__(pid, config)
         self.ts = 0
         self.last_value: Any = BOTTOM
-        self._acks: Optional[AckSet] = None
-        self._pending: Optional[ValueTag] = None
 
     def on_invoke(self, op: Operation, ctx: Context) -> None:
         self.ts += 1
-        tag = ValueTag(ts=self.ts, value=op.value, prev_value=self.last_value)
-        self._pending = tag
-        self._acks = AckSet(self.config.quorum)
-        ctx.multicast(self.config.server_ids, msg.Store(op_id=op.op_id, tag=tag))
+        self._store(self._stamp(op.value), ctx)
 
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload) or not isinstance(payload, msg.StoreAck):
-            return
-        assert self._pending is not None and self._acks is not None
-        if payload.ts != self._pending.ts:
-            return
-        if self._acks.add(src, payload):
-            self.last_value = self._pending.value
-            self._pending = None
-            ctx.complete("ok")
+    def _stamp(self, value: Any) -> ValueTag:
+        """The single writer is the only source of timestamps."""
+        return ValueTag(ts=self.ts, value=value, prev_value=self.last_value)
+
+    def _stored(self, tag: ValueTag, ctx: Context) -> None:
+        self.last_value = tag.value
+        self._tag = None
+        ctx.complete("ok")
 
 
-class AbdReader(RegisterClient):
-    """Two-round reader: query phase, then write-back phase."""
+class AbdReader(QuorumClient):
+    """Two-round reader: query, write the highest tag back, return it."""
 
-    def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
-        super().__init__(pid, config)
-        self._phase = QUERY_PHASE
-        self._acks: Optional[AckSet] = None
-        self._chosen: Optional[ValueTag] = None
+    def _queried(self, replies: List[Any], ctx: Context) -> None:
+        self._store(max(reply.tag for reply in replies), ctx)
 
-    def on_invoke(self, op: Operation, ctx: Context) -> None:
-        self._phase = QUERY_PHASE
-        self._acks = AckSet(self.config.quorum)
-        self._chosen = None
-        ctx.multicast(self.config.server_ids, msg.Query(op_id=op.op_id))
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload):
-            return
-        assert self._acks is not None
-        if self._phase == QUERY_PHASE and isinstance(payload, msg.QueryReply):
-            if self._acks.add(src, payload):
-                replies = self._acks.payloads()
-                self._chosen = max(reply.tag for reply in replies)
-                self._phase = STORE_PHASE
-                self._acks = AckSet(self.config.quorum)
-                ctx.multicast(
-                    self.config.server_ids,
-                    msg.Store(op_id=self.current_op.op_id, tag=self._chosen),
-                )
-        elif self._phase == STORE_PHASE and isinstance(payload, msg.StoreAck):
-            assert self._chosen is not None
-            if payload.ts != self._chosen.ts:
-                return
-            if self._acks.add(src, payload):
-                ctx.complete(self._chosen.value)
+    def _stored(self, tag: ValueTag, ctx: Context) -> None:
+        ctx.complete(tag.value)
 
 
 AUTOMATA = Automata(

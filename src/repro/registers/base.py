@@ -6,6 +6,9 @@
   servers up to a threshold.
 * :class:`StorageServer` — the generic adopt-if-newer tag store used by
   every non-fast protocol (ABD, SWSR, regular, MWMR, max-min writes).
+* :class:`QuorumClient` — the query phase and the store phase those
+  protocols' clients are sequences of, and :func:`crash_requirement`,
+  the feasibility condition they share.
 * :class:`Cluster` — the assembled processes of one protocol instance,
   ready to install into either runtime, and :func:`assemble_cluster`,
   the one place a protocol's class triple becomes a cluster.
@@ -159,6 +162,91 @@ class RegisterClient(ClientProcess):
             self.current_op is not None
             and getattr(payload, "op_id", None) == self.current_op.op_id
         )
+
+
+class QuorumClient(RegisterClient):
+    """Client of the ``Query``/``Store`` family every baseline is made of.
+
+    An operation is a sequence of two phase kinds, each over when
+    ``S - t`` distinct servers have answered: a *query* multicasts one
+    request and collects replies of :attr:`reply_type`, a *store*
+    multicasts ``Store(tag)`` and collects ``StoreAck``s echoing
+    ``tag.ts``.  A protocol states only what follows each: its
+    :meth:`_queried` and :meth:`_stored` hooks.
+
+    ``_tag`` — the tag being stored, ``None`` while querying — is also
+    the phase.  It and the fired ack set linger after completion until
+    the next phase opens; the explorer fingerprints every attribute, so
+    a hook that forgets state (a writer its pending tag) says so.
+    """
+
+    reply_type: type = msg.QueryReply
+
+    def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
+        super().__init__(pid, config)
+        self._acks: Optional[AckSet] = None
+        self._tag: Optional[ValueTag] = None
+
+    def on_invoke(self, op: Any, ctx: Context) -> None:
+        """Query first; a writer that knows its tag stores at once."""
+        self._query(msg.Query(op_id=op.op_id), ctx)
+
+    def _query(self, request: Any, ctx: Context) -> None:
+        self._tag = None
+        self._acks = AckSet(self.config.quorum)
+        ctx.multicast(self.config.server_ids, request)
+
+    def _store(self, tag: ValueTag, ctx: Context) -> None:
+        self._tag = tag
+        self._acks = AckSet(self.config.quorum)
+        request = msg.Store(op_id=self.current_op.op_id, tag=tag)
+        ctx.multicast(self.config.server_ids, request)
+
+    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
+        if not self._matches_current(payload):
+            return
+        tag = self._tag
+        if tag is None:
+            if isinstance(payload, self.reply_type) and self._acks.add(src, payload):
+                self._queried(self._acks.payloads(), ctx)
+        elif (
+            isinstance(payload, msg.StoreAck)
+            and payload.ts == tag.ts
+            and self._acks.add(src, payload)
+        ):
+            self._stored(tag, ctx)
+
+    def _queried(self, replies: List[Any], ctx: Context) -> None:
+        """The query quorum is in: complete, or open a store phase."""
+        raise NotImplementedError
+
+    def _stored(self, tag: ValueTag, ctx: Context) -> None:
+        """The store quorum for ``tag`` is in."""
+        raise NotImplementedError
+
+
+def crash_requirement(
+    config: ClusterConfig,
+    subject: str,
+    name: str,
+    single_writer: Optional[str] = "single-writer protocol",
+    single_reader: bool = False,
+) -> Optional[str]:
+    """Why a crash-model quorum register cannot run; ``None`` if it can.
+
+    ``b = 0``; ``W = 1`` unless ``single_writer`` (the refusal) is
+    ``None``; ``R = 1`` if ``single_reader``; and ``t < S/2``, so that
+    quorums of ``S - t`` intersect.
+    """
+    if config.b != 0:
+        return f"{subject} assumes crash failures only"
+    if single_writer is not None and config.W != 1:
+        return single_writer
+    if single_reader and config.R != 1:
+        return f"single-reader protocol: R must be 1, got {config.R}"
+    if 2 * config.t >= config.S:
+        return f"{name} needs t < S/2: got t={config.t}, S={config.S}"
+    return None
 
 
 @dataclass

@@ -17,21 +17,22 @@ Requires ``t < S/2``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.registers import messages as msg
+from repro.registers.abd import AbdWriter
 from repro.registers.base import (
-    AckSet,
     Automata,
     Cluster,
     ClusterConfig,
-    RegisterClient,
+    QuorumClient,
     assemble_cluster,
+    crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context, Process
-from repro.spec.histories import BOTTOM, Operation
+from repro.spec.histories import Operation
 
 PROTOCOL_NAME = "maxmin"
 
@@ -39,13 +40,7 @@ PoolKey = Tuple[ProcessId, int]
 
 
 def requirement(config: ClusterConfig) -> Optional[str]:
-    if config.b != 0:
-        return "the max-min register assumes crash failures only"
-    if config.W != 1:
-        return "single-writer protocol"
-    if 2 * config.t >= config.S:
-        return f"max-min needs t < S/2: got t={config.t}, S={config.S}"
-    return None
+    return crash_requirement(config, "the max-min register", "max-min")
 
 
 class MaxMinServer(Process):
@@ -112,65 +107,32 @@ class MaxMinServer(Process):
             )
 
 
-class MaxMinWriter(RegisterClient):
-    """Identical to the ABD writer: one round, local timestamps."""
+class MaxMinReader(QuorumClient):
+    """One query of its own message type; the *minimum* tag wins.
 
-    def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
-        super().__init__(pid, config)
-        self.ts = 0
-        self.last_value: Any = BOTTOM
-        self._acks: Optional[AckSet] = None
-        self._pending: Optional[ValueTag] = None
+    Writes are ABD's: one round, local timestamps.
+    """
 
-    def on_invoke(self, op: Operation, ctx: Context) -> None:
-        self.ts += 1
-        tag = ValueTag(ts=self.ts, value=op.value, prev_value=self.last_value)
-        self._pending = tag
-        self._acks = AckSet(self.config.quorum)
-        ctx.multicast(self.config.server_ids, msg.Store(op_id=op.op_id, tag=tag))
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload) or not isinstance(payload, msg.StoreAck):
-            return
-        assert self._pending is not None and self._acks is not None
-        if payload.ts != self._pending.ts:
-            return
-        if self._acks.add(src, payload):
-            self.last_value = self._pending.value
-            self._pending = None
-            ctx.complete("ok")
-
-
-class MaxMinReader(RegisterClient):
-    """Sends one message; returns the minimum tag over ``S - t`` acks."""
+    reply_type = msg.MaxMinReadAck
 
     def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
         super().__init__(pid, config)
         self.r_counter = 0
-        self._acks: Optional[AckSet] = None
 
     def on_invoke(self, op: Operation, ctx: Context) -> None:
         self.r_counter += 1
-        self._acks = AckSet(self.config.quorum)
-        ctx.multicast(
-            self.config.server_ids,
-            msg.MaxMinRead(op_id=op.op_id, r_counter=self.r_counter),
-        )
+        self._query(msg.MaxMinRead(op_id=op.op_id, r_counter=self.r_counter), ctx)
 
     def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload):
-            return
-        if not isinstance(payload, msg.MaxMinReadAck):
-            return
-        if payload.r_counter != self.r_counter:
-            return
-        assert self._acks is not None
-        if self._acks.add(src, payload):
-            chosen = min(ack.tag for ack in self._acks.payloads())
-            ctx.complete(chosen.value)
+        if isinstance(payload, msg.MaxMinReadAck) and payload.r_counter != self.r_counter:
+            return  # answers an earlier read
+        super().on_message(payload, src, ctx)
+
+    def _queried(self, replies: List[Any], ctx: Context) -> None:
+        ctx.complete(min(ack.tag for ack in replies).value)
 
 
-AUTOMATA = Automata(MaxMinServer, MaxMinReader, MaxMinWriter)
+AUTOMATA = Automata(MaxMinServer, MaxMinReader, AbdWriter)
 
 
 def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:

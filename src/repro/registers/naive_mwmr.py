@@ -24,20 +24,16 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.registers import messages as msg
+from repro.registers.abd import AbdWriter
 from repro.registers.base import (
-    AckSet,
     Automata,
     Cluster,
     ClusterConfig,
-    RegisterClient,
     StorageServer,
     assemble_cluster,
 )
+from repro.registers.regular import RegularReader
 from repro.registers.timestamps import INITIAL_MW_TAG, MWTimestamp, ValueTag
-from repro.sim.ids import ProcessId
-from repro.sim.process import Context
-from repro.spec.histories import BOTTOM, Operation
 
 PROTOCOL_NAME = "naive-fast-mwmr"
 
@@ -47,63 +43,23 @@ def requirement(config: ClusterConfig) -> Optional[str]:
     return None
 
 
-class NaiveMwmrWriter(RegisterClient):
-    """One-round writer with a local counter — provably insufficient."""
+class NaiveMwmrWriter(AbdWriter):
+    """ABD's one-round writer, each writer stamping with its own local
+    counter (ties broken by writer id) — provably insufficient.
 
-    def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
-        super().__init__(pid, config)
-        self.num = 0
-        self.last_value: Any = BOTTOM
-        self._pending: Optional[ValueTag] = None
-        self._acks: Optional[AckSet] = None
+    Reads are the regular register's: one round, highest tag wins.
+    """
 
-    def on_invoke(self, op: Operation, ctx: Context) -> None:
-        self.num += 1
-        tag = ValueTag(
-            ts=MWTimestamp(self.num, self.pid.index),
-            value=op.value,
+    def _stamp(self, value: Any) -> ValueTag:
+        return ValueTag(
+            ts=MWTimestamp(self.ts, self.pid.index),
+            value=value,
             prev_value=self.last_value,
         )
-        self._pending = tag
-        self._acks = AckSet(self.config.quorum)
-        ctx.multicast(self.config.server_ids, msg.Store(op_id=op.op_id, tag=tag))
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload) or not isinstance(payload, msg.StoreAck):
-            return
-        assert self._pending is not None and self._acks is not None
-        if payload.ts != self._pending.ts:
-            return
-        if self._acks.add(src, payload):
-            self.last_value = self._pending.value
-            self._pending = None
-            ctx.complete("ok")
-
-
-class NaiveMwmrReader(RegisterClient):
-    """One-round reader: highest tag wins, no write-back."""
-
-    def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
-        super().__init__(pid, config)
-        self._acks: Optional[AckSet] = None
-
-    def on_invoke(self, op: Operation, ctx: Context) -> None:
-        self._acks = AckSet(self.config.quorum)
-        ctx.multicast(self.config.server_ids, msg.Query(op_id=op.op_id))
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload):
-            return
-        if not isinstance(payload, msg.QueryReply):
-            return
-        assert self._acks is not None
-        if self._acks.add(src, payload):
-            highest = max(reply.tag for reply in self._acks.payloads())
-            ctx.complete(highest.value)
 
 
 AUTOMATA = Automata(
-    lambda pid, _config: StorageServer(pid, INITIAL_MW_TAG), NaiveMwmrReader, NaiveMwmrWriter
+    lambda pid, _config: StorageServer(pid, INITIAL_MW_TAG), RegularReader, NaiveMwmrWriter
 )
 
 

@@ -7,7 +7,7 @@ adding an implementation automatically enrolls it everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.registers import (
@@ -22,10 +22,34 @@ from repro.registers import (
     swsr,
 )
 from repro.registers.base import Cluster, ClusterConfig
-from repro.registers.vectorized import VectorProfile
 
 BuildFn = Callable[..., Cluster]
 RequirementFn = Callable[[ClusterConfig], Optional[str]]
+
+
+@dataclass(frozen=True)
+class VectorProfile:
+    """A protocol's declaration that its client automata are fixed-round.
+
+    Every operation then performs a statically known number of round
+    trips, so the lockstep batch kernel (:mod:`repro.sim.vector`) knows
+    its completion time, message count and round verdict from the
+    invocation time alone.  Protocols without a profile (semifast's
+    data-dependent second round, the MWMR two-phase writers, Byzantine
+    variants) fall back to the scalar engine.
+
+    Attributes:
+        gossip: servers run one all-to-all gossip round before
+            answering a read (the max-min register).  Adds one message
+            delay to reads and ``S * (S - 1)`` messages per read, and
+            makes reads non-fast even though the client uses one round.
+        predicate_reads: the read value is gated by the Figure 2
+            ``seen``-predicate, so the kernel must fold the per-server
+            seen sets (as client bitmasks) alongside the tag field.
+    """
+
+    gossip: bool = False
+    predicate_reads: bool = False
 
 
 @dataclass(frozen=True)
@@ -42,12 +66,10 @@ class ProtocolSpec:
     really is atomic (the Section 7 strawman claims atomicity and is
     not; the Section 8 register claims only regularity).
 
-    ``vector`` declares the two facts only the struct-of-arrays batch
-    kernel (:mod:`repro.sim.vector`) needs of a fixed-round automaton,
-    or is ``None`` when the automaton is not fixed-round and batch
-    sweeps must fall back to the scalar engine.  The round counts and
-    fastness the kernel also reads are this spec's own, bound below
-    rather than stated twice.
+    ``vector`` declares the two facts only the batch kernel needs of a
+    fixed-round automaton, or is ``None`` when the automaton is not
+    fixed-round; the round counts and fastness the kernel also reads
+    are this spec's own.
     """
 
     name: str
@@ -63,16 +85,6 @@ class ProtocolSpec:
     build: BuildFn
     vector: Optional[VectorProfile] = None
     contract: str = "atomic"
-
-    def __post_init__(self) -> None:
-        if self.vector is not None:
-            bound = replace(
-                self.vector,
-                read_phases=self.read_rounds,
-                write_phases=self.write_rounds,
-                fast_reads=self.fast_reads,
-            )
-            object.__setattr__(self, "vector", bound)
 
 
 PROTOCOLS: Dict[str, ProtocolSpec] = {

@@ -15,57 +15,35 @@ the inversions this protocol actually produces under contention.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, List, Optional
 
-from repro.registers import messages as msg
 from repro.registers.abd import AbdWriter
 from repro.registers.base import (
-    AckSet,
     Automata,
     Cluster,
     ClusterConfig,
-    RegisterClient,
+    QuorumClient,
     StorageServer,
     assemble_cluster,
+    crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG
-from repro.sim.ids import ProcessId
 from repro.sim.process import Context
-from repro.spec.histories import Operation
 
 PROTOCOL_NAME = "regular-fast"
 
 
 def requirement(config: ClusterConfig) -> Optional[str]:
-    if config.b != 0:
-        return "the regular register here assumes crash failures only"
-    if config.W != 1:
-        return "single-writer protocol"
-    if 2 * config.t >= config.S:
-        return f"fast regular register needs t < S/2: got t={config.t}, S={config.S}"
-    return None
+    return crash_requirement(
+        config, "the regular register here", "fast regular register"
+    )
 
 
-class RegularReader(RegisterClient):
+class RegularReader(QuorumClient):
     """Stateless one-round reader: max tag over ``S - t`` replies."""
 
-    def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
-        super().__init__(pid, config)
-        self._acks: Optional[AckSet] = None
-
-    def on_invoke(self, op: Operation, ctx: Context) -> None:
-        self._acks = AckSet(self.config.quorum)
-        ctx.multicast(self.config.server_ids, msg.Query(op_id=op.op_id))
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload):
-            return
-        if not isinstance(payload, msg.QueryReply):
-            return
-        assert self._acks is not None
-        if self._acks.add(src, payload):
-            highest = max(reply.tag for reply in self._acks.payloads())
-            ctx.complete(highest.value)
+    def _queried(self, replies: List[Any], ctx: Context) -> None:
+        ctx.complete(max(reply.tag for reply in replies).value)
 
 
 AUTOMATA = Automata(

@@ -30,41 +30,30 @@ give up once ``R`` outgrows the threshold (benchmark E11).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, List, Optional
 
-from repro.registers import messages as msg
 from repro.registers.abd import AbdWriter
 from repro.registers.base import (
-    AckSet,
     Automata,
     Cluster,
     ClusterConfig,
-    RegisterClient,
+    QuorumClient,
     StorageServer,
     assemble_cluster,
+    crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context
-from repro.spec.histories import Operation
 
 PROTOCOL_NAME = "semifast"
 
-QUERY_PHASE = "query"
-STORE_PHASE = "store"
-
 
 def requirement(config: ClusterConfig) -> Optional[str]:
-    if config.b != 0:
-        return "the semifast register assumes crash failures only"
-    if config.W != 1:
-        return "single-writer protocol"
-    if 2 * config.t >= config.S:
-        return f"semifast needs t < S/2: got t={config.t}, S={config.S}"
-    return None
+    return crash_requirement(config, "the semifast register", "semifast")
 
 
-class SemifastReader(RegisterClient):
+class SemifastReader(QuorumClient):
     """One round when the quorum agrees; write-back otherwise.
 
     ``fast_reads``/``slow_reads`` counters expose the fast-read ratio to
@@ -73,50 +62,22 @@ class SemifastReader(RegisterClient):
 
     def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
         super().__init__(pid, config)
-        self._phase = QUERY_PHASE
-        self._acks: Optional[AckSet] = None
-        self._chosen: Optional[ValueTag] = None
         self.fast_reads = 0
         self.slow_reads = 0
 
-    def on_invoke(self, op: Operation, ctx: Context) -> None:
-        self._phase = QUERY_PHASE
-        self._acks = AckSet(self.config.quorum)
-        self._chosen = None
-        ctx.multicast(self.config.server_ids, msg.Query(op_id=op.op_id))
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload):
-            return
-        assert self._acks is not None
-        if self._phase == QUERY_PHASE and isinstance(payload, msg.QueryReply):
-            if self._acks.add(src, payload):
-                self._resolve_query(ctx)
-        elif self._phase == STORE_PHASE and isinstance(payload, msg.StoreAck):
-            assert self._chosen is not None
-            if payload.ts != self._chosen.ts:
-                return
-            if self._acks.add(src, payload):
-                self.slow_reads += 1
-                ctx.complete(self._chosen.value)
-
-    def _resolve_query(self, ctx: Context) -> None:
-        replies = self._acks.payloads()
-        tags = {reply.tag.ts for reply in replies}
+    def _queried(self, replies: List[Any], ctx: Context) -> None:
         highest = max(reply.tag for reply in replies)
-        if len(tags) == 1:
+        if len({reply.tag.ts for reply in replies}) == 1:
             # Uniform quorum: the value is already at S - t servers; by
             # quorum intersection no later reader can regress below it.
             self.fast_reads += 1
             ctx.complete(highest.value)
-            return
-        self._chosen = highest
-        self._phase = STORE_PHASE
-        self._acks = AckSet(self.config.quorum)
-        ctx.multicast(
-            self.config.server_ids,
-            msg.Store(op_id=self.current_op.op_id, tag=self._chosen),
-        )
+        else:
+            self._store(highest, ctx)
+
+    def _stored(self, tag: ValueTag, ctx: Context) -> None:
+        self.slow_reads += 1
+        ctx.complete(tag.value)
 
 
 AUTOMATA = Automata(

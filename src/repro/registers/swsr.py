@@ -15,62 +15,43 @@ second reader's quorum misses) is exactly why it cannot generalise.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, List, Optional
 
-from repro.registers import messages as msg
 from repro.registers.abd import AbdWriter
 from repro.registers.base import (
-    AckSet,
     Automata,
     Cluster,
     ClusterConfig,
-    RegisterClient,
+    QuorumClient,
     StorageServer,
     assemble_cluster,
+    crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context
-from repro.spec.histories import Operation
 
 PROTOCOL_NAME = "swsr-fast"
 
 
 def requirement(config: ClusterConfig) -> Optional[str]:
-    if config.b != 0:
-        return "the SWSR register assumes crash failures only"
-    if config.W != 1:
-        return "single-writer protocol"
-    if config.R != 1:
-        return f"single-reader protocol: R must be 1, got {config.R}"
-    if 2 * config.t >= config.S:
-        return f"SWSR-fast needs t < S/2: got t={config.t}, S={config.S}"
-    return None
+    return crash_requirement(
+        config, "the SWSR register", "SWSR-fast", single_reader=True
+    )
 
 
-class SwsrReader(RegisterClient):
+class SwsrReader(QuorumClient):
     """One-round reader with a monotonic local tag."""
 
     def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:
         super().__init__(pid, config)
         self.last_tag: ValueTag = INITIAL_TAG
-        self._acks: Optional[AckSet] = None
 
-    def on_invoke(self, op: Operation, ctx: Context) -> None:
-        self._acks = AckSet(self.config.quorum)
-        ctx.multicast(self.config.server_ids, msg.Query(op_id=op.op_id))
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        if not self._matches_current(payload):
-            return
-        if not isinstance(payload, msg.QueryReply):
-            return
-        assert self._acks is not None
-        if self._acks.add(src, payload):
-            highest = max(reply.tag for reply in self._acks.payloads())
-            if highest.ts >= self.last_tag.ts:
-                self.last_tag = highest
-            ctx.complete(self.last_tag.value)
+    def _queried(self, replies: List[Any], ctx: Context) -> None:
+        highest = max(reply.tag for reply in replies)
+        if highest.ts >= self.last_tag.ts:
+            self.last_tag = highest
+        ctx.complete(self.last_tag.value)
 
 
 AUTOMATA = Automata(

@@ -31,7 +31,6 @@ from repro.sim.latency import (
     PerLinkLatency,
     SlowServerLatency,
     UniformLatency,
-    VectorLatency,
 )
 from repro.sim.messages import Envelope
 from repro.sim.network import HeldNetwork, SimNetwork
@@ -66,7 +65,6 @@ __all__ = [
     "TraceEvent",
     "TraceLog",
     "UniformLatency",
-    "VectorLatency",
     "VirtualClock",
     "WRITER",
     "client_index",

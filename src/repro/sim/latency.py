@@ -24,16 +24,13 @@ Batch sampling draws from the **same** ``random.Random`` stream, in the
 same order, as per-message sampling would — message *i* receives the
 *i*-th draw either way — so switching the engine to batches changes no
 history.  (True numpy vectorisation would use a different generator and
-silently change every seeded run; :class:`VectorLatency` offers it as an
-explicit opt-in for throughput sweeps that don't need stream
-compatibility.)
+silently change every seeded run, so no model does it.)
 """
 
 from __future__ import annotations
 
 import math
 import random
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -221,80 +218,3 @@ class SlowServerLatency(LatencyModel):
         if src in self.slow or dst in self.slow:
             value *= self.factor
         return value
-
-
-class VectorLatency(LatencyModel):
-    """Numpy-vectorised latency draws — an explicit speed/compat trade.
-
-    The first draw against a given ``random.Random`` seeds a
-    ``numpy.random.Generator`` off it (consuming one 64-bit draw) and
-    **caches** it for that ``rng`` object; every later call continues
-    the same numpy stream.  That gives the batch-stream contract the
-    transport relies on: message *i* receives the *i*-th draw of the
-    stream no matter how calls are batched — two size-1 batches return
-    exactly the prefix of one size-2 batch.  Runs are therefore
-    deterministic per seed even as the engine changes its pre-sampling
-    window.  (Earlier revisions re-seeded a fresh generator per call,
-    so the stream silently depended on the batching pattern.)
-
-    The cache is keyed weakly by the ``rng`` object, so the model
-    instance stays shareable across sweep specs without leaking
-    generators, and it is dropped on pickling — a worker process
-    re-seeds from the same ``rng`` state and reproduces the stream.
-    The values are still **not** the stream a scalar model would
-    produce.  Use for pure-throughput sweeps where only the
-    distribution matters; never for golden-history comparisons.
-
-    Args:
-        kind: ``"uniform"``, ``"exponential"`` or ``"lognormal"``.
-        a, b: distribution parameters — ``(low, high)`` for uniform,
-            ``(mean, floor)`` for exponential, ``(median, sigma)`` for
-            lognormal.
-    """
-
-    link_invariant = True
-
-    _KINDS = ("uniform", "exponential", "lognormal")
-
-    def __init__(self, kind: str = "uniform", a: float = 0.5, b: float = 1.5) -> None:
-        if kind not in self._KINDS:
-            raise ConfigurationError(
-                f"unknown vector latency kind {kind!r}; known: {self._KINDS}"
-            )
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self._generators: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-    def _gen(self, rng: random.Random):
-        gen = self._generators.get(rng)
-        if gen is None:
-            import numpy as np
-
-            gen = np.random.default_rng(rng.getrandbits(64))
-            self._generators[rng] = gen
-        return gen
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Generators neither pickle portably nor belong to the model's
-        # identity; a worker re-seeds from the rng it is handed.
-        return {"kind": self.kind, "a": self.a, "b": self.b}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._generators = weakref.WeakKeyDictionary()
-
-    def sample(self, src: ProcessId, dst: ProcessId, rng: random.Random) -> float:
-        return self.sample_batch(src, dst, rng, 1)[0]
-
-    def sample_batch(
-        self, src: ProcessId, dst: ProcessId, rng: random.Random, n: int
-    ) -> List[float]:
-        gen = self._gen(rng)
-        if self.kind == "uniform":
-            values = gen.uniform(self.a, self.b, n)
-        elif self.kind == "exponential":
-            values = self.b + gen.exponential(self.a, n)
-        else:
-            values = gen.lognormal(math.log(self.a), self.b, n)
-        return values.tolist()

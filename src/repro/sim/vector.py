@@ -18,8 +18,9 @@ invocation instant ``T``; all copies arrive at ``T + d`` and all
 replies at ``(T + d) + d``.  Consequently **every server processes the
 identical request sequence in the same order**, so the server fields
 collapse to one array per batch, and an operation's completion time is
-a fixed number of message delays after its invocation — the protocol's
-:class:`~repro.registers.vectorized.VectorProfile` declares how many.
+a fixed number of message delays after its invocation: two per round
+its :class:`~repro.registers.registry.ProtocolSpec` declares, plus the
+gossip hop of a :class:`~repro.registers.registry.VectorProfile`.
 A read's value is the servers' tag at ``T + d``, which is the number of
 writes globally ordered before it; the global order is the stable sort
 of invocation times with ties broken in client arm order, exactly the
@@ -91,8 +92,7 @@ def supports(spec: SweepSpec) -> Optional[str]:
     if np is None:
         return "numpy is unavailable"
     proto = get_protocol(spec.protocol)
-    profile = proto.vector
-    if profile is None:
+    if proto.vector is None:
         return f"protocol {spec.protocol!r} is not a fixed-round automaton"
     problem = proto.requirement(spec.config)
     if problem is not None:
@@ -108,7 +108,7 @@ def supports(spec: SweepSpec) -> Optional[str]:
     if (
         workload.start_spread == 0
         and workload.think_time_mean == 0
-        and profile.read_delay_hops(S) != profile.write_delay_hops(S)
+        and _read_delay_hops(proto, S) != 2 * proto.write_rounds
     ):
         # With zero spread and zero think time every client re-invokes
         # on a rigid grid; reads and writes of different round lengths
@@ -120,7 +120,7 @@ def supports(spec: SweepSpec) -> Optional[str]:
             f"protocol {spec.protocol!r} mixes read/write round lengths "
             "(tie-sensitive)"
         )
-    if profile.predicate_reads and spec.config.R > _MAX_MASK_CLIENTS:
+    if proto.vector.predicate_reads and spec.config.R > _MAX_MASK_CLIENTS:
         return f"R={spec.config.R} readers overflow the seen-bitmask field"
     plan = _client_plan(spec)
     if plan.total_events > spec.max_events:
@@ -133,6 +133,15 @@ def supports(spec: SweepSpec) -> Optional[str]:
 
 # ----------------------------------------------------------------------
 # static per-group layout
+
+
+def _read_delay_hops(proto, servers: int) -> int:
+    """Message delays between a read's invocation and its response."""
+    if proto.vector.gossip:
+        # A lone server's gossip pool completes on its own
+        # contribution, so the extra hop disappears at S = 1.
+        return 2 if servers == 1 else 3
+    return 2 * proto.read_rounds
 
 
 @dataclass(frozen=True)
@@ -158,7 +167,7 @@ def _client_plan(spec: SweepSpec) -> _Plan:
     from repro.workloads.scenarios import get_scenario
 
     config = spec.config
-    profile = get_protocol(spec.protocol).vector
+    proto = get_protocol(spec.protocol)
     workload = get_scenario(spec.scenario).workload
     clients: List[Tuple[str, int, int]] = []
     is_write: List[bool] = []
@@ -168,7 +177,7 @@ def _client_plan(spec: SweepSpec) -> _Plan:
     if workload.writes_per_writer > 0:
         for pid in config.writer_ids:
             clients.append(
-                (str(pid), workload.writes_per_writer, profile.write_delay_hops(S))
+                (str(pid), workload.writes_per_writer, 2 * proto.write_rounds)
             )
             is_write.extend([True] * workload.writes_per_writer)
             proc_of.extend([str(pid)] * workload.writes_per_writer)
@@ -178,16 +187,20 @@ def _client_plan(spec: SweepSpec) -> _Plan:
         for pid in config.reader_ids:
             n_readers += 1
             clients.append(
-                (str(pid), workload.reads_per_reader, profile.read_delay_hops(S))
+                (str(pid), workload.reads_per_reader, _read_delay_hops(proto, S))
             )
             is_write.extend([False] * workload.reads_per_reader)
             proc_of.extend([str(pid)] * workload.reads_per_reader)
             client_bit.extend([1 << pid.index] * workload.reads_per_reader)
     write_cols = tuple(i for i, w in enumerate(is_write) if w)
     read_cols = tuple(i for i, w in enumerate(is_write) if not w)
-    messages = len(write_cols) * profile.write_messages(S) + len(
-        read_cols
-    ) * profile.read_messages(S)
+    # Requests and replies of every round, plus an all-to-all gossip round.
+    read_messages = 2 * S * proto.read_rounds
+    if proto.vector.gossip:
+        read_messages += S * (S - 1)
+    messages = (
+        len(write_cols) * 2 * S * proto.write_rounds + len(read_cols) * read_messages
+    )
     # Each operation is one CALL event; each message one DELIVER event.
     events = len(is_write) + messages
     # Smallest `a` whose quorum condition holds (Figure 2's predicate is
@@ -333,7 +346,7 @@ class _GroupKernel:
         from repro.workloads.scenarios import get_scenario
 
         self.template = template
-        self.profile = get_protocol(template.protocol).vector
+        self.proto = get_protocol(template.protocol)
         self.workload = get_scenario(template.scenario).workload
         self.latency = template.latency or ConstantLatency()
         self.d = self.latency.constant_delay()
@@ -367,7 +380,7 @@ class _GroupKernel:
     # -- batched stepping ------------------------------------------------
 
     def run_chunk(self, specs: Sequence[SweepSpec]) -> "_ChunkResult":
-        plan, config, profile = self.plan, self.config, self.profile
+        plan, config = self.plan, self.config
         n_ops = len(plan.is_write)
         rows_inv: List[List[float]] = []
         rows_resp: List[List[float]] = []
@@ -394,7 +407,7 @@ class _GroupKernel:
         # updates — a write resets it to {writer}, any other request
         # joins its sender.
         ret_sorted = tag_sorted
-        if profile.predicate_reads and plan.read_cols:
+        if self.proto.vector.predicate_reads and plan.read_cols:
             bits = np.asarray(plan.client_bit, dtype=np.uint64)
             seen = np.zeros(len(specs), dtype=np.uint64)
             writer_bit = np.uint64(1)
@@ -490,18 +503,18 @@ class _GroupKernel:
     # -- expected per-run facts used by the oracle ----------------------
 
     def expected_rounds(self) -> Dict[str, Dict[int, int]]:
-        plan, profile = self.plan, self.profile
+        plan, proto = self.plan, self.proto
         out: Dict[str, Dict[int, int]] = {}
         if plan.read_cols:
-            out["read"] = {profile.read_rounds(): len(plan.read_cols)}
+            out["read"] = {proto.read_rounds: len(plan.read_cols)}
         if plan.write_cols:
-            out["write"] = {profile.write_rounds(): len(plan.write_cols)}
+            out["write"] = {proto.write_rounds: len(plan.write_cols)}
         return out
 
     def reads_fast(self) -> bool:
-        if self.profile.gossip:
+        if self.proto.vector.gossip:
             return self.config.S == 1
-        return self.profile.fast_reads
+        return self.proto.fast_reads
 
 
 @dataclass

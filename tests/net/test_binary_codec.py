@@ -244,6 +244,33 @@ class TestCrossSerializerParity:
                 statement=statement,
             )
 
+    def test_mixed_stream_in_socket_sized_reads_decodes_equal(self):
+        """Every kind, a tenth of the frames statement-bearing, as one
+        byte stream through one ``FrameBuffer`` in reads that straddle
+        frame boundaries: each serializer hands back the corpus."""
+        corpus = [
+            (
+                server(1),
+                reader(2),
+                _sample_message(name),
+                _sample_statement(name) if repeat % 10 == 0 else None,
+            )
+            for repeat in range(40)
+            for name in sorted(MESSAGE_TYPES)
+        ]
+        for serializer in available_serializers():
+            codec = Codec(serializer)
+            stream = b"".join(
+                codec.encode_frame(src, dst, message, statement=statement)
+                for src, dst, message, statement in corpus
+            )
+            buffer, decoded = FrameBuffer(), []
+            for start in range(0, len(stream), 1500):
+                for body in buffer.feed(stream[start : start + 1500]):
+                    decoded.append(codec.decode_body_full(body))
+            assert buffer.pending_bytes == 0
+            assert decoded == corpus, serializer
+
     @given(message=messages)
     @settings(max_examples=100, deadline=None)
     def test_binary_frames_are_smaller_than_json(self, message):

@@ -10,6 +10,7 @@ must be immediately reusable) and window-relative judging for
 """
 
 import asyncio
+import multiprocessing
 import time
 
 import pytest
@@ -238,6 +239,23 @@ class TestSpawnedClusterRecovery:
         cluster = ServerCluster(processes=[], addresses=[])
         with pytest.raises(SimulationError, match="spawn"):
             cluster.restart_server(1)
+
+    def test_handshake_timeout_reaps_every_started_member(self):
+        """A member that never reports its port is terminated *and*
+        joined, by ``spawn`` and by ``restart_server`` alike — neither
+        leaves a child behind that no list knows about."""
+        config = ClusterConfig(S=3, t=1, R=1)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(SimulationError, match="did not report a port"):
+            ServerCluster.spawn("abd", config, start_timeout=0.0)
+        assert set(multiprocessing.active_children()) <= before
+        with ServerCluster.spawn("abd", config) as cluster:
+            members = set(cluster.processes)
+            cluster._spawn_args["start_timeout"] = 0.0
+            with pytest.raises(SimulationError, match="did not report a port"):
+                cluster.restart_server(2)
+            assert cluster.live_count == 2
+            assert set(multiprocessing.active_children()) <= before | members
 
     def test_kill_restart_mid_run_keeps_verdicts_clean_at_most_t(self):
         """The ≤ t headline invariant, end to end over OS processes."""

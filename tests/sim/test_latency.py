@@ -148,77 +148,3 @@ class TestBatchSampling:
         model = Zeroish(delay_value=1.0)
         values = model.delays(reader(1), server(1), random.Random(0), 5)
         assert all(v > 0 for v in values)
-
-
-class TestVectorLatency:
-    def test_deterministic_per_seed(self):
-        from repro.sim.latency import VectorLatency
-
-        one = VectorLatency("uniform", 0.5, 1.5)
-        two = VectorLatency("uniform", 0.5, 1.5)
-        a = one.sample_batch(reader(1), server(1), random.Random(7), 50)
-        b = two.sample_batch(reader(1), server(1), random.Random(7), 50)
-        assert a == b
-        assert all(0.5 <= v <= 1.5 for v in a)
-
-    def test_reused_instance_stays_deterministic(self):
-        """The model is stateless: reusing one instance across runs must
-        give the same draws as a fresh instance (sweep specs share
-        latency model objects in serial mode)."""
-        from repro.sim.latency import VectorLatency
-
-        shared = VectorLatency("exponential", 1.0, 0.05)
-        first = shared.sample_batch(reader(1), server(1), random.Random(3), 20)
-        again = shared.sample_batch(reader(1), server(1), random.Random(3), 20)
-        fresh = VectorLatency("exponential", 1.0, 0.05).sample_batch(
-            reader(1), server(1), random.Random(3), 20
-        )
-        assert first == again == fresh
-
-    def test_batch_splitting_invariant(self):
-        """The batch-stream contract: draw i is the same no matter how
-        the calls are windowed, because the numpy generator is seeded
-        once per rng object and then continues its stream."""
-        from repro.sim.latency import VectorLatency
-
-        model = VectorLatency("lognormal", 1.0, 0.5)
-        rng = random.Random(11)
-        split = []
-        for n in (1, 1, 3, 5):
-            split.extend(model.sample_batch(reader(1), server(1), rng, n))
-        whole = VectorLatency("lognormal", 1.0, 0.5).sample_batch(
-            reader(1), server(1), random.Random(11), 10
-        )
-        assert split == whole
-
-    def test_generator_cached_per_rng_object(self):
-        """Repeated calls against one rng must not re-seed: a fresh
-        generator per call would replay the seeding draw and make the
-        stream depend on the batching pattern."""
-        from repro.sim.latency import VectorLatency
-
-        model = VectorLatency("uniform", 0.5, 1.5)
-        rng = random.Random(5)
-        first = model.sample_batch(reader(1), server(1), rng, 4)
-        second = model.sample_batch(reader(1), server(1), rng, 4)
-        assert first != second  # the stream advances instead of restarting
-        assert len(model._generators) == 1
-
-    def test_pickle_roundtrip_drops_cache_and_reproduces(self):
-        import pickle
-
-        from repro.sim.latency import VectorLatency
-
-        model = VectorLatency("exponential", 1.0, 0.05)
-        model.sample(reader(1), server(1), random.Random(9))  # populate cache
-        clone = pickle.loads(pickle.dumps(model))
-        assert len(clone._generators) == 0
-        assert clone.sample_batch(reader(1), server(1), random.Random(9), 8) == (
-            model.sample_batch(reader(1), server(1), random.Random(9), 8)
-        )
-
-    def test_rejects_unknown_kind(self):
-        from repro.sim.latency import VectorLatency
-
-        with pytest.raises(ConfigurationError):
-            VectorLatency("pareto")

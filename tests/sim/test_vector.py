@@ -99,11 +99,24 @@ class TestSupports:
 
 
 class TestParity:
-    def test_matrix_summaries_bit_identical_to_scalar(self):
+    @pytest.mark.parametrize(
+        "protocols, scenarios, config",
+        [
+            (["fast-crash", "regular-fast", "abd", "maxmin"], ["smoke", "write-storm"], CONFIG),
+            # A large cluster over bursty writers, synchronized contention
+            # and read-dominated traffic (the retired throughput bench's grid).
+            (
+                ["fast-crash", "regular-fast"],
+                ["write-storm", "contention", "read-heavy"],
+                ClusterConfig(S=13, t=3, R=2),
+            ),
+        ],
+    )
+    def test_matrix_summaries_bit_identical_to_scalar(self, protocols, scenarios, config):
         specs = build_matrix(
-            protocols=["fast-crash", "regular-fast", "abd", "maxmin"],
-            scenarios=["smoke", "write-storm"],
-            config=CONFIG,
+            protocols=protocols,
+            scenarios=scenarios,
+            config=config,
             seeds=seed_matrix(0, 3),
         )
         scalar = BatchRunner(specs, parallel=1).run()
@@ -111,6 +124,7 @@ class TestParity:
         assert sweep.fallback_runs == 0
         assert sweep.batch.summaries == scalar.summaries
         assert sweep.batch.render() == scalar.render()
+        assert sweep.batch.to_json() == scalar.to_json()
         assert sweep.oracle_sampled > 0
 
     def test_mixed_matrix_with_fallback_matches_scalar(self):
