@@ -184,12 +184,24 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.errors import SpecificationError
     from repro.spec.histories import History
     from repro.spec.online import check_history
 
-    with open(args.history, "r", encoding="utf-8") as handle:
-        history = History.from_json(handle.read())
-    report = check_history(history)
+    # Exit 1 means a violation; a file that cannot be judged at all
+    # (unreadable, not a history, or past the search budget) is exit 2.
+    try:
+        with open(args.history, "r", encoding="utf-8") as handle:
+            history = History.from_json(handle.read())
+        report = check_history(history)
+    except (
+        OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+        SpecificationError,
+    ) as exc:
+        print(f"check: {args.history}: {exc}", file=sys.stderr)
+        return 2
     single_writer = report["single_writer"]
     print(
         f"{args.history}: {len(history)} operations "

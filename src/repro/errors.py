@@ -50,6 +50,14 @@ class SpecificationError(ReproError):
     """
 
 
+class SearchBudgetExceeded(SpecificationError):
+    """A history needed more search states than the checker's budget.
+
+    The linearizability search raises this rather than return a verdict
+    it did not finish computing.
+    """
+
+
 class SignatureError(ReproError):
     """A signature operation was invoked with an unknown signer."""
 

@@ -31,11 +31,10 @@ identical either way.
 from __future__ import annotations
 
 import bisect
-import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import SpecificationError
-from repro.spec.histories import BOTTOM, History, Operation, Verdict
+from repro.spec.histories import BOTTOM, History, Operation, Verdict, write_timeline
 
 PROPERTY = "SWMR atomicity (Section 3.1)"
 
@@ -52,7 +51,22 @@ def check_swmr_atomicity(history: History) -> Verdict:
             "SWMR atomicity is defined for single-writer histories; "
             "use the general linearizability checker for multi-writer runs"
         )
-    writes = history.writes_in_order()
+    violation = swmr_violation(history.writes_in_order(), history.reads)
+    if violation is None:  # not ``violation or ...``: a failing Verdict is falsy
+        return Verdict(ok=True, property_name=PROPERTY)
+    return violation
+
+
+def swmr_violation(
+    writes: List[Operation], reads: Iterable[Operation]
+) -> Optional[Verdict]:
+    """The greedy assignment itself: the failing verdict, or ``None``.
+
+    ``writes`` is the write order ``wr_1, wr_2, ...``; incomplete
+    ``reads`` are ignored.  Shared with the single-writer fast path of
+    :func:`repro.spec.linearizability.check_linearizable`, which only
+    needs to know whether an assignment exists.
+    """
     values = [BOTTOM] + [op.value for op in writes]
 
     # Map value -> all indices k with val_k == value (k = 0 included).
@@ -63,20 +77,10 @@ def check_swmr_atomicity(history: History) -> Verdict:
     # Fast condition-2/3 bounds need the write timeline monotone in both
     # invocation and response time; the History API guarantees this
     # (one pending operation per process), hand-built histories may not.
-    write_invocations = [op.invoked_at for op in writes]
-    write_responses = [
-        op.responded_at if op.complete else math.inf for op in writes
-    ]
-    monotone = all(
-        earlier <= later
-        for earlier, later in zip(write_invocations, write_invocations[1:])
-    ) and all(
-        earlier <= later
-        for earlier, later in zip(write_responses, write_responses[1:])
-    )
+    write_invocations, write_responses, monotone = write_timeline(writes)
 
     complete_reads = sorted(
-        (op for op in history.reads if op.complete),
+        (op for op in reads if op.complete),
         key=lambda op: (op.responded_at, op.op_id),
     )
 
@@ -147,7 +151,7 @@ def check_swmr_atomicity(history: History) -> Verdict:
         best = chosen if not prefix_max_index else max(prefix_max_index[-1], chosen)
         prefix_max_index.append(best)
 
-    return Verdict(ok=True, property_name=PROPERTY)
+    return None
 
 
 def _explain_failure(

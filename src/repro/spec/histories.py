@@ -20,6 +20,7 @@ pieces the fast verification pipeline is built on:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -96,20 +97,28 @@ class Operation:
         }
 
     @classmethod
-    def from_dict(cls, record: Dict[str, Any]) -> "Operation":
-        return cls(
-            op_id=int(record["op_id"]),
-            proc=parse_pid(record["proc"]),
-            kind=record["kind"],
-            invoked_at=float(record["invoked_at"]),
-            value=_tupled(record.get("value")),
-            result=_tupled(record.get("result")),
-            responded_at=(
-                None
-                if record.get("responded_at") is None
-                else float(record["responded_at"])
-            ),
-        )
+    def from_dict(
+        cls, record: Dict[str, Any], pids: Optional["_Pids"] = None
+    ) -> "Operation":
+        """Parse one record; anything malformed is a ``SpecificationError``."""
+        try:
+            responded_at = record.get("responded_at")
+            op = cls(
+                op_id=int(record["op_id"]),
+                proc=parse_pid(record["proc"]) if pids is None else pids[record["proc"]],
+                kind=record["kind"],
+                invoked_at=float(record["invoked_at"]),
+                value=_tupled(record.get("value")),
+                result=_tupled(record.get("result")),
+                responded_at=None if responded_at is None else float(responded_at),
+            )
+            hash((op.value, op.result))  # the checkers key sets on both
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SpecificationError(
+                f"malformed operation record {record!r:.80}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
+        return op
 
 
 def _tupled(value: Any) -> Any:
@@ -132,6 +141,14 @@ def parse_pid(text: str) -> ProcessId:
     except (KeyError, ValueError, IndexError):
         raise SpecificationError(f"malformed process id {text!r}") from None
     return ProcessId(kind, index)
+
+
+class _Pids(dict):
+    """Parsed process ids, memoised for one batch of records."""
+
+    def __missing__(self, text: str) -> ProcessId:
+        self[text] = pid = parse_pid(text)
+        return pid
 
 
 class History:
@@ -264,8 +281,7 @@ class History:
         return self.writes
 
     def single_writer(self) -> bool:
-        writers = {op.proc for op in self.writes}
-        return len(writers) <= 1
+        return len({op.proc for op in self.operations if op.kind == WRITE}) <= 1
 
     def describe(self) -> str:
         return "\n".join(op.describe() for op in self.operations)
@@ -299,19 +315,27 @@ class History:
                 raise SpecificationError(f"unknown operation kind {op.kind!r}")
             if op.op_id in history._by_id:
                 raise SpecificationError(f"duplicate operation id {op.op_id}")
-            if op.complete and op.responded_at < op.invoked_at:
+            invoked, responded = op.invoked_at, op.responded_at
+            # NaN fails every comparison (and would break the sort order
+            # the checkers rely on), so test for what must hold.
+            if not -math.inf < invoked < math.inf:
                 raise SpecificationError(
-                    f"operation {op.op_id}: response at {op.responded_at} "
-                    f"precedes invocation at {op.invoked_at}"
+                    f"operation {op.op_id}: invocation time {invoked} is not finite"
                 )
-            if not op.complete and op.proc in history._pending:
+            if responded is None:
+                if op.proc in history._pending:
+                    raise SpecificationError(
+                        f"{op.proc} has two pending operations; the model "
+                        "allows one at a time"
+                    )
+            elif not responded >= invoked:
                 raise SpecificationError(
-                    f"{op.proc} has two pending operations; the model "
-                    "allows one at a time"
+                    f"operation {op.op_id}: response at {responded} "
+                    f"does not follow invocation at {invoked}"
                 )
             history.operations.append(op)
             history._by_id[op.op_id] = op
-            if not op.complete:
+            if responded is None:
                 history._pending[op.proc] = op
             max_id = max(max_id, op.op_id)
         history._next_op_id = max_id + 1
@@ -319,13 +343,20 @@ class History:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "History":
+        if not isinstance(payload, dict):
+            raise SpecificationError(f"a history is a JSON object, not {payload!r:.80}")
         fmt = payload.get("format", cls.FORMAT)
         if fmt != cls.FORMAT:
             raise SpecificationError(
                 f"unsupported history format {fmt!r} (expected {cls.FORMAT!r})"
             )
-        ops = [Operation.from_dict(record) for record in payload["operations"]]
-        return cls.from_operations(ops)
+        records = payload.get("operations")
+        if not isinstance(records, list):
+            raise SpecificationError('a history needs an "operations" list')
+        pids = _Pids()  # per call: a hostile file grows no global table
+        return cls.from_operations(
+            [Operation.from_dict(record, pids) for record in records]
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "History":
@@ -363,6 +394,20 @@ def quiescent_segments(operations: Sequence[Operation]) -> List[List[Operation]]
     if current:
         segments.append(current)
     return segments
+
+
+def write_timeline(
+    writes: Sequence[Operation],
+) -> Tuple[List[float], List[float], bool]:
+    """Invocation times, response times (``inf`` while pending), and
+    whether both are non-decreasing — what lets the single-writer
+    checkers bisect the write order instead of scanning it."""
+    invocations = [op.invoked_at for op in writes]
+    responses = [op.responded_at if op.complete else math.inf for op in writes]
+    monotone = all(a <= b for a, b in zip(invocations, invocations[1:])) and all(
+        a <= b for a, b in zip(responses, responses[1:])
+    )
+    return invocations, responses, monotone
 
 
 @dataclass(frozen=True)

@@ -9,34 +9,41 @@ dropped.
 This checker is protocol- and writer-count-agnostic; it cross-validates
 the specialised SWMR checker in property tests and judges the MWMR
 histories of Section 7.  The search is exponential in the worst case
-(linearizability checking is NP-hard in general), but three layers keep
+(linearizability checking is NP-hard in general), but four layers keep
 real histories fast:
 
 * **single-writer fast path** — when the history has one writer whose
   writes are totally ordered in real time, reads only need interval
-  containment against the write order; a greedy ``O(n log n)`` sweep
-  (the Section 3.1 conditions) decides the verdict with no search at
-  all.  The general search is the fallback when the preconditions fail.
+  containment against the write order; the greedy ``O(n log n)``
+  assignment of :func:`repro.spec.atomicity.swmr_violation` (the
+  Section 3.1 conditions) exists iff the history is linearizable, and
+  decides with no search at all.  The general search is the fallback
+  when the preconditions fail.
 * **quiescent segmentation** — the pool is split at instants where no
   operation is pending (:func:`repro.spec.histories.quiescent_segments`);
   each segment is searched independently with the register value
   threaded across the cut, turning one exponential search over a long
   history into a product of small ones.
-* **bitmask states** — within a segment, the linearized set is an
-  integer bitmask over the segment's (pre-sorted) operations and the
-  real-time precedence constraints are precomputed masks built by an
-  ``O(n log n)`` sort-based sweep, so every state transition is a few
-  integer operations instead of frozenset algebra.
+* **bitmask states over a window** — within a segment, the linearized
+  set is an integer bitmask over the segment's (pre-sorted) operations
+  and the real-time precedence constraints are precomputed masks built
+  by an ``O(n log n)`` sort-based sweep.  A state scans only the
+  operations in flight (:func:`_moves`): ``O(clients)``, however long
+  the segment.
+* **matching reads first** — a candidate read that returns the current
+  register value is the state's only move; branching is left to writes.
 
-``max_states`` bounds the search; exceeding it raises rather than
-returning a wrong verdict.
+``max_states`` bounds the search; exceeding it raises
+:class:`~repro.errors.SearchBudgetExceeded` rather than returning a
+wrong verdict.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Any, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import SearchBudgetExceeded
+from repro.spec.atomicity import swmr_violation
 from repro.spec.histories import (
     BOTTOM,
     History,
@@ -102,10 +109,52 @@ class _Budget:
     def spend(self) -> None:
         self.visited += 1
         if self.visited > self.limit:
-            raise RuntimeError(
+            raise SearchBudgetExceeded(
                 f"linearizability search exceeded {self.limit} states; "
                 "the history is too adversarial for this checker"
             )
+
+
+def _moves(
+    segment: Sequence[Operation], masks: Sequence[int], free: int, value: Any
+) -> List[int]:
+    """Indices worth linearizing next, highest first (``pop()`` order).
+
+    ``free`` is the bitmask of the segment's unlinearized operations.
+    The scan walks its set bits upwards and stops at the first operation
+    held back by an unlinearized predecessor ``p``: the segment is sorted
+    by invocation and ``masks`` uses strict ``<``, so ``p`` responded
+    before every later invocation too and nothing beyond is a candidate.
+    What the scan does visit is pairwise concurrent — at most one
+    operation per client.
+
+    A candidate read ``r`` that returns the current ``value`` is the only
+    move.  In any completion that succeeds from here, move ``r`` to the
+    front: its predecessors are all linearized already, so no real-time
+    edge breaks; it sees ``value`` there, and a read changes nothing for
+    the rest.  (Nothing in that depends on which values repeat, which
+    writes are pending or where the segment ends.)  Without such a read
+    the moves are the candidate writes.
+    """
+    writes: List[int] = []
+    rest = free
+    while rest:
+        low = rest & -rest
+        j = low.bit_length() - 1
+        blocked = masks[j] & free
+        if blocked:
+            # A blocker from further up the segment (blocked > low) is a
+            # record that responded before its own invocation: it holds
+            # back j, not what follows.
+            if blocked < low:
+                break
+        elif segment[j].is_write:
+            writes.append(j)
+        elif segment[j].result == value:  # pool reads are all complete
+            return [j]
+        rest ^= low
+    writes.reverse()
+    return writes
 
 
 def _search_segmented(
@@ -132,8 +181,9 @@ def _search_segmented(
     budget = _Budget(max_states)
     seen: Set[Tuple[int, int, Any]] = set()
     witness: List[int] = []
-    # Each frame is one state plus the index of the next candidate to
-    # try and whether entering the state appended an op to the witness.
+    # Each frame is one state, its moves still to try (``None`` until the
+    # state is first expanded) and whether entering the state appended an
+    # op to the witness.
     frames: List[List[Any]] = []
 
     def enter(seg_idx: int, mask: int, value: Any, appended: bool) -> int:
@@ -151,50 +201,35 @@ def _search_segmented(
             return -1
         seen.add(state)
         budget.spend()
-        frames.append([seg_idx, mask, value, 0, appended])
+        frames.append([seg_idx, mask, value, None, appended])
         return 0
 
-    outcome = enter(0, 0, BOTTOM, appended=False)
-    if outcome == 1:
+    if enter(0, 0, BOTTOM, appended=False) == 1:  # else pushed: root is fresh
         return []
-    if outcome == -1:  # unreachable: the root state is always fresh
-        return None
     while frames:
         frame = frames[-1]
-        seg_idx, mask, value, j, appended = frame
+        seg_idx, mask, value, moves, appended = frame
         segment = segments[seg_idx]
-        masks = seg_masks[seg_idx]
-        advanced = False
-        while j < len(segment):
+        if moves is None:
+            moves = frame[3] = _moves(
+                segment, seg_masks[seg_idx], seg_full[seg_idx] & ~mask, value
+            )
+        while moves:
+            j = moves.pop()
             op = segment[j]
-            bit = 1 << j
-            j += 1
-            if mask & bit:
-                continue
-            if masks[j - 1] & ~mask:
-                continue  # a real-time predecessor is still unlinearized
-            if op.is_read:
-                # Pool reads are complete (incomplete reads are dropped
-                # at pool construction) and must observe the value.
-                if op.result != value:
-                    continue
-                next_value = value
-            else:
-                next_value = op.value
-            frame[3] = j
             witness.append(op.op_id)
-            outcome = enter(seg_idx, mask | bit, next_value, appended=True)
+            outcome = enter(
+                seg_idx, mask | 1 << j, op.value if op.is_write else value, True
+            )
             if outcome == 1:
                 return witness
             if outcome == 0:
-                advanced = True
                 break
-            witness.pop()  # dead state: undo and keep scanning
-        if advanced:
-            continue
-        frames.pop()
-        if appended:
-            witness.pop()
+            witness.pop()  # dead state: undo and try the next move
+        else:
+            frames.pop()
+            if appended:
+                witness.pop()
     return None
 
 
@@ -219,59 +254,6 @@ def _swmr_write_order(pool: Sequence[Operation]) -> Optional[List[Operation]]:
         if not earlier.complete or earlier.responded_at >= later.invoked_at:
             return None
     return writes
-
-
-def _check_swmr_fast(
-    pool: Sequence[Operation], writes: List[Operation]
-) -> bool:
-    """Interval containment against the write order, in O(n log n).
-
-    Greedily assigns each read (in response order) the smallest write
-    index ``k`` such that
-
-    * ``k`` is at least the number of writes that responded before the
-      read was invoked (a read cannot return an overwritten value),
-    * ``k`` is at least the largest index assigned to any read that
-      responded before this read was invoked (reads are monotone),
-    * write ``k`` was invoked no later than the read responded (a read
-      cannot return a value from the future), and
-    * write ``k`` wrote the value the read returned (``k = 0`` is ⊥).
-
-    The minimal choice only relaxes the monotonicity bound for later
-    reads, so the greedy assignment exists iff any assignment does —
-    and, for a totally ordered write sequence, iff the history is
-    linearizable.
-    """
-    write_invocations = [op.invoked_at for op in writes]
-    write_responses = [op.responded_at for op in writes if op.complete]
-    indices_of: dict = {BOTTOM: [0]}
-    for k, op in enumerate(writes, start=1):
-        indices_of.setdefault(op.value, []).append(k)
-
-    reads = sorted(
-        (op for op in pool if op.is_read),
-        key=lambda op: (op.responded_at, op.op_id),
-    )
-    processed_responses: List[float] = []
-    prefix_max: List[int] = []
-    for rd in reads:
-        feasible = indices_of.get(rd.result)
-        if not feasible:
-            return False
-        low = bisect.bisect_left(write_responses, rd.invoked_at)
-        pos = bisect.bisect_left(processed_responses, rd.invoked_at)
-        if pos:
-            low = max(low, prefix_max[pos - 1])
-        high = bisect.bisect_right(write_invocations, rd.responded_at)
-        at = bisect.bisect_left(feasible, low)
-        if at == len(feasible) or feasible[at] > high:
-            return False
-        chosen = feasible[at]
-        processed_responses.append(rd.responded_at)
-        prefix_max.append(
-            chosen if not prefix_max else max(prefix_max[-1], chosen)
-        )
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +285,7 @@ def check_linearizable(
     pool, must_linearize = _build_pool(history)
     writes = _swmr_write_order(pool)
     if writes is not None:
-        ok = _check_swmr_fast(pool, writes)
+        ok = swmr_violation(writes, (op for op in pool if op.is_read)) is None
     else:
         ok = _search_segmented(pool, max_states) is not None
     if ok:

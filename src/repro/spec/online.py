@@ -167,7 +167,7 @@ def check_history(history: History) -> Dict[str, object]:
     from repro.spec.regularity import count_new_old_inversions
 
     single_writer = history.single_writer()
-    validator = validate_history(history)
+    validator = validate_history(history, swmr=single_writer)
     verdicts: Dict[str, Verdict] = {"atomic": validator.atomic_verdict()}
     cross_check_ok = True
     inversions: Optional[int] = None

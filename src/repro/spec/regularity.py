@@ -13,11 +13,10 @@ fast regular register over the fast atomic one.
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.errors import SpecificationError
-from repro.spec.histories import BOTTOM, History, Operation, Verdict
+from repro.spec.histories import BOTTOM, History, Operation, Verdict, write_timeline
 
 PROPERTY = "SWMR regularity"
 
@@ -51,17 +50,7 @@ def check_swmr_regularity(history: History) -> Verdict:
     if not history.single_writer():
         raise SpecificationError("regularity checker expects a single writer")
     writes = history.writes_in_order()
-    write_invocations = [op.invoked_at for op in writes]
-    write_responses = [
-        op.responded_at if op.complete else math.inf for op in writes
-    ]
-    monotone = all(
-        earlier <= later
-        for earlier, later in zip(write_invocations, write_invocations[1:])
-    ) and all(
-        earlier <= later
-        for earlier, later in zip(write_responses, write_responses[1:])
-    )
+    write_invocations, write_responses, monotone = write_timeline(writes)
     # 0-based write index lists per value, for O(log n) interval probes.
     indices_of: Dict[Any, List[int]] = {}
     for k, op in enumerate(writes):
@@ -117,19 +106,34 @@ def count_new_old_inversions(history: History) -> Tuple[int, List[Tuple[int, int
         index_of_value.setdefault(wr.value, k)
     index_of_value[BOTTOM] = 0
 
-    complete_reads = sorted(
-        (rd for rd in history.reads if rd.complete),
+    # Complete reads of known values, in response order, with their
+    # write indices alongside.
+    reads = sorted(
+        (rd for rd in history.reads if rd.complete and rd.result in index_of_value),
         key=lambda op: (op.responded_at, op.op_id),
     )
-    inversions: List[Tuple[int, int]] = []
-    for i, rd1 in enumerate(complete_reads):
-        k1 = index_of_value.get(rd1.result)
-        if k1 is None:
-            continue
-        for rd2 in complete_reads[i + 1 :]:
-            if not rd1.precedes(rd2):
-                continue
-            k2 = index_of_value.get(rd2.result)
-            if k2 is not None and k2 < k1:
-                inversions.append((rd1.op_id, rd2.op_id))
+    indices = [index_of_value[rd.result] for rd in reads]
+    # Sweep the reads by invocation while consuming responses: ``newest``
+    # is the highest index returned by any read that precedes the current
+    # one, so only a read below it is in an inversion at all, and only
+    # such a read scans the responses before it for its pairs — O(n log n)
+    # for a history without inversions, where asking ``precedes`` of
+    # every pair was O(n²) to report none.
+    pairs: List[Tuple[int, int]] = []  # positions in ``reads``
+    consumed = 0
+    newest = 0
+    for later in sorted(range(len(reads)), key=lambda i: reads[i].invoked_at):
+        invoked = reads[later].invoked_at
+        while consumed < len(reads) and reads[consumed].responded_at < invoked:
+            newest = max(newest, indices[consumed])
+            consumed += 1
+        k2 = indices[later]
+        if k2 < newest:
+            pairs.extend(
+                (earlier, later)
+                for earlier in range(min(consumed, later))
+                if indices[earlier] > k2
+            )
+    pairs.sort()
+    inversions = [(reads[i].op_id, reads[j].op_id) for i, j in pairs]
     return len(inversions), inversions

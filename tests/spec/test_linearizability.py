@@ -102,6 +102,32 @@ class TestIncompleteOps:
             ]
         ).ok
 
+    def test_budget_overrun_is_a_named_error_not_a_verdict(self):
+        from repro.errors import SearchBudgetExceeded, SpecificationError
+
+        history = build_history(
+            [
+                ("w", W1, 0, 3, "a"), ("w", W2, 0, 3, "b"),
+                ("r", R1, 1, 2, "a"), ("r", R2, 4, 5, "b"),
+            ]
+        )
+        assert check_linearizable(history).ok
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 2 states"):
+            check_linearizable(history, max_states=2)
+        assert issubclass(SearchBudgetExceeded, SpecificationError)
+
+    def test_matching_read_is_taken_before_any_write(self):
+        # Both writes and the read of ⊥ are candidates at the start; the
+        # read goes first (it can go nowhere else) and nothing branches.
+        history = build_history(
+            [
+                ("w", W1, 0, 5, "a"), ("w", W2, 0, 5, "b"),
+                ("r", R1, 1, 2, BOTTOM), ("r", R2, 6, 7, "a"),
+            ]
+        )
+        ids = [op.op_id for op in history.operations]
+        assert find_linearization(history) == [ids[2], ids[1], ids[0], ids[3]]
+
 
 class TestWitness:
     def test_find_linearization_returns_order(self):

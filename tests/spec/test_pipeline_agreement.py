@@ -24,6 +24,7 @@ from tests.spec._seed_checkers import (
     seed_check_swmr_atomicity,
     seed_check_swmr_regularity,
 )
+from tests.spec.test_linearizability_oracle import oracle_linearizable
 
 
 @st.composite
@@ -167,6 +168,32 @@ def test_malformed_response_before_invocation_matches_seed():
     assert new.ok
 
 
+def test_malformed_blocker_from_further_up_does_not_close_the_window():
+    """The search stops scanning at the first operation blocked by an
+    unlinearized predecessor — sound when that predecessor sits lower in
+    the segment.  A record that responded before its own invocation can
+    "precede" an operation sorted before it; it holds back that one
+    operation, not the rest of the segment (itself included)."""
+    from repro.spec.histories import Operation, WRITE as WRITE_KIND
+
+    def write(op_id, proc, invoked_at, responded_at):
+        return Operation(
+            op_id=op_id, proc=proc, kind=WRITE_KIND, invoked_at=invoked_at,
+            value=op_id, result="ok", responded_at=responded_at,
+        )
+
+    history = History()
+    history.operations.extend([
+        write(1, writer(1), 0.0, 10.0),
+        write(2, writer(2), 2.0, 9.0),   # "preceded" by op 3 below
+        write(3, writer(3), 3.0, 1.0),   # backwards: responded before op 2 began
+    ])
+    new = check_linearizable(history)
+    assert new == seed_check_linearizable(history)
+    assert new.ok
+    assert find_linearization(history) == [1, 3, 2]
+
+
 @given(history=register_histories(max_writers=2, max_ops=10))
 @settings(max_examples=200, deadline=None)
 def test_segments_partition_and_order_the_pool(history):
@@ -188,3 +215,28 @@ def test_segments_partition_and_order_the_pool(history):
                 assert a.precedes(b), (
                     f"cut violated: {a.describe()} !< {b.describe()}"
                 )
+
+
+# ----------------------------------------------------------------------
+# the windowed, matching-reads-first search against both references
+
+
+@given(history=register_histories(max_writers=3, max_ops=12))
+@settings(max_examples=300, deadline=None)
+def test_three_writer_search_matches_seed_and_its_witness_replays(history):
+    """Duplicate values, ⊥ reads and pending writes, three writers: the
+    verdict is the seed search's and every witness is a linearization."""
+    assert check_linearizable(history) == seed_check_linearizable(history), (
+        history.describe()
+    )
+    test_witness_is_a_valid_linearization.hypothesis.inner_test(history)
+
+
+@given(history=register_histories(max_writers=3, max_ops=7))
+@settings(max_examples=200, deadline=None)
+def test_three_writer_search_matches_permutation_oracle(history):
+    """The textbook definition, verbatim — affordable up to 7 operations
+    (7! orders per subset of pending writes)."""
+    expected = oracle_linearizable(history)
+    assert check_linearizable(history).ok == expected, history.describe()
+    assert (find_linearization(history) is not None) == expected

@@ -121,6 +121,78 @@ class TestHistoryRoundTrip:
         with pytest.raises(SpecificationError):
             History.from_operations([op])
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("invoked_at", "NaN"), ("invoked_at", "Infinity"),
+            ("invoked_at", "-Infinity"),
+            ("responded_at", "NaN"), ("responded_at", "-Infinity"),
+        ],
+    )
+    def test_non_finite_times_rejected(self, field, text):
+        # NaN compares false with everything: such a history used to
+        # load, sort arbitrarily and be judged OK.  JSON carries the
+        # value either bare (json.dumps writes NaN) or as a string.
+        record = Operation(
+            op_id=7, proc=R1, kind="read", invoked_at=1.0,
+            result=BOTTOM, responded_at=2.0,
+        ).to_dict()
+        for spelled in (text, f'"{text}"'):
+            payload = json.dumps({"operations": [dict(record, **{field: 0})]})
+            payload = payload.replace(f'"{field}": 0', f'"{field}": {spelled}')
+            with pytest.raises(SpecificationError, match="operation 7"):
+                History.from_json(payload)
+
+    def test_a_response_that_never_comes_may_be_infinitely_late(self):
+        op = Operation(
+            op_id=1, proc=R1, kind="read", invoked_at=0.0,
+            result=BOTTOM, responded_at=float("inf"),
+        )
+        assert History.from_operations([op]).operations == [op]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            "history",
+            {"operations": {"op_id": 1}},
+            {"operations": [[1, 2]]},
+            {"operations": [{"op_id": 1, "kind": "read", "invoked_at": 0}]},
+            {"operations": [
+                {"op_id": "x", "proc": "r1", "kind": "read", "invoked_at": 0}
+            ]},
+            {"operations": [
+                {"op_id": 1, "proc": 7, "kind": "read", "invoked_at": 0}
+            ]},
+            {"operations": [
+                {"op_id": 1, "proc": ["r1"], "kind": "read", "invoked_at": 0}
+            ]},
+            {"operations": [
+                {"op_id": 1, "proc": "r1", "kind": "read", "invoked_at": None}
+            ]},
+            {"operations": [{
+                "op_id": 1, "proc": "r1", "kind": "read", "invoked_at": 0,
+                "responded_at": 1, "result": {"a": 1},
+            }]},
+            {"operations": [{
+                "op_id": 1, "proc": "w1", "kind": "write", "invoked_at": 0,
+                "value": [1, {"a": 1}],
+            }]},
+        ],
+    )
+    def test_misshapen_payloads_are_specification_errors(self, payload):
+        with pytest.raises(SpecificationError):
+            History.from_dict(payload)
+
+    def test_pid_memo_is_per_call(self):
+        # Equal pids, and nothing kept between calls for a hostile file
+        # to grow.
+        text = self._history().to_json()
+        first, second = History.from_json(text), History.from_json(text)
+        assert [op.proc for op in first] == [op.proc for op in second]
+        assert first.operations[1].proc is first.operations[4].proc
+        assert first.operations[1].proc is not second.operations[1].proc
+
 
 class TestCheckCommand:
     def _write(self, tmp_path, history):
@@ -181,3 +253,53 @@ class TestCheckCommand:
         payload = json.loads(open(path, encoding="utf-8").read())
         assert payload["format"] == "repro-history/v1"
         assert payload["operations"]
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("not-json", "{nope"),
+            ("not-an-object", "[1, 2]"),
+            ("no-proc", '{"operations": [{"op_id": 1, "kind": "read", '
+                        '"invoked_at": 0}]}'),
+            ("dict-result", '{"operations": [{"op_id": 1, "proc": "r1", '
+                            '"kind": "read", "invoked_at": 0, '
+                            '"responded_at": 1, "result": {"a": 1}}]}'),
+            ("missing-file", None),
+            ("not-utf8", "\udcff"),
+            ("too-deep", "[" * 200_000),
+            ("over-budget", "history"),
+            ("nan-time", '{"operations": [{"op_id": 1, "proc": "r1", '
+                         '"kind": "read", "invoked_at": "NaN", '
+                         '"responded_at": 1, "result": "⊥"}]}'),
+        ],
+    )
+    def test_unjudgeable_input_is_one_line_and_exit_two(
+        self, name, text, tmp_path, capsys, monkeypatch
+    ):
+        """Exit 1 means *violation*; a file that cannot be judged is 2."""
+        from repro.cli import main
+        from repro.spec import linearizability
+
+        path = tmp_path / f"{name}.json"
+        if name == "over-budget":
+            # Two writers, so the verdict needs the search; its budget is
+            # cut to two states.
+            text = build_history(
+                [
+                    ("w", W1, 0, 3, "a"), ("w", writer(2), 0, 3, "b"),
+                    ("r", R1, 1, 2, "a"), ("r", R2, 4, 5, "b"),
+                ]
+            ).to_json()
+
+            class TwoStates(linearizability._Budget):
+                def __init__(self, limit):
+                    super().__init__(2)
+
+            monkeypatch.setattr(linearizability, "_Budget", TwoStates)
+        if text is not None:
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("check: "), captured.err
