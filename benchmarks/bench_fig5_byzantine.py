@@ -12,15 +12,10 @@ the crash protocol's 2 hops — signatures buy tolerance, not rounds.
 
 import pytest
 
-from repro.faults.byzantine import (
-    ForgedTagServer,
-    SeenInflaterServer,
-    SilentServer,
-    StaleReplayServer,
-    TwoFacedServer,
-)
+from functools import partial
+
+from repro.faults.byzantine import TwoFacedServer, corrupt
 from repro.registers.base import ClusterConfig
-from repro.registers.fast_byzantine import FastByzantineServer
 from repro.sim.ids import reader, server
 from repro.workloads import ClosedLoopWorkload
 
@@ -32,26 +27,16 @@ CONFIG = ClusterConfig(S=8, t=1, b=1, R=2)
 CONFIG_B2 = ClusterConfig(S=15, t=2, b=2, R=2)
 
 
-def _attack_hook(config, behaviour_name):
+def _attack_hook(strategy):
     def hook(cluster):
-        pid = server(1)
-        inner = FastByzantineServer(pid, config, cluster.authority)
-        if behaviour_name == "stale-replay":
-            impostor = StaleReplayServer(inner)
-        elif behaviour_name == "seen-inflate":
-            impostor = SeenInflaterServer(inner, config.client_ids)
-        elif behaviour_name == "forge":
-            impostor = ForgedTagServer(inner, cluster.authority, cluster.writer().pid)
-        elif behaviour_name == "silent":
-            impostor = SilentServer(pid)
-        else:
-            impostor = TwoFacedServer(
-                pid=pid,
-                make_inner=lambda: FastByzantineServer(
-                    pid, config, cluster.authority
-                ),
-                victims={reader(1)},
-            )
+        if strategy != "two-faced":
+            corrupt(cluster, 1, strategy)
+            return
+        impostor = TwoFacedServer(
+            pid=server(1),
+            make_inner=partial(cluster.honest_server, 1),
+            victims={reader(1)},
+        )
         cluster.replace_server(1, impostor)
 
     return hook
@@ -67,7 +52,7 @@ def test_byzantine_honest_baseline(benchmark):
 
 
 @pytest.mark.parametrize(
-    "behaviour", ["stale-replay", "seen-inflate", "forge", "silent", "two-faced"]
+    "behaviour", ["stale", "inflate-seen", "forge", "silent", "two-faced"]
 )
 def test_byzantine_under_attack(benchmark, behaviour):
     from repro.workloads import run_workload
@@ -79,7 +64,7 @@ def test_byzantine_under_attack(benchmark, behaviour):
             workload=ClosedLoopWorkload.contention(ops=6),
             seed=3,
             latency=HOP,
-            cluster_hook=_attack_hook(CONFIG, behaviour),
+            cluster_hook=_attack_hook(behaviour),
         )
 
     result = benchmark(run)
@@ -93,10 +78,8 @@ def test_two_liars_full_budget(benchmark):
     from repro.workloads import run_workload
 
     def hook(cluster):
-        inner1 = FastByzantineServer(server(1), CONFIG_B2, cluster.authority)
-        cluster.replace_server(1, StaleReplayServer(inner1))
-        inner2 = FastByzantineServer(server(2), CONFIG_B2, cluster.authority)
-        cluster.replace_server(2, SeenInflaterServer(inner2, CONFIG_B2.client_ids))
+        corrupt(cluster, 1, "stale")
+        corrupt(cluster, 2, "inflate-seen")
 
     def run():
         return run_workload(

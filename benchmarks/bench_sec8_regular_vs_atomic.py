@@ -104,7 +104,7 @@ def test_inversion_price_under_contention(benchmark):
 
 def test_scripted_inversion_certificate(benchmark):
     """One concrete regular-not-atomic run (the Section 8 distinction)."""
-    from repro.registers.regular import build_cluster
+    from repro.registers.regular import SPEC
     from repro.sim.controller import ScriptedExecution
     from repro.sim.ids import reader, server, writer
     from repro.spec.atomicity import check_swmr_atomicity
@@ -112,7 +112,7 @@ def test_scripted_inversion_certificate(benchmark):
 
     def run():
         config = ClusterConfig(S=5, t=2, R=2)
-        cluster = build_cluster(config)
+        cluster = SPEC.build(config)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "new")

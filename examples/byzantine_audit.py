@@ -24,43 +24,39 @@ from repro import (
     run_workload,
 )
 from repro.analysis.tables import render_table
-from repro.faults.byzantine import (
-    ForgedTagServer,
-    SeenInflaterServer,
-    StaleReplayServer,
-    TwoFacedServer,
-)
-from repro.registers.fast_byzantine import FastByzantineServer
-from repro.sim.ids import reader, server, writer
+from functools import partial
+
+from repro.faults.byzantine import TwoFacedServer, corrupt
+from repro.sim.ids import reader, server
 
 # S > (R+2)t + (R+1)b = 4 + 3 = 7
 CONFIG = ClusterConfig(S=8, t=1, b=1, R=2)
 
+
+
+def two_faced(cluster, index):
+    impostor = TwoFacedServer(
+        pid=server(index),
+        make_inner=partial(cluster.honest_server, index),
+        victims={reader(1)},
+    )
+    cluster.replace_server(index, impostor)
+
+
+#: Each attack installs its liar as ``attack(cluster, index)``.
 ATTACKS = {
     "honest": None,
-    "stale-replay": lambda inner, cluster: StaleReplayServer(inner),
-    "seen-inflation": lambda inner, cluster: SeenInflaterServer(
-        inner, cluster.config.client_ids
-    ),
-    "signature-forgery": lambda inner, cluster: ForgedTagServer(
-        inner, cluster.authority, writer(1)
-    ),
-    "two-faced (memory loss)": lambda inner, cluster: TwoFacedServer(
-        pid=inner.pid,
-        make_inner=lambda pid=inner.pid: FastByzantineServer(
-            pid, cluster.config, cluster.authority
-        ),
-        victims={reader(1)},
-    ),
+    "stale-replay": partial(corrupt, strategy="stale"),
+    "seen-inflation": partial(corrupt, strategy="inflate-seen"),
+    "signature-forgery": partial(corrupt, strategy="forge"),
+    "two-faced (memory loss)": two_faced,
 }
 
 
 def run_attack(name, behaviour):
     def hook(cluster):
-        if behaviour is None:
-            return
-        inner = FastByzantineServer(server(1), CONFIG, cluster.authority)
-        cluster.replace_server(1, behaviour(inner, cluster))
+        if behaviour is not None:
+            behaviour(cluster, 1)
 
     result = run_workload(
         "fast-byzantine",

@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.analysis.tables import render_table
 from repro.bounds.feasibility import regular_fast_feasible
-from repro.registers.regular import build_cluster
+from repro.registers.regular import SPEC
 from repro.sim.ids import reader, server, writer
 from repro.spec.regularity import count_new_old_inversions
 
@@ -57,7 +57,7 @@ def decision_table() -> None:
 def inversion_certificate() -> None:
     """One scripted run showing exactly what regularity permits."""
     config = ClusterConfig(S=5, t=2, R=2)
-    cluster = build_cluster(config)
+    cluster = SPEC.build(config)
     execution = ScriptedExecution()
     cluster.install(execution)
 

@@ -5,9 +5,9 @@ payload an honest automaton just produced, return what a Byzantine
 server puts on the wire instead.  Strategies are the finite menu behind
 both faces of the adversary layer:
 
-* the wrapper servers of :mod:`repro.faults.byzantine` apply one
-  strategy to every reply of an inner honest automaton (the scripted
-  lower-bound constructions and free-running fault injection);
+* :class:`~repro.faults.byzantine.StrategyServer` applies one strategy
+  to every reply of an inner honest automaton (free-running fault
+  injection; ``corrupt(cluster, index, strategy)`` installs one);
 * the exploration driver exposes one ``lie:<strategy>:<op>:<server>``
   choice point per (strategy, pending request, corruptible server) —
   the menu is what keeps the Byzantine branching factor finite.
@@ -34,13 +34,14 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ConfigurationError
 from repro.registers import messages as msg
+from repro.registers.base import Cluster
 from repro.registers.timestamps import (
     INITIAL_SIGNED_TAG,
     INITIAL_TAG,
     SignedValueTag,
     ValueTag,
 )
-from repro.sim.ids import ProcessId
+from repro.sim.ids import ProcessId, writer as writer_id
 
 #: Sentinel: the strategy withholds the reply instead of corrupting it.
 DROP = object()
@@ -60,6 +61,16 @@ class StrategyContext:
     writer: Optional[ProcessId] = None
     clients: Tuple[ProcessId, ...] = ()
     forged_ts: int = 1_000_000
+
+    @classmethod
+    def of(cls, cluster: Cluster) -> "StrategyContext":
+        """What a server of ``cluster`` holds: the deployment's
+        authority (if signed), its one writer, its client population."""
+        return cls(
+            authority=cluster.authority,
+            writer=writer_id(1),
+            clients=tuple(cluster.config.client_ids),
+        )
 
 
 def _initial_tag_like(tag: Any) -> Optional[Any]:
@@ -104,9 +115,12 @@ def _corrupt_stale(payload: Any, ctx: StrategyContext) -> Any:
 def _corrupt_inflate(payload: Any, ctx: StrategyContext) -> Any:
     """Claim every client is in the ``seen`` set.
 
-    ``seen`` sets are unauthenticated server claims; inflating them
-    pushes the fast-read predicate towards accepting ``maxTS`` without
-    real evidence.
+    The most interesting attack on Figure 5: ``seen`` sets are
+    unauthenticated server claims, and inflating them pushes the
+    fast-read predicate towards accepting ``maxTS`` without real
+    evidence.  The algorithm survives because the predicate demands
+    ``S - a·t - (a-1)·b`` *distinct* acks, of which at most ``b`` can
+    be liars.
     """
     if isinstance(payload, _FAST_ACKS) and ctx.clients:
         return type(payload)(

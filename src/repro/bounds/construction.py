@@ -44,13 +44,13 @@ destinations, and nobody misbehaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.bounds.blocks import Block, members_of, partition_byzantine, partition_crash
 from repro.errors import InfeasibleConstructionError
 from repro.faults.byzantine import MemoryWipeServer, TwoFacedServer
 from repro.registers.base import ClusterConfig
-from repro.registers.fast_byzantine import FastByzantineServer
 from repro.registers.registry import get_protocol
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, writer
@@ -122,16 +122,11 @@ class BlockRun:
         config = self.config = ClusterConfig(S=S, t=t, R=R, W=1, b=b)
         # A fixed seed so signatures are identical across paired runs.
         cluster = get_protocol(protocol).build(config, enforce=False, seed=1729)
-        authority = cluster.authority
 
         def impersonate(block: Block, wrapper: type, **kwargs: Any) -> list:
             # The liars number |block| <= b, within the model's allowance.
             impostors = [
-                wrapper(
-                    pid=pid,
-                    make_inner=lambda pid=pid: FastByzantineServer(pid, config, authority),
-                    **kwargs,
-                )
+                wrapper(pid, partial(cluster.honest_server, pid.index), **kwargs)
                 for pid in block.members
             ]
             for impostor in impostors:

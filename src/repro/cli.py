@@ -26,6 +26,7 @@ the library's main artefacts without writing code:
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from typing import List, Optional
@@ -41,6 +42,7 @@ from repro.bounds import (
 from repro.bounds.diagrams import render_block_diagram, render_threshold_frontier
 from repro.bounds.feasibility import max_readers
 from repro.bounds.mwmr_construction import run_mwmr_impossibility
+from repro.errors import ConfigurationError, ReproError, ScheduleError
 from repro.registers.base import ClusterConfig
 from repro.registers.registry import PROTOCOLS
 from repro.sim.batch import BatchRunner, build_matrix, seed_matrix
@@ -169,39 +171,31 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         seed=args.seed,
         latency=UniformLatency(0.5, 1.5),
     )
+    if args.dump_history:
+        # First: an unwritable path fails before anything is printed.
+        with open(args.dump_history, "w", encoding="utf-8") as handle:
+            handle.write(result.history.to_json())
+            handle.write("\n")
+        print(f"history written to {args.dump_history}", file=sys.stderr)
     print(result.history.describe())
     print()
     print(result.check_atomic().describe())
     print(result.check_fast().describe())
     for kind, summary in latency_by_kind(result.history).items():
         print(f"{kind:5s} latency: {summary.describe()}")
-    if args.dump_history:
-        with open(args.dump_history, "w", encoding="utf-8") as handle:
-            handle.write(result.history.to_json())
-            handle.write("\n")
-        print(f"history written to {args.dump_history}", file=sys.stderr)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import SpecificationError
     from repro.spec.histories import History
     from repro.spec.online import check_history
 
     # Exit 1 means a violation; a file that cannot be judged at all
-    # (unreadable, not a history, or past the search budget) is exit 2.
-    try:
-        with open(args.history, "r", encoding="utf-8") as handle:
-            history = History.from_json(handle.read())
-        report = check_history(history)
-    except (
-        OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
-        SpecificationError,
-    ) as exc:
-        print(f"check: {args.history}: {exc}", file=sys.stderr)
-        return 2
+    # (unreadable, not a history, or past the search budget) raises,
+    # which main() turns into exit 2.
+    with open(args.history, "r", encoding="utf-8") as handle:
+        history = History.from_json(handle.read())
+    report = check_history(history)
     single_writer = report["single_writer"]
     print(
         f"{args.history}: {len(history)} operations "
@@ -313,11 +307,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     import hashlib
-    import json
     import os
 
     from repro.analysis.report import render_explore_stats
-    from repro.errors import ReproError, ScheduleError
     from repro.explore import (
         Counterexample,
         ExploreScenario,
@@ -328,14 +320,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
 
     if args.replay:
-        import json as json_mod
-
-        try:
-            with open(args.replay, "r", encoding="utf-8") as handle:
-                counterexample = Counterexample.from_json(handle.read())
-        except (OSError, json_mod.JSONDecodeError, KeyError, ReproError) as exc:
-            print(f"explore: cannot load {args.replay}: {exc}", file=sys.stderr)
-            return 2
+        with open(args.replay, "r", encoding="utf-8") as handle:
+            counterexample = Counterexample.from_json(handle.read())
         print(counterexample.describe())
         print()
         try:
@@ -350,53 +336,40 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         return 0 if all(report.values()) else 1
 
     if args.protocol is None:
-        print("explore: --protocol is required (unless --replay)", file=sys.stderr)
-        return 2
-    try:
-        target = get_target(args.protocol)
-    except KeyError as exc:
-        print(f"explore: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = config_from_args(args)
-        scenario = ExploreScenario(
-            target=target.name,
-            config=config,
-            writes_per_writer=args.writes,
-            reads_per_reader=args.reads,
-            crash_budget=args.crashes,
-            byzantine_budget=args.byzantine,
-            strategies=tuple(args.strategies or ()),
+        raise ConfigurationError("--protocol is required (unless --replay)")
+    target = get_target(args.protocol)
+    scenario = ExploreScenario(
+        target=target.name,
+        config=config_from_args(args),
+        writes_per_writer=args.writes,
+        reads_per_reader=args.reads,
+        crash_budget=args.crashes,
+        byzantine_budget=args.byzantine,
+        strategies=tuple(args.strategies or ()),
+    )
+    # Bounds that would search nothing raise ScheduleError (exit 2).
+    if args.mode == "exhaustive":
+        result = explore_parallel(
+            scenario,
+            depth=args.depth,
+            reduce=not args.no_reduce,
+            parallel=args.parallel,
+            max_transitions=args.max_transitions,
+            max_counterexamples=args.max_counterexamples,
+            shrink=not args.no_shrink,
+            memoize=not args.no_memo,
         )
-    except ReproError as exc:
-        print(f"explore: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.mode == "exhaustive":
-            result = explore_parallel(
-                scenario,
-                depth=args.depth,
-                reduce=not args.no_reduce,
-                parallel=args.parallel,
-                max_transitions=args.max_transitions,
-                max_counterexamples=args.max_counterexamples,
-                shrink=not args.no_shrink,
-                memoize=not args.no_memo,
-            )
-        else:
-            result = random_walks_parallel(
-                scenario,
-                depth=args.depth,
-                walks=args.walks,
-                seed=args.seed,
-                parallel=args.parallel,
-                max_counterexamples=args.max_counterexamples,
-                shrink=not args.no_shrink,
-                policy=args.policy,
-            )
-    except ScheduleError as exc:  # bounds that would search nothing
-        print(f"explore: {exc}", file=sys.stderr)
-        return 2
+    else:
+        result = random_walks_parallel(
+            scenario,
+            depth=args.depth,
+            walks=args.walks,
+            seed=args.seed,
+            parallel=args.parallel,
+            max_counterexamples=args.max_counterexamples,
+            shrink=not args.no_shrink,
+            policy=args.policy,
+        )
     if args.format == "json":
         payload = {
             "scenario": scenario.to_dict(),
@@ -480,7 +453,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import ReproError
     from repro.net.codec import default_serializer
     from repro.net.server import NetServer, start_servers
 
@@ -522,10 +494,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
-        return 0
-    except ReproError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+        pass
     return 0
 
 
@@ -551,7 +520,6 @@ def _parse_chaos(text: str, servers: int, t: int):
     degradation experiment.  Anything else is read as a serialized
     ``FaultPlan`` JSON file.
     """
-    from repro.errors import ConfigurationError
     from repro.net.chaos import FaultPlan
 
     if text.startswith("seed:"):
@@ -575,9 +543,6 @@ def _parse_chaos(text: str, servers: int, t: int):
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import ReproError
     from repro.net.chaos import build_run_record, plan_summary
     from repro.net.codec import default_serializer
     from repro.net.harness import ChaosEventDriver, ServerCluster
@@ -591,6 +556,11 @@ def _cmd_load(args: argparse.Namespace) -> int:
     cluster = None
     driver = None
     plan = None
+    if args.chaos:
+        # Before anything is spawned: a bad plan costs no processes.
+        servers = len(args.connect) if args.connect else args.servers
+        plan = _parse_chaos(args.chaos, servers, args.t)
+        print(f"chaos plan: {plan_summary(plan)}", file=sys.stderr)
     try:
         if args.connect:
             addresses = args.connect
@@ -621,9 +591,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 "same --seed",
                 file=sys.stderr,
             )
-        if args.chaos:
-            plan = _parse_chaos(args.chaos, len(addresses), args.t)
-            print(f"chaos plan: {plan_summary(plan)}", file=sys.stderr)
         spec = LoadSpec(
             protocol=args.protocol,
             addresses=tuple(addresses),
@@ -641,9 +608,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             chaos=plan,
             audit=args.audit,
         )
-        from repro.registers.registry import get_protocol
-
-        problem = get_protocol(args.protocol).requirement(spec.config)
+        problem = PROTOCOLS[args.protocol].requirement(spec.config)
         if problem is not None:
             print(
                 f"note: config is outside the protocol's fast-feasible "
@@ -664,9 +629,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
         report = run_load(spec)
         if args.sim_check:
             report.sim_check = sim_rounds_check(spec, report)
-    except ReproError as exc:
-        print(f"load: {exc}", file=sys.stderr)
-        return 2
     finally:
         if driver is not None:
             driver.stop()
@@ -740,22 +702,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     tampered/unverifiable, 3 the artifact holds no extractable proof
     (clean run or detectability gap), 2 unreadable/unknown artifact.
     """
-    import json
-
     from repro.accountability import (
         FRAUD_PROOF_FORMAT,
         FraudProof,
         verify_fraud_proof,
     )
-    from repro.errors import ReproError
     from repro.explore import Counterexample
 
-    try:
-        with open(args.artifact, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"audit: cannot load {args.artifact}: {exc}", file=sys.stderr)
-        return 2
+    with open(args.artifact, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
     fmt = data.get("format") if isinstance(data, dict) else None
     proof_dicts: List = []
     if fmt == FRAUD_PROOF_FORMAT:
@@ -814,18 +769,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_replay(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import ReproError
     from repro.net.chaos import verify_run_record
 
     with open(args.record, "r", encoding="utf-8") as handle:
-        record = json.load(handle)
-    try:
-        outcome = verify_run_record(record)
-    except ReproError as exc:
-        print(f"chaos-replay: {exc}", file=sys.stderr)
-        return 2
+        outcome = verify_run_record(json.load(handle))
     for index, shard in sorted(
         outcome["shards"].items(), key=lambda kv: int(kv[0])
     ):
@@ -1215,7 +1162,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    # The one failure path: bad parameters, an unreadable or misshapen
+    # file, an unknown name (the registries' KeyError) are one line on
+    # stderr and exit 2.  Handlers keep only the exits that mean
+    # something else (1 violation / mismatch, 3 nothing to prove, 4
+    # degraded beyond budget).
+    try:
+        return args.fn(args)
+    except (
+        ReproError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+        RecursionError, KeyError,
+    ) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"{args.command}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

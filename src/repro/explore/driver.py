@@ -61,7 +61,7 @@ from repro.errors import ConfigurationError, ScheduleError
 from repro.explore.targets import ExploreTarget, get_target
 from repro.registers.base import ClusterConfig
 from repro.sim.controller import ScriptedExecution
-from repro.sim.ids import ProcessId, writer as writer_id
+from repro.sim.ids import ProcessId
 from repro.sim.messages import Envelope
 from repro.sim.state import canon_process, canon_value
 from repro.spec.histories import History, Operation, parse_pid
@@ -225,11 +225,7 @@ class ScheduleDriver:
         self.corrupted: FrozenSet[ProcessId] = frozenset()
         self._menu = self.adversary.menu()
         self._strategies = {strategy.name: strategy for strategy in self._menu}
-        self._strategy_ctx = StrategyContext(
-            authority=cluster.authority,
-            writer=writer_id(1),
-            clients=tuple(scenario.config.client_ids),
-        )
+        self._strategy_ctx = StrategyContext.of(cluster)
         self._programs: Dict[ProcessId, _ClientProgram] = {}
         self._op_labels: Dict[int, str] = {}
         self._ops_by_label: Dict[str, Operation] = {}

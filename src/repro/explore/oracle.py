@@ -120,7 +120,7 @@ class Counterexample:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "Counterexample":
-        fmt = payload.get("format")
+        fmt = payload.get("format") if isinstance(payload, dict) else None
         if fmt not in cls.FORMATS:
             # A clear schema-version error beats mis-parsing: name the
             # artifact family when it is one of ours (e.g. a future v4

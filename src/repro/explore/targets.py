@@ -19,15 +19,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.registers.ablations import FLAWS, Flaw
-from repro.registers.base import Cluster, ClusterConfig
-from repro.registers.registry import PROTOCOLS, ProtocolSpec
+from repro.registers.base import Cluster, ClusterConfig, ProtocolSpec
+from repro.registers.registry import PROTOCOLS
 
 #: The property the explorer's oracle checks for a target.
 ATOMIC = "atomic"
 REGULAR = "regular"
-
-BuildFn = Callable[[ClusterConfig], Cluster]
-
 
 @dataclass(frozen=True)
 class ExploreTarget:
@@ -41,7 +38,7 @@ class ExploreTarget:
 
     name: str
     summary: str
-    build: BuildFn
+    build: Callable[[ClusterConfig], Cluster]
     requirement: Callable[[ClusterConfig], Optional[str]]
     property: str
     expected_ok: bool
@@ -67,7 +64,7 @@ def _flaw_target(flaw: Flaw) -> ExploreTarget:
     """One row of the flaw table.  The Figure 5 rows are expected to
     lose *inside* the feasible region only once the adversary's content
     choices (a ``byzantine_budget``) are in play."""
-    figure = PROTOCOLS[flaw.base.PROTOCOL_NAME].paper_source.split(",")[0]
+    figure = flaw.base.paper_source.split(",")[0]
     return ExploreTarget(
         name=flaw.target,
         summary=f"{figure} with the {flaw.name} ablation (deliberately broken)",

@@ -1,11 +1,12 @@
 """Fault injection for free-running simulations.
 
-Crash plans schedule timing faults; the Byzantine wrapper servers give
-faulty replicas arbitrary *content* behaviour.  Both faces are now
-specified by the unified adversary layer (:mod:`repro.adversary`):
-wrapper servers apply its bounded reply-corruption strategies, and the
-same strategies back the schedule explorer's ``lie:…`` choice points —
-the adversary is one inspectable model, not a pile of injectors.
+Crash plans schedule timing faults; ``corrupt(cluster, index,
+strategy)`` gives a faulty replica arbitrary *content* behaviour.  Both
+faces are specified by the unified adversary layer
+(:mod:`repro.adversary`): the installed server applies one of its
+bounded reply-corruption strategies, and the same strategies back the
+schedule explorer's ``lie:…`` choice points — the adversary is one
+inspectable model, not a pile of injectors.
 """
 
 from repro.adversary import (
@@ -19,13 +20,10 @@ from repro.adversary import (
 )
 from repro.faults.byzantine import (
     ByzantineServer,
-    ForgedTagServer,
     MemoryWipeServer,
-    SeenInflaterServer,
-    SilentServer,
-    StaleReplayServer,
     StrategyServer,
     TwoFacedServer,
+    corrupt,
     run_captured,
 )
 from repro.faults.crash import (
@@ -45,16 +43,13 @@ __all__ = [
     "CrashPlan",
     "DEFAULT_MENU",
     "DROP",
-    "ForgedTagServer",
     "MemoryWipeServer",
     "STRATEGIES",
     "ReplyStrategy",
-    "SeenInflaterServer",
-    "SilentServer",
-    "StaleReplayServer",
     "StrategyContext",
     "StrategyServer",
     "TwoFacedServer",
+    "corrupt",
     "crash_writer_mid_write",
     "get_strategy",
     "merge_plans",

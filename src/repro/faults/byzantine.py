@@ -5,27 +5,24 @@ replaces an honest server (same process id) via
 :meth:`repro.registers.base.Cluster.replace_server`.  None of them can
 forge the writer's signature — they manipulate only information they
 legitimately received, which is exactly the adversary the Figure 5
-algorithm is proved against.
+algorithm is proved against.  That material is composed in one place,
+from the cluster: the liar runs ``cluster.honest_server(index)`` inside
+and may use what ``StrategyContext.of(cluster)`` holds.
 
-The *content* each liar puts on the wire comes from the unified
-adversary layer: a :class:`~repro.adversary.strategies.ReplyStrategy`
-from :mod:`repro.adversary` transforms the honest reply, so the same
-bounded menu drives these wrappers, the scripted lower-bound
-constructions and the explorer's ``lie:…`` choice points.
+* :func:`corrupt` — the one way to install a lying server:
+  ``corrupt(cluster, 1, "stale")``.
+* :class:`StrategyServer` — what it installs: an inner honest automaton
+  with one named :class:`~repro.adversary.strategies.ReplyStrategy`
+  from :mod:`repro.adversary` applied to every reply, so the same
+  bounded menu (``stale``, ``inflate-seen``, ``forge``, ``silent``)
+  drives free-running fault injection and the explorer's ``lie:…``
+  choice points.
 
-* :class:`SilentServer` — crashes from the start (the ``b ≤ t`` liars
-  may also simply stop).
-* :class:`StrategyServer` — runs an inner honest automaton and applies
-  one named strategy to every reply; the classes below are its
-  signature-compatible specialisations.
-* :class:`StaleReplayServer` — answers every request with the oldest
-  tag it knows (validly signed, maximally stale; the ``stale``
-  strategy).
-* :class:`SeenInflaterServer` — answers honestly but claims *every*
-  client is in its ``seen`` set (the ``inflate-seen`` strategy).
-* :class:`ForgedTagServer` — tries to invent a huge timestamp with a
-  forged signature (the ``forge`` strategy); honest readers and
-  servers must discard it.
+Two behaviours corrupt *state* rather than replies and have no strategy
+equivalent yet; both take ``cluster.honest_server`` as their factory:
+
+* :class:`MemoryWipeServer` — behaves correctly, then forgets
+  everything it ever received.
 * :class:`TwoFacedServer` — maintains a real state and a shadow state
   that never learns about writes, answering a chosen set of victims
   from the shadow.  With the victims set to one reader this is
@@ -35,7 +32,7 @@ constructions and the explorer's ``lie:…`` choice points.
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, Iterable, List, Tuple, Union
+from typing import Any, Callable, Iterable, List, Tuple, Union
 
 from repro.adversary.strategies import (
     DROP,
@@ -43,9 +40,9 @@ from repro.adversary.strategies import (
     StrategyContext,
     get_strategy,
 )
-from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ProtocolError
 from repro.registers import messages as msg
+from repro.registers.base import Cluster
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context, Process
 
@@ -89,13 +86,6 @@ class ByzantineServer(Process):
     is_byzantine = True
 
 
-class SilentServer(ByzantineServer):
-    """Never answers anything."""
-
-    def on_message(self, payload: Any, src: ProcessId, ctx: Context) -> None:
-        return
-
-
 class StrategyServer(ByzantineServer):
     """Wraps an honest automaton, corrupting every reply with one strategy.
 
@@ -134,54 +124,16 @@ class StrategyServer(ByzantineServer):
         )
 
 
-class StaleReplayServer(StrategyServer):
-    """Wraps an honest server but always replies with the initial tag.
-
-    The initial tag is validly "signed" (it is the unsigned timestamp 0
-    the protocol accepts), so this attack passes authentication and must
-    be defeated by the reader's staleness filter (``ts' >= ts``) and the
-    predicate's ``- (a-1)b`` slack.
-    """
-
-    def __init__(self, inner: Process) -> None:
-        super().__init__(inner, "stale")
-
-
-class SeenInflaterServer(StrategyServer):
-    """Claims every client has seen its tag.
-
-    This is the most interesting attack on Figure 5: the ``seen`` sets
-    are unauthenticated server claims, and inflating them pushes the
-    predicate towards accepting ``maxTS``.  The algorithm survives
-    because the predicate demands ``S - a·t - (a-1)·b`` *distinct* acks,
-    of which at most ``b`` can be liars.
-    """
-
-    def __init__(self, inner: Process, all_clients: Iterable[ProcessId]) -> None:
-        clients: FrozenSet[ProcessId] = frozenset(all_clients)
-        super().__init__(
-            inner, "inflate-seen", StrategyContext(clients=tuple(sorted(clients)))
-        )
-        self.claimed = clients
-
-
-class ForgedTagServer(StrategyServer):
-    """Tries to fabricate a future timestamp with a forged signature."""
-
-    def __init__(
-        self,
-        inner: Process,
-        authority: SignatureAuthority,
-        writer: ProcessId,
-        forged_ts: int = 1_000_000,
-    ) -> None:
-        super().__init__(
-            inner,
-            "forge",
-            StrategyContext(
-                authority=authority, writer=writer, forged_ts=forged_ts
-            ),
-        )
+def corrupt(
+    cluster: Cluster, index: int, strategy: Union[str, ReplyStrategy]
+) -> StrategyServer:
+    """Replace ``s<index>`` of ``cluster`` by a liar: a factory-fresh
+    honest automaton whose every reply passes through ``strategy``."""
+    liar = StrategyServer(
+        cluster.honest_server(index), strategy, StrategyContext.of(cluster)
+    )
+    cluster.replace_server(index, liar)
+    return liar
 
 
 class MemoryWipeServer(ByzantineServer):

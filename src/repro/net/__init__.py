@@ -65,7 +65,6 @@ from repro.net.loadgen import (
 )
 from repro.net.runtime import AsyncRuntime
 from repro.net.server import (
-    UNSUPPORTED_PROTOCOLS,
     NetServer,
     build_net_cluster,
     start_servers,
@@ -90,7 +89,6 @@ __all__ = [
     "Partition",
     "ServerCluster",
     "ServerEvent",
-    "UNSUPPORTED_PROTOCOLS",
     "available_serializers",
     "build_net_cluster",
     "build_run_record",

@@ -779,9 +779,11 @@ def verify_run_record(record: Dict[str, Any]) -> Dict[str, Any]:
     Returns ``{"ok": bool, "shards": {index: {"recorded", "replayed",
     "match"}}}`` — the ``repro chaos-replay`` engine.
     """
-    if record.get("format") != RUN_FORMAT:
+    fmt = record.get("format") if isinstance(record, dict) else None
+    if fmt != RUN_FORMAT or not isinstance(record.get("plan"), dict):
         raise ConfigurationError(
-            f"not a chaos run record (format={record.get('format')!r})"
+            f"not a chaos run record (format={fmt!r}, expected {RUN_FORMAT!r} "
+            "with a plan)"
         )
     plan = FaultPlan.from_dict(record["plan"])
     outcome: Dict[str, Any] = {"ok": True, "shards": {}}

@@ -38,16 +38,8 @@ from repro.net.codec import (
 from repro.net.runtime import AsyncRuntime
 from repro.registers.base import Cluster, ClusterConfig
 from repro.registers.messages import SERVER_REPLIES
-from repro.registers.registry import PROTOCOLS, get_protocol
+from repro.registers.registry import get_protocol
 from repro.sim.ids import ProcessId
-
-#: Protocols whose servers message other servers — the registry's
-#: ``gossip`` fact; unreachable over the client-dials-server topology
-#: of net v1.
-UNSUPPORTED_PROTOCOLS = frozenset(
-    name for name, spec in PROTOCOLS.items() if spec.vector and spec.vector.gossip
-)
-
 
 def build_net_cluster(
     protocol: str,
@@ -60,13 +52,16 @@ def build_net_cluster(
     ``seed`` matters only for signature-bearing protocols: every party
     derives the same :class:`~repro.crypto.signatures.SignatureAuthority`
     from it, so signatures made in one OS process verify in another.
+    A protocol whose servers message other servers (the spec's
+    ``gossip`` fact) is unreachable over net v1's topology.
     """
-    if protocol in UNSUPPORTED_PROTOCOLS:
+    spec = get_protocol(protocol)
+    if spec.gossip:
         raise ConfigurationError(
             f"protocol {protocol!r} needs server-to-server links, which the "
             "networked topology (clients dial servers) does not provide"
         )
-    return get_protocol(protocol).build(config, enforce=enforce, seed=seed)
+    return spec.build(config, enforce=enforce, seed=seed)
 
 
 class ServerConnection(asyncio.Protocol):

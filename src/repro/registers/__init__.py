@@ -7,13 +7,19 @@ single-reader register, the fast regular register and the MWMR
 baselines.
 """
 
-from repro.registers.base import AckSet, Cluster, ClusterConfig, StorageServer
+from repro.registers.base import (
+    AckSet,
+    Cluster,
+    ClusterConfig,
+    ProtocolSpec,
+    StorageServer,
+)
 from repro.registers.predicates import (
     seen_predicate,
     seen_predicate_bruteforce,
     witness_a,
 )
-from repro.registers.registry import PROTOCOLS, ProtocolSpec, get_protocol
+from repro.registers.registry import PROTOCOLS, get_protocol
 from repro.registers.timestamps import (
     INITIAL_MW_TAG,
     INITIAL_SIGNED_TAG,

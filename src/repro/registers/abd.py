@@ -16,20 +16,17 @@ from typing import Any, List, Optional
 
 from repro.registers.base import (
     Automata,
-    Cluster,
     ClusterConfig,
+    ProtocolSpec,
     QuorumClient,
     StorageServer,
-    assemble_cluster,
+    VectorProfile,
     crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context
 from repro.spec.histories import BOTTOM, Operation
-
-PROTOCOL_NAME = "abd"
-
 
 def requirement(config: ClusterConfig) -> Optional[str]:
     return crash_requirement(
@@ -72,10 +69,20 @@ class AbdReader(QuorumClient):
         ctx.complete(tag.value)
 
 
-AUTOMATA = Automata(
-    lambda pid, _config: StorageServer(pid, INITIAL_TAG), AbdReader, AbdWriter
+SPEC = ProtocolSpec(
+    name="abd",
+    summary="Classic ABD SWMR register: two-round reads with write-back",
+    paper_source="[Attiya et al. 1995], Section 1",
+    multi_writer=False,
+    read_rounds=2,
+    write_rounds=1,
+    fast_reads=False,
+    fast_writes=True,
+    atomic=True,
+    requirement=requirement,
+    automata=Automata(
+        lambda pid, _config: StorageServer(pid, INITIAL_TAG), AbdReader, AbdWriter
+    ),
+    vector=VectorProfile(),
 )
 
-
-def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
-    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

@@ -3,11 +3,13 @@
 Every load-bearing step of Figures 2 and 5 is one named guard of the
 automata in :mod:`repro.registers.fast_crash` /
 :mod:`repro.registers.fast_byzantine`; an ablation is a subclass that
-overrides exactly one of them.  :data:`FLAWS` is the single table of
-them — which protocol, which class, what it removes, whether it is
-expected to survive inside the feasible region, and the scripted
-witness (if a short one exists) that breaks it while the faithful
-protocol survives the *same* schedule.  The ``ABLATIONS`` witnesses and
+overrides exactly one of them, and the ablated protocol is derived, not
+assembled: ``spec.swap(cls)`` puts the class in the role it subclasses.
+:data:`FLAWS` is the single table of them — which protocol's ``SPEC``,
+which class, what it removes, whether it is expected to survive inside
+the feasible region, and the scripted witness (if a short one exists)
+that breaks it while the faithful protocol survives the *same*
+schedule.  The ``ABLATIONS`` witnesses and
 the ``fast-crash@…`` / ``fast-byzantine@…`` targets of
 :mod:`repro.explore.targets` are derived from it; the README's guard
 table spells out the pseudo-code line behind each row.
@@ -25,11 +27,10 @@ write.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import ModuleType
 from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from repro.registers import fast_byzantine, fast_crash, messages as msg
-from repro.registers.base import Automata, Cluster, ClusterConfig, assemble_cluster
+from repro.registers.base import Cluster, ClusterConfig, ProtocolSpec
 from repro.registers.fast_byzantine import FastByzantineReader
 from repro.registers.fast_crash import (
     FastCrashReader,
@@ -107,22 +108,6 @@ class CrashPredicateReader(FastByzantineReader):
         return 0  # BUG under test: no allowance for the b liars
 
 
-def build_ablated_cluster(
-    config: ClusterConfig,
-    reader_cls: Type[FastCrashReader] = FastCrashReader,
-    server_cls: Type[FastCrashServer] = FastCrashServer,
-    writer_cls: Type[FastCrashWriter] = FastCrashWriter,
-) -> Cluster:
-    """A fast-crash cluster with chosen components replaced."""
-    return assemble_cluster(
-        "fast-crash(ablated)",
-        config,
-        fast_crash.requirement,
-        Automata(server_cls, reader_cls, writer_cls),
-        enforce=False,
-    )
-
-
 @dataclass
 class AblationWitness:
     """Outcome of one ablation schedule, ablated and control."""
@@ -158,7 +143,7 @@ def _witness(
     against the faithful protocol it was derived from."""
     row = FLAWS[flaw]
     histories = []
-    for cluster in (row.build(config), row.base.build_cluster(config, enforce=False)):
+    for cluster in (row.build(config), row.base.build(config, enforce=False)):
         execution = ScriptedExecution()
         cluster.install(execution)
         schedule(execution)
@@ -292,13 +277,13 @@ def demonstrate_hasty_writer() -> AblationWitness:
 class Flaw:
     """One row of the flaw table: a protocol with one guard removed.
 
-    ``base`` is the faithful protocol's module, ``automaton`` the one
-    class that replaces its counterpart in the base's declared triple.
+    ``base`` is the faithful protocol, ``automaton`` the one class that
+    replaces its counterpart in the base's declared triple.
     ``expected_ok`` is the prediction *inside* the feasible region.
     """
 
     name: str
-    base: ModuleType
+    base: ProtocolSpec
     automaton: Type[Process]
     removes: str
     expected_ok: bool = False
@@ -306,59 +291,48 @@ class Flaw:
 
     @property
     def target(self) -> str:
-        return f"{self.base.PROTOCOL_NAME}@{self.name}"
+        return f"{self.base.name}@{self.name}"
 
     def build(self, config: ClusterConfig) -> Cluster:
         """The base protocol, never enforced, with the flawed class in
         the role of the class it subclasses."""
-        server, reader, writer, signed = self.base.AUTOMATA
-
-        def swap(cls: type) -> type:
-            return self.automaton if issubclass(self.automaton, cls) else cls
-
-        return assemble_cluster(
-            f"{self.base.PROTOCOL_NAME}(ablated)",
-            config,
-            self.base.requirement,
-            Automata(swap(server), swap(reader), swap(writer), signed),
-            enforce=False,
-        )
+        return self.base.swap(self.automaton).build(config, enforce=False)
 
 
 FLAWS: Dict[str, Flaw] = {
     flaw.name: flaw
     for flaw in (
         Flaw(
-            "eager-reader", fast_crash, EagerReader,
+            "eager-reader", fast_crash.SPEC, EagerReader,
             "predicate removed (always return maxTS)",
             witness=demonstrate_eager_reader,
         ),
         Flaw(
-            "timid-reader", fast_crash, TimidReader,
+            "timid-reader", fast_crash.SPEC, TimidReader,
             "predicate removed (always return maxTS - 1)",
             witness=demonstrate_timid_reader,
         ),
         Flaw(
-            "no-seen-reset", fast_crash, NoResetServer,
+            "no-seen-reset", fast_crash.SPEC, NoResetServer,
             "seen-set reset removed (line 28)",
             witness=demonstrate_no_seen_reset,
         ),
         Flaw(
-            "no-counter", fast_crash, NoCounterServer,
+            "no-counter", fast_crash.SPEC, NoCounterServer,
             "read-counter check removed (line 26)",
             expected_ok=True,  # only Lemma 4's case analysis needs it
         ),
         Flaw(
-            "hasty-writer", fast_crash, HastyWriter,
+            "hasty-writer", fast_crash.SPEC, HastyWriter,
             "write quorum shrunk below S - t (line 6)",
             witness=demonstrate_hasty_writer,
         ),
         Flaw(
-            "gullible-reader", fast_byzantine, GullibleReader,
+            "gullible-reader", fast_byzantine.SPEC, GullibleReader,
             "ack validation removed (Figure 5 line 15)",
         ),
         Flaw(
-            "crash-predicate", fast_byzantine, CrashPredicateReader,
+            "crash-predicate", fast_byzantine.SPEC, CrashPredicateReader,
             "Byzantine predicate slack removed (Figure 5 line 19)",
         ),
     )

@@ -12,11 +12,15 @@
 * :class:`Cluster` — the assembled processes of one protocol instance,
   ready to install into either runtime, and :func:`assemble_cluster`,
   the one place a protocol's class triple becomes a cluster.
+* :class:`ProtocolSpec` — the one declaration of a protocol (its facts,
+  its :class:`Automata`, its requirement); every register module ends
+  in one ``SPEC``, and the registry row, the explorer target and the
+  ablated variants (:meth:`ProtocolSpec.swap`) are derived from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
@@ -249,6 +253,20 @@ def crash_requirement(
     return None
 
 
+class Automata(NamedTuple):
+    """A protocol's declared components: its three automaton factories.
+
+    Each is called as ``(pid, config)``.  The automata of a ``signed``
+    protocol additionally receive the deployment's shared
+    :class:`~repro.crypto.signatures.SignatureAuthority`.
+    """
+
+    server: Callable[..., Process]
+    reader: Callable[..., ClientProcess]
+    writer: Callable[..., ClientProcess]
+    signed: bool = False
+
+
 @dataclass
 class Cluster:
     """One assembled protocol deployment.
@@ -256,7 +274,9 @@ class Cluster:
     ``install`` registers every process with a runtime (free-running or
     scripted) and returns it, enabling
     ``ScriptedExecution()`` / ``Simulation()`` + ``cluster.install(...)``
-    one-liners in tests and benchmarks.
+    one-liners in tests and benchmarks.  ``automata`` are the factories
+    the cluster was assembled from, so it can make any of its processes
+    again (:meth:`honest_server`).
     """
 
     config: ClusterConfig
@@ -264,6 +284,7 @@ class Cluster:
     servers: List[Process]
     readers: List[ClientProcess]
     writers: List[ClientProcess]
+    automata: Automata
     authority: Optional[SignatureAuthority] = None
 
     def all_processes(self) -> List[Process]:
@@ -282,6 +303,15 @@ class Cluster:
     def writer(self, index: int = 1) -> ClientProcess:
         return self.writers[index - 1]
 
+    def _make(self, factory: Callable[..., Process], pid: ProcessId) -> Process:
+        extra = (self.authority,) if self.automata.signed else ()
+        return factory(pid, self.config, *extra)
+
+    def honest_server(self, index: int) -> Process:
+        """A factory-fresh honest automaton for ``s<index>``: what a
+        Byzantine stand-in runs inside, wipes back to, or shadows."""
+        return self._make(self.automata.server, ids.server(index))
+
     def replace_server(self, index: int, process: Process) -> None:
         """Swap server ``s<index>`` for a (typically Byzantine) stand-in.
 
@@ -296,27 +326,8 @@ class Cluster:
         self.servers[index - 1] = process
 
 
-class Automata(NamedTuple):
-    """A protocol's declared components: its three automaton factories.
-
-    Each is called as ``(pid, config)``.  The automata of a ``signed``
-    protocol additionally receive the deployment's shared
-    :class:`~repro.crypto.signatures.SignatureAuthority`.
-    """
-
-    server: Callable[..., Process]
-    reader: Callable[..., ClientProcess]
-    writer: Callable[..., ClientProcess]
-    signed: bool = False
-
-
 def assemble_cluster(
-    protocol: str,
-    config: ClusterConfig,
-    requirement: Callable[[ClusterConfig], Optional[str]],
-    automata: Automata,
-    enforce: bool = True,
-    seed: int = 0,
+    spec: "ProtocolSpec", config: ClusterConfig, enforce: bool, seed: int
 ) -> Cluster:
     """Build one protocol deployment from its declared components.
 
@@ -328,20 +339,106 @@ def assemble_cluster(
     threshold.
     """
     if enforce:
-        problem = requirement(config)
+        problem = spec.requirement(config)
         if problem is not None:
             raise ConfigurationError(problem)
+    automata = spec.automata
     authority = None
-    extra: tuple = ()
     if automata.signed:
         authority = SignatureAuthority(seed=seed)
         authority.register(ids.writer(1))
-        extra = (authority,)
-    return Cluster(
-        config=config,
-        protocol=protocol,
-        servers=[automata.server(pid, config, *extra) for pid in config.server_ids],
-        readers=[automata.reader(pid, config, *extra) for pid in config.reader_ids],
-        writers=[automata.writer(pid, config, *extra) for pid in config.writer_ids],
-        authority=authority,
-    )
+    cluster = Cluster(config, spec.name, [], [], [], automata, authority)
+    make = cluster._make
+    cluster.servers = [make(automata.server, pid) for pid in config.server_ids]
+    cluster.readers = [make(automata.reader, pid) for pid in config.reader_ids]
+    cluster.writers = [make(automata.writer, pid) for pid in config.writer_ids]
+    return cluster
+
+
+@dataclass(frozen=True)
+class VectorProfile:
+    """A protocol's declaration that its client automata are fixed-round.
+
+    Every operation then performs a statically known number of round
+    trips, so the lockstep batch kernel (:mod:`repro.sim.vector`) knows
+    its completion time, message count and round verdict from the
+    invocation time alone.  Protocols without a profile (semifast's
+    data-dependent second round, the MWMR two-phase writers, Byzantine
+    variants) fall back to the scalar engine.
+
+    Attributes:
+        predicate_reads: the read value is gated by the Figure 2
+            ``seen``-predicate, so the kernel must fold the per-server
+            seen sets (as client bitmasks) alongside the tag field.
+    """
+
+    predicate_reads: bool = False
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """The one declaration of a register implementation.
+
+    ``read_rounds``/``write_rounds`` are the *expected* client round
+    counts (verified against traces by the fastness checker);
+    ``fast_reads``/``fast_writes`` flag conformance to the paper's
+    Section 3.2 definition, which also constrains server behaviour.
+
+    ``contract`` is the consistency condition the protocol is judged
+    against — ``"atomic"`` or ``"regular"``; ``atomic`` says whether it
+    really is atomic (the Section 7 strawman claims atomicity and is
+    not; the Section 8 register claims only regularity).
+
+    ``requirement`` says why a configuration cannot run the protocol
+    (``None`` if it can); ``automata`` are its three components.
+
+    ``vector`` declares the one fact only the batch kernel needs of a
+    fixed-round automaton, or is ``None`` when the automaton is not
+    fixed-round; the round counts and fastness the kernel also reads
+    are this spec's own.
+
+    ``gossip``: servers run one all-to-all gossip round before
+    answering a read (the max-min register).  That adds one message
+    delay and ``S * (S - 1)`` messages per read, makes reads non-fast
+    even though the client uses one round, and needs server-to-server
+    links.
+    """
+
+    name: str
+    summary: str
+    paper_source: str
+    multi_writer: bool
+    read_rounds: int
+    write_rounds: int
+    fast_reads: bool
+    fast_writes: bool
+    atomic: bool
+    requirement: Callable[[ClusterConfig], Optional[str]]
+    automata: Automata
+    vector: Optional[VectorProfile] = None
+    contract: str = "atomic"
+    gossip: bool = False
+
+    def build(
+        self, config: ClusterConfig, enforce: bool = True, seed: int = 0
+    ) -> Cluster:
+        return assemble_cluster(self, config, enforce, seed)
+
+    def swap(self, *classes: type) -> "ProtocolSpec":
+        """This protocol with each class standing in for the role it
+        subclasses: ``"<name>(ablated)"``, for ``enforce=False`` builds."""
+        roles = list(self.automata[:3])
+        for cls in classes:
+            for i, role in enumerate(roles):
+                if isinstance(role, type) and issubclass(cls, role):
+                    roles[i] = cls
+                    break
+            else:
+                raise ConfigurationError(
+                    f"{cls.__name__} subclasses no automaton of {self.name!r}"
+                )
+        return replace(
+            self,
+            name=f"{self.name}(ablated)",
+            automata=Automata(*roles, self.automata.signed),
+        )

@@ -31,7 +31,7 @@ from typing import Any, Optional
 
 from repro.crypto.signatures import SignatureAuthority
 from repro.registers import messages as msg
-from repro.registers.base import Automata, Cluster, ClusterConfig, assemble_cluster
+from repro.registers.base import Automata, ClusterConfig, ProtocolSpec
 from repro.registers.fast_crash import (
     FastCrashReader,
     FastCrashServer,
@@ -44,8 +44,6 @@ from repro.registers.timestamps import (
     verify_tag,
 )
 from repro.sim.ids import ProcessId, writer as writer_id
-
-PROTOCOL_NAME = "fast-byzantine"
 
 #: The only process whose signature makes a tag authentic.
 WRITER = writer_id(1)
@@ -128,11 +126,20 @@ class FastByzantineReader(_Signed, FastCrashReader):
         return self.config.b
 
 
-AUTOMATA = Automata(
-    FastByzantineServer, FastByzantineReader, FastByzantineWriter, signed=True
+#: Assembled with a shared signature authority (``signed``).
+SPEC = ProtocolSpec(
+    name="fast-byzantine",
+    summary="Fast SWMR atomic register with signed tags, arbitrary failures",
+    paper_source="Figure 5, Section 6.1",
+    multi_writer=False,
+    read_rounds=1,
+    write_rounds=1,
+    fast_reads=True,
+    fast_writes=True,
+    atomic=True,
+    requirement=requirement,
+    automata=Automata(
+        FastByzantineServer, FastByzantineReader, FastByzantineWriter, signed=True
+    ),
 )
 
-
-def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
-    """Assemble a fast Byzantine cluster with a shared signature authority."""
-    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

@@ -42,19 +42,16 @@ from repro.registers import messages as msg
 from repro.registers.base import (
     AckSet,
     Automata,
-    Cluster,
     ClusterConfig,
+    ProtocolSpec,
     RegisterClient,
-    assemble_cluster,
+    VectorProfile,
 )
 from repro.registers.predicates import seen_predicate
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId, client_index
 from repro.sim.process import Context, Process
 from repro.spec.histories import BOTTOM, Operation
-
-PROTOCOL_NAME = "fast-crash"
-
 
 def requirement(config: ClusterConfig) -> Optional[str]:
     """Feasibility condition ``R < S/t - 2``; ``None`` when satisfied.
@@ -241,14 +238,22 @@ class FastCrashReader(RegisterClient):
         return 0
 
 
-AUTOMATA = Automata(FastCrashServer, FastCrashReader, FastCrashWriter)
+#: ``build(config, enforce=False)`` skips the feasibility check — used
+#: deliberately by the Section 5 lower-bound construction, which runs
+#: this very protocol *beyond* its threshold to exhibit the violation.
+SPEC = ProtocolSpec(
+    name="fast-crash",
+    summary="Fast SWMR atomic register, crash model (the paper's Figure 2)",
+    paper_source="Figure 2, Section 4",
+    multi_writer=False,
+    read_rounds=1,
+    write_rounds=1,
+    fast_reads=True,
+    fast_writes=True,
+    atomic=True,
+    requirement=requirement,
+    automata=Automata(FastCrashServer, FastCrashReader, FastCrashWriter),
+    # the read value is gated by the ``seen``-predicate
+    vector=VectorProfile(predicate_reads=True),
+)
 
-
-def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
-    """Assemble a fast crash-model cluster.
-
-    ``enforce=False`` skips the feasibility check — used deliberately by
-    the Section 5 lower-bound construction, which runs this very
-    protocol *beyond* its threshold to exhibit the atomicity violation.
-    """
-    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

@@ -23,18 +23,16 @@ from repro.registers import messages as msg
 from repro.registers.abd import AbdWriter
 from repro.registers.base import (
     Automata,
-    Cluster,
     ClusterConfig,
+    ProtocolSpec,
     QuorumClient,
-    assemble_cluster,
+    VectorProfile,
     crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context, Process
 from repro.spec.histories import Operation
-
-PROTOCOL_NAME = "maxmin"
 
 PoolKey = Tuple[ProcessId, int]
 
@@ -132,8 +130,20 @@ class MaxMinReader(QuorumClient):
         ctx.complete(min(ack.tag for ack in replies).value)
 
 
-AUTOMATA = Automata(MaxMinServer, MaxMinReader, AbdWriter)
+SPEC = ProtocolSpec(
+    name="maxmin",
+    summary="Decentralised max-min read: one client round, server gossip",
+    paper_source="Section 1 (sketch)",
+    multi_writer=False,
+    read_rounds=1,
+    write_rounds=1,
+    fast_reads=False,  # servers wait for gossip: not fast per Section 3.2
+    fast_writes=True,
+    atomic=True,
+    requirement=requirement,
+    automata=Automata(MaxMinServer, MaxMinReader, AbdWriter),
+    vector=VectorProfile(),
+    # one client round, but the servers' gossip round adds a message delay
+    gossip=True,
+)
 
-
-def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
-    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

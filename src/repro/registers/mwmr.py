@@ -20,18 +20,14 @@ from typing import Any, List, Optional
 from repro.registers.abd import AbdReader
 from repro.registers.base import (
     Automata,
-    Cluster,
     ClusterConfig,
+    ProtocolSpec,
     QuorumClient,
     StorageServer,
-    assemble_cluster,
     crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_MW_TAG, ValueTag
 from repro.sim.process import Context
-
-PROTOCOL_NAME = "mwmr"
-
 
 def requirement(config: ClusterConfig) -> Optional[str]:
     return crash_requirement(config, "the MWMR baseline", "MWMR", single_writer=None)
@@ -57,10 +53,19 @@ class MwmrWriter(QuorumClient):
         ctx.complete("ok")
 
 
-AUTOMATA = Automata(
-    lambda pid, _config: StorageServer(pid, INITIAL_MW_TAG), AbdReader, MwmrWriter
+SPEC = ProtocolSpec(
+    name="mwmr",
+    summary="MWMR baseline: two-round reads and writes, (num, wid) stamps",
+    paper_source="[Lynch & Shvartsman 1997], Section 7",
+    multi_writer=True,
+    read_rounds=2,
+    write_rounds=2,
+    fast_reads=False,
+    fast_writes=False,
+    atomic=True,
+    requirement=requirement,
+    automata=Automata(
+        lambda pid, _config: StorageServer(pid, INITIAL_MW_TAG), AbdReader, MwmrWriter
+    ),
 )
 
-
-def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
-    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

@@ -27,16 +27,12 @@ from typing import Any, Optional
 from repro.registers.abd import AbdWriter
 from repro.registers.base import (
     Automata,
-    Cluster,
     ClusterConfig,
+    ProtocolSpec,
     StorageServer,
-    assemble_cluster,
 )
 from repro.registers.regular import RegularReader
 from repro.registers.timestamps import INITIAL_MW_TAG, MWTimestamp, ValueTag
-
-PROTOCOL_NAME = "naive-fast-mwmr"
-
 
 def requirement(config: ClusterConfig) -> Optional[str]:
     """Always buildable; known broken (that is its purpose)."""
@@ -58,10 +54,21 @@ class NaiveMwmrWriter(AbdWriter):
         )
 
 
-AUTOMATA = Automata(
-    lambda pid, _config: StorageServer(pid, INITIAL_MW_TAG), RegularReader, NaiveMwmrWriter
+SPEC = ProtocolSpec(
+    name="naive-fast-mwmr",
+    summary="One-round MWMR strawman; Proposition 11's victim (not atomic)",
+    paper_source="Section 7 (impossibility target)",
+    multi_writer=True,
+    read_rounds=1,
+    write_rounds=1,
+    fast_reads=True,
+    fast_writes=True,
+    atomic=False,
+    requirement=requirement,
+    automata=Automata(
+        lambda pid, _config: StorageServer(pid, INITIAL_MW_TAG),
+        RegularReader,
+        NaiveMwmrWriter,
+    ),
 )
 
-
-def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
-    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

@@ -20,18 +20,15 @@ from typing import Any, List, Optional
 from repro.registers.abd import AbdWriter
 from repro.registers.base import (
     Automata,
-    Cluster,
     ClusterConfig,
+    ProtocolSpec,
     QuorumClient,
     StorageServer,
-    assemble_cluster,
+    VectorProfile,
     crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG
 from repro.sim.process import Context
-
-PROTOCOL_NAME = "regular-fast"
-
 
 def requirement(config: ClusterConfig) -> Optional[str]:
     return crash_requirement(
@@ -46,10 +43,21 @@ class RegularReader(QuorumClient):
         ctx.complete(max(reply.tag for reply in replies).value)
 
 
-AUTOMATA = Automata(
-    lambda pid, _config: StorageServer(pid, INITIAL_TAG), RegularReader, AbdWriter
+SPEC = ProtocolSpec(
+    name="regular-fast",
+    summary="Fast SWMR *regular* register: no write-back, any R, t < S/2",
+    paper_source="Section 8",
+    multi_writer=False,
+    read_rounds=1,
+    write_rounds=1,
+    fast_reads=True,
+    fast_writes=True,
+    atomic=False,
+    requirement=requirement,
+    automata=Automata(
+        lambda pid, _config: StorageServer(pid, INITIAL_TAG), RegularReader, AbdWriter
+    ),
+    vector=VectorProfile(),
+    contract="regular",
 )
 
-
-def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
-    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

@@ -37,17 +37,14 @@ from repro.registers.base import (
     Automata,
     Cluster,
     ClusterConfig,
+    ProtocolSpec,
     QuorumClient,
     StorageServer,
-    assemble_cluster,
     crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context
-
-PROTOCOL_NAME = "semifast"
-
 
 def requirement(config: ClusterConfig) -> Optional[str]:
     return crash_requirement(config, "the semifast register", "semifast")
@@ -80,15 +77,6 @@ class SemifastReader(QuorumClient):
         ctx.complete(tag.value)
 
 
-AUTOMATA = Automata(
-    lambda pid, _config: StorageServer(pid, INITIAL_TAG), SemifastReader, AbdWriter
-)
-
-
-def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
-    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)
-
-
 def fast_read_ratio(cluster: Cluster) -> float:
     """Fraction of completed reads that finished in one round."""
     fast = slow = 0
@@ -97,3 +85,21 @@ def fast_read_ratio(cluster: Cluster) -> float:
         slow += getattr(reader_proc, "slow_reads", 0)
     total = fast + slow
     return fast / total if total else 0.0
+
+
+SPEC = ProtocolSpec(
+    name="semifast",
+    summary="Semifast extension: one-round reads when the quorum agrees, "
+    "write-back fallback otherwise; atomic for any R with t < S/2",
+    paper_source="Section 8 trade-off (extension; cf. semifast follow-ups)",
+    multi_writer=False,
+    read_rounds=1,  # best case; 2 on the fallback path
+    write_rounds=1,
+    fast_reads=False,  # not every read is fast: outside Section 3.2
+    fast_writes=True,
+    atomic=True,
+    requirement=requirement,
+    automata=Automata(
+        lambda pid, _config: StorageServer(pid, INITIAL_TAG), SemifastReader, AbdWriter
+    ),
+)

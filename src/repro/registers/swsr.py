@@ -20,19 +20,16 @@ from typing import Any, List, Optional
 from repro.registers.abd import AbdWriter
 from repro.registers.base import (
     Automata,
-    Cluster,
     ClusterConfig,
+    ProtocolSpec,
     QuorumClient,
     StorageServer,
-    assemble_cluster,
+    VectorProfile,
     crash_requirement,
 )
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import ProcessId
 from repro.sim.process import Context
-
-PROTOCOL_NAME = "swsr-fast"
-
 
 def requirement(config: ClusterConfig) -> Optional[str]:
     return crash_requirement(
@@ -54,10 +51,21 @@ class SwsrReader(QuorumClient):
         ctx.complete(self.last_tag.value)
 
 
-AUTOMATA = Automata(
-    lambda pid, _config: StorageServer(pid, INITIAL_TAG), SwsrReader, AbdWriter
+SPEC = ProtocolSpec(
+    name="swsr-fast",
+    summary="Fast single-reader register with a monotonic local tag",
+    paper_source="Section 1 (sketch)",
+    multi_writer=False,
+    read_rounds=1,
+    write_rounds=1,
+    fast_reads=True,
+    fast_writes=True,
+    atomic=True,
+    requirement=requirement,
+    automata=Automata(
+        lambda pid, _config: StorageServer(pid, INITIAL_TAG), SwsrReader, AbdWriter
+    ),
+    # the monotonic local tag never changes a crash-free verdict
+    vector=VectorProfile(),
 )
 
-
-def build_cluster(config: ClusterConfig, enforce: bool = True, seed: int = 0) -> Cluster:
-    return assemble_cluster(PROTOCOL_NAME, config, requirement, AUTOMATA, enforce, seed)

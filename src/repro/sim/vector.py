@@ -19,8 +19,8 @@ replies at ``(T + d) + d``.  Consequently **every server processes the
 identical request sequence in the same order**, so the server fields
 collapse to one array per batch, and an operation's completion time is
 a fixed number of message delays after its invocation: two per round
-its :class:`~repro.registers.registry.ProtocolSpec` declares, plus the
-gossip hop of a :class:`~repro.registers.registry.VectorProfile`.
+its :class:`~repro.registers.base.ProtocolSpec` declares, plus the
+hop of its ``gossip`` fact.
 A read's value is the servers' tag at ``T + d``, which is the number of
 writes globally ordered before it; the global order is the stable sort
 of invocation times with ties broken in client arm order, exactly the
@@ -137,7 +137,7 @@ def supports(spec: SweepSpec) -> Optional[str]:
 
 def _read_delay_hops(proto, servers: int) -> int:
     """Message delays between a read's invocation and its response."""
-    if proto.vector.gossip:
+    if proto.gossip:
         # A lone server's gossip pool completes on its own
         # contribution, so the extra hop disappears at S = 1.
         return 2 if servers == 1 else 3
@@ -196,7 +196,7 @@ def _client_plan(spec: SweepSpec) -> _Plan:
     read_cols = tuple(i for i, w in enumerate(is_write) if not w)
     # Requests and replies of every round, plus an all-to-all gossip round.
     read_messages = 2 * S * proto.read_rounds
-    if proto.vector.gossip:
+    if proto.gossip:
         read_messages += S * (S - 1)
     messages = (
         len(write_cols) * 2 * S * proto.write_rounds + len(read_cols) * read_messages
@@ -512,7 +512,7 @@ class _GroupKernel:
         return out
 
     def reads_fast(self) -> bool:
-        if self.proto.vector.gossip:
+        if self.proto.gossip:
             return self.config.S == 1
         return self.proto.fast_reads
 

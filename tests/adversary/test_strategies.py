@@ -13,13 +13,7 @@ from repro.adversary import (
 )
 from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ConfigurationError
-from repro.faults.byzantine import (
-    ForgedTagServer,
-    SeenInflaterServer,
-    StaleReplayServer,
-    StrategyServer,
-    run_captured,
-)
+from repro.faults.byzantine import StrategyServer, run_captured
 from repro.registers import messages as msg
 from repro.registers.base import ClusterConfig
 from repro.registers.fast_byzantine import FastByzantineServer
@@ -109,6 +103,31 @@ class TestInflateAndForge:
             get_strategy("gaslight")
 
 
+class TestContextOfACluster:
+    """``StrategyContext.of`` is the context ``ScheduleDriver`` used to
+    compose by hand: the cluster's authority, the one writer, every
+    client in config order."""
+
+    @pytest.mark.parametrize(
+        "target, b", [("fast-crash", 0), ("fast-byzantine", 1), ("abd", 0)]
+    )
+    def test_equals_the_hand_composed_context(self, target, b):
+        from repro.explore import ExploreScenario
+        from repro.explore.driver import ScheduleDriver
+
+        config = ClusterConfig(S=6, t=1, b=b, R=2)
+        driver = ScheduleDriver(ExploreScenario(target, config))
+        cluster = driver.cluster
+        assert (cluster.authority is not None) == (target == "fast-byzantine")
+        expected = StrategyContext(
+            authority=cluster.authority,
+            writer=writer(1),
+            clients=tuple(config.client_ids),
+        )
+        assert StrategyContext.of(cluster) == expected
+        assert driver._strategy_ctx == expected
+
+
 class TestWrappersDelegateToStrategies:
     """The faults/ wrapper servers and the raw strategies must agree:
     one source of truth for every corruption."""
@@ -121,7 +140,10 @@ class TestWrappersDelegateToStrategies:
 
     def test_stale_wrapper_equals_strategy(self, authority):
         wrapped = run_captured(
-            StaleReplayServer(self._inner(authority)), self._read(), reader(1), 0.0
+            StrategyServer(self._inner(authority), "stale"),
+            self._read(),
+            reader(1),
+            0.0,
         )
         honest = run_captured(self._inner(authority), self._read(), reader(1), 0.0)
         expected = [
@@ -133,7 +155,11 @@ class TestWrappersDelegateToStrategies:
     def test_inflate_wrapper_equals_strategy(self, authority):
         clients = CONFIG.client_ids
         wrapped = run_captured(
-            SeenInflaterServer(self._inner(authority), clients),
+            StrategyServer(
+                self._inner(authority),
+                "inflate-seen",
+                StrategyContext(clients=tuple(clients)),
+            ),
             self._read(),
             reader(1),
             0.0,
@@ -142,7 +168,11 @@ class TestWrappersDelegateToStrategies:
 
     def test_forge_wrapper_equals_strategy(self, authority):
         wrapped = run_captured(
-            ForgedTagServer(self._inner(authority), authority, writer(1)),
+            StrategyServer(
+                self._inner(authority),
+                "forge",
+                StrategyContext(authority=authority, writer=writer(1)),
+            ),
             self._read(),
             reader(1),
             0.0,

@@ -355,3 +355,61 @@ class TestExploreByzantine:
         code = main(self.BEYOND_ARGS + ["--strategies", "gaslight"])
         assert code == 2
         assert "unknown reply strategy" in capsys.readouterr().err
+
+
+class TestOneFailurePath:
+    """Every command fails the same way: one ``<command>: <message>``
+    line on stderr, exit 2, nothing on stdout, never a traceback.  Each
+    row used to end in a Python traceback (or, for ``explore``, in a
+    ``KeyError`` repr with stray quotes)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos-replay", "/nonexistent.json"],
+            ["chaos-replay", "<not-json>"],
+            ["chaos-replay", "<a-list>"],
+            ["lower-bound", "crash", "--servers", "8", "--t", "1", "--readers", "2"],
+            ["chain", "crash", "--servers", "8", "--t", "1", "--readers", "2"],
+            ["demo", "--servers", "3", "--t", "1", "--readers", "5"],
+            ["sweep", "--servers", "3", "--t", "5"],
+            ["load", "--chaos", "/nonexistent.json", "--ops", "1", "--readers", "1"],
+            ["demo", "--dump-history", "/nonexistent/dir/h.json"],
+            ["explore", "--protocol", "nope"],
+            ["explore", "--replay", "<a-list>"],
+            ["audit", "/nonexistent.json"],
+            ["serve", "--protocol", "maxmin", "--servers", "3", "--t", "1"],
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_exit_two_and_one_stderr_line(self, argv, tmp_path, capsys):
+        files = {"<not-json>": "{nope", "<a-list>": "[]"}
+        for index, arg in enumerate(argv):
+            if arg in files:
+                path = tmp_path / f"input-{index}.json"
+                path.write_text(files[arg])
+                argv = argv[:index] + [str(path)] + argv[index + 1 :]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: "), captured.err
+        assert not lines[0].startswith(f'{argv[0]}: "'), "KeyError repr leaked"
+
+    def test_an_exit_code_that_means_something_else_survives(self, tmp_path, capsys):
+        """Replay mismatch is 1, not 2: only the print-and-return-2
+        handlers were folded into ``main``."""
+        import json
+
+        from repro.net.chaos import FaultPlan, build_run_record
+
+        shard = {"digests": {"1:out": "tampered"}, "counters": {"1:out": 4}}
+        record = build_run_record(
+            FaultPlan.generate(3, 3, 1), {0: shard}, t=1, serializer="binary",
+            events=[], summary={},
+        )
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(record))
+        assert main(["chaos-replay", str(path)]) == 1
+        assert "MISMATCH" in capsys.readouterr().out

@@ -13,13 +13,8 @@ import pytest
 
 from repro.sim.rng import derive_seed
 
-from repro.faults.byzantine import (
-    SeenInflaterServer,
-    SilentServer,
-    StaleReplayServer,
-)
+from repro.faults.byzantine import corrupt
 from repro.registers.base import ClusterConfig
-from repro.registers.fast_byzantine import FastByzantineServer
 from repro.sim.ids import server
 from repro.sim.latency import (
     ConstantLatency,
@@ -102,17 +97,9 @@ class TestByzantineMixes:
         config = ClusterConfig(S=15, t=2, b=2, R=2)
 
         def hook(cluster):
-            behaviours = [
-                lambda inner, c: StaleReplayServer(inner),
-                lambda inner, c: SeenInflaterServer(inner, c.config.client_ids),
-                lambda inner, c: SilentServer(inner.pid),
-            ]
+            behaviours = ["stale", "inflate-seen", "silent"]
             for offset, index in enumerate([1, 2]):
-                inner = FastByzantineServer(
-                    server(index), config, cluster.authority
-                )
-                behaviour = behaviours[(seed + offset) % len(behaviours)]
-                cluster.replace_server(index, behaviour(inner, cluster))
+                corrupt(cluster, index, behaviours[(seed + offset) % len(behaviours)])
 
         result = run_workload(
             "fast-byzantine",
@@ -131,8 +118,7 @@ class TestByzantineMixes:
         config = ClusterConfig(S=15, t=2, b=1, R=2)
 
         def hook(cluster):
-            inner = FastByzantineServer(server(1), config, cluster.authority)
-            cluster.replace_server(1, StaleReplayServer(inner))
+            corrupt(cluster, 1, "stale")
 
         result = run_workload(
             "fast-byzantine",

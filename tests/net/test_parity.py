@@ -11,7 +11,8 @@ phase on a socket, ABD reads two).
 import pytest
 
 from repro import ClusterConfig, get_protocol, run_workload
-from repro.net import UNSUPPORTED_PROTOCOLS, build_net_cluster, run_net_workload
+from repro.errors import ConfigurationError
+from repro.net import build_net_cluster, run_net_workload
 
 # (protocol, config, expected read-round support over sockets)
 PARITY_CASES = [
@@ -137,9 +138,27 @@ class TestCrashMidConnection:
 
 class TestNetClusterGuards:
     def test_maxmin_is_rejected(self):
-        assert "maxmin" in UNSUPPORTED_PROTOCOLS
+        assert get_protocol("maxmin").gossip
         with pytest.raises(Exception, match="maxmin"):
             build_net_cluster("maxmin", ClusterConfig(S=5, t=1, R=1))
+
+    def test_gossip_is_refused_whatever_the_vector_profile(self, monkeypatch):
+        """Needing server-to-server links is a protocol fact: a
+        gossiping protocol the vector kernel knows nothing about is
+        refused all the same."""
+        from dataclasses import replace
+
+        from repro.registers.registry import PROTOCOLS
+
+        gossipy = replace(
+            get_protocol("abd"), name="gossipy", gossip=True, vector=None
+        )
+        monkeypatch.setitem(PROTOCOLS, "gossipy", gossipy)
+        with pytest.raises(ConfigurationError, match="server-to-server"):
+            build_net_cluster("gossipy", ClusterConfig(S=5, t=1, R=1))
+        quiet = replace(gossipy, name="quiet", gossip=False)
+        monkeypatch.setitem(PROTOCOLS, "quiet", quiet)
+        assert build_net_cluster("quiet", ClusterConfig(S=5, t=1, R=1))
 
     def test_same_automaton_classes_both_runtimes(self):
         # The seam promise: no subclassing, no parallel implementations.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.registers.abd import build_cluster, requirement
+from repro.registers.abd import SPEC, requirement
 from repro.registers.base import ClusterConfig
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, servers, writer
@@ -30,7 +30,7 @@ class TestRequirement:
 
     def test_build_enforces(self):
         with pytest.raises(ConfigurationError):
-            build_cluster(ClusterConfig(S=4, t=2, R=1))
+            SPEC.build(ClusterConfig(S=4, t=2, R=1))
 
 
 class TestBehaviour:
@@ -46,7 +46,7 @@ class TestBehaviour:
     def test_write_back_helps_later_reads(self):
         """After a read write-back, the value reaches servers the
         original write missed — the mechanism the fast protocol forgoes."""
-        cluster = build_cluster(CONFIG)
+        cluster = SPEC.build(CONFIG)
         execution = ScriptedExecution()
         cluster.install(execution)
         # write reaches only s1..s3 (a quorum) and completes

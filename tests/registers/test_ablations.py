@@ -7,13 +7,13 @@ from repro.registers.ablations import (
     EagerReader,
     NoCounterServer,
     TimidReader,
-    build_ablated_cluster,
     demonstrate_eager_reader,
     demonstrate_hasty_writer,
     demonstrate_no_seen_reset,
     demonstrate_timid_reader,
 )
 from repro.registers.base import ClusterConfig
+from repro.registers.fast_crash import SPEC
 from repro.sim.latency import UniformLatency
 from repro.sim.runtime import Simulation
 from repro.spec.atomicity import check_swmr_atomicity
@@ -70,7 +70,7 @@ class TestAblatedComponentsInFreeRuns:
 
     def test_timid_reader_fails_fuzz(self):
         config = ClusterConfig(S=8, t=1, R=2)
-        cluster = build_ablated_cluster(config, reader_cls=TimidReader)
+        cluster = SPEC.swap(TimidReader).build(config, enforce=False)
         sim = Simulation(seed=1, latency=UniformLatency(0.5, 1.5))
         cluster.install(sim)
         from repro.sim.ids import reader, writer
@@ -87,7 +87,7 @@ class TestAblatedComponentsInFreeRuns:
         config = ClusterConfig(S=8, t=1, R=2)
         found_violation = False
         for seed in range(25):
-            cluster = build_ablated_cluster(config, reader_cls=EagerReader)
+            cluster = SPEC.swap(EagerReader).build(config, enforce=False)
             sim = Simulation(seed=seed, latency=UniformLatency(0.5, 1.5))
             cluster.install(sim)
             from repro.sim.ids import reader, writer
@@ -114,7 +114,7 @@ class TestNoCounterServer:
 
     def test_behaves_normally_without_stale_messages(self):
         config = ClusterConfig(S=8, t=1, R=3)
-        cluster = build_ablated_cluster(config, server_cls=NoCounterServer)
+        cluster = SPEC.swap(NoCounterServer).build(config, enforce=False)
         sim = Simulation(seed=0, latency=UniformLatency(0.5, 1.5))
         cluster.install(sim)
         from repro.sim.ids import reader, writer
@@ -133,7 +133,7 @@ class TestNoCounterServer:
         from repro.sim.ids import reader, server
 
         config = ClusterConfig(S=8, t=1, R=3)
-        honest = build_ablated_cluster(config).servers[0]
+        honest = SPEC.build(config).honest_server(1)
         ablated = NoCounterServer(server(1), config)
         new_msg = msg.FastRead(op_id=2, tag=INITIAL_TAG, r_counter=2)
         stale_msg = msg.FastRead(op_id=1, tag=INITIAL_TAG, r_counter=1)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.registers import messages as msg
 from repro.registers.base import AckSet, ClusterConfig, StorageServer
-from repro.registers.fast_crash import build_cluster
+from repro.registers.fast_crash import SPEC
 from repro.registers.timestamps import INITIAL_TAG, ValueTag
 from repro.sim.ids import reader, server, writer
 from repro.faults.byzantine import run_captured
@@ -106,19 +106,32 @@ class TestCluster:
         from repro.sim.controller import ScriptedExecution
 
         config = ClusterConfig(S=5, t=1, R=2)
-        cluster = build_cluster(config)
+        cluster = SPEC.build(config)
         execution = ScriptedExecution()
         cluster.install(execution)
         assert len(execution.processes) == 5 + 2 + 1
 
     def test_accessors(self):
-        cluster = build_cluster(ClusterConfig(S=5, t=1, R=2))
+        cluster = SPEC.build(ClusterConfig(S=5, t=1, R=2))
         assert cluster.server(2).pid == server(2)
         assert cluster.reader(1).pid == reader(1)
         assert cluster.writer().pid == writer(1)
 
+    @pytest.mark.parametrize("protocol", ["fast-crash", "fast-byzantine", "abd", "maxmin"])
+    def test_honest_server_is_a_fresh_copy_of_the_assembled_one(self, protocol):
+        from repro.registers.registry import get_protocol
+        from repro.sim.state import canon_process
+
+        cluster = get_protocol(protocol).build(ClusterConfig(S=5, t=1, R=2))
+        for index in (1, 5):
+            fresh, assembled = cluster.honest_server(index), cluster.server(index)
+            assert fresh is not assembled
+            assert type(fresh) is type(assembled)
+            assert canon_process(fresh) == canon_process(assembled)
+        assert cluster.honest_server(2) is not cluster.honest_server(2)
+
     def test_replace_server_checks_pid(self):
-        cluster = build_cluster(ClusterConfig(S=5, t=1, R=2))
+        cluster = SPEC.build(ClusterConfig(S=5, t=1, R=2))
         impostor = StorageServer(server(3))
         cluster.replace_server(3, impostor)
         assert cluster.server(3) is impostor

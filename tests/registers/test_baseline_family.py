@@ -114,11 +114,11 @@ def test_requirement_texts_are_unchanged():
 
 
 def test_clones_are_the_class_they_copied():
-    assert maxmin.AUTOMATA.writer is abd.AbdWriter
-    assert mwmr.AUTOMATA.reader is abd.AbdReader
-    assert naive_mwmr.AUTOMATA.reader is regular.RegularReader
+    assert maxmin.SPEC.automata.writer is abd.AbdWriter
+    assert mwmr.SPEC.automata.reader is abd.AbdReader
+    assert naive_mwmr.SPEC.automata.reader is regular.RegularReader
     for module in (swsr, regular, semifast):
-        assert module.AUTOMATA.writer is abd.AbdWriter
+        assert module.SPEC.automata.writer is abd.AbdWriter
 
 
 TWO_PHASE = ClusterConfig(S=5, t=2, R=1, W=2)
@@ -127,10 +127,10 @@ TWO_PHASE = ClusterConfig(S=5, t=2, R=1, W=2)
 @pytest.mark.parametrize(
     "build, config, client, kind, result",
     [
-        (abd.build_cluster, ClusterConfig(S=5, t=2, R=1), reader(1), "read", "a"),
-        (semifast.build_cluster, ClusterConfig(S=5, t=2, R=1), reader(1), "read", "a"),
-        (mwmr.build_cluster, TWO_PHASE, reader(1), "read", "a"),
-        (mwmr.build_cluster, TWO_PHASE, writer(2), "write", "ok"),
+        (abd.SPEC.build, ClusterConfig(S=5, t=2, R=1), reader(1), "read", "a"),
+        (semifast.SPEC.build, ClusterConfig(S=5, t=2, R=1), reader(1), "read", "a"),
+        (mwmr.SPEC.build, TWO_PHASE, reader(1), "read", "a"),
+        (mwmr.SPEC.build, TWO_PHASE, writer(2), "write", "ok"),
     ],
 )
 def test_two_phase_client_ignores_other_phase_and_stale_acks(

@@ -3,19 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.byzantine import (
-    ForgedTagServer,
-    SeenInflaterServer,
-    SilentServer,
-    StaleReplayServer,
-    TwoFacedServer,
-)
+from functools import partial
+
+from repro.faults.byzantine import TwoFacedServer, corrupt
 from repro.registers.base import ClusterConfig
-from repro.registers.fast_byzantine import (
-    FastByzantineServer,
-    build_cluster,
-    requirement,
-)
+from repro.registers.fast_byzantine import SPEC, requirement
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, servers, writer
 from repro.sim.latency import UniformLatency
@@ -26,14 +18,13 @@ from repro.workloads import ClosedLoopWorkload, run_workload
 FEASIBLE = ClusterConfig(S=8, t=1, b=1, R=2)
 
 
-def byz_run(config, byz_indexes, behaviour_factory, seed=0, ops=6):
-    """Run a contention workload with chosen servers replaced."""
+def byz_run(config, byz_indexes, install, seed=0, ops=6):
+    """Run a contention workload with chosen servers replaced:
+    ``install(cluster, index)`` puts the liar in."""
 
     def hook(cluster):
         for index in byz_indexes:
-            pid = server(index)
-            inner = FastByzantineServer(pid, config, cluster.authority)
-            cluster.replace_server(index, behaviour_factory(inner, cluster))
+            install(cluster, index)
 
     return run_workload(
         "fast-byzantine",
@@ -56,7 +47,7 @@ class TestRequirement:
 
     def test_build_enforces(self):
         with pytest.raises(ConfigurationError):
-            build_cluster(ClusterConfig(S=7, t=1, b=1, R=2))
+            SPEC.build(ClusterConfig(S=7, t=1, b=1, R=2))
 
 
 class TestHonestRuns:
@@ -72,7 +63,7 @@ class TestHonestRuns:
         assert result.check_fast().ok
 
     def test_signed_tags_round_trip(self):
-        cluster = build_cluster(FEASIBLE)
+        cluster = SPEC.build(FEASIBLE)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "secret")
@@ -85,56 +76,37 @@ class TestHonestRuns:
 
 class TestAttacks:
     def test_silent_servers_tolerated(self):
-        result = byz_run(
-            FEASIBLE, [1], lambda inner, cluster: SilentServer(inner.pid), seed=2
-        )
+        result = byz_run(FEASIBLE, [1], partial(corrupt, strategy="silent"), seed=2)
         assert not result.history.incomplete_operations
         assert result.check_atomic().ok
 
     def test_stale_replay_tolerated(self):
-        result = byz_run(
-            FEASIBLE, [1], lambda inner, cluster: StaleReplayServer(inner), seed=3
-        )
+        result = byz_run(FEASIBLE, [1], partial(corrupt, strategy="stale"), seed=3)
         assert result.check_atomic().ok
 
     def test_seen_inflation_tolerated(self):
         result = byz_run(
-            FEASIBLE,
-            [1],
-            lambda inner, cluster: SeenInflaterServer(
-                inner, cluster.config.client_ids
-            ),
-            seed=4,
+            FEASIBLE, [1], partial(corrupt, strategy="inflate-seen"), seed=4
         )
         assert result.check_atomic().ok
 
     def test_forged_timestamps_discarded(self):
-        result = byz_run(
-            FEASIBLE,
-            [1],
-            lambda inner, cluster: ForgedTagServer(
-                inner, cluster.authority, writer(1)
-            ),
-            seed=5,
-        )
+        result = byz_run(FEASIBLE, [1], partial(corrupt, strategy="forge"), seed=5)
         assert result.check_atomic().ok
         # nobody ever returned the forged value
         for op in result.history.reads:
             assert op.result != "forged-value"
 
     def test_two_faced_tolerated_within_threshold(self):
-        config = FEASIBLE
-
-        def two_faced(inner, cluster):
-            return TwoFacedServer(
-                pid=inner.pid,
-                make_inner=lambda: FastByzantineServer(
-                    inner.pid, config, cluster.authority
-                ),
+        def two_faced(cluster, index):
+            impostor = TwoFacedServer(
+                pid=server(index),
+                make_inner=partial(cluster.honest_server, index),
                 victims={reader(1)},
             )
+            cluster.replace_server(index, impostor)
 
-        result = byz_run(config, [1], two_faced, seed=6)
+        result = byz_run(FEASIBLE, [1], two_faced, seed=6)
         assert result.check_atomic().ok
 
     @pytest.mark.parametrize("seed", range(5))
@@ -146,12 +118,8 @@ class TestAttacks:
         config = ClusterConfig(S=15, t=2, b=2, R=2)
 
         def hook(cluster):
-            inner1 = FastByzantineServer(server(1), config, cluster.authority)
-            cluster.replace_server(1, StaleReplayServer(inner1))
-            inner2 = FastByzantineServer(server(2), config, cluster.authority)
-            cluster.replace_server(
-                2, SeenInflaterServer(inner2, config.client_ids)
-            )
+            corrupt(cluster, 1, "stale")
+            corrupt(cluster, 2, "inflate-seen")
 
         result = run_workload(
             "fast-byzantine",
@@ -168,7 +136,7 @@ class TestValidityFiltering:
     def test_reader_ignores_acks_below_written_back_ts(self):
         """After reading ts=1, a reader's next read writes ts=1 back and
         discards any (malicious) ack claiming ts=0."""
-        cluster = build_cluster(FEASIBLE)
+        cluster = SPEC.build(FEASIBLE)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "v")

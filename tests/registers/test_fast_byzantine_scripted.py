@@ -7,7 +7,7 @@ in-band write-back propagation, all under adversarial delivery control.
 
 
 from repro.registers.base import ClusterConfig
-from repro.registers.fast_byzantine import build_cluster
+from repro.registers.fast_byzantine import SPEC
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, servers, writer
 from repro.spec.atomicity import check_swmr_atomicity
@@ -17,7 +17,7 @@ CONFIG = ClusterConfig(S=8, t=1, b=1, R=2)
 
 
 def make_execution(config=CONFIG):
-    cluster = build_cluster(config)
+    cluster = SPEC.build(config)
     execution = ScriptedExecution()
     cluster.install(execution)
     return cluster, execution

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.registers.base import ClusterConfig
-from repro.registers.fast_crash import build_cluster, requirement
+from repro.registers.fast_crash import SPEC, requirement
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, servers, writer
 from repro.spec.atomicity import check_swmr_atomicity
@@ -40,10 +40,10 @@ class TestRequirement:
 
     def test_build_enforces(self):
         with pytest.raises(ConfigurationError):
-            build_cluster(ClusterConfig(S=5, t=1, R=3))
+            SPEC.build(ClusterConfig(S=5, t=1, R=3))
 
     def test_build_unenforced_for_constructions(self):
-        cluster = build_cluster(ClusterConfig(S=5, t=1, R=3), enforce=False)
+        cluster = SPEC.build(ClusterConfig(S=5, t=1, R=3), enforce=False)
         assert len(cluster.servers) == 5
 
 
@@ -66,7 +66,7 @@ class TestSequentialBehaviour:
         assert_fast(sim)
 
     def test_timestamps_advance_per_write(self):
-        cluster = build_cluster(FEASIBLE)
+        cluster = SPEC.build(FEASIBLE)
         execution = ScriptedExecution()
         cluster.install(execution)
         for value in ("a", "b", "c"):
@@ -77,7 +77,7 @@ class TestSequentialBehaviour:
         assert cluster.server(1).tag.ts == 3
 
     def test_seen_set_resets_on_new_timestamp(self):
-        cluster = build_cluster(FEASIBLE)
+        cluster = SPEC.build(FEASIBLE)
         execution = ScriptedExecution()
         cluster.install(execution)
         op = execution.invoke(reader(1), "read")
@@ -93,7 +93,7 @@ class TestConcurrentScenarios:
         """The introduction's scenario: a read must return an incomplete
         write it observes, because it cannot tell whether it completed."""
         config = ClusterConfig(S=8, t=2, R=1)
-        cluster = build_cluster(config)
+        cluster = SPEC.build(config)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "v")
@@ -109,7 +109,7 @@ class TestConcurrentScenarios:
         """A read seeing maxTS at too few servers falls back to
         maxTS - 1 (the previous write's value)."""
         config = ClusterConfig(S=8, t=1, R=4)  # needs S > 6
-        cluster = build_cluster(config)
+        cluster = SPEC.build(config)
         execution = ScriptedExecution()
         cluster.install(execution)
         first = execution.invoke(writer(1), "write", "old")
@@ -131,7 +131,7 @@ class TestConcurrentScenarios:
         """r1 sees the incomplete write and returns it; r2 must not
         return an older value afterwards (the key atomicity case)."""
         config = ClusterConfig(S=8, t=1, R=3)
-        cluster = build_cluster(config)
+        cluster = SPEC.build(config)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "v")

@@ -60,7 +60,7 @@ class TestByzantineAtB0IsCrash:
             execution.run_to_quiescence()
             return _observable(execution.history)
 
-        assert schedule(fast_byzantine.build_cluster) == schedule(fast_crash.build_cluster)
+        assert schedule(fast_byzantine.SPEC.build) == schedule(fast_crash.SPEC.build)
 
     def test_explorer_does_identical_work(self):
         """Same reachable states, same pruning: the signed automata add
@@ -77,9 +77,9 @@ class TestFlawTable:
     @pytest.mark.parametrize("name", sorted(FLAWS))
     def test_row_builds_with_exactly_one_class_replaced(self, name):
         flaw = FLAWS[name]
-        config = ClusterConfig(S=6, t=1, R=2, b=1 if flaw.base is fast_byzantine else 0)
+        config = ClusterConfig(S=6, t=1, R=2, b=1 if flaw.base is fast_byzantine.SPEC else 0)
         flawed = flaw.build(config)
-        faithful = flaw.base.build_cluster(config, enforce=False)
+        faithful = flaw.base.build(config, enforce=False)
         differing = {
             type(ours)
             for ours, theirs in zip(flawed.all_processes(), faithful.all_processes())

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.registers.base import ClusterConfig
-from repro.registers.maxmin import build_cluster, requirement
+from repro.registers.maxmin import SPEC, requirement
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, writer
 from repro.spec.atomicity import check_swmr_atomicity
@@ -27,7 +27,7 @@ class TestRequirement:
 
     def test_build_enforces(self):
         with pytest.raises(ConfigurationError):
-            build_cluster(ClusterConfig(S=4, t=2, R=1))
+            SPEC.build(ClusterConfig(S=4, t=2, R=1))
 
 
 class TestBehaviour:
@@ -54,7 +54,7 @@ class TestBehaviour:
         assert len(gossip_sends) == (5 - 1) + 1  # gossip to peers + reply
 
     def test_server_replies_after_majority_gossip(self):
-        cluster = build_cluster(CONFIG)
+        cluster = SPEC.build(CONFIG)
         execution = ScriptedExecution()
         cluster.install(execution)
         read_op = execution.invoke(reader(1), "read")
@@ -77,7 +77,7 @@ class TestBehaviour:
         """With an incomplete write, gossip pools may differ; the reader
         conservatively returns the minimum (committed) tag."""
         config = ClusterConfig(S=5, t=2, R=1)
-        cluster = build_cluster(config)
+        cluster = SPEC.build(config)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "v")

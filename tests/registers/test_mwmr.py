@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.registers.base import ClusterConfig
-from repro.registers.mwmr import build_cluster as build_mwmr
+from repro.registers.mwmr import SPEC as MWMR
 from repro.registers.mwmr import requirement as mwmr_requirement
-from repro.registers.naive_mwmr import build_cluster as build_naive
+from repro.registers.naive_mwmr import SPEC as NAIVE
 from repro.registers.timestamps import MWTimestamp
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, servers, writer
@@ -23,11 +23,11 @@ class TestMwmrBaseline:
 
     def test_build_enforces(self):
         with pytest.raises(ConfigurationError):
-            build_mwmr(ClusterConfig(S=4, t=2, R=1, W=2))
+            MWMR.build(ClusterConfig(S=4, t=2, R=1, W=2))
 
     def test_sequential_writers_ordered(self):
         execution = ScriptedExecution()
-        build_mwmr(CONFIG).install(execution)
+        MWMR.build(CONFIG).install(execution)
         w2_op = execution.invoke(writer(2), "write", "second-writer")
         execution.complete_operation(w2_op, via=servers(5))
         w1_op = execution.invoke(writer(1), "write", "first-writer")
@@ -60,7 +60,7 @@ class TestMwmrBaseline:
 
     def test_timestamps_use_writer_index_tiebreak(self):
         execution = ScriptedExecution()
-        cluster = build_mwmr(CONFIG)
+        cluster = MWMR.build(CONFIG)
         cluster.install(execution)
         op1 = execution.invoke(writer(1), "write", "a")
         op2 = execution.invoke(writer(2), "write", "b")
@@ -73,7 +73,7 @@ class TestMwmrBaseline:
 
 class TestNaiveStrawman:
     def test_builds_without_requirement(self):
-        cluster = build_naive(CONFIG)
+        cluster = NAIVE.build(CONFIG)
         assert len(cluster.servers) == 5
 
     def test_one_round_ops(self):
@@ -89,7 +89,7 @@ class TestNaiveStrawman:
 
     def test_violates_p1_on_sequential_writes(self):
         execution = ScriptedExecution()
-        build_naive(CONFIG).install(execution)
+        NAIVE.build(CONFIG).install(execution)
         w2_op = execution.invoke(writer(2), "write", "second-writer")
         execution.complete_operation(w2_op, via=servers(5))
         w1_op = execution.invoke(writer(1), "write", "first-writer")

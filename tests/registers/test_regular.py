@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.registers.base import ClusterConfig
-from repro.registers.regular import build_cluster, requirement
+from repro.registers.regular import SPEC, requirement
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, writer
 from repro.spec.atomicity import check_swmr_atomicity
@@ -31,7 +31,7 @@ class TestRequirement:
 
     def test_build_enforces(self):
         with pytest.raises(ConfigurationError):
-            build_cluster(ClusterConfig(S=4, t=2, R=1))
+            SPEC.build(ClusterConfig(S=4, t=2, R=1))
 
 
 class TestRegularButNotAtomic:
@@ -43,7 +43,7 @@ class TestRegularButNotAtomic:
     def test_new_old_inversion_scripted(self):
         """The canonical regular-but-not-atomic run: two readers observe
         an incomplete write in opposite orders."""
-        cluster = build_cluster(CONFIG)
+        cluster = SPEC.build(CONFIG)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "new")

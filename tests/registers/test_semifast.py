@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.registers.base import ClusterConfig
-from repro.registers.semifast import build_cluster, fast_read_ratio, requirement
+from repro.registers.semifast import SPEC, fast_read_ratio, requirement
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, writer
 from repro.sim.latency import UniformLatency
@@ -29,14 +29,14 @@ class TestRequirement:
 
     def test_build_enforces(self):
         with pytest.raises(ConfigurationError):
-            build_cluster(ClusterConfig(S=4, t=2, R=1))
+            SPEC.build(ClusterConfig(S=4, t=2, R=1))
 
 
 class TestAdaptiveRounds:
     def test_quiet_read_is_one_round(self):
         """After a fully propagated write, reads find a uniform quorum
         and return in one round."""
-        cluster = build_cluster(CONFIG)
+        cluster = SPEC.build(CONFIG)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "v")
@@ -49,7 +49,7 @@ class TestAdaptiveRounds:
     def test_contended_read_falls_back_to_write_back(self):
         """A read racing an incomplete write takes the two-round path —
         and thereby makes the value durable for later readers."""
-        cluster = build_cluster(CONFIG)
+        cluster = SPEC.build(CONFIG)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "v")
@@ -135,5 +135,5 @@ class TestFastRatio:
         assert rounds.get(1, 0) > rounds.get(2, 0)  # mostly fast
 
     def test_ratio_helper_empty_cluster(self):
-        cluster = build_cluster(CONFIG)
+        cluster = SPEC.build(CONFIG)
         assert fast_read_ratio(cluster) == 0.0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.registers.base import ClusterConfig
-from repro.registers.swsr import build_cluster, requirement
+from repro.registers.swsr import SPEC, requirement
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, writer
 from repro.spec.atomicity import check_swmr_atomicity
@@ -36,7 +36,7 @@ class TestRequirement:
 
     def test_build_enforces(self):
         with pytest.raises(ConfigurationError):
-            build_cluster(ClusterConfig(S=5, t=2, R=2))
+            SPEC.build(ClusterConfig(S=5, t=2, R=2))
 
 
 class TestBehaviour:
@@ -48,7 +48,7 @@ class TestBehaviour:
     def test_monotonic_reads_with_incomplete_write(self):
         """The reader returns an incomplete write once, then never goes
         back — the local-tag trick that makes one reader easy."""
-        cluster = build_cluster(CONFIG)
+        cluster = SPEC.build(CONFIG)
         execution = ScriptedExecution()
         cluster.install(execution)
         write_op = execution.invoke(writer(1), "write", "v")

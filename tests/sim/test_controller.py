@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ScheduleError, SimulationError
 from repro.registers.base import ClusterConfig
-from repro.registers.fast_crash import build_cluster
+from repro.registers.fast_crash import SPEC
 from repro.registers import messages as msg
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, servers, writer
@@ -12,7 +12,7 @@ from repro.sim.ids import reader, server, servers, writer
 
 def make_execution(S=4, t=1, R=2):
     config = ClusterConfig(S=S, t=t, R=R)
-    cluster = build_cluster(config, enforce=False)
+    cluster = SPEC.build(config, enforce=False)
     execution = ScriptedExecution()
     cluster.install(execution)
     return execution, config
