@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.explore.driver import Action, ExploreScenario
 from repro.explore.explorer import (
@@ -258,7 +258,6 @@ def explore_parallel(
     max_transitions: int = DEFAULT_MAX_TRANSITIONS,
     max_counterexamples: int = 1,
     shrink: bool = True,
-    mp_context: Optional[str] = None,
     memoize: bool = True,
 ) -> ExploreResult:
     """Exhaustive exploration, sharded by k-action prefixes.
@@ -319,13 +318,12 @@ def explore_parallel(
         shared = probe_memo.hottest(SHARED_ENTRIES)
         base.stats.transitions += probe_budget.spent
         remaining = max(0, remaining - probe_budget.spent)
-    ctx = multiprocessing.get_context(mp_context or default_mp_context())
+    ctx = multiprocessing.get_context(default_mp_context())
     try:
         results, _ = map_parallel(
             execute_shard,
             shards,
             parallel,
-            mp_context,
             initializer=_init_worker,
             initargs=(ctx.Value("q", remaining), shared),
         )
@@ -347,7 +345,6 @@ def random_walks_parallel(
     parallel: int = 1,
     max_counterexamples: int = 1,
     shrink: bool = True,
-    mp_context: Optional[str] = None,
     policy: str = "mixed",
 ) -> ExploreResult:
     """Random-walk exploration, sharded into contiguous walk ranges.
@@ -379,7 +376,7 @@ def random_walks_parallel(
             )
         )
         start += size
-    results, _ = map_parallel(execute_shard, shards, parallel, mp_context)
+    results, _ = map_parallel(execute_shard, shards, parallel)
     merged = _merge(
         scenario, RANDOM, depth, False, results, max_counterexamples
     )

@@ -14,7 +14,8 @@ Modules:
   preamble and the zero-copy :class:`FrameBuffer`.
 * :mod:`repro.net.runtime` — :class:`AsyncRuntime`, the seam
   implementation: monotonic clock, route-table delivery, client-phase
-  (round) accounting.
+  (round) accounting; and :class:`FrameLink`, the one socket endpoint
+  both sides' connections subclass.
 * :mod:`repro.net.server` — one server automaton behind one listening
   socket, connections as asyncio protocols.
 * :mod:`repro.net.client` — :class:`ClientPool`, multiplexing many

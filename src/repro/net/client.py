@@ -7,6 +7,10 @@ is what makes hundreds of thousands of virtual clients per OS process
 practical: a client automaton is just a small Python object plus a route
 table entry; the socket count stays constant.
 
+Each connection is a :class:`PoolConnection`, a
+:class:`~repro.net.runtime.FrameLink` (framing, preamble, batching)
+that hands frames to ``handle_frame`` and reports its loss.
+
 ``run_op`` bridges the automaton world (synchronous steps, callbacks)
 into coroutine land: it invokes an operation on the pool's runtime and
 returns an awaitable resolved by the runtime's ``on_response`` hook when
@@ -42,81 +46,32 @@ from repro.accountability.statements import TranscriptLog
 from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ProtocolError, SimulationError
 from repro.net.chaos import BackoffPolicy, ChaosInjector, DegradationLedger
-from repro.net.codec import (
-    Codec,
-    FrameBuffer,
-    encode_preamble,
-    get_codec,
-    preamble_serializer,
-)
-from repro.net.runtime import AsyncRuntime
+from repro.net.codec import Codec, get_codec, preamble_serializer
+from repro.net.runtime import AsyncRuntime, FrameLink
 from repro.sim.ids import ProcessId
 from repro.sim.process import Process
 from repro.sim.rng import derive_seed
 from repro.spec.histories import Operation
 
 
-class PoolConnection(asyncio.Protocol):
+class PoolConnection(FrameLink):
     """One outbound connection to one server."""
 
     def __init__(self, pool: "ClientPool", server_pid: ProcessId) -> None:
-        self.pool = pool
+        super().__init__(pool)
         self.server_pid = server_pid
-        self.transport: Optional[asyncio.Transport] = None
-        self.buffer = FrameBuffer()
         self.lost = asyncio.get_running_loop().create_future()
         # Resolves to the server's announced serializer (its preamble
         # ack); legacy peers never resolve it and are tolerated.
         self.preamble: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._batch: Optional[List[bytes]] = None
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport
-        # Announce our serializer first thing; bypasses chaos and
-        # batching — connection plumbing, not protocol traffic.
-        transport.write(encode_preamble(self.pool.codec.serializer))
-
-    def data_received(self, data: bytes) -> None:
-        try:
-            bodies = self.buffer.feed(data)
-        except ProtocolError:
-            self.close()
-            return
-        pool = self.pool
-        pool.begin_batch()
-        try:
-            for body in bodies:
-                pool.handle_frame(body, self.server_pid, self)
-        finally:
-            pool.flush_batch()
+    def frame_received(self, body: bytes) -> None:
+        self.owner.handle_frame(body, self.server_pid, self)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         if not self.lost.done():
             self.lost.set_result(exc)
-        self.pool.connection_down(self.server_pid, self)
-
-    def send_frame(self, frame: bytes) -> None:
-        if self._batch is not None:
-            self._batch.append(frame)
-        elif self.transport is not None and not self.transport.is_closing():
-            self.transport.write(frame)
-
-    def begin_batch(self) -> None:
-        """Coalesce subsequent ``send_frame`` calls until :meth:`flush`."""
-        if self._batch is None:
-            self._batch = []
-
-    def flush(self) -> None:
-        frames, self._batch = self._batch, None
-        if frames and self.transport is not None and not self.transport.is_closing():
-            if len(frames) == 1:
-                self.transport.write(frames[0])
-            else:
-                self.transport.writelines(frames)
-
-    def close(self) -> None:
-        if self.transport is not None:
-            self.transport.close()
+        self.owner.connection_down(self.server_pid, self)
 
 
 class ClientPool:

@@ -106,7 +106,6 @@ class ServerCluster:
         serializer: Optional[str] = None,
         enforce: bool = True,
         start_timeout: float = 20.0,
-        mp_context: Optional[str] = None,
         accountable: bool = False,
     ) -> "ServerCluster":
         # Build once up front so a bad protocol/config fails in the
@@ -123,7 +122,6 @@ class ServerCluster:
                 "serializer": serializer,
                 "enforce": enforce,
                 "start_timeout": start_timeout,
-                "mp_context": mp_context,
                 "accountable": accountable,
             },
         )
@@ -151,7 +149,7 @@ class ServerCluster:
         caller owns both from here on.
         """
         args = self._spawn_args
-        ctx = multiprocessing.get_context(args["mp_context"] or default_mp_context())
+        ctx = multiprocessing.get_context(default_mp_context())
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_server_entry,

@@ -518,7 +518,7 @@ def merge_shard_results(
     return report
 
 
-def run_load(spec: LoadSpec, mp_context: Optional[str] = None) -> LoadReport:
+def run_load(spec: LoadSpec) -> LoadReport:
     """Run one load test: fan shards out, merge logs, judge the history."""
     origin = time.monotonic()
     shards = [
@@ -527,9 +527,7 @@ def run_load(spec: LoadSpec, mp_context: Optional[str] = None) -> LoadReport:
         # A shard with no readers (more shards than clients) still runs:
         # shard 0 may carry only the writer.
     ]
-    results, _ = map_parallel(
-        execute_shard, shards, parallel=spec.shards, mp_context=mp_context
-    )
+    results, _ = map_parallel(execute_shard, shards, parallel=spec.shards)
     return merge_shard_results(spec, results)
 
 

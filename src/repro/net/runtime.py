@@ -24,13 +24,14 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import ProtocolError
+from repro.net.codec import FrameBuffer, encode_preamble
 from repro.runtime import Runtime
 from repro.sim.ids import ProcessId
-from repro.sim.process import ClientProcess, Context, Process
-from repro.spec.histories import History, Operation
+from repro.sim.process import ClientProcess, Context
+from repro.spec.histories import Operation
 
 #: A transport send function: ``(src, dst, payload) -> None``.
 RouteFn = Callable[[ProcessId, ProcessId, Any], None]
@@ -47,14 +48,11 @@ class AsyncRuntime(Runtime):
     """
 
     def __init__(self, seed: int = 0, origin: Optional[float] = None) -> None:
+        super().__init__()
         self.origin = time.monotonic() if origin is None else origin
-        self.history = History()
-        self.processes: Dict[ProcessId, Process] = {}
         self._routes: Dict[ProcessId, RouteFn] = {}
         self._default_route: Optional[RouteFn] = None
         self._rng = random.Random(seed)
-        self._next_step = 1
-        self._on_response: List[Callable[[Operation], None]] = []
         # Per-operation client-phase accounting (see module docstring).
         self._op_phases: Dict[int, int] = {}
         self._burst_seen: set = set()
@@ -99,30 +97,10 @@ class AsyncRuntime(Runtime):
     def record_response(self, pid: ProcessId, result: Any, step_id: int) -> None:
         op = self.history.respond(pid, result, self.now)
         self.rounds_of[op.op_id] = self._op_phases.pop(op.op_id, 0)
-        client = self.processes[pid]
-        if isinstance(client, ClientProcess):
-            client.operation_completed()
-        for callback in self._on_response:
-            callback(op)
+        self._responded(op)
 
     # ------------------------------------------------------------------
-    # topology and routing
-
-    def add_process(self, process: Process) -> Process:
-        if process.pid in self.processes:
-            raise SimulationError(f"duplicate process id {process.pid}")
-        self.processes[process.pid] = process
-        return process
-
-    def add_processes(self, processes: Iterable[Process]) -> None:
-        for process in processes:
-            self.add_process(process)
-
-    def process(self, pid: ProcessId) -> Process:
-        try:
-            return self.processes[pid]
-        except KeyError:
-            raise SimulationError(f"no process {pid} in this runtime") from None
+    # routing
 
     def set_route(self, dst: ProcessId, route: RouteFn) -> None:
         """Register the send function used for messages to ``dst``."""
@@ -155,16 +133,10 @@ class AsyncRuntime(Runtime):
         finally:
             self._burst_seen = saved
 
-    def invoke(self, pid: ProcessId, kind: str, value: Any = None) -> Operation:
-        """Invoke an operation on a client automaton (mirrors the sim)."""
-        client = self.process(pid)
-        if not isinstance(client, ClientProcess):
-            raise SimulationError(f"{pid} is not a client; cannot invoke {kind}")
-        if client.crashed:
-            raise SimulationError(f"{pid} has crashed; cannot invoke {kind}")
+    def _begin(self, client: ClientProcess, kind: str, value: Any) -> Operation:
+        pid = client.pid
         op = self.history.invoke(pid, kind, value=value, at=self.now)
-        step_id = self._next_step
-        self._next_step = step_id + 1
+        step_id = self._new_step()
         saved, self._burst_seen = self._burst_seen, set()
         try:
             client.begin_operation(op, Context(self, pid, step_id))
@@ -190,9 +162,71 @@ class AsyncRuntime(Runtime):
             client.operation_completed()
         return op
 
-    def on_response(self, callback: Callable[[Operation], None]) -> None:
-        self._on_response.append(callback)
-
     def crash(self, pid: ProcessId) -> None:
         """Mark a local process crashed: it stops sending and receiving."""
         self.process(pid).crashed = True
+
+
+class FrameLink(asyncio.Protocol):
+    """One end of one framed TCP connection, either side of the service.
+
+    ``owner`` is the :class:`~repro.net.client.ClientPool` or
+    :class:`~repro.net.server.NetServer` this link belongs to (its
+    ``codec``, ``begin_batch`` and ``flush_batch`` are used); a subclass
+    supplies :meth:`frame_received` and its connection bookkeeping.
+    """
+
+    def __init__(self, owner: Any) -> None:
+        self.owner = owner
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = FrameBuffer()
+        self._batch: Optional[List[bytes]] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        # Announce our serializer first thing (the peer awaits or checks
+        # it); bypasses chaos and batching — connection plumbing, not
+        # protocol traffic.
+        transport.write(encode_preamble(self.owner.codec.serializer))
+
+    def frame_received(self, body: bytes) -> None:  # pragma: no cover - interface
+        """Hand one complete frame body to the owner."""
+        raise NotImplementedError
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            bodies = self.buffer.feed(data)
+        except ProtocolError:
+            # Framing desync is unrecoverable for this connection only.
+            self.close()
+            return
+        owner = self.owner
+        owner.begin_batch()
+        try:
+            for body in bodies:
+                self.frame_received(body)
+        finally:
+            owner.flush_batch()
+
+    def send_frame(self, frame: bytes) -> None:
+        if self._batch is not None:
+            self._batch.append(frame)
+        elif self.transport is not None and not self.transport.is_closing():
+            self.transport.write(frame)
+
+    def begin_batch(self) -> None:
+        """Coalesce subsequent ``send_frame`` calls until :meth:`flush`."""
+        if self._batch is None:
+            self._batch = []
+
+    def flush(self) -> None:
+        frames, self._batch = self._batch, None
+        if frames and self.transport is not None and not self.transport.is_closing():
+            if len(frames) == 1:
+                self.transport.write(frames[0])
+            else:
+                self.transport.writelines(frames)
+
+    def close(self) -> None:
+        if self.transport is not None:
+            self.transport.close()

@@ -7,7 +7,8 @@ or a protocol-specific server — installed into an
 :class:`~repro.net.runtime.AsyncRuntime` whose routes point back out of
 the client connections.
 
-Connection handling is a plain :class:`asyncio.Protocol` (no streams):
+Connection handling is :class:`~repro.net.runtime.FrameLink`, a plain
+:class:`asyncio.Protocol` (no streams) shared with the client side:
 ``data_received`` feeds a :class:`~repro.net.codec.FrameBuffer`, each
 complete frame is decoded and dispatched to the automaton, and replies
 the automaton emits to a client pid are framed onto whichever connection
@@ -28,14 +29,8 @@ from repro import accountability
 from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.chaos import ChaosInjector, FaultPlan
-from repro.net.codec import (
-    Codec,
-    FrameBuffer,
-    encode_preamble,
-    get_codec,
-    preamble_serializer,
-)
-from repro.net.runtime import AsyncRuntime
+from repro.net.codec import Codec, get_codec, preamble_serializer
+from repro.net.runtime import AsyncRuntime, FrameLink
 from repro.registers.base import Cluster, ClusterConfig
 from repro.registers.messages import SERVER_REPLIES
 from repro.registers.registry import get_protocol
@@ -64,64 +59,23 @@ def build_net_cluster(
     return spec.build(config, enforce=enforce, seed=seed)
 
 
-class ServerConnection(asyncio.Protocol):
+class ServerConnection(FrameLink):
     """One accepted client connection: frames in, frames out."""
 
     def __init__(self, server: "NetServer") -> None:
-        self.server = server
-        self.transport: Optional[asyncio.Transport] = None
-        self.buffer = FrameBuffer()
+        super().__init__(server)
         #: Client pids whose replies route over this connection.
         self.claimed: Set[ProcessId] = set()
-        self._batch: Optional[list] = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport
-        self.server.connections.add(self)
-        # Announce our serializer; the pool awaits this ack.  Bypasses
-        # chaos and batching — plumbing, not protocol traffic.
-        transport.write(encode_preamble(self.server.codec.serializer))
+        super().connection_made(transport)
+        self.owner.connections.add(self)
 
-    def data_received(self, data: bytes) -> None:
-        try:
-            bodies = self.buffer.feed(data)
-        except ProtocolError:
-            # Framing desync is unrecoverable for this connection only.
-            self.close()
-            return
-        server = self.server
-        server.begin_batch()
-        try:
-            for body in bodies:
-                server.handle_frame(self, body)
-        finally:
-            server.flush_batch()
+    def frame_received(self, body: bytes) -> None:
+        self.owner.handle_frame(self, body)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.server.forget_connection(self)
-
-    def send_frame(self, frame: bytes) -> None:
-        if self._batch is not None:
-            self._batch.append(frame)
-        elif self.transport is not None and not self.transport.is_closing():
-            self.transport.write(frame)
-
-    def begin_batch(self) -> None:
-        """Coalesce subsequent ``send_frame`` calls until :meth:`flush`."""
-        if self._batch is None:
-            self._batch = []
-
-    def flush(self) -> None:
-        frames, self._batch = self._batch, None
-        if frames and self.transport is not None and not self.transport.is_closing():
-            if len(frames) == 1:
-                self.transport.write(frames[0])
-            else:
-                self.transport.writelines(frames)
-
-    def close(self) -> None:
-        if self.transport is not None:
-            self.transport.close()
+        self.owner.forget_connection(self)
 
 
 class NetServer:

@@ -37,7 +37,7 @@ from repro.sim.network import HeldNetwork, SimNetwork
 from repro.sim.process import ClientProcess, Context, Process
 from repro.sim.rng import derive_seed, substream
 from repro.sim.runtime import Simulation
-from repro.sim.trace import NullTraceLog, TraceEvent, TraceLog
+from repro.sim.trace import TraceEvent, TraceLog
 
 __all__ = [
     "CALL",
@@ -52,7 +52,6 @@ __all__ = [
     "HeldNetwork",
     "LatencyModel",
     "LogNormalLatency",
-    "NullTraceLog",
     "PerLinkLatency",
     "Process",
     "ProcessId",

@@ -56,7 +56,6 @@ def map_parallel(
     fn,
     items,
     parallel: int = 1,
-    mp_context: Optional[str] = None,
     initializer=None,
     initargs: Tuple = (),
 ):
@@ -81,7 +80,7 @@ def map_parallel(
             initializer(*initargs)
         return [fn(item) for item in items], 1
     workers = min(parallel, len(items))
-    ctx = multiprocessing.get_context(mp_context or default_mp_context())
+    ctx = multiprocessing.get_context(default_mp_context())
     with ctx.Pool(
         processes=workers, initializer=initializer, initargs=initargs
     ) as pool:
@@ -312,20 +311,11 @@ class BatchRunner:
     Args:
         specs: the matrix cells, in the order results should appear.
         parallel: worker-process count; ``<= 1`` runs in-process.
-        mp_context: multiprocessing start method; defaults to ``fork``
-            where available (cheap on Linux), else ``spawn``.  Results
-            are identical either way — only startup cost differs.
     """
 
-    def __init__(
-        self,
-        specs: Sequence[SweepSpec],
-        parallel: int = 1,
-        mp_context: Optional[str] = None,
-    ) -> None:
+    def __init__(self, specs: Sequence[SweepSpec], parallel: int = 1) -> None:
         self.specs = list(specs)
         self.parallel = max(1, int(parallel))
-        self.mp_context = mp_context or default_mp_context()
 
     def run(self) -> BatchResult:
         import time
@@ -333,9 +323,7 @@ class BatchRunner:
         start = time.perf_counter()
         # map_parallel returns results in input order regardless of
         # completion order — the byte-identical guarantee.
-        summaries, used = map_parallel(
-            execute_spec, self.specs, self.parallel, self.mp_context
-        )
+        summaries, used = map_parallel(execute_spec, self.specs, self.parallel)
         elapsed = time.perf_counter() - start
         return BatchResult(
             specs=self.specs, summaries=summaries, elapsed=elapsed, parallel=used

@@ -17,15 +17,16 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ScheduleError, SimulationError
+from repro.runtime import Runtime
 from repro.sim import trace as tr
 from repro.sim.ids import ProcessId
 from repro.sim.messages import Envelope
 from repro.sim.network import HeldNetwork
-from repro.sim.process import ClientProcess, Context, Process, RuntimeCore
-from repro.spec.histories import History, Operation
+from repro.sim.process import ClientProcess, Context
+from repro.spec.histories import Operation
 
 
-class ScriptedExecution(RuntimeCore):
+class ScriptedExecution(Runtime):
     """A run under full adversarial control of the scheduler.
 
     With :meth:`enable_undo` the execution additionally keeps an *undo
@@ -37,12 +38,10 @@ class ScriptedExecution(RuntimeCore):
     """
 
     def __init__(self, record_trace: bool = True) -> None:
+        super().__init__()
         self.trace = tr.TraceLog(enabled=record_trace)
-        self.history = History()
-        self.processes: Dict[ProcessId, Process] = {}
         self.network = HeldNetwork(deliver=self._dispatch)
         self._time = 0.0
-        self._next_step = 1
         self._current_step = 0
         self._rng = None
         self._journal: Optional[List[Tuple]] = None
@@ -61,25 +60,6 @@ class ScriptedExecution(RuntimeCore):
         #: canonicalisation caches on it.
         self.state_version: Dict = {}
         self._version_clock = 0
-
-    # ------------------------------------------------------------------
-    # topology
-
-    def add_process(self, process: Process) -> Process:
-        if process.pid in self.processes:
-            raise SimulationError(f"duplicate process id {process.pid}")
-        self.processes[process.pid] = process
-        return process
-
-    def add_processes(self, processes: Iterable[Process]) -> None:
-        for process in processes:
-            self.add_process(process)
-
-    def process(self, pid: ProcessId) -> Process:
-        try:
-            return self.processes[pid]
-        except KeyError:
-            raise SimulationError(f"no process {pid} in this execution") from None
 
     # ------------------------------------------------------------------
     # Runtime interface (see :mod:`repro.runtime`)
@@ -134,9 +114,7 @@ class ScriptedExecution(RuntimeCore):
         self.trace.record(
             self._time, tr.RESPONSE, pid, step_id, op_id=op.op_id, detail=result
         )
-        client = self.processes[pid]
-        if isinstance(client, ClientProcess):
-            client.operation_completed()
+        self._responded(op)
 
     # ------------------------------------------------------------------
     # undo journal
@@ -219,18 +197,9 @@ class ScriptedExecution(RuntimeCore):
         self._version_clock += 1
         versions[key] = self._version_clock
 
-    def _new_step(self) -> int:
-        step_id = self._next_step
-        self._next_step = step_id + 1
-        return step_id
-
-    def invoke(self, pid: ProcessId, kind: str, value: Any = None) -> Operation:
-        """Invoke an operation; its messages land in transit, undelivered."""
-        client = self.process(pid)
-        if not isinstance(client, ClientProcess):
-            raise SimulationError(f"{pid} is not a client")
-        if client.crashed:
-            raise SimulationError(f"{pid} has crashed; cannot invoke")
+    def _begin(self, client: ClientProcess, kind: str, value: Any) -> Operation:
+        """The operation's messages land in transit, undelivered."""
+        pid = client.pid
         self._tick()
         op = self.history.invoke(pid, kind, value=value, at=self._time)
         step_id = self._new_step()

@@ -17,10 +17,10 @@ import random
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import ProtocolError
-from repro.runtime import Runtime
 from repro.sim.ids import ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.runtime import Runtime
     from repro.spec.histories import Operation
 
 
@@ -151,8 +151,3 @@ class ClientProcess(Process):
     def on_invoke(self, op: "Operation", ctx: Context) -> None:
         raise NotImplementedError
 
-
-#: Backwards-compatible alias: the runtime interface now lives at
-#: :class:`repro.runtime.Runtime` (it is the seam every transport
-#: implements, not a simulator detail).
-RuntimeCore = Runtime

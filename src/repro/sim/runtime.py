@@ -14,21 +14,22 @@ model already forbids automata from storing contexts across steps.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import SimulationError
+from repro.runtime import Runtime
 from repro.sim import trace as tr
 from repro.sim.events import EventQueue, VirtualClock, run_until_quiet
 from repro.sim.ids import ProcessId
 from repro.sim.latency import LatencyModel
 from repro.sim.messages import Envelope
 from repro.sim.network import SimNetwork
-from repro.sim.process import ClientProcess, Context, Process, RuntimeCore
+from repro.sim.process import ClientProcess, Context
 from repro.sim.rng import substream
-from repro.spec.histories import History, Operation
+from repro.spec.histories import Operation
 
 
-class Simulation(RuntimeCore):
+class Simulation(Runtime):
     """Discrete-event simulation of a process system.
 
     Args:
@@ -49,18 +50,13 @@ class Simulation(RuntimeCore):
         fifo: bool = False,
         record_trace: bool = True,
     ) -> None:
+        super().__init__()
         self.seed = seed
         self.clock = VirtualClock()
         self.queue = EventQueue()
         self._tracing = record_trace
-        self.trace = tr.TraceLog() if record_trace else tr.NullTraceLog()
-        self.history = History()
-        self.processes: Dict[ProcessId, Process] = {}
-        # Plain int allocator (cheaper than itertools.count on the
-        # hot path, and snapshot-friendly like the scripted runtime's).
-        self._next_step = 1
+        self.trace = tr.TraceLog(enabled=record_trace)
         self._current_step = 0
-        self._on_response: List[Callable[[Operation], None]] = []
         self._crash_after_sends: Dict[ProcessId, int] = {}
         self._automata_rng = None  # lazy; most runs never draw from it
         #: Optional accountability overlay (see
@@ -83,25 +79,6 @@ class Simulation(RuntimeCore):
     def _rebind_hot_paths(self) -> None:
         self._submit = self.network.submit
         self._processes_get = self.processes.get
-
-    # ------------------------------------------------------------------
-    # topology
-
-    def add_process(self, process: Process) -> Process:
-        if process.pid in self.processes:
-            raise SimulationError(f"duplicate process id {process.pid}")
-        self.processes[process.pid] = process
-        return process
-
-    def add_processes(self, processes: Iterable[Process]) -> None:
-        for process in processes:
-            self.add_process(process)
-
-    def process(self, pid: ProcessId) -> Process:
-        try:
-            return self.processes[pid]
-        except KeyError:
-            raise SimulationError(f"no process {pid} in this simulation") from None
 
     # ------------------------------------------------------------------
     # Runtime interface (see :mod:`repro.runtime`)
@@ -161,25 +138,15 @@ class Simulation(RuntimeCore):
             self.trace.record(
                 now, tr.RESPONSE, pid, step_id, op_id=op.op_id, detail=result
             )
-        client = self.processes[pid]
-        if isinstance(client, ClientProcess):
-            client.operation_completed()
-        for callback in self._on_response:
-            callback(op)
+        self._responded(op)
 
     # ------------------------------------------------------------------
     # invocations
 
-    def invoke(self, pid: ProcessId, kind: str, value: Any = None) -> Operation:
-        """Invoke an operation on a client immediately (at current time)."""
-        client = self.process(pid)
-        if not isinstance(client, ClientProcess):
-            raise SimulationError(f"{pid} is not a client; cannot invoke {kind}")
-        if client.crashed:
-            raise SimulationError(f"{pid} has crashed; cannot invoke {kind}")
+    def _begin(self, client: ClientProcess, kind: str, value: Any) -> Operation:
+        pid = client.pid
         op = self.history.invoke(pid, kind, value=value, at=self.now)
-        step_id = self._next_step
-        self._next_step = step_id + 1
+        step_id = self._new_step()
         self._current_step = step_id
         if self._tracing:
             self.trace.record(
@@ -194,10 +161,6 @@ class Simulation(RuntimeCore):
         """Schedule an invocation for a future instant."""
         self.queue.schedule(time, lambda: self.invoke(pid, kind, value), tag="invoke")
 
-    def on_response(self, callback: Callable[[Operation], None]) -> None:
-        """Register a hook fired after every operation response."""
-        self._on_response.append(callback)
-
     def at(self, time: float, action: Callable[[], None], tag: str = "user") -> None:
         """Schedule an arbitrary action (workload drivers use this)."""
         self.queue.schedule(time, action, tag=tag)
@@ -207,9 +170,7 @@ class Simulation(RuntimeCore):
 
     def crash(self, pid: ProcessId) -> None:
         """Crash a process immediately."""
-        step_id = self._next_step
-        self._next_step = step_id + 1
-        self._crash_now(pid, step_id=step_id)
+        self._crash_now(pid, step_id=self._new_step())
 
     def crash_at(self, time: float, pid: ProcessId) -> None:
         self.queue.schedule(time, lambda: self.crash(pid), tag=f"crash:{pid}")

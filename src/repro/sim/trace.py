@@ -177,20 +177,3 @@ class TraceLog:
             lines.append(f"... ({len(self.events) - limit} more events)")
         return "\n".join(lines)
 
-
-class NullTraceLog(TraceLog):
-    """A disabled trace with zero record overhead — the cheap trace mode.
-
-    The free-running runtime guards its ``record`` calls on
-    ``trace.enabled`` so a disabled run skips even the call; this class
-    backs that mode while keeping every query helper available (they all
-    see an empty log), so code holding a trace reference needs no
-    branching.  Batch sweeps run with this trace: recording costs roughly
-    a third of a traced run's time and sweeps only consume histories.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def record(self, *args: Any, **kwargs: Any) -> Optional[TraceEvent]:
-        return None

@@ -696,7 +696,6 @@ def run_vector_sweep(
     parallel: int = 1,
     oracle_samples: int = DEFAULT_ORACLE_SAMPLES,
     chunk_size: int = DEFAULT_CHUNK,
-    mp_context: Optional[str] = None,
 ) -> VectorSweepResult:
     """Run a sweep matrix through the vector kernel where possible.
 
@@ -781,9 +780,7 @@ def run_vector_sweep(
 
     used = 1
     if fallback:
-        runner = BatchRunner(
-            [specs[i] for i in fallback], parallel=parallel, mp_context=mp_context
-        )
+        runner = BatchRunner([specs[i] for i in fallback], parallel=parallel)
         scalar = runner.run()
         used = scalar.parallel
         for local, i in enumerate(fallback):

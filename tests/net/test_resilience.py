@@ -23,6 +23,7 @@ from repro.net.chaos import (
     build_run_record,
     verify_run_record,
 )
+from repro.net import harness
 from repro.net.client import ClientPool
 from repro.net.harness import (
     ChaosEventDriver,
@@ -32,7 +33,13 @@ from repro.net.harness import (
 from repro.net.loadgen import LoadSpec, merge_shard_results, run_load
 from repro.net.server import NetServer, build_net_cluster, start_servers
 from repro.registers.base import ClusterConfig
+from repro.sim.batch import default_mp_context
 from repro.spec.histories import BOTTOM, History, parse_pid
+
+
+def _silent_member(*args):
+    """Stand-in for ``harness._server_entry``: never writes to its pipe."""
+    time.sleep(60)
 
 
 class TestHistoryAbandon:
@@ -240,22 +247,29 @@ class TestSpawnedClusterRecovery:
         with pytest.raises(SimulationError, match="spawn"):
             cluster.restart_server(1)
 
-    def test_handshake_timeout_reaps_every_started_member(self):
+    @pytest.mark.skipif(
+        default_mp_context() != "fork",
+        reason="the silent member reaches the child by inheritance, not by name",
+    )
+    def test_handshake_timeout_reaps_every_started_member(self, monkeypatch):
         """A member that never reports its port is terminated *and*
         joined, by ``spawn`` and by ``restart_server`` alike — neither
         leaves a child behind that no list knows about."""
         config = ClusterConfig(S=3, t=1, R=1)
         before = set(multiprocessing.active_children())
-        with pytest.raises(SimulationError, match="did not report a port"):
-            ServerCluster.spawn("abd", config, start_timeout=0.0)
-        assert set(multiprocessing.active_children()) <= before
         with ServerCluster.spawn("abd", config) as cluster:
             members = set(cluster.processes)
-            cluster._spawn_args["start_timeout"] = 0.0
+            # Every member started from here on is alive and says
+            # nothing, however long the parent waits for it.
+            monkeypatch.setattr(harness, "_server_entry", _silent_member)
+            cluster._spawn_args["start_timeout"] = 0.2
             with pytest.raises(SimulationError, match="did not report a port"):
                 cluster.restart_server(2)
             assert cluster.live_count == 2
             assert set(multiprocessing.active_children()) <= before | members
+        with pytest.raises(SimulationError, match="did not report a port"):
+            ServerCluster.spawn("abd", config, start_timeout=0.2)
+        assert set(multiprocessing.active_children()) <= before
 
     def test_kill_restart_mid_run_keeps_verdicts_clean_at_most_t(self):
         """The ≤ t headline invariant, end to end over OS processes."""

@@ -18,7 +18,9 @@ from repro.net.codec import (
     Codec,
     FrameBuffer,
     available_serializers,
+    encode_preamble,
 )
+from repro.net.runtime import FrameLink
 from repro.registers.messages import (
     MESSAGE_TYPES,
     WIRE_VERSION,
@@ -204,3 +206,74 @@ class TestCodecFrames:
     def test_unknown_serializer_rejected(self):
         with pytest.raises(ProtocolError, match="unknown serializer"):
             Codec("pickle")
+
+
+class _Transport:
+    """Records what a link hands to its socket."""
+
+    def __init__(self):
+        self.calls = []
+        self.closed = False
+
+    def write(self, data):
+        self.calls.append(("write", data))
+
+    def writelines(self, frames):
+        self.calls.append(("writelines", list(frames)))
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+
+class _Owner:
+    """What a link uses of its pool or server."""
+
+    def __init__(self):
+        self.codec = Codec("binary")
+        self.links = []
+
+    def begin_batch(self):
+        for link in self.links:
+            link.begin_batch()
+
+    def flush_batch(self):
+        for link in self.links:
+            link.flush()
+
+
+class _EchoLink(FrameLink):
+    """Sends every frame body it receives back, framed again."""
+
+    def frame_received(self, body):
+        self.send_frame(HEADER.pack(len(body)) + bytes(body))
+
+
+class TestFrameLink:
+    def test_preamble_batching_and_desync(self):
+        owner = _Owner()
+        for _ in range(2):
+            link = _EchoLink(owner)
+            link.connection_made(_Transport())
+            owner.links.append(link)
+        one, other = owner.links
+        preamble = ("write", encode_preamble("binary"))
+        assert one.transport.calls == [preamble]
+        assert other.transport.calls == [preamble]
+
+        # Three frames in one read answer in one writelines, after it.
+        frames = [
+            owner.codec.encode_frame(reader(1), server(1), Query(op_id=i))
+            for i in (1, 2, 3)
+        ]
+        one.data_received(b"".join(frames))
+        assert one.transport.calls[1:] == [("writelines", frames)]
+
+        # A MAX_FRAME header is a desync: it closes that link only.
+        one.data_received(HEADER.pack(MAX_FRAME + 1))
+        assert one.transport.closed and not other.transport.closed
+        assert one.transport.calls[1:] == [("writelines", frames)]
+        other.data_received(frames[0])
+        assert other.transport.calls[1:] == [("write", frames[0])]

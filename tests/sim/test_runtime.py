@@ -1,9 +1,14 @@
-"""Tests for the free-running simulation runtime."""
+"""Tests for the free-running simulation runtime, and for what every
+runtime inherits from :class:`repro.runtime.Runtime`."""
+
+from collections import deque
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.net.runtime import AsyncRuntime
 from repro.sim import trace as tr
+from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server
 from repro.sim.latency import ConstantLatency
 from repro.sim.process import ClientProcess, Process
@@ -45,6 +50,89 @@ def make_sim(server_count=3):
     client = PingClient(reader(1), server_ids)
     sim.add_process(client)
     return sim, client
+
+
+def _simulation():
+    sim = Simulation(seed=0, latency=ConstantLatency(1.0))
+    return sim, sim.run
+
+
+def _scripted():
+    run = ScriptedExecution()
+    return run, run.run_to_quiescence
+
+
+def _loopback():
+    # An AsyncRuntime with no sockets: every emit queues on a loop-back
+    # default route, and driving it delivers the queue in order.
+    runtime, frames = AsyncRuntime(), deque()
+    runtime.set_default_route(lambda *frame: frames.append(frame))
+
+    def drive():
+        while frames:
+            runtime.deliver(*frames.popleft())
+
+    return runtime, drive
+
+
+@pytest.fixture(params=[_simulation, _scripted, _loopback])
+def hosted(request):
+    """(runtime, drive, client): two Echo servers and one PingClient."""
+    runtime, drive = request.param()
+    server_ids = [server(1), server(2)]
+    runtime.add_processes(Echo(pid) for pid in server_ids)
+    client = runtime.add_process(PingClient(reader(1), server_ids))
+    return runtime, drive, client
+
+
+class TestEveryRuntimeHostsAlike:
+    """The process table, the invocation guard and the response tail are
+    :class:`repro.runtime.Runtime`'s: one behaviour under all three."""
+
+    def test_duplicate_pid_refused(self, hosted):
+        runtime, _, _ = hosted
+        with pytest.raises(SimulationError, match="duplicate process id s1"):
+            runtime.add_process(Echo(server(1)))
+
+    def test_unknown_pid_named_in_the_error(self, hosted):
+        runtime, _, _ = hosted
+        with pytest.raises(SimulationError, match="no process r9"):
+            runtime.process(reader(9))
+        with pytest.raises(SimulationError, match="no process r9"):
+            runtime.invoke(reader(9), "read")
+
+    def test_invoke_on_a_server_refused(self, hosted):
+        runtime, _, _ = hosted
+        message = "s1 is not a client; cannot invoke read"
+        with pytest.raises(SimulationError, match=message):
+            runtime.invoke(server(1), "read")
+        assert len(runtime.history) == 0
+
+    def test_invoke_on_a_crashed_client_refused(self, hosted):
+        runtime, _, _ = hosted
+        runtime.crash(reader(1))
+        message = "r1 has crashed; cannot invoke read"
+        with pytest.raises(SimulationError, match=message):
+            runtime.invoke(reader(1), "read")
+        assert len(runtime.history) == 0
+
+    def test_on_response_fires_once_per_completed_operation(self, hosted):
+        runtime, drive, client = hosted
+        seen = []
+
+        def observer(op):
+            # The client is already free when observers run, so a
+            # closed-loop driver may invoke its next operation from here.
+            seen.append((op.op_id, client.current_op))
+            if len(seen) == 1:
+                runtime.invoke(reader(1), "read")
+
+        runtime.on_response(observer)
+        first = runtime.invoke(reader(1), "read")
+        drive()
+        second = runtime.history.operations[1]
+        assert first.complete and second.complete
+        assert seen == [(first.op_id, None), (second.op_id, None)]
 
 
 class TestBasics:

@@ -29,10 +29,15 @@ class TestSurface:
 
         assert issubclass(AsyncRuntime, Runtime)
 
-    def test_legacy_runtime_core_alias_still_importable(self):
-        from repro.sim.process import RuntimeCore
+    def test_runtime_is_the_one_base_of_all_three_runtimes(self):
+        from repro.net import AsyncRuntime
 
-        assert RuntimeCore is Runtime
+        for cls in (Simulation, ScriptedExecution, AsyncRuntime):
+            assert cls.__bases__ == (Runtime,)
+            # Hosting is inherited, never restated.
+            for name in ("add_process", "add_processes", "process",
+                         "invoke", "on_response", "_responded", "_new_step"):
+                assert name not in vars(cls), (cls.__name__, name)
 
 
 class TestRunScenario:
