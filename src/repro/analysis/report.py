@@ -56,6 +56,11 @@ def render_explore_stats(result) -> str:
     if byzantine_budget:
         menu = ",".join(scenario.strategies)
         adversary += f", byzantine budget {byzantine_budget} [{menu}]"
+    memo = (  # only a memoized exhaustive search has one
+        "memo          : {states} states in {variants} variants over {parts} "
+        "interned parts; hits {local_hits} local, {base_hits} base"
+    )
+    memo_lines = [memo.format_map(result.memo)] if getattr(result, "memo", None) else []
     lines = [
         f"target        : {scenario.target}  "
         f"(S={config.S}, t={config.t}, R={config.R}, W={config.W}, "
@@ -76,6 +81,7 @@ def render_explore_stats(result) -> str:
             if exhaustive
             else ""
         ),
+        *memo_lines,
         f"frontier      : max depth {stats.max_depth_seen}"
         + (f", max branching {stats.max_enabled}" if exhaustive else ""),
         f"violations    : {stats.violations} found, "

@@ -54,6 +54,8 @@ client's actions never renames another's).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.adversary import Adversary, DEFAULT_MENU, DROP, StrategyContext
@@ -69,6 +71,74 @@ from repro.spec.histories import History, Operation, parse_pid
 #: Automaton attributes constant across every state of one scenario;
 #: excluded from fingerprints (identical by construction).
 _CONSTANT_ATTRS = frozenset(("config", "authority"))
+
+
+_QUEUE = itemgetter(0)
+
+
+def _assemble(processes, pairs, driver_part, history) -> Tuple:
+    """A fingerprint from its parts; ``pairs`` are ``(queue, payload)``
+    in queue order, FIFO within a queue."""
+    transit = tuple(
+        (queue, tuple(payload for _queue, payload in group))
+        for queue, group in groupby(pairs, key=_QUEUE)
+    )
+    return (tuple(processes), transit, *driver_part, history)
+
+
+class StateTable:
+    """Hash-consed fingerprint parts: each distinct part is held once
+    and named by a small int.
+
+    A *part* is a per-process entry ``(pid, class, canon_process)``, an
+    in-transit ``(queue, payload)`` pair, a rank-normalised history or
+    the driver's ``(programs, crashes_used, corrupted)`` triple.  A
+    *state key* is the flat tuple ``(#processes, driver id, history id,
+    *process ids, *transit ids)``, transit in :func:`_assemble` order:
+    within one table, equal keys :meth:`expand` to equal fingerprints
+    and unequal keys to unequal ones.
+
+    One owner, one lifetime: a search's
+    :class:`~repro.explore.explorer.Memo` makes the table, the search's
+    driver interns into it, and it dies with them.  It only grows — ids
+    are positions in :attr:`parts` and there is no ``clear``, so no key
+    a memo holds can be invalidated.  Ids mean nothing in another
+    table: what leaves a process is :meth:`expand` output, and what
+    arrives is re-interned by :meth:`key_of`.
+    """
+
+    __slots__ = ("ids", "parts")
+
+    def __init__(self) -> None:
+        self.ids: Dict[Tuple, int] = {}
+        self.parts: List[Tuple] = []
+
+    def intern(self, part: Tuple) -> int:
+        number = self.ids.setdefault(part, len(self.parts))
+        if number == len(self.parts):
+            self.parts.append(part)
+        return number
+
+    def key_of(self, fingerprint: Tuple) -> Tuple[int, ...]:
+        """The state key of a :meth:`ScheduleDriver.fingerprint` tuple."""
+        processes, transit, *driver_part, history = fingerprint
+        pairs = ((queue, p) for queue, payloads in transit for p in payloads)
+        return (
+            len(processes),
+            self.intern(tuple(driver_part)),
+            self.intern(history),
+            *map(self.intern, processes),
+            *map(self.intern, pairs),
+        )
+
+    def expand(self, key: Tuple[int, ...]) -> Tuple:
+        """The fingerprint a key of this table stands for."""
+        count, driver_part, history, *rest = key
+        parts = [self.parts[number] for number in rest]
+        return _assemble(
+            parts[:count], parts[count:], self.parts[driver_part],
+            self.parts[history],
+        )
 
 
 @dataclass(frozen=True)
@@ -204,14 +274,26 @@ class ScheduleDriver:
     * ``undo=True`` — search mode: the underlying execution keeps an
       undo journal, and :meth:`mark`/:meth:`undo` let the exhaustive
       DFS pop the delta of the last action(s) instead of replaying the
-      prefix.
+      prefix.  ``states`` (implies ``undo``) is the search's
+      :class:`StateTable`, which :meth:`state_key` interns into.
+
+    The caches (envelope → action, stamp → part id) have one lifetime
+    rule: :meth:`mark` notes their sizes and :meth:`undo` truncates
+    them back.  Envelope ids and state-version stamps are never
+    reissued, so what is truncated is dead or recomputed on the next
+    miss, and the caches hold O(path length) entries.
     """
 
-    def __init__(self, scenario: ExploreScenario, undo: bool = False) -> None:
+    def __init__(
+        self,
+        scenario: ExploreScenario,
+        undo: bool = False,
+        states: Optional[StateTable] = None,
+    ) -> None:
         self.scenario = scenario
         self.target = scenario.resolve()
         self.execution = ScriptedExecution(record_trace=False)
-        if undo:
+        if undo or states is not None:  # part ids are cached by undo stamps
             self.execution.enable_undo()
         cluster = self.target.build(scenario.config)
         cluster.install(self.execution)
@@ -258,11 +340,16 @@ class ScheduleDriver:
             pid: Action(label=f"crash:{pid}", footprint=frozenset((pid,)))
             for pid in self.config.server_ids
         }
-        self._classify_cache: Dict[Tuple, Optional[Action]] = {}
-        self._lie_cache: Dict[Tuple[int, str], Action] = {}
-        self._proc_canon: Dict[ProcessId, Dict[int, Tuple]] = {}
-        self._env_canon: Dict[int, object] = {}
-        self._hist_canon: Dict[int, Tuple] = {}
+        #: (envelope id, op complete? | lie strategy) -> action
+        self._actions: Dict[Tuple, Optional[Action]] = {}
+        self._states = states
+        #: The stamped entities: the history (no process), then processes.
+        self._entities = [("history", None), *self._sorted_processes]
+        #: state-version stamp (or the entity's name) -> part id
+        self._stamp_ids: Dict[object, int] = {}
+        #: envelope id -> (queue, part id of its (queue, payload) pair)
+        self._env_ids: Dict[int, Tuple[Tuple, int]] = {}
+        self._caches = (self._actions, self._stamp_ids, self._env_ids)
 
     # ------------------------------------------------------------------
     # observation
@@ -303,12 +390,17 @@ class ScheduleDriver:
                 (pid, program.issued) for pid, program in self._programs.items()
             ),
             self.execution.history._next_op_id,
+            tuple(len(cache) for cache in self._caches),
         )
 
     def undo(self, mark: Tuple) -> None:
         """Rewind driver and execution to a :meth:`mark` checkpoint."""
-        checkpoint, schedule_len, crashes_used, corrupted, issued, next_op_id = mark
+        (checkpoint, schedule_len, crashes_used, corrupted, issued, next_op_id,
+         cache_sizes) = mark
         self.execution.rollback(checkpoint)
+        for cache, size in zip(self._caches, cache_sizes):
+            while len(cache) > size:
+                cache.popitem()
         del self.schedule[schedule_len:]
         self.crashes_used = crashes_used
         self.corrupted = corrupted
@@ -339,101 +431,80 @@ class ScheduleDriver:
         deliberately excluded — they are unobservable to automata and
         to the oracle.
 
-        On an undo-enabled driver the per-process, per-envelope and
-        history encodings are cached, keyed by the execution's
-        state-version stamps.  Stamps are drawn from one monotone clock
-        and *restored* by the undo journal, so a ``(entity, stamp)``
-        pair names one exact state content forever — revisiting a state
-        after backtracking reuses its cached encoding instead of
-        re-canonicalising.
+        This is the *specification* of state identity, computed from
+        scratch on any driver.  The search keys its memo on
+        :meth:`state_key` instead, pinned to this method by
+        ``StateTable.expand(state_key()) == fingerprint()``.
         """
-        caching = self.execution.undo_enabled
+        pairs = [
+            (self._queue_of(env), canon_value(env.payload))
+            for env in self.execution.network.transit
+        ]
+        pairs.sort(key=_QUEUE)  # stable: FIFO inside each queue
+        history, *processes = (self._part_of(*entity) for entity in self._entities)
+        return _assemble(processes, pairs, self._driver_part(), history)
+
+    def state_key(self) -> Tuple[int, ...]:
+        """The current state as a flat tuple of small ints (layout:
+        :class:`StateTable`).
+
+        Which part an entity currently has is cached by the execution's
+        state-version stamps.  Stamps are drawn from one monotone clock
+        and *restored* by the undo journal, so a stamp names one exact
+        content of one entity forever — revisiting a state after
+        backtracking looks its ids up instead of re-canonicalising, and
+        building a key hashes nothing bigger than the key itself.
+        """
+        if self._states is None:
+            raise ScheduleError("state_key() needs the search's StateTable")
+        intern = self._states.intern
         versions = self.execution.state_version
-        entries = []
-        for pid, proc in self._sorted_processes:
-            if caching:
-                version = versions.get(pid, 0)
-                slots = self._proc_canon.get(pid)
-                if slots is None:
-                    slots = self._proc_canon[pid] = {}
-                entry = slots.get(version)
-                if entry is None:
-                    if len(slots) > 4096:
-                        slots.clear()
-                    entry = (
-                        pid,
-                        type(proc).__name__,
-                        canon_process(proc, _CONSTANT_ATTRS),
-                    )
-                    slots[version] = entry
-            else:
-                entry = (
-                    pid,
-                    type(proc).__name__,
-                    canon_process(proc, _CONSTANT_ATTRS),
-                )
-            entries.append(entry)
-        processes = tuple(entries)
-        env_cache = self._env_canon
-        if len(env_cache) > 100_000:
-            env_cache.clear()
-        queues: Dict[Tuple, List] = {}
+        stamp_ids = self._stamp_ids
+        key = [len(self._sorted_processes), intern(self._driver_part())]
+        for name, proc in self._entities:
+            stamp = versions.get(name) or name  # never stepped: stamp 0
+            number = stamp_ids.get(stamp)
+            if number is None:
+                number = stamp_ids[stamp] = intern(self._part_of(name, proc))
+            key.append(number)
+        env_ids = self._env_ids
+        transit = []
         for env in self.execution.network.transit:
-            op_id = env.op_id
-            op_label = self._op_labels.get(op_id) if op_id is not None else None
-            payload = env_cache.get(env.env_id) if caching else None
-            if payload is None:
-                payload = canon_value(env.payload)
-                if caching:
-                    env_cache[env.env_id] = payload
-            key = (env.src, env.dst, op_label or "")
-            queues.setdefault(key, []).append(payload)
-        transit = tuple(
-            (key, tuple(payloads))
-            for key, payloads in sorted(queues.items(), key=lambda kv: kv[0])
-        )
-        programs = tuple(
-            (pid, program.issued) for pid, program in self._sorted_programs
-        )
-        history_version = versions.get("history", 0)
-        history = (
-            self._hist_canon.get(history_version) if caching else None
-        )
-        if history is None:
-            operations = self.history.operations
-            times = sorted(
-                {op.invoked_at for op in operations}
-                | {
-                    op.responded_at
-                    for op in operations
-                    if op.responded_at is not None
-                }
-            )
-            rank = {t: i for i, t in enumerate(times)}
-            history = tuple(
-                (
-                    op.proc,
-                    op.kind,
-                    canon_value(op.value),
-                    canon_value(op.result),
-                    rank[op.invoked_at],
-                    rank[op.responded_at]
-                    if op.responded_at is not None
-                    else None,
-                )
-                for op in operations
-            )
-            if caching:
-                if len(self._hist_canon) > 8192:
-                    self._hist_canon.clear()
-                self._hist_canon[history_version] = history
+            entry = env_ids.get(env.env_id)
+            if entry is None:
+                queue = self._queue_of(env)
+                number = intern((queue, canon_value(env.payload)))
+                entry = env_ids[env.env_id] = (queue, number)
+            transit.append(entry)
+        transit.sort(key=_QUEUE)
+        key.extend(number for _queue, number in transit)
+        return tuple(key)
+
+    def _part_of(self, name, proc) -> Tuple:
+        if proc is None:
+            return self._history_part()
+        return (name, type(proc).__name__, canon_process(proc, _CONSTANT_ATTRS))
+
+    def _queue_of(self, env: Envelope) -> Tuple:
+        return (env.src, env.dst, self._op_labels.get(env.op_id) or "")
+
+    def _driver_part(self) -> Tuple:
         return (
-            processes,
-            transit,
-            programs,
+            tuple((pid, program.issued) for pid, program in self._sorted_programs),
             self.crashes_used,
             tuple(sorted(self.corrupted)),
-            history,
+        )
+
+    def _history_part(self) -> Tuple:
+        operations = self.history.operations
+        times = {op.invoked_at for op in operations}
+        times.update(op.responded_at for op in operations)
+        rank = {t: i for i, t in enumerate(sorted(times - {None}))}
+        rank[None] = None  # still pending
+        return tuple(
+            (op.proc, op.kind, canon_value(op.value), canon_value(op.result),
+             rank[op.invoked_at], rank[op.responded_at])
+            for op in operations
         )
 
     # ------------------------------------------------------------------
@@ -498,20 +569,14 @@ class ScheduleDriver:
         footprint covers both the server and the invoking client and it
         pairs with invocations for the reduction's completion rule.
         """
-        cache = self._lie_cache
         key = (env.env_id, strategy)
-        try:
-            return cache[key]
-        except KeyError:
-            pass
-        if len(cache) > 100_000:
-            cache.clear()
-        action = Action(
-            label=f"lie:{strategy}:{op_label}:{env.dst}",
-            footprint=frozenset((env.dst, env.src)),
-            completes=True,
-        )
-        cache[key] = action
+        action = self._actions.get(key)
+        if action is None:
+            action = self._actions[key] = Action(
+                label=f"lie:{strategy}:{op_label}:{env.dst}",
+                footprint=frozenset((env.dst, env.src)),
+                completes=True,
+            )
         return action
 
     def _classify(self, env: Envelope) -> Optional[Action]:
@@ -525,21 +590,18 @@ class ScheduleDriver:
         """
         if self.execution.processes[env.dst].crashed:
             return None
-        op_id = env.op_id
-        op_label = self._op_labels.get(op_id) if op_id is not None else None
+        op_label = self._op_labels.get(env.op_id)
         complete = (
             self._ops_by_label[op_label].complete
             if op_label is not None
             else None
         )
-        cache = self._classify_cache
+        cache = self._actions
         key = (env.env_id, complete)
         try:
             return cache[key]
         except KeyError:
             pass
-        if len(cache) > 100_000:
-            cache.clear()
         action = self._classify_uncached(env, op_label, complete)
         cache[key] = action
         return action

@@ -15,9 +15,12 @@ Two modes share the driver's choice-point API:
 
 Exhaustive search runs on one driver with an undo journal
 (:meth:`ScheduleDriver.mark` / :meth:`ScheduleDriver.undo`): backtracking
-pops the last action's delta in O(|delta|), and a **fingerprint memo**
+pops the last action's delta in O(|delta|), and a **state memo**
 (:class:`Memo`) on top of the sleep sets collapses diamond-shaped
-interleavings: a state already explored clean to the same remaining
+interleavings (state identity is *specified* by
+:meth:`ScheduleDriver.fingerprint`; the memo keys on
+:meth:`ScheduleDriver.state_key`, the ids of the state's hash-consed
+parts): a state already explored clean to the same remaining
 depth (with a sleep set no larger than the current one — Godefroid's
 condition for combining sleep sets with state matching) is not
 re-explored; its covered-schedule count is credited to the stats and
@@ -38,12 +41,13 @@ and, on violation, shrink the schedule to a 1-minimal counterexample
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ScheduleError
 from repro.explore.choices import RandomChooser, drive, quorum_walk
-from repro.explore.driver import Action, ExploreScenario, ScheduleDriver
+from repro.explore.driver import Action, ExploreScenario, ScheduleDriver, StateTable
 from repro.explore.oracle import (
     DETECTABILITY_GAP,
     FRAUD_PROOF,
@@ -116,6 +120,9 @@ class ExploreResult:
     complete: bool = True  # False when the transition budget truncated DFS
     walks: int = 0
     seed: Optional[int] = None
+    #: :meth:`Memo.summary` of a memoized exhaustive search (summed over
+    #: shards); reporting only — never part of :class:`ExploreStats`.
+    memo: Counter = field(default_factory=Counter)
 
     @property
     def found_violation(self) -> bool:
@@ -133,6 +140,7 @@ class ExploreResult:
             complete=self.complete and other.complete,
             walks=self.walks + other.walks,
             seed=self.seed if self.seed is not None else other.seed,
+            memo=self.memo + other.memo,
         )
         merged.stats.merge(other.stats)
         seen = {ce.key() for ce in merged.counterexamples}
@@ -178,7 +186,14 @@ class TransitionBudget:
 
 
 class Memo:
-    """Fingerprint memo of clean subtrees.
+    """Memo of clean subtrees, keyed by state key.
+
+    The memo owns the search's :class:`~repro.explore.driver.StateTable`
+    (:attr:`states`): the search's driver interns into it, every key
+    here was built from it, and both live as long as the search.  Keys
+    never leave the process — :meth:`hottest` expands them to
+    fingerprints, and a ``base`` arrives as fingerprints and is
+    re-interned into this memo's own table.
 
     An entry records the sleep-set labels the subtree was explored
     under, the remaining depth it was explored to, how many schedules
@@ -197,17 +212,20 @@ class Memo:
     exactly the conditions above.
     """
 
-    #: Entries kept per fingerprint; diamond states rarely recur with
-    #: more than a few distinct (sleep set, depth) combinations.
+    #: Entries kept per state; diamond states rarely recur with more
+    #: than a few distinct (sleep set, depth) combinations.
     MAX_VARIANTS = 6
 
-    __slots__ = ("table", "hits", "base")
+    __slots__ = ("states", "table", "hits", "base", "base_hits")
 
     def __init__(self, base: Optional[Dict[Tuple, List[Tuple]]] = None) -> None:
+        self.states = StateTable()
         self.table: Dict[Tuple, List[Tuple]] = {}
-        #: Per-fingerprint local hit counts — what :meth:`hottest` ranks by.
+        #: Per-state local hit counts — what :meth:`hottest` ranks by.
         self.hits: Dict[Tuple, int] = {}
-        self.base = base or {}
+        key_of = self.states.key_of
+        self.base = {key_of(fp): entries for fp, entries in (base or {}).items()}
+        self.base_hits = 0
 
     def lookup(
         self, key: Tuple, sleep_labels: frozenset, depth_left: int
@@ -229,12 +247,10 @@ class Memo:
         if best is not None:
             self.hits[key] = self.hits.get(key, 0) + 1
             return best, False
-        # Tuple hashes are not cached: probing an *empty* base would
-        # re-hash a multi-kB fingerprint on every miss of a serial run.
-        if self.base:
-            for entry in self.base.get(key, ()):
-                if entry[1] >= depth_left and entry[0] <= sleep_labels:
-                    return entry, True
+        for entry in self.base.get(key, ()):
+            if entry[1] >= depth_left and entry[0] <= sleep_labels:
+                self.base_hits += 1
+                return entry, True
         return None, False
 
     def store(
@@ -258,8 +274,8 @@ class Memo:
             )
 
     def hottest(self, n: int) -> Dict[Tuple, List[Tuple]]:
-        """The ``n`` hottest fingerprints with their entries — a ``base``
-        for other searches' memos.
+        """The ``n`` hottest states with their entries, by *fingerprint*
+        — a ``base`` for other searches' memos (tables of their own).
 
         Ranked by local hit count (states that already recurred once are
         the ones that span shard boundaries), then by covered schedules,
@@ -272,7 +288,18 @@ class Memo:
                 -max(entry[2] for entry in item[1]),
             ),
         )
-        return dict(ranked[:n])
+        expand = self.states.expand
+        return {expand(key): entries for key, entries in ranked[:n]}
+
+    def summary(self) -> Counter:
+        """What the memo holds and how often it answered."""
+        return Counter(
+            states=len(self.table),
+            variants=sum(map(len, self.table.values())),
+            parts=len(self.states.parts),
+            local_hits=sum(self.hits.values()),
+            base_hits=self.base_hits,
+        )
 
 
 def _check_bounds(depth: int, max_counterexamples: int) -> None:
@@ -395,7 +422,7 @@ def explore(
         key = None
         sleep_labels: frozenset = frozenset()
         if memo is not None and depth_left >= MEMO_MIN_DEPTH:
-            key = driver.fingerprint()
+            key = driver.state_key()
             sleep_labels = frozenset(sleep)
             hit, from_base = memo.lookup(key, sleep_labels, depth_left)
             if hit is not None:
@@ -476,7 +503,7 @@ def explore(
             )
         return deepest
 
-    root = ScheduleDriver(scenario, undo=True)
+    root = ScheduleDriver(scenario, undo=True, states=memo and memo.states)
     root.run(prefix)
     root_path = list(prefix)
     initial_sleep: Dict[str, Action] = (
@@ -491,6 +518,7 @@ def explore(
         stats=stats,
         counterexamples=counterexamples,
         complete=not budget.exhausted,
+        memo=memo.summary() if memo is not None else Counter(),
     )
 
 

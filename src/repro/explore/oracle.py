@@ -135,6 +135,16 @@ class Counterexample:
                 f"not a counterexample artifact (format {fmt!r}; expected one "
                 f"of {', '.join(cls.FORMATS)})"
             )
+        verdict = payload.get("verdict")
+        wanted = ["scenario", "property", "schedule", "verdict", "history"]
+        missing = [name for name in wanted if name not in payload]
+        if isinstance(verdict, dict):
+            wanted = ("ok", "property_name", "reason", "culprits")
+            missing += [f"verdict.{name}" for name in wanted if name not in verdict]
+        if missing:
+            raise SpecificationError(
+                f"counterexample artifact lacks {', '.join(missing)}"
+            )
         scenario = ExploreScenario.from_dict(payload["scenario"])
         if fmt == cls.FORMAT_V1 and scenario.byzantine_budget > 0:
             raise SpecificationError(
@@ -144,7 +154,6 @@ class Counterexample:
             raise SpecificationError(
                 f"{fmt} counterexamples cannot carry an accountability section"
             )
-        verdict = payload["verdict"]
         return cls(
             scenario=scenario,
             property_name=payload["property"],

@@ -96,7 +96,9 @@ _SHARED_COUNTER = None
 
 #: Worker-side read-only memo base (the seeding probe's
 #: :meth:`~repro.explore.explorer.Memo.hottest` entries), set by the
-#: same initializer.
+#: same initializer.  Keyed by *fingerprint*: state keys are ids in the
+#: probe's table, so every shard's ``Memo(base=...)`` re-interns the
+#: entries — also when ``parallel=1`` runs probe and shards in-process.
 _SHARED_BASE = None
 
 #: Transitions a worker grabs from the shared counter per lock
@@ -296,13 +298,13 @@ def explore_parallel(
         # Seeding probe for the cross-process memo: a bounded run of
         # the same search (same reduction, same oracle) whose memo
         # entries — clean, fully-explored subtrees — are certified for
-        # every shard.  The hottest ones ship to the workers as the
-        # read-only base of each shard's memo, so diamond states
-        # spanning shard boundaries collapse once instead of once per
-        # shard.  The probe is a pure function of (scenario, bounds):
-        # shard results stay identical for every worker count, and its
-        # transitions are drawn from — and reported against — the
-        # shared allowance.
+        # every shard.  The hottest ones ship to the workers, expanded
+        # to fingerprints, as the read-only base of each shard's memo,
+        # so diamond states spanning shard boundaries collapse once
+        # instead of once per shard.  The probe is a pure function of
+        # (scenario, bounds): shard results stay identical for every
+        # worker count, and its transitions are drawn from — and
+        # reported against — the shared allowance.
         probe_budget = TransitionBudget(
             max(1, min(PROBE_TRANSITIONS, remaining // 4))
         )

@@ -44,31 +44,16 @@ from repro.spec.online import HistoryValidator, validate_history
 
 
 def _server_entry(
-    protocol: str,
-    config: ClusterConfig,
-    index: int,
-    host: str,
-    port: int,
-    seed: int,
-    serializer: Optional[str],
-    enforce: bool,
-    port_pipe,
-    accountable: bool = False,
+    index: int, port: int, port_pipe, options: Dict[str, Any]
 ) -> None:  # pragma: no cover - exercised in child processes
-    """Child-process entry point: run one server until terminated."""
+    """Child-process entry point: run one server until terminated.
+
+    ``options`` is everything :class:`NetServer` takes besides its
+    index and port, as :meth:`ServerCluster.spawn` received it.
+    """
 
     async def main() -> None:
-        server = NetServer(
-            protocol,
-            config,
-            index,
-            host=host,
-            port=port,
-            seed=seed,
-            serializer=serializer,
-            enforce=enforce,
-            accountable=accountable,
-        )
+        server = NetServer(index=index, port=port, **options)
         await server.start()
         port_pipe.send(server.port)
         port_pipe.close()
@@ -100,30 +85,18 @@ class ServerCluster:
         cls,
         protocol: str,
         config: ClusterConfig,
-        host: str = "127.0.0.1",
         base_port: int = 0,
-        seed: int = 0,
-        serializer: Optional[str] = None,
-        enforce: bool = True,
         start_timeout: float = 20.0,
-        accountable: bool = False,
+        **options,
     ) -> "ServerCluster":
-        # Build once up front so a bad protocol/config fails in the
+        """``options`` are :class:`NetServer`'s own (``host``, ``seed``,
+        ``serializer``, ``enforce``, ``accountable``)."""
+        options.update(protocol=protocol, config=config)
+        # Build one here so a bad protocol/config/option fails in the
         # parent with a real traceback, not S silent child deaths.
-        build_net_cluster(protocol, config, seed=seed, enforce=enforce)
+        host = NetServer(index=1, **options).host
         cluster = cls(
-            [],
-            [],
-            spawn_args={
-                "protocol": protocol,
-                "config": config,
-                "host": host,
-                "seed": seed,
-                "serializer": serializer,
-                "enforce": enforce,
-                "start_timeout": start_timeout,
-                "accountable": accountable,
-            },
+            [], [], spawn_args={"start_timeout": start_timeout, "server": options}
         )
         pipes = []
         try:
@@ -148,16 +121,11 @@ class ServerCluster:
         Returns the process and the pipe its bound port arrives on; the
         caller owns both from here on.
         """
-        args = self._spawn_args
         ctx = multiprocessing.get_context(default_mp_context())
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_server_entry,
-            args=(
-                args["protocol"], args["config"], index, args["host"], port,
-                args["seed"], args["serializer"], args["enforce"], send,
-                args["accountable"],
-            ),
+            args=(index, port, send, self._spawn_args["server"]),
             daemon=True,
         )
         proc.start()
@@ -374,86 +342,6 @@ async def _drive_clients(
     await asyncio.gather(*tasks)
 
 
-async def _run_net_workload(
-    protocol: str,
-    config: ClusterConfig,
-    reads_per_reader: int,
-    writes_per_writer: int,
-    seed: int,
-    serializer: Optional[str],
-    enforce: bool,
-    crash: Optional[Tuple[int, int]],
-    op_timeout: float,
-    pace: float,
-    chaos_plan: Optional[FaultPlan],
-    chaos_side: str,
-    accountable: bool,
-) -> NetRunResult:
-    servers = await start_servers(
-        protocol,
-        config,
-        seed=seed,
-        serializer=serializer,
-        enforce=enforce,
-        chaos_plan=chaos_plan if chaos_side == "server" else None,
-        accountable=accountable,
-    )
-    try:
-        addrs = {
-            pid: server.address
-            for pid, server in zip(config.server_ids, servers)
-        }
-        injector = (
-            ChaosInjector(chaos_plan, side="client", shard=0)
-            if chaos_plan is not None and chaos_side == "client"
-            else None
-        )
-        pool = ClientPool(
-            addrs,
-            seed=derive_seed(seed, "net-inproc") % 2**32,
-            serializer=serializer,
-            chaos=injector,
-            collect_statements=accountable,
-            statement_seed=seed,
-        )
-        cluster = build_net_cluster(protocol, config, seed=seed, enforce=enforce)
-        pool.add_clients([*cluster.readers, *cluster.writers])
-        await pool.connect()
-        if crash is not None:
-            crash_index, after_responses = crash
-            loop = asyncio.get_running_loop()
-            state = {"seen": 0, "fired": False}
-
-            def maybe_crash(op) -> None:
-                state["seen"] += 1
-                if not state["fired"] and state["seen"] >= after_responses:
-                    state["fired"] = True
-                    # Closing the listener and every connection is the
-                    # in-process stand-in for a server crash: clients'
-                    # sends to it become drops, like the sim's model.
-                    loop.create_task(servers[crash_index - 1].stop())
-
-            pool.runtime.on_response(maybe_crash)
-        await _drive_clients(
-            pool, cluster, reads_per_reader, writes_per_writer,
-            op_timeout, pace,
-        )
-        await pool.close()
-        return NetRunResult(
-            protocol=protocol,
-            config=config,
-            history=pool.runtime.history,
-            rounds_of=dict(pool.runtime.rounds_of),
-            runtime=pool.runtime,
-            ledger=pool.ledger.to_dict(),
-            chaos=injector,
-            transcript=pool.transcript,
-        )
-    finally:
-        for server in servers:
-            await server.stop()
-
-
 def run_net_workload(
     protocol: str,
     config: ClusterConfig,
@@ -484,10 +372,70 @@ def run_net_workload(
     pool verifies and retains the statements, and the result's
     ``transcript`` is ready for :func:`repro.accountability.audit`.
     """
-    return asyncio.run(
-        _run_net_workload(
-            protocol, config, reads_per_reader, writes_per_writer,
-            seed, serializer, enforce, crash, op_timeout, pace,
-            chaos_plan, chaos_side, accountable,
+
+    async def run() -> NetRunResult:
+        servers = await start_servers(
+            protocol,
+            config,
+            seed=seed,
+            serializer=serializer,
+            enforce=enforce,
+            chaos_plan=chaos_plan if chaos_side == "server" else None,
+            accountable=accountable,
         )
-    )
+        try:
+            addrs = {
+                pid: server.address
+                for pid, server in zip(config.server_ids, servers)
+            }
+            injector = (
+                ChaosInjector(chaos_plan, side="client", shard=0)
+                if chaos_plan is not None and chaos_side == "client"
+                else None
+            )
+            pool = ClientPool(
+                addrs,
+                seed=derive_seed(seed, "net-inproc") % 2**32,
+                serializer=serializer,
+                chaos=injector,
+                collect_statements=accountable,
+                statement_seed=seed,
+            )
+            cluster = build_net_cluster(protocol, config, seed=seed, enforce=enforce)
+            pool.add_clients([*cluster.readers, *cluster.writers])
+            await pool.connect()
+            if crash is not None:
+                crash_index, after_responses = crash
+                loop = asyncio.get_running_loop()
+                state = {"seen": 0, "fired": False}
+
+                def maybe_crash(op) -> None:
+                    state["seen"] += 1
+                    if not state["fired"] and state["seen"] >= after_responses:
+                        state["fired"] = True
+                        # Closing the listener and every connection is the
+                        # in-process stand-in for a server crash: clients'
+                        # sends to it become drops, like the sim's model.
+                        loop.create_task(servers[crash_index - 1].stop())
+
+                pool.runtime.on_response(maybe_crash)
+            await _drive_clients(
+                pool, cluster, reads_per_reader, writes_per_writer,
+                op_timeout, pace,
+            )
+            await pool.close()
+            return NetRunResult(
+                protocol=protocol,
+                config=config,
+                history=pool.runtime.history,
+                rounds_of=dict(pool.runtime.rounds_of),
+                runtime=pool.runtime,
+                ledger=pool.ledger.to_dict(),
+                chaos=injector,
+                transcript=pool.transcript,
+            )
+        finally:
+            for server in servers:
+                await server.stop()
+
+    return asyncio.run(run())

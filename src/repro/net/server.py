@@ -268,38 +268,31 @@ class NetServer:
 async def start_servers(
     protocol: str,
     config: ClusterConfig,
-    host: str = "127.0.0.1",
     base_port: int = 0,
-    seed: int = 0,
-    serializer: Optional[str] = None,
-    enforce: bool = True,
     chaos_plan: Optional[FaultPlan] = None,
-    accountable: bool = False,
+    **options,
 ) -> "list[NetServer]":
     """Start all ``S`` servers of one cluster in this event loop.
 
     With ``base_port=0`` each server binds an ephemeral port; otherwise
     server ``s<i>`` listens on ``base_port + i - 1``.  A ``chaos_plan``
     installs one server-side injector per server (shard = server index).
+    ``options`` are :class:`NetServer`'s own (``host``, ``seed``,
+    ``serializer``, ``enforce``, ``accountable``).
     """
     servers = []
     for index in range(1, config.S + 1):
-        port = 0 if base_port == 0 else base_port + index - 1
         server = NetServer(
             protocol,
             config,
             index,
-            host=host,
-            port=port,
-            seed=seed,
-            serializer=serializer,
-            enforce=enforce,
+            port=base_port and base_port + index - 1,
             chaos=(
                 None
                 if chaos_plan is None
                 else ChaosInjector(chaos_plan, side="server", shard=index)
             ),
-            accountable=accountable,
+            **options,
         )
         await server.start()
         servers.append(server)

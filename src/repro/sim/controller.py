@@ -60,6 +60,11 @@ class ScriptedExecution(Runtime):
         #: canonicalisation caches on it.
         self.state_version: Dict = {}
         self._version_clock = 0
+        #: stamp -> the process snapshot taken at that stamp: a second
+        #: step out of the same state journals the first one's snapshot
+        #: instead of copying the automaton again.  Dropped when the
+        #: stamp is rolled back (never reissued): O(path) entries.
+        self._snapshots: Dict = {}
 
     # ------------------------------------------------------------------
     # Runtime interface (see :mod:`repro.runtime`)
@@ -170,6 +175,7 @@ class ScriptedExecution(Runtime):
             elif kind == "subst":
                 network.transit[entry[2]] = entry[1]
             elif kind == "ver":
+                self._snapshots.pop(self.state_version[entry[1]], None)
                 self.state_version[entry[1]] = entry[2]
             elif kind == "respond":
                 history.undo_respond(entry[1], entry[2], entry[3])
@@ -197,6 +203,15 @@ class ScriptedExecution(Runtime):
         self._version_clock += 1
         versions[key] = self._version_clock
 
+    def _journal_step(self, process) -> None:
+        """Journal ``process`` as it is now, then stamp the step."""
+        stamp = self.state_version.get(process.pid) or process.pid
+        snapshot = self._snapshots.get(stamp)
+        if snapshot is None:
+            snapshot = self._snapshots[stamp] = process.snapshot_state()
+        self._journal.append(("proc", process, snapshot))
+        self._bump(process.pid)
+
     def _begin(self, client: ClientProcess, kind: str, value: Any) -> Operation:
         """The operation's messages land in transit, undelivered."""
         pid = client.pid
@@ -209,8 +224,7 @@ class ScriptedExecution(Runtime):
         )
         if self._journal is not None:
             self._journal.append(("invoke", op))
-            self._journal.append(("proc", client, client.snapshot_state()))
-            self._bump(pid)
+            self._journal_step(client)
             self._bump("history")
         client.begin_operation(op, Context(self, pid, step_id))
         return op
@@ -365,8 +379,7 @@ class ScriptedExecution(Runtime):
         step_id = self._new_step()
         self._current_step = step_id
         if self._journal is not None:
-            self._journal.append(("proc", receiver, receiver.snapshot_state()))
-            self._bump(env.dst)
+            self._journal_step(receiver)
         self.trace.record(
             self._time,
             tr.DELIVER,

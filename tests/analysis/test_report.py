@@ -39,6 +39,21 @@ class TestExploreStatsRendering:
         assert "pruned by sleep sets" in text
         assert "violations    : 0 found" in text
 
+    def test_memo_line_is_the_memos_own_summary(self):
+        from repro.explore import ExploreScenario, explore
+        from repro.registers.base import ClusterConfig
+
+        scenario = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
+        result = explore(scenario, depth=6)
+        memo = result.memo
+        assert (
+            f"memo          : {memo['states']} states in {memo['variants']} "
+            f"variants over {memo['parts']} interned parts; "
+            f"hits {result.stats.memo_hits} local, 0 base"
+        ) in render_explore_stats(result).splitlines()
+        plain = render_explore_stats(explore(scenario, depth=6, memoize=False))
+        assert "memo   " not in plain
+
     def test_notes_infeasible_configurations(self):
         from repro.explore import ExploreScenario, explore
         from repro.registers.base import ClusterConfig

@@ -188,6 +188,19 @@ class TestSchemaVersions:
         ):
             Counterexample.from_dict({})
 
+    def test_missing_fields_are_all_named_at_once(self):
+        """Each used to surface as the bare ``KeyError`` argument of
+        whichever subscript came first (`explore: scenario`)."""
+        from repro.errors import SpecificationError
+
+        payload = self._artifact().to_dict()
+        del payload["scenario"], payload["history"], payload["verdict"]["reason"]
+        with pytest.raises(SpecificationError) as excinfo:
+            Counterexample.from_dict(payload)
+        assert str(excinfo.value) == (
+            "counterexample artifact lacks scenario, history, verdict.reason"
+        )
+
     def test_pre_v3_payload_with_accountability_rejected(self):
         from repro.errors import SpecificationError
 

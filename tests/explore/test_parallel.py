@@ -168,11 +168,16 @@ class TestCrossProcessMemo:
 
     def test_memo_base_serves_the_hottest_entries(self):
         memo = Memo()
-        hot, cold = ("hot",), ("cold",)
+        # Keys are issued by a memo's own table and do not carry over to
+        # another memo; fingerprints (here two that differ only in their
+        # history) do.
+        states = [((), (), (), 0, (), (name,)) for name in ("hot", "cold")]
+        hot, cold = map(memo.states.key_of, states)
         memo.store(hot, frozenset(), 5, 7, 3)
         memo.store(cold, frozenset(), 5, 1, 1)
         assert memo.lookup(hot, frozenset(), 5) == ((frozenset(), 5, 7, 3), False)
         shared = Memo(base=memo.hottest(1))
+        hot, cold = map(shared.states.key_of, states)
         assert shared.lookup(hot, frozenset({"x"}), 4) == (
             (frozenset(), 5, 7, 3),
             True,

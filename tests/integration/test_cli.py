@@ -377,13 +377,20 @@ class TestOneFailurePath:
             ["demo", "--dump-history", "/nonexistent/dir/h.json"],
             ["explore", "--protocol", "nope"],
             ["explore", "--replay", "<a-list>"],
+            ["explore", "--replay", "<an-artifact-without-its-scenario>"],
             ["audit", "/nonexistent.json"],
             ["serve", "--protocol", "maxmin", "--servers", "3", "--t", "1"],
         ],
         ids=lambda argv: " ".join(argv[:3]),
     )
     def test_exit_two_and_one_stderr_line(self, argv, tmp_path, capsys):
-        files = {"<not-json>": "{nope", "<a-list>": "[]"}
+        files = {
+            "<not-json>": "{nope",
+            "<a-list>": "[]",
+            "<an-artifact-without-its-scenario>": (
+                '{"format": "repro-counterexample/v2", "verdict": {"ok": false}}'
+            ),
+        }
         for index, arg in enumerate(argv):
             if arg in files:
                 path = tmp_path / f"input-{index}.json"
