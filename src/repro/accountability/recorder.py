@@ -39,7 +39,6 @@ from repro.accountability.statements import (
     SignedStatement,
     TranscriptLog,
     sign_statement,
-    verify_statement,
 )
 
 
@@ -105,22 +104,6 @@ class StatementRecorder:
                 self.transcript.record(statement, self.authority)
         else:
             self._cause_kind = type(env.payload).__name__
-
-    # ------------------------------------------------------------------
-
-    def verified_count(self) -> int:
-        return len(self.transcript)
-
-    def statement_for(self, env: Envelope) -> Optional[SignedStatement]:
-        """The pending signed statement for an in-transit reply."""
-        return self._pending.get(env.env_id)
-
-    def self_check(self) -> bool:
-        """True when every collected statement verifies (sanity aid)."""
-        return all(
-            verify_statement(self.authority, stmt)
-            for stmt in self.transcript.statements
-        )
 
 
 __all__ = ["StatementRecorder"]

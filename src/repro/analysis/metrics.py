@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.spec.histories import History
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatencySummary:
     """Distribution summary of operation latencies."""
 

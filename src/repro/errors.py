@@ -28,6 +28,11 @@ class SimulationError(ReproError):
     """
 
 
+class EventBudgetExceeded(SimulationError, RuntimeError):
+    """A simulation spent its event budget with work still queued (still
+    a :class:`RuntimeError` for callers that caught it by that name)."""
+
+
 class ScheduleError(SimulationError):
     """A scripted schedule asked for an impossible delivery.
 

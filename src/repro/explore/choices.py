@@ -93,8 +93,15 @@ def quorum_walk(
     every seeded corpus entry its schedule).
     """
 
+    enabled: List[str] = []
+    enabled_at = -1  # schedule length `enabled` was listed at
+
     def labels(prefix: str) -> List[str]:
-        return [a.label for a in driver.enabled() if a.label.startswith(prefix)]
+        nonlocal enabled, enabled_at
+        if enabled_at != len(driver.schedule):
+            enabled_at = len(driver.schedule)
+            enabled = [action.label for action in driver.enabled()]
+        return [label for label in enabled if label.startswith(prefix)]
 
     def violated() -> bool:
         if oracle is None:

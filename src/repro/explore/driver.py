@@ -359,8 +359,7 @@ class ScheduleDriver:
         return self.execution.history
 
     def responses(self) -> int:
-        history = self.execution.history
-        return len(history.operations) - len(history._pending)
+        return self.execution.history.settled
 
     def operation(self, op_label: str) -> Operation:
         """The operation named ``<client>#<k>`` (must have been invoked)."""

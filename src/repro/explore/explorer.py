@@ -53,8 +53,10 @@ from repro.explore.oracle import (
     FRAUD_PROOF,
     Counterexample,
     Oracle,
+    WalkOracle,
     build_counterexample,
 )
+from repro.spec.histories import Verdict
 
 #: Default ceiling on executed transitions per exploration; a guard rail
 #: against accidentally unbounded state spaces, not a tuning knob.
@@ -527,6 +529,21 @@ QUORUM = "quorum"
 MIXED = "mixed"
 
 
+def random_walk(
+    scenario: ExploreScenario, depth: int, seed: int, walk: int, policy: str,
+    oracle: Oracle,
+) -> Tuple[ScheduleDriver, Verdict]:
+    """Walk ``walk`` of :func:`random_walks` and its final verdict, both
+    judged through one :class:`WalkOracle`."""
+    chooser = RandomChooser(seed, walk)
+    judge = WalkOracle(oracle)
+    if policy == QUORUM or (policy == MIXED and walk % 2 == 1):
+        driver = quorum_walk(scenario, chooser, depth, oracle=judge)
+    else:
+        driver = drive(scenario, chooser, depth, oracle=judge)
+    return driver, judge.judge(driver.history)
+
+
 def random_walks(
     scenario: ExploreScenario,
     depth: int,
@@ -553,16 +570,10 @@ def random_walks(
     oracle = Oracle.for_scenario(scenario)
     counterexamples: List[Counterexample] = []
     for walk in range(first_walk, first_walk + walks):
-        chooser = RandomChooser(seed, walk)
-        use_quorum = policy == QUORUM or (policy == MIXED and walk % 2 == 1)
-        if use_quorum:
-            driver = quorum_walk(scenario, chooser, depth, oracle=oracle)
-        else:
-            driver = drive(scenario, chooser, depth, oracle=oracle)
+        driver, verdict = random_walk(scenario, depth, seed, walk, policy, oracle)
         stats.transitions += len(driver.schedule)
         stats.schedules += 1
         stats.max_depth_seen = max(stats.max_depth_seen, len(driver.schedule))
-        verdict = oracle.judge(driver.history)
         if not verdict.ok:
             stats.violations += 1
             ce = build_counterexample(

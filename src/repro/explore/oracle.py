@@ -53,6 +53,25 @@ class Oracle:
         return validator.atomic_verdict()
 
 
+class WalkOracle(Oracle):
+    """An :class:`Oracle` for one walk's growing history: it re-judges
+    only when an operation settled since its last verdict.  In between,
+    a walk only invokes, delivers and crashes; an operation invoked after
+    every completed one responded cannot break an ok verdict, and a
+    violation ends the walk — so the last verdict stands."""
+
+    def __init__(self, oracle: Oracle) -> None:
+        super().__init__(oracle.property_name, oracle.single_writer)
+        self._settled = -1
+        self._verdict: Optional[Verdict] = None
+
+    def judge(self, history: History) -> Verdict:
+        if history.settled != self._settled:
+            self._settled = history.settled
+            self._verdict = super().judge(history)
+        return self._verdict
+
+
 @dataclass
 class Counterexample:
     """A minimal violating schedule plus everything needed to replay it.

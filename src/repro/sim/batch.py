@@ -41,6 +41,7 @@ from repro.analysis.metrics import (
     throughput,
 )
 from repro.analysis.tables import render_table
+from repro.errors import ConfigurationError
 from repro.registers.base import ClusterConfig
 from repro.sim.latency import LatencyModel
 from repro.sim.rng import derive_seed
@@ -88,7 +89,7 @@ def map_parallel(
     return results, workers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSpec:
     """One cell of a sweep matrix: a fully deterministic run recipe.
 
@@ -109,7 +110,7 @@ class SweepSpec:
         return f"{self.protocol}/{self.scenario}/seed={self.seed}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunSummary:
     """The deterministic, picklable residue of one simulated run.
 
@@ -332,6 +333,8 @@ class BatchRunner:
 
 def seed_matrix(root: int, count: int) -> List[int]:
     """``count`` independent, stable seeds derived from one root seed."""
+    if count < 1:
+        raise ConfigurationError(f"a sweep needs at least one seed, got {count}")
     return [derive_seed(root, "sweep", index) % 2**32 for index in range(count)]
 
 
@@ -356,7 +359,6 @@ def build_matrix(
     producing specs that would only fail (or silently misbehave) once
     the sweep is already running.
     """
-    from repro.errors import ConfigurationError
     from repro.registers.registry import get_protocol
     from repro.workloads.scenarios import get_scenario
 

@@ -24,6 +24,8 @@ import itertools
 from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.errors import EventBudgetExceeded
+
 #: Event kinds.  They index :attr:`EventQueue._handlers`; keep them
 #: small consecutive integers.
 CALL = 0
@@ -233,7 +235,7 @@ def run_until_quiet(
         # Raise only when live work remains: a run that quiesces on
         # exactly the budget-th event has quiesced, not run away.
         if executed >= max_events and queue._live:
-            raise RuntimeError(
+            raise EventBudgetExceeded(
                 f"event budget of {max_events} exhausted; "
                 "the simulation is likely not quiescing"
             )

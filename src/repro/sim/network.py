@@ -226,9 +226,3 @@ class HeldNetwork:
         self.dropped.append(env)
         if self.journal is not None:
             self.journal.append(("drop", env, index))
-
-    def drop_all(self, envelopes: Iterable[Envelope]) -> int:
-        batch = list(envelopes)
-        for env in batch:
-            self.drop(env)
-        return len(batch)

@@ -109,9 +109,6 @@ class TraceLog:
     # ------------------------------------------------------------------
     # queries
 
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [event for event in self.events if event.kind == kind]
-
     def for_op(self, op_id: int) -> List[TraceEvent]:
         return [event for event in self.events if event.op_id == op_id]
 

@@ -40,6 +40,12 @@ kernel never silently drifts from the engine it abstracts.
 Runs the kernel cannot express — non-fixed-round protocols, stochastic
 latency models, crash scenarios — fall back to the scalar engine with
 an explicit reason (see :func:`supports` and :data:`FALLBACK_NOTICE`).
+
+Memory: a chunk's timelines are two ``(runs x ops)`` float64 arrays,
+written row by row and computed on directly; groups with the same hop
+structure share them (:meth:`_GroupKernel._timelines`).  A sweep keeps
+those arrays and its slotted :class:`RunSummary` records; its peak is
+one chunk's kernel temporaries on top.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from repro.analysis.metrics import (
     merge_rounds_histograms,
     merge_summaries,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.sim.batch import BatchResult, BatchRunner, RunSummary, SweepSpec
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import derive_seed, substream
@@ -235,11 +241,12 @@ def _timeline_rows(
 ) -> Tuple[List[float], List[float]]:
     """One run's invocation/response instants, client-major.
 
-    This is the only per-run Python loop in the kernel: the think-time
-    and start-offset chains consume the *same* ``random.Random``
-    substreams, in the same draw order, as the scalar
+    The kernel's only per-run Python computation: the think-time and
+    start-offset chains consume the *same* ``random.Random`` substreams,
+    in the same draw order, as the scalar
     :class:`~repro.workloads.generators.WorkloadDriver`, so every float
-    matches the engine bit for bit.  Everything downstream is batched.
+    matches the engine bit for bit.  Downstream everything is batched
+    but packing the per-run :class:`RunSummary` records.
     """
     spread = workload.start_spread
     mean = workload.think_time_mean
@@ -335,13 +342,10 @@ class VectorSweepResult:
 
 
 class _GroupKernel:
-    """Lockstep executor for one (protocol, scenario, config) group."""
+    """Lockstep executor for one (protocol, scenario, config) group;
+    ``timelines`` is the sweep's one cache (see :meth:`_timelines`)."""
 
-    def __init__(
-        self,
-        template: SweepSpec,
-        timeline_cache: Optional[Dict[Tuple, Tuple[List[float], List[float]]]] = None,
-    ) -> None:
+    def __init__(self, template: SweepSpec, timelines: Dict[Tuple, Tuple]) -> None:
         from repro.registers.registry import get_protocol
         from repro.workloads.scenarios import get_scenario
 
@@ -352,11 +356,7 @@ class _GroupKernel:
         self.d = self.latency.constant_delay()
         self.plan = _client_plan(template)
         self.config = template.config
-        # Timelines depend only on (seed, delay, client layout, arrival
-        # knobs) — protocols with the same hop structure over the same
-        # scenario (fast-crash, regular-fast, swsr-fast) share them, so
-        # the sweep driver threads one cache through all its kernels.
-        self._timeline_cache = timeline_cache
+        self._timeline_cache = timelines
         self._timeline_key = (
             self.d,
             self.plan.clients,
@@ -365,76 +365,39 @@ class _GroupKernel:
             self.workload.burst_size,
         )
 
-    def _timelines(self, seed: int) -> Tuple[List[float], List[float]]:
-        cache = self._timeline_cache
-        if cache is None:
-            return _timeline_rows(seed, self.plan, self.d, self.workload)
-        key = (seed, self._timeline_key)
-        rows = cache.get(key)
-        if rows is None:
-            rows = cache[key] = _timeline_rows(
-                seed, self.plan, self.d, self.workload
-            )
-        return rows
+    def _timelines(self, specs: Sequence[SweepSpec]) -> Tuple[Any, Any]:
+        """The chunk's ``(runs x ops)`` invocation and response arrays,
+        each run's :func:`_timeline_rows` assigned into its row.  They
+        depend only on (seeds, delay, client layout, arrival knobs), so
+        same-hop protocols (fast-crash, regular-fast, swsr-fast) get the
+        *same*, read-only, arrays: keyed ``(chunk seeds, timeline key)``.
+        """
+        seeds = tuple(spec.seed for spec in specs)
+        key = (seeds, self._timeline_key)
+        arrays = self._timeline_cache.get(key)
+        if arrays is None:
+            shape = (len(seeds), len(self.plan.is_write))
+            inv, resp = np.empty(shape), np.empty(shape)
+            for i, seed in enumerate(seeds):
+                inv[i], resp[i] = _timeline_rows(seed, self.plan, self.d, self.workload)
+            inv.flags.writeable = resp.flags.writeable = False
+            arrays = self._timeline_cache[key] = (inv, resp)
+        return arrays
 
     # -- batched stepping ------------------------------------------------
 
     def run_chunk(self, specs: Sequence[SweepSpec]) -> "_ChunkResult":
-        plan, config = self.plan, self.config
+        plan = self.plan
         n_ops = len(plan.is_write)
-        rows_inv: List[List[float]] = []
-        rows_resp: List[List[float]] = []
-        for spec in specs:
-            inv_row, resp_row = self._timelines(spec.seed)
-            rows_inv.append(inv_row)
-            rows_resp.append(resp_row)
-        inv = np.array(rows_inv, dtype=np.float64)
-        resp = np.array(rows_resp, dtype=np.float64)
-
-        # Global operation order: stable sort of invocation instants.
-        # Rows are client-major in arm order, so ties resolve exactly
-        # like the event queue's (time, seq) FIFO ordering.
-        order = np.argsort(inv, axis=1, kind="stable")
-        is_write = np.asarray(plan.is_write, dtype=bool)
-        kinds_sorted = is_write[order]
-
-        # Field array 1: the servers' common tag — writes bump it, so
-        # along the global order it is a masked cumulative count.
-        tag_sorted = np.cumsum(kinds_sorted, axis=1, dtype=np.int64)
-
-        # Field array 2 (Figure 2 layout): the servers' common ``seen``
-        # set, one client bit per run, folded with per-round masked
-        # updates — a write resets it to {writer}, any other request
-        # joins its sender.
-        ret_sorted = tag_sorted
-        if self.proto.vector.predicate_reads and plan.read_cols:
-            bits = np.asarray(plan.client_bit, dtype=np.uint64)
-            seen = np.zeros(len(specs), dtype=np.uint64)
-            writer_bit = np.uint64(1)
-            pred_sorted = np.zeros(inv.shape, dtype=bool)
-            min_a = plan.min_witness_a
-            for j in range(n_ops):
-                col_bits = bits[order[:, j]]
-                write_here = kinds_sorted[:, j]
-                seen = np.where(write_here, writer_bit, seen | col_bits)
-                if min_a <= 1:
-                    pred_sorted[:, j] = seen != 0
-                elif min_a:
-                    pred_sorted[:, j] = _popcount(seen) >= min_a
-            # Failed predicate: answer with the tag's predecessor value.
-            ret_sorted = np.where(pred_sorted | kinds_sorted, tag_sorted, tag_sorted - 1)
-
-        # Scatter read results back to the flat client-major layout.
-        ret_flat = np.empty_like(ret_sorted)
-        np.put_along_axis(ret_flat, order, ret_sorted, axis=1)
-
+        inv, resp = self._timelines(specs)
         read_cols = np.asarray(plan.read_cols, dtype=np.intp)
         write_cols = np.asarray(plan.write_cols, dtype=np.intp)
-        read_ts = ret_flat[:, read_cols] if plan.read_cols else ret_flat[:, :0]
+        read_ts = self._read_values(inv)[:, read_cols]
 
         lat = resp - inv
         read_sum = _row_summaries(lat[:, read_cols])
         write_sum = _row_summaries(lat[:, write_cols])
+        del lat  # released before the reductions allocate theirs
 
         # Batched verdicts as array reductions.
         if self.template.check:
@@ -471,6 +434,48 @@ class _GroupKernel:
             resp=resp,
             read_ts=read_ts,
         )
+
+    def _read_values(self, inv):
+        """Every operation's returned tag, in the flat client-major layout.
+        Its sort and scan temporaries die on return: one chunk's
+        temporaries, not the retained results, set a sweep's peak RSS."""
+        plan = self.plan
+        # Global operation order: stable sort of invocation instants.
+        # Rows are client-major in arm order, so ties resolve exactly
+        # like the event queue's (time, seq) FIFO ordering.
+        order = np.argsort(inv, axis=1, kind="stable")
+        kinds_sorted = np.asarray(plan.is_write, dtype=bool)[order]
+
+        # Field array 1: the servers' common tag — writes bump it, so
+        # along the global order it is a masked cumulative count.
+        ret_sorted = np.cumsum(kinds_sorted, axis=1, dtype=np.int64)
+
+        # Field array 2 (Figure 2 layout): the servers' common ``seen``
+        # set, one client bit per run, folded with per-round masked
+        # updates — a write resets it to {writer}, any other request
+        # joins its sender.
+        if self.proto.vector.predicate_reads and plan.read_cols:
+            bits = np.asarray(plan.client_bit, dtype=np.uint64)
+            seen = np.zeros(inv.shape[0], dtype=np.uint64)
+            writer_bit = np.uint64(1)
+            pred_sorted = np.zeros(inv.shape, dtype=bool)
+            min_a = plan.min_witness_a
+            for j in range(inv.shape[1]):
+                col_bits = bits[order[:, j]]
+                write_here = kinds_sorted[:, j]
+                seen = np.where(write_here, writer_bit, seen | col_bits)
+                if min_a <= 1:
+                    pred_sorted[:, j] = seen != 0
+                elif min_a:
+                    pred_sorted[:, j] = _popcount(seen) >= min_a
+            # Failed predicate: answer with the tag's predecessor value.
+            pred_sorted |= kinds_sorted
+            np.subtract(ret_sorted, 1, out=ret_sorted, where=~pred_sorted)
+
+        # Scatter the results back to the flat client-major layout.
+        ret_flat = np.empty_like(ret_sorted)
+        np.put_along_axis(ret_flat, order, ret_sorted, axis=1)
+        return ret_flat
 
     def _atomic_reduction(self, inv, resp, read_ts, read_cols, write_cols):
         """Per-run SWMR atomicity as reductions over the field arrays.
@@ -611,22 +616,24 @@ def _oracle_check(chunk: _ChunkResult, samples: int, chunk_index: int) -> int:
     )
     picks = sorted(rng.sample(range(len(specs)), min(samples, len(specs))))
     scalar = BatchRunner([specs[i] for i in picks], parallel=1).run()
-    for j, i in enumerate(picks):
-        expect = scalar.summaries[j]
-        got = chunk.summaries[i]
-        if got != expect:
-            raise VectorMismatchError(
-                f"summary mismatch on {specs[i].label()}: "
-                f"vector {got} != scalar {expect}"
-            )
-        _deep_compare(chunk, i, chunk_index)
+    for i, expect in zip(picks, scalar.summaries):
+        _agree(specs[i], "summary", chunk.summaries[i], expect)
+        _deep_compare(chunk, i)
     return len(picks)
 
 
-def _deep_compare(chunk: _ChunkResult, index: int, chunk_index: int) -> None:
+def _agree(spec: SweepSpec, what: str, vector_value: Any, scalar_value: Any) -> None:
+    if vector_value != scalar_value:
+        raise VectorMismatchError(
+            f"{what} mismatch on {spec.label()}: "
+            f"vector {vector_value} != scalar {scalar_value}"
+        )
+
+
+def _deep_compare(chunk: _ChunkResult, index: int) -> None:
     from repro.workloads.runner import run_scenario
 
-    spec = chunk.specs[index]
+    spec, kernel = chunk.specs[index], chunk.kernel
     result = run_scenario(
         spec.protocol,
         spec.config,
@@ -636,55 +643,31 @@ def _deep_compare(chunk: _ChunkResult, index: int, chunk_index: int) -> None:
         record_trace=True,
         max_events=spec.max_events,
     )
-    label = spec.label()
-    per_proc: Dict[str, List] = {}
+    # The history is in invocation order: regroup it client-major, the
+    # kernel's flat layout (a process the plan lacks lands at the end).
+    per_proc: Dict[str, List] = {proc: [] for proc in kernel.plan.proc_of}
     for op in result.history.complete_operations:
-        per_proc.setdefault(str(op.proc), []).append(op)
-    for ops in per_proc.values():
-        ops.sort(key=lambda op: op.invoked_at)
-    cursor = {proc: 0 for proc in per_proc}
-    rows = chunk.operations(index)
-    total_scalar = sum(len(ops) for ops in per_proc.values())
-    if len(rows) != total_scalar:
-        raise VectorMismatchError(
-            f"operation count mismatch on {label}: "
-            f"vector {len(rows)} != scalar {total_scalar}"
+        proc = str(op.proc)
+        per_proc.setdefault(proc, []).append(
+            (proc, op.kind, op.invoked_at, op.responded_at, op.value, op.result)
         )
-    for proc, kind, invoked, responded, value, ret in rows:
-        ops = per_proc.get(proc)
-        at = cursor.get(proc, 0)
-        if not ops or at >= len(ops):
-            raise VectorMismatchError(f"missing scalar operation for {proc} on {label}")
-        op = ops[at]
-        cursor[proc] = at + 1
-        scalar_row = (proc, op.kind, op.invoked_at, op.responded_at, op.value, op.result)
-        if scalar_row != (proc, kind, invoked, responded, value, ret):
-            raise VectorMismatchError(
-                f"operation mismatch on {label}: "
-                f"vector {(proc, kind, invoked, responded, value, ret)} "
-                f"!= scalar {scalar_row}"
-            )
-    expected_rounds = chunk.kernel.expected_rounds()
-    scalar_rounds = result.rounds()
-    if scalar_rounds != expected_rounds:
-        raise VectorMismatchError(
-            f"round-count mismatch on {label}: "
-            f"vector {expected_rounds} != scalar {scalar_rounds}"
-        )
+    scalar_rows = [row for rows in per_proc.values() for row in rows]
+    vector_rows = chunk.operations(index)
+    if vector_rows != scalar_rows:
+        _agree(spec, "operation count", len(vector_rows), len(scalar_rows))
+        _agree(spec, "operation", *next(
+            pair for pair in zip(vector_rows, scalar_rows) if pair[0] != pair[1]
+        ))
+    _agree(spec, "round-count", kernel.expected_rounds(), result.rounds())
     if spec.check:
-        verdict = result.check_atomic().ok
-        if verdict != chunk.summaries[index].atomic_ok:
-            raise VectorMismatchError(
-                f"atomicity verdict mismatch on {label}: "
-                f"vector {chunk.summaries[index].atomic_ok} != scalar {verdict}"
-            )
-        fast = result.check_fast().ok
-        expected_fast = chunk.kernel.reads_fast() or not chunk.kernel.plan.read_cols
-        if fast != expected_fast:
-            raise VectorMismatchError(
-                f"fastness verdict mismatch on {label}: "
-                f"vector {expected_fast} != scalar {fast}"
-            )
+        _agree(
+            spec, "atomicity verdict",
+            chunk.summaries[index].atomic_ok, result.check_atomic().ok,
+        )
+        _agree(
+            spec, "fastness verdict",
+            kernel.reads_fast() or not kernel.plan.read_cols, result.check_fast().ok,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -705,61 +688,48 @@ def run_vector_sweep(
     Summaries come back in spec order, bit-identical to an all-scalar
     sweep, so downstream rendering cannot tell the engines apart.
     """
+    if oracle_samples < 0:
+        raise ConfigurationError(
+            f"oracle_samples must be >= 0 (0 disables the oracle), got {oracle_samples}"
+        )
+    if chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     start = time.perf_counter()
     specs = list(specs)
     summaries: List[Optional[RunSummary]] = [None] * len(specs)
     reasons: Dict[str, int] = {}
-    grouped: Dict[Tuple, List[int]] = {}
-    group_order: List[Tuple] = []
+    grouped: Dict[Tuple, List[int]] = {}  # in first-seen order
     fallback: List[int] = []
     # The support verdict depends only on the group key (seed never
     # enters it), so a seed sweep pays for `supports` once per group
     # rather than once per run.
     verdicts: Dict[Tuple, Optional[str]] = {}
     for i, spec in enumerate(specs):
-        config = spec.config
-        latency = spec.latency or ConstantLatency()
+        config, latency = spec.config, spec.latency or ConstantLatency()
         key = (
-            spec.protocol,
-            spec.scenario,
-            config.S,
-            config.t,
-            config.R,
-            config.W,
-            config.b,
-            type(latency).__name__,
-            latency.constant_delay(),
-            spec.max_events,
-            spec.check,
+            spec.protocol, spec.scenario, config.S, config.t, config.R, config.W,
+            config.b, type(latency).__name__, latency.constant_delay(),
+            spec.max_events, spec.check,
         )
-        if key in verdicts:
-            reason = verdicts[key]
+        if key not in verdicts:
+            verdicts[key] = supports(spec)
+        reason = verdicts[key]
+        if reason is None:
+            grouped.setdefault(key, []).append(i)
         else:
-            reason = verdicts[key] = supports(spec)
-        if reason is not None:
             fallback.append(i)
             reasons[reason] = reasons.get(reason, 0) + 1
-            continue
-        if key not in grouped:
-            grouped[key] = []
-            group_order.append(key)
-        grouped[key].append(i)
 
     batches: List[VectorBatchSummary] = []
-    oracle_total = 0
-    chunk_index = 0
-    timeline_cache: Dict[Tuple, Tuple[List[float], List[float]]] = {}
-    for key in group_order:
-        indices = grouped[key]
-        kernel = _GroupKernel(specs[indices[0]], timeline_cache=timeline_cache)
-        for at in range(0, len(indices), max(1, chunk_size)):
-            chunk_idx = indices[at : at + max(1, chunk_size)]
+    timelines: Dict[Tuple, Tuple] = {}
+    for indices in grouped.values():
+        kernel = _GroupKernel(specs[indices[0]], timelines)
+        for at in range(0, len(indices), chunk_size):
+            chunk_idx = indices[at : at + chunk_size]
             chunk = kernel.run_chunk([specs[i] for i in chunk_idx])
-            sampled = _oracle_check(chunk, oracle_samples, chunk_index)
-            chunk_index += 1
-            oracle_total += sampled
-            for local, i in enumerate(chunk_idx):
-                summaries[i] = chunk.summaries[local]
+            sampled = _oracle_check(chunk, oracle_samples, len(batches))
+            for i, summary in zip(chunk_idx, chunk.summaries):
+                summaries[i] = summary
             checked = [
                 s.atomic_ok for s in chunk.summaries if s.atomic_ok is not None
             ]
@@ -780,17 +750,14 @@ def run_vector_sweep(
 
     used = 1
     if fallback:
-        runner = BatchRunner([specs[i] for i in fallback], parallel=parallel)
-        scalar = runner.run()
+        scalar = BatchRunner([specs[i] for i in fallback], parallel=parallel).run()
         used = scalar.parallel
-        for local, i in enumerate(fallback):
-            summaries[i] = scalar.summaries[local]
-
-    elapsed = time.perf_counter() - start
+        for i, summary in zip(fallback, scalar.summaries):
+            summaries[i] = summary
     batch = BatchResult(
         specs=specs,
         summaries=summaries,  # type: ignore[arg-type]
-        elapsed=elapsed,
+        elapsed=time.perf_counter() - start,
         parallel=used,
     )
     return VectorSweepResult(
@@ -799,7 +766,7 @@ def run_vector_sweep(
         vectorized_runs=len(specs) - len(fallback),
         fallback_runs=len(fallback),
         fallback_reasons=reasons,
-        oracle_sampled=oracle_total,
+        oracle_sampled=sum(b.oracle_sampled for b in batches),
     )
 
 

@@ -210,6 +210,11 @@ class History:
         op.responded_at = at
         return op
 
+    @property
+    def settled(self) -> int:
+        """How many operations are no longer pending."""
+        return len(self.operations) - len(self._pending)
+
     def pending_of(self, proc: ProcessId) -> Optional[Operation]:
         return self._pending.get(proc)
 

@@ -373,6 +373,10 @@ class TestOneFailurePath:
             ["chain", "crash", "--servers", "8", "--t", "1", "--readers", "2"],
             ["demo", "--servers", "3", "--t", "1", "--readers", "5"],
             ["sweep", "--servers", "3", "--t", "5"],
+            ["sweep", "--max-events", "50"],
+            ["sweep", "--seeds", "0"],
+            ["sweep", "--seeds", "-3"],
+            ["sweep", "--vector", "--oracle-samples", "-1"],
             ["load", "--chaos", "/nonexistent.json", "--ops", "1", "--readers", "1"],
             ["demo", "--dump-history", "/nonexistent/dir/h.json"],
             ["explore", "--protocol", "nope"],
@@ -403,6 +407,22 @@ class TestOneFailurePath:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: "), captured.err
         assert not lines[0].startswith(f'{argv[0]}: "'), "KeyError repr leaked"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--max-events", "50"], "sweep: event budget of 50 exhausted; "),
+            (["--max-events", "50", "--vector"], "sweep: event budget of 50 exhausted; "),
+            (["--seeds", "0"], "sweep: a sweep needs at least one seed, got 0"),
+            (
+                ["--vector", "--oracle-samples", "-1"],
+                "sweep: oracle_samples must be >= 0",
+            ),
+        ],
+    )
+    def test_sweep_names_the_bad_size(self, argv, line, capsys):
+        assert main(["sweep", *argv]) == 2
+        assert capsys.readouterr().err.startswith(line)
 
     def test_an_exit_code_that_means_something_else_survives(self, tmp_path, capsys):
         """Replay mismatch is 1, not 2: only the print-and-return-2

@@ -38,6 +38,11 @@ class TestSeedMatrix:
         # growing a sweep keeps the seeds of already-run cells
         assert seed_matrix(0, 8)[:4] == seed_matrix(0, 4)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_seeds_is_a_configuration_error(self, count):
+        with pytest.raises(ConfigurationError, match=f"at least one seed, got {count}"):
+            seed_matrix(0, count)
+
 
 class TestBuildMatrix:
     def test_cartesian_order(self):

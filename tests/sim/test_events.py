@@ -139,6 +139,18 @@ class TestRunUntilQuiet:
         with pytest.raises(RuntimeError, match="budget"):
             run_until_quiet(queue, clock, max_events=50)
 
+    def test_budget_exhaustion_is_a_named_repro_error(self):
+        from repro.errors import EventBudgetExceeded
+
+        queue, clock = EventQueue(), VirtualClock()
+
+        def reschedule():
+            queue.schedule(clock.now + 1.0, reschedule)
+
+        queue.schedule(1.0, reschedule)
+        with pytest.raises(EventBudgetExceeded, match="event budget of 50 exhausted"):
+            run_until_quiet(queue, clock, max_events=50)
+
     def test_budget_not_raised_when_quiescing_on_budget_th_event(self):
         """Regression: draining the queue on exactly the budget-th event
         is quiescence, not a runaway simulation."""

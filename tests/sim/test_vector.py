@@ -16,7 +16,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.registers.base import ClusterConfig
 from repro.sim.batch import BatchRunner, SweepSpec, build_matrix, seed_matrix
 from repro.sim.latency import UniformLatency
@@ -28,7 +28,7 @@ from repro.sim.vector import (
     supports,
 )
 
-pytest.importorskip("numpy")
+np = pytest.importorskip("numpy")
 
 CONFIG = ClusterConfig(S=5, t=1, R=2)
 
@@ -254,6 +254,122 @@ class TestOracle:
         sweep = run_vector_sweep(specs, oracle_samples=0)
         assert sweep.oracle_sampled == 0
         assert sweep.batch.summaries == BatchRunner(specs).run().summaries
+
+
+def collect_chunks(monkeypatch):
+    """Every ``_ChunkResult`` the sweep builds, in order."""
+    chunks = []
+    original = vector._GroupKernel.run_chunk
+
+    def recording(self, chunk_specs):
+        chunks.append(original(self, chunk_specs))
+        return chunks[-1]
+
+    monkeypatch.setattr(vector._GroupKernel, "run_chunk", recording)
+    return chunks
+
+
+class TestTimelineArrays:
+    """Timelines are generated into the chunk's field arrays, and groups
+    with the same hop structure share those arrays."""
+
+    def test_same_hop_groups_share_one_array_per_chunk(self, monkeypatch):
+        seeds = 5
+        specs = build_matrix(
+            protocols=["fast-crash", "regular-fast"],
+            scenarios=["write-storm"],
+            config=CONFIG,
+            seeds=seed_matrix(8, seeds),
+        )
+        generated = []
+        original_rows = vector._timeline_rows
+
+        def counting(seed, plan, d, workload):
+            generated.append(seed)
+            return original_rows(seed, plan, d, workload)
+
+        monkeypatch.setattr(vector, "_timeline_rows", counting)
+        chunks = collect_chunks(monkeypatch)
+        sweep = run_vector_sweep(specs)
+        assert len(generated) == seeds
+        assert [chunk.kernel.template.protocol for chunk in chunks] == [
+            "fast-crash",
+            "regular-fast",
+        ]
+        first, second = chunks
+        assert first.inv is second.inv and first.resp is second.resp
+        assert first.inv.dtype == np.float64
+        assert first.inv.shape == (seeds, len(first.kernel.plan.is_write))
+        assert not first.inv.flags.writeable
+        assert sweep.batch.summaries == BatchRunner(specs).run().summaries
+
+    def test_different_hop_structures_do_not_share(self, monkeypatch):
+        specs = build_matrix(
+            protocols=["fast-crash", "abd"],
+            scenarios=["write-storm"],
+            config=CONFIG,
+            seeds=seed_matrix(9, 3),
+        )
+        chunks = collect_chunks(monkeypatch)
+        run_vector_sweep(specs)
+        assert chunks[0].inv is not chunks[1].inv
+
+    def test_summaries_and_batches_match_the_recorded_digest(self):
+        """sha256 of ``repr(summaries) + repr(batches)`` as recorded
+        before the timelines became shared arrays: S=13 t=3 R=2, two
+        protocols x three scenarios x 200 seeds in chunks of 128, so
+        every group has a full chunk and a ragged last one."""
+        import hashlib
+
+        specs = build_matrix(
+            protocols=["fast-crash", "regular-fast"],
+            scenarios=["write-storm", "contention", "read-heavy"],
+            config=ClusterConfig(S=13, t=3, R=2),
+            seeds=seed_matrix(0, 200),
+        )
+        sweep = run_vector_sweep(specs, chunk_size=128)
+        assert len(sweep.batches) == 12
+        assert sweep.fallback_runs == 0
+        text = repr(sweep.batch.summaries) + repr(sweep.batches)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f408bfe1294d38a2004e07fcd692c15077584f7dd118db15f2bc69c2a4076b49"
+        )
+
+
+class TestSlottedRecords:
+    def test_records_have_no_instance_dict_and_pickle(self):
+        import pickle
+
+        specs = build_matrix(
+            protocols=["fast-crash"],
+            scenarios=["smoke"],
+            config=CONFIG,
+            seeds=seed_matrix(10, 1),
+        )
+        summary = run_vector_sweep(specs).batch.summaries[0]
+        for record in (specs[0], summary, summary.read, summary.write):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            summary.seed = 1
+
+
+class TestBadSizes:
+    SPECS = build_matrix(
+        protocols=["fast-crash"], scenarios=["smoke"], config=CONFIG, seeds=[1]
+    )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"oracle_samples": -1}, "oracle_samples must be >= 0"),
+            ({"chunk_size": 0}, "chunk_size must be >= 1"),
+            ({"chunk_size": -4}, "chunk_size must be >= 1"),
+        ],
+    )
+    def test_rejected_not_clamped(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            run_vector_sweep(self.SPECS, **kwargs)
 
 
 class TestCli:

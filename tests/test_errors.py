@@ -23,6 +23,10 @@ class TestHierarchy:
     def test_schedule_error_is_simulation_error(self):
         assert issubclass(errors.ScheduleError, errors.SimulationError)
 
+    def test_event_budget_is_a_simulation_and_a_runtime_error(self):
+        assert issubclass(errors.EventBudgetExceeded, errors.SimulationError)
+        assert issubclass(errors.EventBudgetExceeded, RuntimeError)
+
     def test_catchable_as_base(self):
         with pytest.raises(errors.ReproError):
             raise errors.ConfigurationError("bad")
