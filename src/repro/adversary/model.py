@@ -24,7 +24,7 @@ or lies, when, and with which strategy remain schedule choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.adversary.strategies import (
     DEFAULT_MENU,
@@ -54,18 +54,19 @@ class Adversary:
         return cls(crash_budget=budget)
 
     @classmethod
-    def for_plan(cls, plan: Any) -> "Adversary":
-        """The allowance a wire-level fault plan consumes.
+    def for_plan(cls, plan: Any, servers: Optional[int] = None) -> "Adversary":
+        """The allowance a wire-level fault plan consumes on ``servers``
+        (the cluster's ``S``).
 
         A :class:`~repro.net.chaos.FaultPlan` (anything exposing
-        ``max_concurrent_failures()``) maps into the model as pure crash
-        faults: the chaos layer drops, delays, duplicates and reorders
+        ``max_concurrent_failures(servers)``) maps into the model as pure
+        crash faults: the chaos layer drops, delays, duplicates and reorders
         frames and stops whole servers, but never corrupts content, so
         its Byzantine budget is always zero.  Validating the returned
         adversary against a :class:`ClusterConfig` is how a chaotic run
         is prevented from silently exceeding the declared ``t``.
         """
-        return cls.crash_only(plan.max_concurrent_failures())
+        return cls.crash_only(plan.max_concurrent_failures(servers))
 
     def admits_failures(self, concurrent: int) -> bool:
         """Whether ``concurrent`` simultaneous server failures fit."""

@@ -180,8 +180,7 @@ def render_load_report(report) -> str:
         f"(S={len(spec.addresses)}, t={spec.t}, b={spec.b}, "
         f"R={spec.readers}, W={spec.writers})",
         f"load          : {report.clients} virtual clients on "
-        f"{spec.shards} shard(s), serializer={spec.serializer or 'json'}, "
-        f"seed={spec.seed}",
+        f"{spec.shards} shard(s), seed={spec.seed}",
         f"completed     : {report.ops_complete} ops in "
         f"{report.duration:.2f}s ({report.throughput:.0f} ops/s), "
         f"{report.ops_incomplete} incomplete, "

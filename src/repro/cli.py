@@ -453,11 +453,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.net.codec import default_serializer
     from repro.net.server import NetServer, start_servers
 
     config = config_from_args(args)
-    serializer = args.serializer or default_serializer()
 
     async def run() -> None:
         if args.index is not None:
@@ -468,7 +466,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host=args.host,
                 port=args.base_port,
                 seed=args.seed,
-                serializer=serializer,
                 enforce=not args.no_enforce,
                 accountable=args.accountable,
             )
@@ -481,7 +478,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host=args.host,
                 base_port=args.base_port,
                 seed=args.seed,
-                serializer=serializer,
                 enforce=not args.no_enforce,
                 accountable=args.accountable,
             )
@@ -544,12 +540,10 @@ def _parse_chaos(text: str, servers: int, t: int):
 
 def _cmd_load(args: argparse.Namespace) -> int:
     from repro.net.chaos import build_run_record, plan_summary
-    from repro.net.codec import default_serializer
     from repro.net.harness import ChaosEventDriver, ServerCluster
     from repro.net.loadgen import LoadSpec, run_load, sim_rounds_check
     from repro.analysis.report import render_load_report
 
-    serializer = args.serializer or default_serializer()
     ops = args.ops
     if ops is None and args.duration is None:
         ops = 10  # default stop rule: a short fixed-ops run
@@ -560,7 +554,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         # Before anything is spawned: a bad plan costs no processes.
         servers = len(args.connect) if args.connect else args.servers
         plan = _parse_chaos(args.chaos, servers, args.t)
-        print(f"chaos plan: {plan_summary(plan)}", file=sys.stderr)
+        print(f"chaos plan: {plan_summary(plan, servers)}", file=sys.stderr)
     try:
         if args.connect:
             addresses = args.connect
@@ -579,7 +573,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 host=args.host,
                 base_port=args.base_port,
                 seed=args.seed,
-                serializer=serializer,
                 enforce=False,
                 accountable=args.audit,
             )
@@ -602,7 +595,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
             write_interval=args.write_interval,
             shards=args.workers,
             seed=args.seed,
-            serializer=serializer,
             timeout=args.timeout,
             ramp=args.ramp,
             chaos=plan,
@@ -645,7 +637,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             plan,
             report.chaos_shards,
             t=spec.t,
-            serializer=serializer,
+            servers=spec.config.S,
             events=driver.executed if driver is not None else [],
             summary={
                 "ops_complete": report.ops_complete,
@@ -668,7 +660,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
     ok = report.ok and (
         report.sim_check is None or report.sim_check["agree"]
     )
-    if plan is not None and plan.beyond_budget(spec.t):
+    if plan is not None and plan.beyond_budget(spec.t, spec.config.S):
         # Beyond the declared budget the service cannot promise liveness;
         # a graceful run is one where every op completed or timed out
         # cleanly and the degradation report is in hand.  Exit code 4
@@ -1018,11 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on multiple hosts run one `serve --index i` each)",
     )
     srv.add_argument(
-        "--serializer",
-        default=None,
-        help="wire serializer (default binary; also json)",
-    )
-    srv.add_argument(
         "--no-enforce",
         action="store_true",
         help="skip the protocol feasibility check (load tests exceed the "
@@ -1092,11 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="seconds over which client starts are spread (default: auto, "
         "~2000 client starts/s)",
-    )
-    load.add_argument(
-        "--serializer",
-        default=None,
-        help="wire serializer (default binary; also json)",
     )
     load.add_argument(
         "--sim-check",

@@ -8,10 +8,11 @@ virtual-time event queue.
 
 Modules:
 
-* :mod:`repro.net.codec` — wire framing (length prefix; the hand-rolled
-  ``repro-bin/v2`` binary serializer or JSON) over the message registry of
-  :mod:`repro.registers.messages`, plus the per-connection serializer
-  preamble and the zero-copy :class:`FrameBuffer`.
+* :mod:`repro.net.codec` — wire framing (length prefix; one body
+  format, the hand-rolled ``repro-bin/v2``) over the message registry of
+  :mod:`repro.registers.messages`, plus the connection preamble that
+  refuses a peer of another format and the zero-copy
+  :class:`FrameBuffer`.
 * :mod:`repro.net.runtime` — :class:`AsyncRuntime`, the seam
   implementation: monotonic clock, route-table delivery, client-phase
   (round) accounting; and :class:`FrameLink`, the one socket endpoint
@@ -44,11 +45,8 @@ from repro.net.chaos import (
 from repro.net.codec import (
     BINARY_FORMAT,
     Codec,
+    PREAMBLE,
     FrameBuffer,
-    available_serializers,
-    default_serializer,
-    encode_preamble,
-    get_codec,
     preamble_serializer,
 )
 from repro.net.client import ClientPool
@@ -87,15 +85,12 @@ __all__ = [
     "LoadSpec",
     "NetRunResult",
     "NetServer",
+    "PREAMBLE",
     "Partition",
     "ServerCluster",
     "ServerEvent",
-    "available_serializers",
     "build_net_cluster",
     "build_run_record",
-    "default_serializer",
-    "encode_preamble",
-    "get_codec",
     "preamble_serializer",
     "run_load",
     "run_net_workload",

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.adversary.model import Adversary
@@ -214,18 +214,26 @@ class FaultPlan:
                 merged.append((start, end))
         return merged
 
-    def max_concurrent_failures(self) -> int:
-        """Peak number of servers simultaneously failed under this plan."""
-        servers = {index for index, _ in self.links}
-        servers.update(p.server for p in self.partitions)
-        servers.update(e.server for e in self.events)
+    def max_concurrent_failures(self, servers: Optional[int] = None) -> int:
+        """Peak number of servers simultaneously failed under this plan.
+
+        ``servers`` is the cluster's ``S``.  It is needed only when the
+        default link is a full outage: then every server without an
+        override of its own is failed for the whole run, and without
+        ``S`` that count is unknown, so it raises.
+        """
+        named = {index for index, _ in self.links}
+        named.update(p.server for p in self.partitions)
+        named.update(e.server for e in self.events)
         if self.default.full_outage:
-            # A full-outage default fails every server the cluster has;
-            # validate() resolves the real S — here we can only report
-            # the servers the plan names, so treat it per named server.
-            pass
+            if servers is None:
+                raise ConfigurationError(
+                    "a full-outage default fails every server: counting "
+                    "them needs the cluster's S"
+                )
+            named.update(range(1, servers + 1))
         points: List[Tuple[float, int]] = []
-        for server in servers:
+        for server in named:
             for start, end in self._failure_intervals(server):
                 points.append((start, 1))
                 if end != float("inf"):
@@ -239,12 +247,12 @@ class FaultPlan:
             peak = max(peak, level)
         return peak
 
-    def adversary(self) -> Adversary:
+    def adversary(self, servers: Optional[int] = None) -> Adversary:
         """The allowance this plan consumes, in the unified fault model."""
-        return Adversary.for_plan(self)
+        return Adversary.for_plan(self, servers)
 
-    def beyond_budget(self, t: int) -> bool:
-        return self.max_concurrent_failures() > t
+    def beyond_budget(self, t: int, servers: Optional[int] = None) -> bool:
+        return self.max_concurrent_failures(servers) > t
 
     def validate(self, config: ClusterConfig) -> None:
         """Structural checks plus the adversary-model budget check."""
@@ -289,7 +297,7 @@ class FaultPlan:
         if not self.allow_beyond_budget:
             # The chaos layer may not silently exceed the declared model:
             # its peak failure count must fit the crash allowance.
-            self.adversary().validate(config)
+            self.adversary(config.S).validate(config)
 
     # ------------------------------------------------------------------
     # serialization
@@ -743,7 +751,7 @@ def build_run_record(
     t: int,
     events: Optional[List[Dict[str, Any]]] = None,
     summary: Optional[Dict[str, Any]] = None,
-    serializer: Optional[str] = None,
+    servers: Optional[int] = None,
 ) -> Dict[str, Any]:
     """The serialized artifact a chaotic run leaves behind.
 
@@ -751,26 +759,19 @@ def build_run_record(
     injector's counters + digests (so :func:`verify_run_record` can
     prove the injected-fault trace re-derives byte-identically), the
     kill/restart events actually executed, and a result summary.
-
-    ``serializer`` names the wire codec the run used.  It is recorded
-    for provenance only: injection decisions are drawn per *frame* from
-    counter-keyed streams (never from frame bytes), so digests replay
-    identically whichever serializer framed the traffic — the same plan
-    under ``json`` and ``binary`` verifies byte-for-byte either way.
+    ``servers`` is the cluster's ``S`` (see
+    :meth:`FaultPlan.max_concurrent_failures`).
     """
-    record = {
+    return {
         "format": RUN_FORMAT,
         "plan": plan.to_dict(),
         "declared_t": t,
-        "max_concurrent_failures": plan.max_concurrent_failures(),
-        "within_budget": not plan.beyond_budget(t),
+        "max_concurrent_failures": plan.max_concurrent_failures(servers),
+        "within_budget": not plan.beyond_budget(t, servers),
         "shards": {str(index): record for index, record in sorted(shards.items())},
         "events_executed": events or [],
         "summary": summary or {},
     }
-    if serializer is not None:
-        record["serializer"] = serializer
-    return record
 
 
 def verify_run_record(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -805,8 +806,9 @@ def verify_run_record(record: Dict[str, Any]) -> Dict[str, Any]:
     return outcome
 
 
-def plan_summary(plan: FaultPlan) -> str:
-    """One human line describing a plan (CLI + load report)."""
+def plan_summary(plan: FaultPlan, servers: Optional[int] = None) -> str:
+    """One human line describing a plan (CLI + load report); ``servers``
+    is the cluster's ``S``."""
     d = plan.default
     parts = [
         f"seed={plan.seed}",
@@ -823,24 +825,18 @@ def plan_summary(plan: FaultPlan) -> str:
     for e in plan.events:
         restart = "never" if e.restart_at is None else f"{e.restart_at:g}s"
         parts.append(f"kill=s{e.server}@{e.kill_at:g}s/restart@{restart}")
-    parts.append(f"peak_failures={plan.max_concurrent_failures()}")
+    parts.append(f"peak_failures={plan.max_concurrent_failures(servers)}")
     if plan.allow_beyond_budget:
         parts.append("BEYOND-BUDGET")
     return "  ".join(parts)
 
 
-# Re-exported convenience: a plan scaled down to no faults at all, handy
-# as a base for tests that replace() in the one fault they exercise.
-NO_FAULTS = FaultPlan()
-
 __all__ = [
     "BackoffPolicy",
     "ChaosInjector",
     "DegradationLedger",
-    "FaultDecision",
     "FaultPlan",
     "LinkFaults",
-    "NO_FAULTS",
     "Partition",
     "PLAN_FORMAT",
     "RUN_FORMAT",
@@ -848,6 +844,5 @@ __all__ = [
     "build_run_record",
     "combined_digest",
     "plan_summary",
-    "replace",
     "verify_run_record",
 ]

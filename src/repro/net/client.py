@@ -46,12 +46,22 @@ from repro.accountability.statements import TranscriptLog
 from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ProtocolError, SimulationError
 from repro.net.chaos import BackoffPolicy, ChaosInjector, DegradationLedger
-from repro.net.codec import Codec, get_codec, preamble_serializer
+from repro.net.codec import (
+    BINARY_SERIALIZER,
+    Codec,
+    preamble_serializer,
+    require_binary,
+)
 from repro.net.runtime import AsyncRuntime, FrameLink
 from repro.sim.ids import ProcessId
 from repro.sim.process import Process
 from repro.sim.rng import derive_seed
 from repro.spec.histories import Operation
+
+#: How long ``connect`` waits for the servers' preamble acks.  A peer
+#: that never acks (a pre-preamble build) is tolerated after it; a peer
+#: that acks another body format raises.
+PREAMBLE_TIMEOUT = 2.0
 
 
 class PoolConnection(FrameLink):
@@ -61,7 +71,7 @@ class PoolConnection(FrameLink):
         super().__init__(pool)
         self.server_pid = server_pid
         self.lost = asyncio.get_running_loop().create_future()
-        # Resolves to the server's announced serializer (its preamble
+        # Resolves to the server's announced body format (its preamble
         # ack); legacy peers never resolve it and are tolerated.
         self.preamble: asyncio.Future = asyncio.get_running_loop().create_future()
 
@@ -81,7 +91,8 @@ class ClientPool:
         server_addrs: map of server pid to ``(host, port)``.
         seed: runtime rng seed (also seeds reconnect jitter).
         origin: shared monotonic origin for cross-process timestamps.
-        serializer: wire serializer (must match the servers').
+        serializer: body format; only ``"binary"`` exists, and any
+            other name raises :class:`~repro.errors.ProtocolError`.
         chaos: optional :class:`ChaosInjector` applied to every frame in
             both directions (send and deliver).
         ledger: degradation ledger to record into (a fresh one is
@@ -98,10 +109,6 @@ class ClientPool:
         statement_seed: the *cluster* seed the servers sign under (the
             pool's own ``seed`` is a derived per-shard stream, so it
             cannot double as the signing domain).
-        preamble_timeout: how long ``connect`` waits for the servers'
-            serializer preamble acks; peers that never ack (legacy
-            builds) are tolerated, peers that ack a different
-            serializer raise :class:`~repro.errors.ProtocolError`.
     """
 
     def __init__(
@@ -109,7 +116,7 @@ class ClientPool:
         server_addrs: Dict[ProcessId, Tuple[str, int]],
         seed: int = 0,
         origin: Optional[float] = None,
-        serializer: Optional[str] = None,
+        serializer: str = BINARY_SERIALIZER,
         chaos: Optional[ChaosInjector] = None,
         ledger: Optional[DegradationLedger] = None,
         retry_interval: float = 0.5,
@@ -117,10 +124,10 @@ class ClientPool:
         backoff: Optional[BackoffPolicy] = None,
         collect_statements: bool = False,
         statement_seed: int = 0,
-        preamble_timeout: float = 2.0,
     ) -> None:
         self.server_addrs = dict(server_addrs)
-        self.codec: Codec = get_codec(serializer)
+        require_binary(serializer)
+        self.codec = Codec()
         self.runtime = AsyncRuntime(seed=seed, origin=origin)
         self.runtime.on_response(self._resolve)
         self.chaos = chaos
@@ -134,7 +141,6 @@ class ClientPool:
         if collect_statements:
             self._stmt_authority = SignatureAuthority(statement_seed)
             self.transcript = TranscriptLog(authority_seed=statement_seed)
-        self.preamble_timeout = preamble_timeout
         self.preamble_mismatches = 0
         self._mismatch: Optional[Tuple[Optional[ProcessId], str]] = None
         self._conns: Dict[ProcessId, PoolConnection] = {}
@@ -191,16 +197,16 @@ class ClientPool:
         """Await the servers' preamble acks, failing loudly on mismatch.
 
         A peer that never acks (a pre-preamble build) is tolerated after
-        ``preamble_timeout`` — it can only work if it happens to speak
-        the same serializer, which is exactly the old contract.  A peer
-        that acks a *different* serializer is a configuration error and
-        raises instead of surfacing as a silent decode storm.
+        :data:`PREAMBLE_TIMEOUT` — it can only work if it happens to
+        speak ``binary``, which is exactly the old contract.  A peer that
+        acks another body format is a configuration error and raises
+        instead of surfacing as a silent decode storm.
         """
         futures = [
             conn.preamble for conn in self._conns.values() if not conn.preamble.done()
         ]
         if futures:
-            await asyncio.wait(futures, timeout=self.preamble_timeout)
+            await asyncio.wait(futures, timeout=PREAMBLE_TIMEOUT)
         self._check_mismatch()
 
     def _check_mismatch(self) -> None:
@@ -208,7 +214,7 @@ class ClientPool:
             pid, name = self._mismatch
             raise ProtocolError(
                 f"serializer mismatch: server {pid} speaks {name!r}, "
-                f"this pool speaks {self.codec.serializer!r}"
+                f"this pool speaks {BINARY_SERIALIZER!r}"
             )
 
     async def close(self) -> None:
@@ -308,7 +314,7 @@ class ClientPool:
     ) -> None:
         if conn is not None and not conn.preamble.done():
             conn.preamble.set_result(name)
-        if name != self.codec.serializer:
+        if name != BINARY_SERIALIZER:
             self.preamble_mismatches += 1
             self._mismatch = (server_pid, name)
             if conn is not None:

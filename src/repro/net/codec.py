@@ -1,31 +1,24 @@
 """Length-prefixed wire codec for register-protocol messages.
 
-A frame on the socket is ``4-byte big-endian length || body``.  Three
-body serializers are available, negotiated per connection by a preamble
-frame (see :func:`encode_preamble`):
+A frame on the socket is ``4-byte big-endian length || body``, and the
+body is always ``repro-bin/v2``: ``kind byte || flags || src pid || dst
+pid || fields`` (plus, under flag ``0x02``, the ``seq || cause || tag``
+of the server's accountability statement about this reply), with
+per-message-type pack/unpack functions generated from the
+:data:`~repro.registers.messages.MESSAGE_TYPES` registry — no
+intermediate dict is built on either side.
 
-* ``binary`` — the hand-rolled ``repro-bin/v2`` struct codec and the
-  default of the CLI entry points (:func:`default_serializer`).  The
-  body is ``kind byte || flags || src pid || dst pid || fields``
-  (plus, under flag ``0x02``, the ``seq || cause || tag`` of the
-  server's accountability statement about this reply), with
-  per-message-type pack/unpack functions generated from the
-  :data:`~repro.registers.messages.MESSAGE_TYPES` registry — no
-  intermediate dict is built on either side.
-* ``json`` — always available (stdlib), compact separators, UTF-8; the
-  body is the dict ``{"s": src, "d": dst, "p": payload.to_wire()}``
-  with an optional ``"a"`` slot holding ``SignedStatement.to_wire()``.
-
-Both sides of a connection must use the same serializer; the preamble
-makes a mismatch loud instead of a silent decode storm.  Frames larger
-than :data:`MAX_FRAME` indicate a desynchronised or hostile peer and
-raise.  The byte-level layout is documented in the README's
-"Wire format" section.
+Each side's first frame is :data:`PREAMBLE`, which names the body
+format; a peer that names another (an older build's ``json``) is
+refused instead of surfacing as a decode storm.  Frames larger than
+:data:`MAX_FRAME` indicate a desynchronised or hostile peer and raise.
+A captured body reads back as text through ``Codec().decode_body_full``
+plus the message's ``to_wire()``.  The byte-level layout is documented
+in the README's "Wire format" section.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -33,10 +26,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.accountability.statements import SignedStatement
 from repro.crypto.signatures import SignedPayload
 from repro.errors import ProtocolError
-from repro.registers.messages import MESSAGE_TYPES, WIRE_KIND_BYTES, decode_message
+from repro.registers.messages import MESSAGE_TYPES, WIRE_KIND_BYTES
 from repro.registers.timestamps import MWTimestamp, SignedValueTag, ValueTag
 from repro.sim.ids import ProcessId
-from repro.spec.histories import parse_pid
 
 HEADER = struct.Struct(">I")
 
@@ -44,42 +36,20 @@ HEADER = struct.Struct(">I")
 #: set); anything near this size means framing desync or garbage input.
 MAX_FRAME = 16 * 1024 * 1024
 
-#: Name under which the hand-rolled struct codec is selected.
+#: The one body format's name, as the preamble announces it.
 BINARY_SERIALIZER = "binary"
 
 #: Format label of the binary body layout; bump on incompatible change.
 BINARY_FORMAT = "repro-bin/v2"
 
 
-def _json_dumps(obj: Any) -> bytes:
-    return json.dumps(
-        obj, separators=(",", ":"), ensure_ascii=False, sort_keys=True
-    ).encode("utf8")
-
-
-def _json_loads(body: Any) -> Any:
-    return json.loads(str(body, "utf8"))
-
-
-SERIALIZERS: Dict[str, Tuple[Callable[[Any], bytes], Callable[[bytes], Any]]] = {
-    "json": (_json_dumps, _json_loads),
-}
-
-
-def available_serializers() -> Tuple[str, ...]:
-    """Every serializer this build can speak, ``binary`` first."""
-    return (BINARY_SERIALIZER, *sorted(SERIALIZERS))
-
-
-def default_serializer() -> str:
-    """The serializer the CLI entry points speak unless told otherwise.
-
-    Always ``"binary"``: the hand-rolled struct codec needs no optional
-    package and is the fast path the ledger's ``net-*`` workloads measure.
-    Library call sites that pass no serializer keep getting ``json``
-    from :func:`get_codec` for compatibility with recorded fixtures.
-    """
-    return BINARY_SERIALIZER
+def require_binary(serializer: str) -> None:
+    """Refuse any body format but ``binary``: the check behind the
+    ``serializer`` parameters kept for callers that still name it."""
+    if serializer != BINARY_SERIALIZER:
+        raise ProtocolError(
+            f"unknown serializer {serializer!r}; available: {BINARY_SERIALIZER}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -612,98 +582,26 @@ def _r_statement(
     )
 
 
-def _encode_binary_frame(
-    src: ProcessId,
-    dst: ProcessId,
-    payload: Any,
-    statement: Optional[SignedStatement],
-    scratch: bytearray,
-) -> bytes:
-    entry = _BINARY_PACK.get(type(payload))
-    if entry is None:
-        raise ProtocolError(
-            f"cannot binary-encode {type(payload).__name__}: not a "
-            "registered wire message type"
-        )
-    buf = scratch
-    del buf[:]
-    buf += b"\x00\x00\x00\x00"  # header placeholder, patched below
-    buf.append(entry[0])
-    buf.append(_FLAG_STATEMENT if statement is not None else 0)
-    _w_pid(buf, src)
-    _w_pid(buf, dst)
-    entry[1](buf, payload)
-    if statement is not None:
-        _w_statement(buf, src, dst, payload, statement)
-    body_len = len(buf) - HEADER.size
-    if body_len > MAX_FRAME:
-        raise ProtocolError(f"frame body of {body_len} bytes exceeds MAX_FRAME")
-    HEADER.pack_into(buf, 0, body_len)
-    return bytes(buf)
-
-
-def _decode_binary_body(
-    body: Any,
-) -> Tuple[ProcessId, ProcessId, Any, Optional[SignedStatement]]:
-    r = _Reader(body)
-    try:
-        kind_byte = body[0]
-        unpack = _BINARY_UNPACK.get(kind_byte)
-        if unpack is None:
-            r.pos = 1  # the offending byte has been consumed
-            raise ValueError("not a registered kind byte")
-        flags = body[1]
-        r.pos = 2
-        if flags and flags != _FLAG_STATEMENT:
-            raise ValueError(
-                f"flags byte {flags:#04x} has bits {BINARY_FORMAT} does not define"
-            )
-        src = _r_pid(r)
-        dst = _r_pid(r)
-        payload = unpack(r)
-        statement = _r_statement(r, src, dst, payload) if flags else None
-        if r.pos != len(body):
-            raise ValueError(f"{len(body) - r.pos} trailing bytes after message")
-    except ProtocolError:
-        raise
-    except Exception as exc:
-        first = body[0] if len(body) else None
-        kind = (
-            _KIND_NAME_BY_BYTE.get(first, "unknown") if first is not None else "empty"
-        )
-        shown = f"{first:#04x}" if first is not None else "none"
-        raise ProtocolError(
-            f"undecodable binary frame body (kind byte {shown} [{kind}], "
-            f"offset {r.pos} of {len(body)}): {exc}"
-        ) from exc
-    return src, dst, payload, statement
-
-
 # ----------------------------------------------------------------------
 # connection preamble
 
-#: First body byte 0xA5 collides with no serializer: JSON bodies start
-#: at ``{``, binary bodies at a kind byte <= len(MESSAGE_TYPES).
+#: First body byte 0xA5 is no kind byte (those are <= len(MESSAGE_TYPES))
+#: and no older build's json ``{``, so every build recognises a preamble.
 PREAMBLE_MAGIC = b"\xa5repro-wire/1\x00"
 
+_PREAMBLE_BODY = PREAMBLE_MAGIC + BINARY_SERIALIZER.encode("ascii")
 
-def encode_preamble(serializer: str) -> bytes:
-    """One magic frame naming the sender's serializer.
-
-    Each side sends it as the first frame on a new connection; the frame
-    is recognisable under *any* serializer (see :data:`PREAMBLE_MAGIC`),
-    so a mismatched peer still reads the name and can fail loudly
-    instead of surfacing a decode storm.  Preambles bypass chaos
-    injection and accountability signing — they are connection plumbing,
-    not protocol traffic, and must not perturb decision streams.
-    """
-    body = PREAMBLE_MAGIC + serializer.encode("ascii")
-    return HEADER.pack(len(body)) + body
+#: The frame each side writes first on a new connection, naming the body
+#: format.  It guards against version skew: a peer announcing anything
+#: else is refused.  Preambles bypass chaos injection and accountability
+#: signing — connection plumbing, not protocol traffic, and they must not
+#: perturb decision streams.
+PREAMBLE = HEADER.pack(len(_PREAMBLE_BODY)) + _PREAMBLE_BODY
 
 
 def preamble_serializer(body: Any) -> Optional[str]:
-    """The serializer named by a preamble body, or ``None`` if ``body``
-    is an ordinary message frame."""
+    """The body format a preamble names, or ``None`` if ``body`` is an
+    ordinary message frame."""
     n = len(PREAMBLE_MAGIC)
     if len(body) < n or bytes(body[:n]) != PREAMBLE_MAGIC:
         return None
@@ -716,24 +614,13 @@ def preamble_serializer(body: Any) -> Optional[str]:
 class Codec:
     """Frames ``(src, dst, message)`` triples onto and off a byte stream."""
 
-    __slots__ = ("serializer", "_dumps", "_loads", "_scratch")
+    __slots__ = ("_scratch",)
 
-    def __init__(self, serializer: str = "json") -> None:
-        if serializer == BINARY_SERIALIZER:
-            self._dumps = self._loads = None
-            # Reusable encode buffer: frames are built in place and only
-            # the final immutable copy escapes.  Safe because encoding
-            # is synchronous and the event loop is single-threaded.
-            self._scratch: Optional[bytearray] = bytearray()
-        elif serializer in SERIALIZERS:
-            self._dumps, self._loads = SERIALIZERS[serializer]
-            self._scratch = None
-        else:
-            available = ", ".join(available_serializers())
-            raise ProtocolError(
-                f"unknown serializer {serializer!r}; available: {available}"
-            )
-        self.serializer = serializer
+    def __init__(self) -> None:
+        # Reusable encode buffer: frames are built in place and only the
+        # final immutable copy escapes.  Safe because encoding is
+        # synchronous and the event loop is single-threaded.
+        self._scratch = bytearray()
 
     def encode_frame(
         self,
@@ -744,20 +631,31 @@ class Codec:
     ) -> bytes:
         """Frame one message; ``statement`` optionally attaches the
         server's :class:`~repro.accountability.statements.SignedStatement`
-        about this very reply.  json ships its ``to_wire()`` dict
-        under the ``"a"`` key; binary ships only ``seq``, ``cause_kind``
-        and the signature tag, because the envelope already says the
+        about this very reply.  Only its ``seq``, ``cause_kind`` and
+        signature tag travel, because the envelope already says the
         rest — so a statement about some other frame is a
-        :class:`ProtocolError` there."""
-        if self._scratch is not None:
-            return _encode_binary_frame(src, dst, payload, statement, self._scratch)
-        record = {"s": str(src), "d": str(dst), "p": payload.to_wire()}
+        :class:`ProtocolError`."""
+        entry = _BINARY_PACK.get(type(payload))
+        if entry is None:
+            raise ProtocolError(
+                f"cannot binary-encode {type(payload).__name__}: not a "
+                "registered wire message type"
+            )
+        buf = self._scratch
+        del buf[:]
+        buf += b"\x00\x00\x00\x00"  # header placeholder, patched below
+        buf.append(entry[0])
+        buf.append(_FLAG_STATEMENT if statement is not None else 0)
+        _w_pid(buf, src)
+        _w_pid(buf, dst)
+        entry[1](buf, payload)
         if statement is not None:
-            record["a"] = statement.to_wire()
-        body = self._dumps(record)
-        if len(body) > MAX_FRAME:
-            raise ProtocolError(f"frame body of {len(body)} bytes exceeds MAX_FRAME")
-        return HEADER.pack(len(body)) + body
+            _w_statement(buf, src, dst, payload, statement)
+        body_len = len(buf) - HEADER.size
+        if body_len > MAX_FRAME:
+            raise ProtocolError(f"frame body of {body_len} bytes exceeds MAX_FRAME")
+        HEADER.pack_into(buf, 0, body_len)
+        return bytes(buf)
 
     def decode_body(self, body: Any) -> Tuple[ProcessId, ProcessId, Any]:
         return self.decode_body_full(body)[:3]
@@ -769,20 +667,37 @@ class Codec:
         accountability statement (``None`` when absent; parsed, *not*
         verified).  ``body`` may be ``bytes`` or a ``memoryview`` from
         :class:`FrameBuffer`."""
-        if self._scratch is not None:
-            return _decode_binary_body(body)
+        r = _Reader(body)
         try:
-            record = self._loads(body)
-            src = parse_pid(record["s"])
-            dst = parse_pid(record["d"])
-            payload = decode_message(record["p"])
-            statement = record.get("a")
-            if statement is not None:
-                statement = SignedStatement.from_wire(statement)
+            kind_byte = body[0]
+            unpack = _BINARY_UNPACK.get(kind_byte)
+            if unpack is None:
+                r.pos = 1  # the offending byte has been consumed
+                raise ValueError("not a registered kind byte")
+            flags = body[1]
+            r.pos = 2
+            if flags and flags != _FLAG_STATEMENT:
+                raise ValueError(
+                    f"flags byte {flags:#04x} has bits {BINARY_FORMAT} does not define"
+                )
+            src = _r_pid(r)
+            dst = _r_pid(r)
+            payload = unpack(r)
+            statement = _r_statement(r, src, dst, payload) if flags else None
+            if r.pos != len(body):
+                raise ValueError(f"{len(body) - r.pos} trailing bytes after message")
         except ProtocolError:
             raise
-        except Exception as exc:  # malformed body: report, don't crash the loop
-            raise ProtocolError(f"undecodable frame body: {exc}") from exc
+        except Exception as exc:
+            first = body[0] if len(body) else None
+            kind = (
+                _KIND_NAME_BY_BYTE.get(first, "unknown") if first is not None else "empty"
+            )
+            shown = f"{first:#04x}" if first is not None else "none"
+            raise ProtocolError(
+                f"undecodable binary frame body (kind byte {shown} [{kind}], "
+                f"offset {r.pos} of {len(body)}): {exc}"
+            ) from exc
         return src, dst, payload, statement
 
 
@@ -834,13 +749,3 @@ class FrameBuffer:
     @property
     def pending_bytes(self) -> int:
         return len(self._pending)
-
-
-def get_codec(serializer: Optional[str] = None) -> Codec:
-    """Codec for ``serializer``; ``None`` selects ``json``.
-
-    The ``None`` default is the *library* compatibility default — it
-    never auto-selects binary.  CLI entry points pass
-    :func:`default_serializer` (``binary``) explicitly.
-    """
-    return Codec(serializer or "json")

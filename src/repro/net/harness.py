@@ -90,7 +90,7 @@ class ServerCluster:
         **options,
     ) -> "ServerCluster":
         """``options`` are :class:`NetServer`'s own (``host``, ``seed``,
-        ``serializer``, ``enforce``, ``accountable``)."""
+        ``enforce``, ``accountable``)."""
         options.update(protocol=protocol, config=config)
         # Build one here so a bad protocol/config/option fails in the
         # parent with a real traceback, not S silent child deaths.
@@ -348,7 +348,6 @@ def run_net_workload(
     reads_per_reader: int = 3,
     writes_per_writer: int = 2,
     seed: int = 0,
-    serializer: Optional[str] = None,
     enforce: bool = True,
     crash: Optional[Tuple[int, int]] = None,
     op_timeout: float = 15.0,
@@ -378,7 +377,6 @@ def run_net_workload(
             protocol,
             config,
             seed=seed,
-            serializer=serializer,
             enforce=enforce,
             chaos_plan=chaos_plan if chaos_side == "server" else None,
             accountable=accountable,
@@ -396,7 +394,6 @@ def run_net_workload(
             pool = ClientPool(
                 addrs,
                 seed=derive_seed(seed, "net-inproc") % 2**32,
-                serializer=serializer,
                 chaos=injector,
                 collect_statements=accountable,
                 statement_seed=seed,

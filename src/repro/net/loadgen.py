@@ -33,6 +33,7 @@ from repro.analysis.metrics import LatencyHistogram
 from repro.errors import ConfigurationError
 from repro.net.chaos import ChaosInjector, DegradationLedger, FaultPlan
 from repro.net.client import ClientPool
+from repro.net.codec import BINARY_SERIALIZER, require_binary
 from repro.net.server import build_net_cluster
 from repro.registers.base import ClusterConfig
 from repro.registers.registry import get_protocol
@@ -68,7 +69,8 @@ class LoadSpec:
         write_interval: seconds between writes of each writer.
         shards: worker OS processes to fan the clients across.
         seed: root seed (client jitter, signature authority).
-        serializer: wire serializer name shared with the servers.
+        serializer: body format; only ``"binary"`` exists, and any
+            other name raises :class:`~repro.errors.ProtocolError`.
         timeout: per-operation response timeout in seconds.
         ramp: seconds over which client starts are jittered.  ``None``
             picks automatically: enough to keep the start storm near
@@ -99,7 +101,7 @@ class LoadSpec:
     write_interval: float = 0.25
     shards: int = 1
     seed: int = 0
-    serializer: Optional[str] = None
+    serializer: str = BINARY_SERIALIZER
     timeout: float = DEFAULT_OP_TIMEOUT
     ramp: Optional[float] = None
     chaos: Optional[FaultPlan] = None
@@ -108,6 +110,7 @@ class LoadSpec:
     audit: bool = False
 
     def __post_init__(self) -> None:
+        require_binary(self.serializer)
         if not self.addresses:
             raise ConfigurationError("need at least one server address")
         if self.ops_per_client is None and self.duration is None:
@@ -218,7 +221,6 @@ async def _shard_main(shard: ShardSpec) -> Dict[str, Any]:
         server_addrs,
         seed=derive_seed(spec.seed, "net-shard", shard.index) % 2**32,
         origin=shard.origin,
-        serializer=spec.serializer,
         chaos=injector,
         ledger=DegradationLedger(slow_threshold=spec.slow_threshold),
         retry_interval=spec.retry_interval,
@@ -361,7 +363,6 @@ class LoadReport:
             },
             "shards": spec.shards,
             "seed": spec.seed,
-            "serializer": spec.serializer or "json",
             "clients": self.clients,
             "duration_s": self.duration,
             "ops_complete": self.ops_complete,

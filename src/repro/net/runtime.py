@@ -27,7 +27,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ProtocolError
-from repro.net.codec import FrameBuffer, encode_preamble
+from repro.net.codec import PREAMBLE, FrameBuffer
 from repro.runtime import Runtime
 from repro.sim.ids import ProcessId
 from repro.sim.process import ClientProcess, Context
@@ -172,7 +172,7 @@ class FrameLink(asyncio.Protocol):
 
     ``owner`` is the :class:`~repro.net.client.ClientPool` or
     :class:`~repro.net.server.NetServer` this link belongs to (its
-    ``codec``, ``begin_batch`` and ``flush_batch`` are used); a subclass
+    ``begin_batch`` and ``flush_batch`` are used); a subclass
     supplies :meth:`frame_received` and its connection bookkeeping.
     """
 
@@ -184,10 +184,10 @@ class FrameLink(asyncio.Protocol):
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport
-        # Announce our serializer first thing (the peer awaits or checks
+        # Announce the body format first thing (the peer awaits or checks
         # it); bypasses chaos and batching — connection plumbing, not
         # protocol traffic.
-        transport.write(encode_preamble(self.owner.codec.serializer))
+        transport.write(PREAMBLE)
 
     def frame_received(self, body: bytes) -> None:  # pragma: no cover - interface
         """Hand one complete frame body to the owner."""

@@ -29,7 +29,12 @@ from repro import accountability
 from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.chaos import ChaosInjector, FaultPlan
-from repro.net.codec import Codec, get_codec, preamble_serializer
+from repro.net.codec import (
+    BINARY_SERIALIZER,
+    Codec,
+    preamble_serializer,
+    require_binary,
+)
 from repro.net.runtime import AsyncRuntime, FrameLink
 from repro.registers.base import Cluster, ClusterConfig
 from repro.registers.messages import SERVER_REPLIES
@@ -88,7 +93,8 @@ class NetServer:
         host/port: bind address (``port=0`` picks a free port; see
             :attr:`port` after :meth:`start`).
         seed: shared cluster seed (signature authority derivation).
-        serializer: wire serializer name (both sides must agree).
+        serializer: body format; only ``"binary"`` exists, and any
+            other name raises :class:`~repro.errors.ProtocolError`.
         enforce: set ``False`` to skip the protocol feasibility check —
             the load harness runs far more readers than the fast
             protocols' thresholds allow.
@@ -114,7 +120,7 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         seed: int = 0,
-        serializer: Optional[str] = None,
+        serializer: str = BINARY_SERIALIZER,
         enforce: bool = True,
         chaos: Optional[ChaosInjector] = None,
         accountable: bool = False,
@@ -126,7 +132,8 @@ class NetServer:
         self.pid = self.automaton.pid
         self.host = host
         self.port = port
-        self.codec: Codec = get_codec(serializer)
+        require_binary(serializer)
+        self.codec = Codec()
         self.runtime = AsyncRuntime(seed=seed)
         self.runtime.add_process(self.automaton)
         self.runtime.set_default_route(self._route_out)
@@ -187,7 +194,7 @@ class NetServer:
     def handle_frame(self, conn: ServerConnection, body: bytes) -> None:
         name = preamble_serializer(body)
         if name is not None:
-            if name != self.codec.serializer:
+            if name != BINARY_SERIALIZER:
                 # Loud, early, and final: the peer cannot talk to us.
                 # Our own preamble (already sent) tells it why.
                 self.preamble_mismatches += 1

@@ -433,7 +433,7 @@ class TestOneFailurePath:
 
         shard = {"digests": {"1:out": "tampered"}, "counters": {"1:out": 4}}
         record = build_run_record(
-            FaultPlan.generate(3, 3, 1), {0: shard}, t=1, serializer="binary",
+            FaultPlan.generate(3, 3, 1), {0: shard}, t=1,
             events=[], summary={},
         )
         path = tmp_path / "run.json"

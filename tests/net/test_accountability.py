@@ -14,7 +14,6 @@ import pytest
 
 from repro.accountability import audit_all
 from repro.cli import main
-from repro.errors import ProtocolError
 from repro.net import run_net_workload
 from repro.registers.base import ClusterConfig
 
@@ -56,23 +55,19 @@ class TestSocketStatements:
         assert revived.to_dict() == result.transcript.to_dict()
         assert audit_all(revived) == []
 
-    def test_transcript_is_serializer_blind(self):
-        """The audit input is the same whichever serializer carried it:
-        json ships whole statements, binary rebuilds them from the
-        envelope plus seq / cause / tag."""
+    def test_transcript_holds_every_reply_statement(self):
+        """Frames carry only seq / cause / tag; the pool rebuilds each
+        statement from the envelope, and every one of them verifies."""
         from repro.net.client import ClientPool
         from repro.net.server import build_net_cluster, start_servers
         from repro.sim.ids import reader, writer
 
         config = ClusterConfig(S=3, t=0, R=1)
 
-        async def run(serializer):
-            servers = await start_servers(
-                "abd", config, seed=5, serializer=serializer, accountable=True
-            )
+        async def run():
+            servers = await start_servers("abd", config, seed=5, accountable=True)
             pool = ClientPool(
                 {s.pid: s.address for s in servers},
-                serializer=serializer,
                 collect_statements=True,
                 statement_seed=5,
             )
@@ -89,16 +84,12 @@ class TestSocketStatements:
                 await pool.close()
                 for srv in servers:
                     await srv.stop()
-            payload = pool.transcript.to_dict()
-            # arrival order across the three connections is timing
-            payload["statements"].sort(key=lambda st: (st["server"], st["seq"]))
-            return payload
+            return pool.transcript
 
-        as_json = asyncio.run(run("json"))
-        as_binary = asyncio.run(run("binary"))
-        assert len(as_json["statements"]) == 3 * (2 + 2 * 2)
-        assert as_json["rejected"] == 0
-        assert as_binary == as_json
+        transcript = asyncio.run(run())
+        assert len(transcript) == 3 * (2 + 2 * 2)
+        assert transcript.rejected == 0
+        assert audit_all(transcript) == []
 
     def test_plain_runs_have_no_transcript_and_no_statements(self):
         result = run_net_workload(
@@ -112,7 +103,7 @@ class TestSocketStatements:
 
 
 class TestWireStatementHandling:
-    def make_pool(self, serializer=None):
+    def make_pool(self):
         from repro.net.client import ClientPool
         from repro.sim.ids import server
 
@@ -120,7 +111,6 @@ class TestWireStatementHandling:
         return ClientPool(
             addrs,
             seed=0,
-            serializer=serializer,
             collect_statements=True,
             statement_seed=0,
         )
@@ -149,10 +139,10 @@ class TestWireStatementHandling:
             ),
         )
 
-    def frame_body(self, serializer, stmt):
-        from repro.net.codec import HEADER, get_codec
+    def frame_body(self, stmt):
+        from repro.net.codec import HEADER, Codec
 
-        frame = get_codec(serializer).encode_frame(
+        frame = Codec().encode_frame(
             stmt.server, stmt.client, stmt.reply, statement=stmt
         )
         return frame[HEADER.size:]
@@ -160,40 +150,54 @@ class TestWireStatementHandling:
     def test_forged_statement_rejected_not_fatal(self):
         pool = self.make_pool()
         # signed in the wrong domain: well-formed, but not s1's HMAC here
-        pool.handle_frame(self.frame_body(None, self.signed(seed=999)))
+        pool.handle_frame(self.frame_body(self.signed(seed=999)))
         assert len(pool.transcript) == 0
         assert pool.transcript.rejected == 1
 
-    def test_garbage_json_statement_slot_drops_the_frame(self):
-        # The "a" slot is parsed at the codec boundary: a slot that does
-        # not parse makes the frame undecodable, and the pool drops it
-        # like any other garbage — nothing retained, nothing raised.
-        from repro.net.codec import get_codec
+    @pytest.mark.parametrize(
+        "garble",
+        [
+            # the statement flag on a frame that carries no section
+            lambda plain, signed: plain[:1] + b"\x02" + plain[2:],
+            # cut after seq, inside cause_kind, inside the tag
+            lambda plain, signed: signed[: len(plain) + 1],
+            lambda plain, signed: signed[: len(plain) + 5],
+            lambda plain, signed: signed[:-1],
+            # a cause_kind that is not utf8
+            lambda plain, signed: signed[: len(plain) + 2] + b"\xff" * 8
+            + signed[len(plain) + 10 :],
+        ],
+        ids=["flag-without-section", "cut-after-seq", "cut-in-cause",
+             "cut-in-tag", "cause-not-utf8"],
+    )
+    def test_malformed_statement_section_drops_the_frame(self, garble):
+        # The section is parsed at the codec boundary: a section that
+        # does not parse makes the frame undecodable, and the pool drops
+        # it like any other garbage — nothing retained, nothing counted
+        # as rejected, nothing raised.
+        from repro.errors import ProtocolError
+        from repro.net.codec import HEADER, Codec
 
-        record = json.loads(bytes(self.frame_body("json", self.signed())))
-        record["a"] = {"server": "s1"}  # missing every other field
-        body = json.dumps(record).encode("utf8")
-        with pytest.raises(ProtocolError, match="malformed signed statement"):
-            get_codec("json").decode_body_full(body)
+        stmt = self.signed()
+        plain = Codec().encode_frame(stmt.server, stmt.client, stmt.reply)
+        plain = plain[HEADER.size:]
+        signed = bytes(self.frame_body(stmt))
+        body = garble(plain, signed)
+        assert body not in (plain, signed)
+        with pytest.raises(ProtocolError, match="undecodable binary frame body"):
+            Codec().decode_body_full(body)
         pool = self.make_pool()
         pool.handle_frame(body)
-        assert len(pool.transcript) == 0
-
-    @pytest.mark.parametrize("sig", [None, "x", {"__k": "signed", "signer": "s1", "payload": None, "tag": "zz"}])
-    def test_json_statement_without_a_signature_drops_the_frame(self, sig):
-        # used to parse, then kill handle_frame with an AttributeError
-        record = json.loads(bytes(self.frame_body("json", self.signed())))
-        record["a"]["sig"] = sig
-        pool = self.make_pool()
-        pool.handle_frame(json.dumps(record).encode("utf8"))
         assert len(pool.transcript) == 0 and pool.transcript.rejected == 0
+        # the pool goes on verifying what follows
+        pool.handle_frame(signed)
+        assert pool.transcript.statements == [stmt]
 
     def test_honest_frame_is_retained(self):
-        for serializer in ("json", "binary"):
-            pool = self.make_pool(serializer)
-            pool.handle_frame(self.frame_body(serializer, self.signed()))
-            assert pool.transcript.statements == [self.signed()]
-            assert pool.transcript.rejected == 0
+        pool = self.make_pool()
+        pool.handle_frame(self.frame_body(self.signed()))
+        assert pool.transcript.statements == [self.signed()]
+        assert pool.transcript.rejected == 0
 
     @pytest.mark.parametrize(
         "what, offset, delta",
@@ -210,7 +214,7 @@ class TestWireStatementHandling:
         """Everything a binary frame implies or states about its
         statement is under the server's HMAC: one flipped byte anywhere
         is a rejection — counted, nothing retained, connection kept."""
-        from repro.net.codec import get_codec
+        from repro.net.codec import Codec
         from repro.sim.ids import server
 
         class Conn:
@@ -219,12 +223,12 @@ class TestWireStatementHandling:
             def close(self):
                 self.closed = True
 
-        honest = bytes(self.frame_body("binary", self.signed()))
+        honest = bytes(self.frame_body(self.signed()))
         body = bytearray(honest)
         body[offset] += delta
-        _, _, _, tampered = get_codec("binary").decode_body_full(bytes(body))
+        _, _, _, tampered = Codec().decode_body_full(bytes(body))
         assert tampered != self.signed(), what
-        pool, conn = self.make_pool("binary"), Conn()
+        pool, conn = self.make_pool(), Conn()
         pool.handle_frame(bytes(body), server(1), conn)
         assert pool.transcript.rejected == 1, what
         assert len(pool.transcript) == 0
@@ -234,16 +238,14 @@ class TestWireStatementHandling:
         assert len(pool.transcript) == 1 and pool.transcript.rejected == 1
 
     def test_codec_round_trips_the_statement_slot(self):
-        from repro.net.codec import HEADER, get_codec
+        from repro.net.codec import HEADER, Codec
 
-        codec = get_codec()
+        codec = Codec()
         stmt = self.signed()
         src, dst, reply = stmt.server, stmt.client, stmt.reply
-        body = self.frame_body(None, stmt)
+        body = self.frame_body(stmt)
         assert codec.decode_body_full(body) == (src, dst, reply, stmt)
-        # the "a" slot is the statement's own wire dict, nothing else
-        assert json.loads(bytes(body))["a"] == stmt.to_wire()
-        # the 3-tuple decoder ignores the slot (back-compat)
+        # the 3-tuple decoder ignores the slot
         assert codec.decode_body(body) == (src, dst, reply)
         # and frames without the slot decode to None
         plain = codec.encode_frame(src, dst, reply)

@@ -1,21 +1,20 @@
 """The binary wire codec (``repro-bin/v2``) and the zero-copy pipeline.
 
-Three contracts under test:
+Three contracts under test (the pinned bytes are test_wire_golden's):
 
-* **Cross-serializer parity** — for every registered message kind, with
-  and without an accountability statement, ``binary`` and ``json``
-  frames decode to *equal* results: equal
-  messages and equal, verifying ``SignedStatement`` objects.  The binary
-  statement section ships only ``seq``/``cause``/``tag``; everything
-  else is the envelope's, so a statement about another frame does not
-  encode and a tampered envelope does not verify.
+* **Round trip** — for every registered message kind, with and without
+  an accountability statement, ``decode(encode(m)) == (src, dst, m,
+  stmt)``: equal messages and equal, verifying ``SignedStatement``
+  objects.  The statement section ships only ``seq``/``cause``/``tag``;
+  everything else is the envelope's, so a statement about another frame
+  does not encode and a tampered envelope does not verify.
 * **Zero-copy framing** — :class:`FrameBuffer` hands out ``memoryview``
-  slices, reassembles a byte-split binary stream split at *every* offset
+  slices, reassembles a byte-split stream split at *every* offset
   identically, and never copies whole-frame input.
-* **Loud failure** — undecodable binary frames raise
-  :class:`ProtocolError` naming the offending kind byte and offset, and
-  mismatched serializer preambles fail at connect instead of decaying
-  into a decode storm.
+* **Loud failure** — undecodable frames raise :class:`ProtocolError`
+  naming the offending kind byte and offset, and a peer announcing
+  another body format is refused at connect, on both sides, instead of
+  decaying into a decode storm.
 """
 
 import asyncio
@@ -29,13 +28,11 @@ from repro.errors import ProtocolError
 from repro.net.chaos import ChaosInjector, FaultPlan, LinkFaults, build_run_record, verify_run_record
 from repro.net.codec import (
     BINARY_FORMAT,
-    BINARY_SERIALIZER,
+    HEADER,
+    PREAMBLE,
+    PREAMBLE_MAGIC,
     Codec,
     FrameBuffer,
-    available_serializers,
-    default_serializer,
-    encode_preamble,
-    get_codec,
     preamble_serializer,
 )
 from repro.registers.base import ClusterConfig
@@ -146,56 +143,29 @@ def _sample_statement(name, seed=3, **overrides):
 
 
 # ----------------------------------------------------------------------
-# serializer registry and defaults (the get_codec honesty satellite)
+# the kind-byte registry (the bytes themselves: test_wire_golden)
 
 
-class TestSerializerSelection:
-    def test_default_serializer_is_binary(self):
-        assert default_serializer() == BINARY_SERIALIZER == "binary"
-
-    def test_binary_always_available(self):
-        listed = available_serializers()
-        assert listed[0] == "binary"
-        assert "json" in listed
-
-    def test_get_codec_none_stays_json(self):
-        # Library compatibility default: never auto-selects binary —
-        # exactly what the docstring now says.
-        assert get_codec().serializer == "json"
-        assert get_codec(None).serializer == "json"
-        assert "never auto-selects" in get_codec.__doc__
-
-    def test_get_codec_binary(self):
-        assert get_codec("binary").serializer == "binary"
-
-    def test_kind_byte_registry_is_the_sorted_registry(self):
-        assert WIRE_KIND_BYTES == {
-            name: index
-            for index, name in enumerate(sorted(MESSAGE_TYPES), start=1)
-        }
-        assert len(set(WIRE_KIND_BYTES.values())) == len(MESSAGE_TYPES)
-        assert max(WIRE_KIND_BYTES.values()) < 0x80
-        assert BINARY_FORMAT == "repro-bin/v2"
+def test_kind_byte_registry_is_the_sorted_registry():
+    assert WIRE_KIND_BYTES == {
+        name: index for index, name in enumerate(sorted(MESSAGE_TYPES), start=1)
+    }
+    assert len(set(WIRE_KIND_BYTES.values())) == len(MESSAGE_TYPES)
+    assert max(WIRE_KIND_BYTES.values()) < 0x80
+    assert BINARY_FORMAT == "repro-bin/v2"
 
 
 # ----------------------------------------------------------------------
-# cross-serializer parity
+# round trip
 
 
-class TestCrossSerializerParity:
+class TestRoundTrip:
     @given(message=messages, src=pids, dst=pids)
     @settings(max_examples=250, deadline=None)
-    def test_all_serializers_decode_equal(self, message, src, dst):
-        decoded = {}
-        for name in available_serializers():
-            codec = Codec(name)
-            frame = codec.encode_frame(src, dst, message)
-            body = FrameBuffer().feed(frame)[0]
-            decoded[name] = codec.decode_body_full(body)
-        reference = decoded["json"]
-        assert reference == (src, dst, message, None)
-        for name, got in decoded.items():
-            assert got == reference, name
+    def test_decode_inverts_encode(self, message, src, dst):
+        codec = Codec()
+        body = FrameBuffer().feed(codec.encode_frame(src, dst, message))[0]
+        assert codec.decode_body_full(body) == (src, dst, message, None)
 
     @pytest.mark.parametrize("name", sorted(MESSAGE_TYPES))
     @pytest.mark.parametrize("with_statement", [False, True])
@@ -204,24 +174,21 @@ class TestCrossSerializerParity:
         statement = _sample_statement(name) if with_statement else None
         authority = SignatureAuthority(3)
         authority.register(server(1))
-        for serializer in available_serializers():
-            codec = Codec(serializer)
-            frame = codec.encode_frame(
-                server(1), reader(2), message, statement=statement
-            )
-            got = codec.decode_body_full(FrameBuffer().feed(frame)[0])
-            assert got == (server(1), reader(2), message, statement), serializer
-            if with_statement:
-                # an equal object, not merely an equal dict: it verifies
-                # and says what the signer signed
-                assert isinstance(got[3], SignedStatement)
-                assert verify_statement(authority, got[3])
-                assert got[3].signature.payload == statement.signature.payload
+        codec = Codec()
+        frame = codec.encode_frame(server(1), reader(2), message, statement=statement)
+        got = codec.decode_body_full(FrameBuffer().feed(frame)[0])
+        assert got == (server(1), reader(2), message, statement)
+        if with_statement:
+            # an equal object, not merely an equal dict: it verifies
+            # and says what the signer signed
+            assert isinstance(got[3], SignedStatement)
+            assert verify_statement(authority, got[3])
+            assert got[3].signature.payload == statement.signature.payload
 
     def test_binary_statement_section_is_seq_cause_tag(self):
         message = _sample_message("FastReadAck")
         statement = _sample_statement("FastReadAck")
-        codec = Codec("binary")
+        codec = Codec()
         plain = codec.encode_frame(server(1), reader(2), message)
         signed = codec.encode_frame(server(1), reader(2), message, statement=statement)
         section = bytes([7, len("FastRead")]) + b"FastRead" + bytes([32]) + statement.signature.tag
@@ -239,7 +206,7 @@ class TestCrossSerializerParity:
     def test_statement_about_another_frame_does_not_encode(self, field, value):
         statement = _sample_statement("FastReadAck", **{field: value})
         with pytest.raises(ProtocolError, match="does not describe the frame"):
-            Codec("binary").encode_frame(
+            Codec().encode_frame(
                 server(1), reader(2), _sample_message("FastReadAck"),
                 statement=statement,
             )
@@ -247,7 +214,7 @@ class TestCrossSerializerParity:
     def test_mixed_stream_in_socket_sized_reads_decodes_equal(self):
         """Every kind, a tenth of the frames statement-bearing, as one
         byte stream through one ``FrameBuffer`` in reads that straddle
-        frame boundaries: each serializer hands back the corpus."""
+        frame boundaries: the corpus comes back."""
         corpus = [
             (
                 server(1),
@@ -258,25 +225,17 @@ class TestCrossSerializerParity:
             for repeat in range(40)
             for name in sorted(MESSAGE_TYPES)
         ]
-        for serializer in available_serializers():
-            codec = Codec(serializer)
-            stream = b"".join(
-                codec.encode_frame(src, dst, message, statement=statement)
-                for src, dst, message, statement in corpus
-            )
-            buffer, decoded = FrameBuffer(), []
-            for start in range(0, len(stream), 1500):
-                for body in buffer.feed(stream[start : start + 1500]):
-                    decoded.append(codec.decode_body_full(body))
-            assert buffer.pending_bytes == 0
-            assert decoded == corpus, serializer
-
-    @given(message=messages)
-    @settings(max_examples=100, deadline=None)
-    def test_binary_frames_are_smaller_than_json(self, message):
-        binary = Codec("binary").encode_frame(reader(1), server(2), message)
-        as_json = Codec("json").encode_frame(reader(1), server(2), message)
-        assert len(binary) < len(as_json)
+        codec = Codec()
+        stream = b"".join(
+            codec.encode_frame(src, dst, message, statement=statement)
+            for src, dst, message, statement in corpus
+        )
+        buffer, decoded = FrameBuffer(), []
+        for start in range(0, len(stream), 1500):
+            for body in buffer.feed(stream[start : start + 1500]):
+                decoded.append(codec.decode_body_full(body))
+        assert buffer.pending_bytes == 0
+        assert decoded == corpus
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +244,7 @@ class TestCrossSerializerParity:
 
 class TestZeroCopyFrameBuffer:
     def _stream(self):
-        codec = Codec("binary")
+        codec = Codec()
         frames = [
             codec.encode_frame(reader(1), server(1), _sample_message("FastRead")),
             codec.encode_frame(
@@ -325,15 +284,12 @@ class TestZeroCopyFrameBuffer:
         assert got == expected
         assert buffer.pending_bytes == 0
 
-    def test_decode_accepts_memoryview_for_every_serializer(self):
+    def test_decode_accepts_memoryview(self):
         message = _sample_message("QueryReply")
-        for serializer in available_serializers():
-            codec = Codec(serializer)
-            body = FrameBuffer().feed(
-                codec.encode_frame(server(1), reader(1), message)
-            )[0]
-            assert isinstance(body, memoryview)
-            assert codec.decode_body(body) == (server(1), reader(1), message)
+        codec = Codec()
+        body = FrameBuffer().feed(codec.encode_frame(server(1), reader(1), message))[0]
+        assert isinstance(body, memoryview)
+        assert codec.decode_body(body) == (server(1), reader(1), message)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +298,7 @@ class TestZeroCopyFrameBuffer:
 
 class TestBinaryErrorContext:
     def test_unknown_kind_byte_named(self):
-        codec = Codec("binary")
+        codec = Codec()
         with pytest.raises(ProtocolError, match=r"kind byte 0x63.*offset 1"):
             codec.decode_body(b"\x63\x00garbage")
 
@@ -350,7 +306,7 @@ class TestBinaryErrorContext:
     def test_unknown_flag_bits_rejected_by_name(self, flags):
         # 0x01 was the v1 statement section: a mixed-build accountable
         # pairing must fail per frame, not mis-parse the section.
-        codec = Codec("binary")
+        codec = Codec()
         frame = codec.encode_frame(
             server(1), reader(2), _sample_message("FastReadAck"),
             statement=_sample_statement("FastReadAck"),
@@ -364,7 +320,7 @@ class TestBinaryErrorContext:
             codec.decode_body_full(bytes(body))
 
     def test_truncated_frame_names_kind_and_offset(self):
-        codec = Codec("binary")
+        codec = Codec()
         frame = codec.encode_frame(
             reader(1), server(1), _sample_message("FastReadAck")
         )
@@ -378,7 +334,7 @@ class TestBinaryErrorContext:
         assert "undecodable binary frame body" in str(excinfo.value)
 
     def test_trailing_junk_rejected(self):
-        codec = Codec("binary")
+        codec = Codec()
         body = bytes(
             FrameBuffer().feed(
                 codec.encode_frame(reader(1), server(1), _sample_message("Query"))
@@ -389,56 +345,79 @@ class TestBinaryErrorContext:
 
     def test_empty_body_rejected(self):
         with pytest.raises(ProtocolError, match="undecodable binary frame"):
-            Codec("binary").decode_body(b"")
+            Codec().decode_body(b"")
 
     def test_unregistered_payload_type_rejected(self):
         class Rogue:
             op_id = 1
 
         with pytest.raises(ProtocolError, match="not a registered"):
-            Codec("binary").encode_frame(reader(1), server(1), Rogue())
+            Codec().encode_frame(reader(1), server(1), Rogue())
 
 
 # ----------------------------------------------------------------------
-# preamble negotiation
+# preamble: the cross-build check
+
+
+def _json_preamble():
+    """The preamble an older build speaking json bodies writes."""
+    body = PREAMBLE_MAGIC + b"json"
+    return HEADER.pack(len(body)) + body
 
 
 class TestPreamble:
-    def test_round_trip(self):
-        for name in available_serializers():
-            body = FrameBuffer().feed(encode_preamble(name))[0]
-            assert preamble_serializer(body) == name
+    def test_names_the_one_body_format(self):
+        assert preamble_serializer(FrameBuffer().feed(PREAMBLE)[0]) == "binary"
+        assert preamble_serializer(FrameBuffer().feed(_json_preamble())[0]) == "json"
 
     def test_ordinary_frames_are_not_preambles(self):
-        for serializer in available_serializers():
-            codec = Codec(serializer)
-            body = FrameBuffer().feed(
-                codec.encode_frame(reader(1), server(1), _sample_message("Query"))
-            )[0]
-            assert preamble_serializer(body) is None
+        body = FrameBuffer().feed(
+            Codec().encode_frame(reader(1), server(1), _sample_message("Query"))
+        )[0]
+        assert preamble_serializer(body) is None
 
-    def test_mismatch_fails_loudly_at_connect(self):
-        # A binary pool dialing json servers must raise at connect —
-        # the silent alternative is every frame dropped as undecodable.
+    def test_pool_refuses_a_json_server(self):
+        # A raw server that announces json: the pool must raise at
+        # connect; the silent alternative is every frame dropped as
+        # undecodable.
         from repro.net.client import ClientPool
-        from repro.net.server import NetServer
 
         async def run():
-            config = ClusterConfig(S=1, t=0, R=1)
-            srv = NetServer(
-                "abd", config, 1, seed=0, serializer="json", enforce=False
-            )
-            await srv.start()
-            pool = ClientPool(
-                {server(1): srv.address}, serializer="binary",
-                reconnect=False, preamble_timeout=5.0,
-            )
+            async def json_server(reader_, writer_):
+                writer_.write(_json_preamble())
+                await reader_.read()  # until the pool hangs up
+                writer_.close()
+
+            listener = await asyncio.start_server(json_server, "127.0.0.1", 0)
+            address = listener.sockets[0].getsockname()[:2]
+            pool = ClientPool({server(1): address}, reconnect=False)
             try:
                 with pytest.raises(ProtocolError, match="serializer mismatch"):
                     await pool.connect()
-                assert pool.preamble_mismatches >= 1
+                assert pool.preamble_mismatches == 1
             finally:
                 await pool.close()
+                listener.close()
+                await listener.wait_closed()
+
+        asyncio.run(run())
+
+    def test_server_refuses_a_json_client(self):
+        # A raw client that announces json: the server answers with its
+        # own preamble, counts the peer and closes the connection.
+        from repro.net.server import NetServer
+
+        async def run():
+            srv = NetServer("abd", ClusterConfig(S=1, t=0, R=1), 1, enforce=False)
+            await srv.start()
+            try:
+                reader_, writer_ = await asyncio.open_connection(*srv.address)
+                writer_.write(_json_preamble())
+                assert await asyncio.wait_for(reader_.read(), 5.0) == PREAMBLE
+                assert srv.preamble_mismatches == 1
+                assert srv.frames_in == srv.frames_bad == 0
+                writer_.close()
+            finally:
                 await srv.stop()
 
         asyncio.run(run())
@@ -449,13 +428,9 @@ class TestPreamble:
 
         async def run():
             config = ClusterConfig(S=1, t=0, R=1)
-            srv = NetServer(
-                "abd", config, 1, seed=0, serializer="binary", enforce=False
-            )
+            srv = NetServer("abd", config, 1, seed=0, enforce=False)
             await srv.start()
-            pool = ClientPool(
-                {server(1): srv.address}, serializer="binary", reconnect=False
-            )
+            pool = ClientPool({server(1): srv.address}, reconnect=False)
             try:
                 await pool.connect()
                 assert pool.preamble_mismatches == 0
@@ -469,12 +444,30 @@ class TestPreamble:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("owner", ["NetServer", "ClientPool", "LoadSpec"])
+    def test_the_kept_serializer_parameters_accept_only_binary(self, owner):
+        from repro.net import ClientPool, LoadSpec, NetServer
+
+        build = {
+            "NetServer": lambda name: NetServer(
+                "abd", ClusterConfig(S=1, t=0, R=1), 1, serializer=name
+            ),
+            "ClientPool": lambda name: ClientPool({}, serializer=name),
+            "LoadSpec": lambda name: LoadSpec(
+                "abd", (("127.0.0.1", 1),), serializer=name
+            ),
+        }[owner]
+        build("binary")
+        for name in ("json", "pickle"):
+            with pytest.raises(ProtocolError, match="unknown serializer"):
+                build(name)
+
 
 # ----------------------------------------------------------------------
-# chaos stays serializer-agnostic
+# chaos never reads frame bytes
 
 
-class TestChaosSerializerAgnostic:
+class TestChaosIgnoresFrameBytes:
     def test_decision_streams_ignore_frame_bytes(self):
         # Two injectors over the same plan draw identical decision
         # streams regardless of what bytes the frames contain — the
@@ -490,8 +483,7 @@ class TestChaosSerializerAgnostic:
             assert a.decide(1, "recv") == b.decide(1, "recv")
         assert a.to_dict() == b.to_dict()
 
-    @pytest.mark.parametrize("serializer", ["json", "binary"])
-    def test_run_record_verifies_under_both_serializers(self, serializer):
+    def test_run_record_verifies(self):
         from repro.net.harness import run_net_workload
 
         plan = FaultPlan(
@@ -503,12 +495,8 @@ class TestChaosSerializerAgnostic:
             reads_per_reader=4,
             writes_per_writer=2,
             seed=4,
-            serializer=serializer,
             chaos_plan=plan,
         )
         assert result.check_atomic().ok
-        record = build_run_record(
-            plan, {0: result.chaos.to_dict()}, t=0, serializer=serializer
-        )
-        assert record["serializer"] == serializer
+        record = build_run_record(plan, {0: result.chaos.to_dict()}, t=0)
         assert verify_run_record(record)["ok"]

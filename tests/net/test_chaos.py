@@ -162,6 +162,39 @@ class TestBudgetAccounting:
         with pytest.raises(ConfigurationError, match="crash budget"):
             plan.validate(self.config(t=0))
 
+    def test_full_outage_default_fails_every_server_without_an_override(self):
+        plan = FaultPlan(default=LinkFaults(drop=1.0), allow_beyond_budget=True)
+        assert plan.max_concurrent_failures(servers=5) == 5
+        assert all(plan.beyond_budget(t, servers=5) for t in range(5))
+        assert not plan.beyond_budget(5, servers=5)
+        assert "peak_failures=5" in plan_summary(plan, servers=5)
+        # an override of its own takes a server out of the outage
+        spared = FaultPlan(
+            default=LinkFaults(drop=1.0),
+            links=((2, LinkFaults(drop=0.1)),),
+            allow_beyond_budget=True,
+        )
+        assert spared.max_concurrent_failures(servers=5) == 4
+        # without S the count is unknown, never a silent zero
+        with pytest.raises(ConfigurationError, match="cluster's S"):
+            plan.beyond_budget(1)
+
+    def test_full_outage_default_needs_the_opt_in_and_spends_every_server(self):
+        config = self.config(S=5, t=1)
+        with pytest.raises(ConfigurationError, match="allow_beyond_budget"):
+            FaultPlan(default=LinkFaults(drop=1.0)).validate(config)
+        plan = FaultPlan(default=LinkFaults(drop=1.0), allow_beyond_budget=True)
+        plan.validate(config)  # explicit opt-in passes
+        adversary = plan.adversary(config.S)
+        assert adversary.crash_budget == 5
+        assert not adversary.admits_failures(config.S + 1)
+
+    def test_full_outage_default_run_record_is_beyond_budget(self):
+        plan = FaultPlan(default=LinkFaults(drop=1.0), allow_beyond_budget=True)
+        record = build_run_record(plan, {}, t=1, servers=5)
+        assert record["max_concurrent_failures"] == 5
+        assert record["within_budget"] is False
+
     def test_overlapping_faults_on_one_server_count_once(self):
         plan = FaultPlan(
             seed=1,

@@ -136,6 +136,31 @@ class TestChaosCommands:
         assert main(["chaos-replay", str(run_file)]) == 0
         capsys.readouterr()
 
+    def test_full_outage_default_plan_is_beyond_budget(self, capsys, tmp_path):
+        from repro.net.chaos import FaultPlan, LinkFaults
+
+        plan_file = tmp_path / "outage.json"
+        plan_file.write_text(
+            FaultPlan(default=LinkFaults(drop=1.0), allow_beyond_budget=True).to_json()
+        )
+        code = main(
+            [
+                "load",
+                "--protocol", "abd",
+                "--servers", "3",
+                "--t", "1",
+                "--clients", "1",
+                "--ops", "1",
+                "--workers", "1",
+                "--timeout", "0.5",
+                "--chaos", str(plan_file),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 4, captured.err
+        assert "peak_failures=3" in captured.err
+        assert "degraded gracefully" in captured.err
+
     def test_bad_chaos_spec_exits_2(self, capsys):
         code = main(
             [

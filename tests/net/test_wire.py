@@ -15,10 +15,9 @@ from repro.errors import ProtocolError
 from repro.net.codec import (
     HEADER,
     MAX_FRAME,
+    PREAMBLE,
     Codec,
     FrameBuffer,
-    available_serializers,
-    encode_preamble,
 )
 from repro.net.runtime import FrameLink
 from repro.registers.messages import (
@@ -115,8 +114,9 @@ class TestWireRoundTrip:
     @given(message=messages)
     @settings(max_examples=200, deadline=None)
     def test_wire_dict_is_json_clean(self, message):
-        # The dict must survive a strict JSON round-trip untouched: the
-        # socket layer serializes exactly this.
+        # The dict must survive a strict JSON round-trip untouched:
+        # transcripts, fraud proofs and certificates serialize exactly
+        # this.
         wire = message.to_wire()
         assert json.loads(json.dumps(wire)) == wire
 
@@ -164,11 +164,10 @@ class TestWireRoundTrip:
 
 
 class TestCodecFrames:
-    @pytest.mark.parametrize("serializer", available_serializers())
     @given(message=messages, src=pids, dst=pids, data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_frame_round_trip_chunked(self, serializer, message, src, dst, data):
-        codec = Codec(serializer)
+    def test_frame_round_trip_chunked(self, message, src, dst, data):
+        codec = Codec()
         frame = codec.encode_frame(src, dst, message)
         buffer = FrameBuffer()
         bodies = []
@@ -185,7 +184,7 @@ class TestCodecFrames:
         assert (got_src, got_dst, payload) == (src, dst, message)
 
     def test_many_frames_one_feed(self):
-        codec = Codec("json")
+        codec = Codec()
         stream = b"".join(
             codec.encode_frame(reader(1), server(i), Query(op_id=i))
             for i in range(1, 6)
@@ -199,13 +198,8 @@ class TestCodecFrames:
             buffer.feed(HEADER.pack(MAX_FRAME + 1))
 
     def test_garbage_body_rejected(self):
-        codec = Codec("json")
         with pytest.raises(ProtocolError, match="undecodable"):
-            codec.decode_body(b"not json at all")
-
-    def test_unknown_serializer_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown serializer"):
-            Codec("pickle")
+            Codec().decode_body(b"not a frame at all")
 
 
 class _Transport:
@@ -232,7 +226,6 @@ class _Owner:
     """What a link uses of its pool or server."""
 
     def __init__(self):
-        self.codec = Codec("binary")
         self.links = []
 
     def begin_batch(self):
@@ -259,13 +252,13 @@ class TestFrameLink:
             link.connection_made(_Transport())
             owner.links.append(link)
         one, other = owner.links
-        preamble = ("write", encode_preamble("binary"))
+        preamble = ("write", PREAMBLE)
         assert one.transport.calls == [preamble]
         assert other.transport.calls == [preamble]
 
         # Three frames in one read answer in one writelines, after it.
         frames = [
-            owner.codec.encode_frame(reader(1), server(1), Query(op_id=i))
+            Codec().encode_frame(reader(1), server(1), Query(op_id=i))
             for i in (1, 2, 3)
         ]
         one.data_received(b"".join(frames))
