@@ -50,7 +50,6 @@ def render_explore_stats(result) -> str:
     config = scenario.config
     exhaustive = result.mode == "exhaustive"
     memo_hits = getattr(stats, "memo_hits", 0)
-    shared_hits = getattr(stats, "shared_memo_hits", 0)
     byzantine_budget = getattr(scenario, "byzantine_budget", 0)
     adversary = f"crash budget {scenario.crash_budget}"
     if byzantine_budget:
@@ -58,7 +57,7 @@ def render_explore_stats(result) -> str:
         adversary += f", byzantine budget {byzantine_budget} [{menu}]"
     memo = (  # only a memoized exhaustive search has one
         "memo          : {states} states in {variants} variants over {parts} "
-        "interned parts; hits {local_hits} local, {base_hits} base"
+        "interned parts; {hits} hits"
     )
     memo_lines = [memo.format_map(result.memo)] if getattr(result, "memo", None) else []
     lines = [
@@ -77,7 +76,6 @@ def render_explore_stats(result) -> str:
         + (
             f", {stats.sleep_pruned} pruned by sleep sets"
             f", {memo_hits} memo hits"
-            + (f" (+{shared_hits} cross-process)" if shared_hits else "")
             if exhaustive
             else ""
         ),

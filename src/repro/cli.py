@@ -313,7 +313,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.explore import (
         Counterexample,
         ExploreScenario,
-        explore_parallel,
+        explore,
         get_target,
         random_walks_parallel,
         replay_counterexample,
@@ -349,11 +349,15 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
     # Bounds that would search nothing raise ScheduleError (exit 2).
     if args.mode == "exhaustive":
-        result = explore_parallel(
+        if args.parallel > 1:
+            raise ConfigurationError(
+                "--parallel applies to --mode random; the exhaustive search "
+                "runs in one process"
+            )
+        result = explore(
             scenario,
             depth=args.depth,
             reduce=not args.no_reduce,
-            parallel=args.parallel,
             max_transitions=args.max_transitions,
             max_counterexamples=args.max_counterexamples,
             shrink=not args.no_shrink,
@@ -395,7 +399,17 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
             print(f"counterexample written to {path}", file=sys.stderr)
-    return 1 if result.found_violation else 0
+    if result.found_violation:
+        return 1
+    if not result.complete:
+        print(
+            f"explore: no violation in the {result.stats.schedules} schedules "
+            f"covered, but the search stopped at --max-transitions "
+            f"{args.max_transitions}: not a clean verdict",
+            file=sys.stderr,
+        )
+        return 3
+    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -901,7 +915,11 @@ def build_parser() -> argparse.ArgumentParser:
         "construction-shaped quorum walks, or alternate between them)",
     )
     xpl.add_argument(
-        "--parallel", type=int, default=1, help="worker processes (1 = serial)"
+        "--parallel",
+        type=int,
+        default=1,
+        help="random mode: worker processes the walk ranges fan out over "
+        "(1 = serial; the exhaustive search runs in one process)",
     )
     xpl.add_argument(
         "--no-memo",
@@ -923,8 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-transitions",
         type=int,
         default=2_000_000,
-        help="total transition budget; with --parallel it is one shared "
-        "allowance drained by all shards, not a per-shard copy",
+        help="exhaustive mode: transition budget; a search it cuts short "
+        "without a violation exits 3",
     )
     xpl.add_argument("--max-counterexamples", type=int, default=1)
     xpl.add_argument(
@@ -1146,9 +1164,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     # The one failure path: bad parameters, an unreadable or misshapen
     # file, an unknown name (the registries' KeyError) are one line on
-    # stderr and exit 2.  Handlers keep only the exits that mean
-    # something else (1 violation / mismatch, 3 nothing to prove, 4
-    # degraded beyond budget).
+    # stderr and exit 2 (so is `explore --parallel N>1` in exhaustive
+    # mode).  Handlers keep only the exits that mean something else (1
+    # violation / mismatch, 3 nothing to prove or an exhaustive search
+    # truncated by its transition budget, 4 degraded beyond budget).
     try:
         return args.fn(args)
     except (

@@ -5,9 +5,9 @@ Public surface of the explorer subsystem:
 * :class:`ExploreScenario`, :class:`ScheduleDriver`, :class:`Action` —
   the choice-point model over :class:`repro.sim.controller.ScriptedExecution`.
 * :func:`explore` / :func:`random_walks` — bounded-exhaustive DFS with
-  sleep-set reduction, and seeded random walks for greater depths.
-* :func:`explore_parallel` / :func:`random_walks_parallel` — the same,
-  fanned across worker processes with deterministic merging.
+  sleep-set reduction and a state memo, and seeded random walks for
+  greater depths; :func:`random_walks_parallel` fans the walks across
+  worker processes with deterministic merging.
 * :class:`Oracle`, :class:`Counterexample`, :func:`shrink_schedule`,
   :func:`replay_counterexample` — verdicts via the online spec pipeline,
   schedule shrinking and byte-exact replayable artifacts.
@@ -31,6 +31,7 @@ from repro.explore.explorer import (
     TransitionBudget,
     explore,
     random_walks,
+    random_walks_parallel,
 )
 from repro.explore.oracle import (
     Counterexample,
@@ -38,12 +39,6 @@ from repro.explore.oracle import (
     build_counterexample,
     replay_counterexample,
     shrink_schedule,
-)
-from repro.explore.parallel import (
-    ExploreShard,
-    execute_shard,
-    explore_parallel,
-    random_walks_parallel,
 )
 from repro.explore.targets import TARGETS, ExploreTarget, get_target
 
@@ -54,7 +49,6 @@ __all__ = [
     "EXHAUSTIVE",
     "ExploreResult",
     "ExploreScenario",
-    "ExploreShard",
     "ExploreStats",
     "ExploreTarget",
     "Memo",
@@ -67,9 +61,7 @@ __all__ = [
     "TransitionBudget",
     "build_counterexample",
     "drive",
-    "execute_shard",
     "explore",
-    "explore_parallel",
     "get_target",
     "quorum_walk",
     "random_walks",

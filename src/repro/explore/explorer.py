@@ -11,7 +11,8 @@ Two modes share the driver's choice-point API:
 * :func:`random_walks` — seeded uniform walks through the same action
   space for depths exhaustion cannot reach; every seed derives from one
   root via :func:`repro.sim.rng.substream`, so a sweep of walks is
-  exactly reproducible and trivially shardable.
+  exactly reproducible, and :func:`random_walks_parallel` fans it out
+  over contiguous walk ranges.
 
 Exhaustive search runs on one driver with an undo journal
 (:meth:`ScheduleDriver.mark` / :meth:`ScheduleDriver.undo`): backtracking
@@ -40,7 +41,6 @@ and, on violation, shrink the schedule to a 1-minimal counterexample
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,6 +56,7 @@ from repro.explore.oracle import (
     WalkOracle,
     build_counterexample,
 )
+from repro.sim.batch import map_parallel
 from repro.spec.histories import Verdict
 
 #: Default ceiling on executed transitions per exploration; a guard rail
@@ -64,9 +65,6 @@ DEFAULT_MAX_TRANSITIONS = 2_000_000
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
-
-#: Subtree roots a cut search leaves unexplored: ``(prefix, prefix_sleep)``.
-Frontier = List[Tuple[Tuple[str, ...], Tuple[Action, ...]]]
 
 #: Memoization is skipped when fewer than this many actions remain: a
 #: leaf-adjacent subtree costs less to re-explore than its state costs
@@ -82,7 +80,6 @@ class ExploreStats:
     schedules: int = 0  # maximal paths covered (terminal or depth-capped)
     sleep_pruned: int = 0  # enabled actions skipped by the reduction
     memo_hits: int = 0  # subtrees skipped by the fingerprint memo
-    shared_memo_hits: int = 0  # subtrees skipped via the cross-process memo
     max_depth_seen: int = 0
     max_enabled: int = 0
     violations: int = 0
@@ -122,8 +119,8 @@ class ExploreResult:
     complete: bool = True  # False when the transition budget truncated DFS
     walks: int = 0
     seed: Optional[int] = None
-    #: :meth:`Memo.summary` of a memoized exhaustive search (summed over
-    #: shards); reporting only — never part of :class:`ExploreStats`.
+    #: :meth:`Memo.summary` of a memoized exhaustive search; reporting
+    #: only — never part of :class:`ExploreStats`.
     memo: Counter = field(default_factory=Counter)
 
     @property
@@ -131,7 +128,7 @@ class ExploreResult:
         return bool(self.counterexamples)
 
     def merge(self, other: "ExploreResult") -> "ExploreResult":
-        """Order-independent merge used by the parallel fan-out."""
+        """Order-independent merge of two walk ranges' results."""
         merged = ExploreResult(
             scenario=self.scenario,
             mode=self.mode,
@@ -142,7 +139,6 @@ class ExploreResult:
             complete=self.complete and other.complete,
             walks=self.walks + other.walks,
             seed=self.seed if self.seed is not None else other.seed,
-            memo=self.memo + other.memo,
         )
         merged.stats.merge(other.stats)
         seen = {ce.key() for ce in merged.counterexamples}
@@ -150,39 +146,29 @@ class ExploreResult:
             if ce.key() not in seen:
                 seen.add(ce.key())
                 merged.counterexamples.append(ce)
-        # Canonical order regardless of which shard finished first.
+        # Canonical order regardless of which range finished first.
         merged.counterexamples.sort(key=lambda ce: ce.key())
         return merged
 
 
 class TransitionBudget:
-    """A consumable transition allowance, optionally wall-clock bounded.
+    """A consumable transition allowance.
 
     ``tick()`` returns ``False`` on the tick that exhausts the budget —
     the caller then stops counting that transition (a truncated run
-    reports one transition fewer than it executed).  The deadline (when
-    given) is checked every 256 ticks to keep the hot path cheap.
+    reports one transition fewer than it executed).
     """
 
-    __slots__ = ("limit", "spent", "exhausted", "_deadline")
+    __slots__ = ("limit", "spent", "exhausted")
 
-    def __init__(self, limit: int, max_seconds: Optional[float] = None) -> None:
+    def __init__(self, limit: int) -> None:
         self.limit = limit
         self.spent = 0
         self.exhausted = False
-        self._deadline = (
-            time.monotonic() + max_seconds if max_seconds is not None else None
-        )
 
     def tick(self) -> bool:
         self.spent += 1
         if self.spent >= self.limit:
-            self.exhausted = True
-        elif (
-            self._deadline is not None
-            and (self.spent & 255) == 0
-            and time.monotonic() >= self._deadline
-        ):
             self.exhausted = True
         return not self.exhausted
 
@@ -192,10 +178,7 @@ class Memo:
 
     The memo owns the search's :class:`~repro.explore.driver.StateTable`
     (:attr:`states`): the search's driver interns into it, every key
-    here was built from it, and both live as long as the search.  Keys
-    never leave the process — :meth:`hottest` expands them to
-    fingerprints, and a ``base`` arrives as fingerprints and is
-    re-interned into this memo's own table.
+    here was built from it, and both live as long as the search.
 
     An entry records the sleep-set labels the subtree was explored
     under, the remaining depth it was explored to, how many schedules
@@ -205,35 +188,23 @@ class Memo:
     stored exploration then covered a superset of the schedules the
     current node would enumerate (Godefroid's condition for combining
     sleep sets with state matching).
-
-    ``base`` is a read-only table of the same shape (another search's
-    :meth:`hottest` entries) consulted on a local miss: the parallel
-    fan-out ships one to every worker so diamond states that span shard
-    boundaries resolve once instead of once per shard.  Its entries
-    certify clean subtrees of the same search, so they are sound under
-    exactly the conditions above.
     """
 
     #: Entries kept per state; diamond states rarely recur with more
     #: than a few distinct (sleep set, depth) combinations.
     MAX_VARIANTS = 6
 
-    __slots__ = ("states", "table", "hits", "base", "base_hits")
+    __slots__ = ("states", "table", "hits")
 
-    def __init__(self, base: Optional[Dict[Tuple, List[Tuple]]] = None) -> None:
+    def __init__(self) -> None:
         self.states = StateTable()
         self.table: Dict[Tuple, List[Tuple]] = {}
-        #: Per-state local hit counts — what :meth:`hottest` ranks by.
-        self.hits: Dict[Tuple, int] = {}
-        key_of = self.states.key_of
-        self.base = {key_of(fp): entries for fp, entries in (base or {}).items()}
-        self.base_hits = 0
+        self.hits = 0
 
     def lookup(
         self, key: Tuple, sleep_labels: frozenset, depth_left: int
-    ) -> Tuple[Optional[Tuple], bool]:
-        """``(entry, from_base)`` of a stored exploration covering this
-        node, or ``(None, False)``."""
+    ) -> Optional[Tuple]:
+        """A stored exploration covering this node, or ``None``."""
         # Prefer an exact-depth, exact-sleep entry: its schedule count is
         # exactly what this node would have enumerated.  Deeper or
         # smaller-sleep entries are equally *sound* (they certify a
@@ -247,13 +218,8 @@ class Memo:
                 if best is None:
                     best = entry
         if best is not None:
-            self.hits[key] = self.hits.get(key, 0) + 1
-            return best, False
-        for entry in self.base.get(key, ()):
-            if entry[1] >= depth_left and entry[0] <= sleep_labels:
-                self.base_hits += 1
-                return entry, True
-        return None, False
+            self.hits += 1
+        return best
 
     def store(
         self,
@@ -275,32 +241,13 @@ class Memo:
                 (sleep_labels, depth_left, schedules, rel_depth)
             )
 
-    def hottest(self, n: int) -> Dict[Tuple, List[Tuple]]:
-        """The ``n`` hottest states with their entries, by *fingerprint*
-        — a ``base`` for other searches' memos (tables of their own).
-
-        Ranked by local hit count (states that already recurred once are
-        the ones that span shard boundaries), then by covered schedules,
-        then by DFS insertion order: a pure function of the search.
-        """
-        ranked = sorted(
-            self.table.items(),
-            key=lambda item: (
-                -self.hits.get(item[0], 0),
-                -max(entry[2] for entry in item[1]),
-            ),
-        )
-        expand = self.states.expand
-        return {expand(key): entries for key, entries in ranked[:n]}
-
     def summary(self) -> Counter:
         """What the memo holds and how often it answered."""
         return Counter(
             states=len(self.table),
             variants=sum(map(len, self.table.values())),
             parts=len(self.states.parts),
-            local_hits=sum(self.hits.values()),
-            base_hits=self.base_hits,
+            hits=self.hits,
         )
 
 
@@ -324,12 +271,6 @@ def explore(
     max_counterexamples: int = 1,
     shrink: bool = True,
     memoize: bool = True,
-    prefix: Sequence[str] = (),
-    prefix_sleep: Sequence[Action] = (),
-    budget: Optional[TransitionBudget] = None,
-    max_seconds: Optional[float] = None,
-    memo: Optional[Memo] = None,
-    cut: Optional[Tuple[int, Frontier]] = None,
 ) -> ExploreResult:
     """Enumerate every schedule of ``scenario`` up to ``depth`` actions.
 
@@ -342,44 +283,19 @@ def explore(
     sleep-set search, whose verdicts, counterexamples and stats are the
     reference the memo's soundness is tested against.
 
-    ``prefix``/``prefix_sleep`` restrict the search to the subtree below
-    one action sequence, carrying the sleep set the serial enumeration
-    would have given that node, and ``cut=(level, frontier)`` is the
-    other half: the search stops at every node ``level`` actions deep
-    that still has depth left and appends its ``(prefix, prefix_sleep)``
-    to ``frontier`` instead of descending.  The parallel fan-out shards
-    deep work with the pair — one cut run counts everything above the
-    frontier exactly once, one prefix run per frontier node counts the
-    rest — so nothing is double-explored.  A cut run never memoizes (a
-    cut subtree is not a clean one).
-
-    ``budget`` shares one transition allowance across several calls
-    (parallel shards); when omitted a fresh
-    :class:`TransitionBudget` of ``max_transitions`` (and optionally
-    ``max_seconds`` of wall clock) is used.
-
-    ``memo`` lets the caller supply (and afterwards inspect) the
-    fingerprint memo — the parallel fan-out's seeding probe harvests
-    its :meth:`Memo.hottest` entries this way and hands them to every
-    shard as ``Memo(base=...)``; hits on the base are counted separately
-    (``shared_memo_hits``) and credited exactly like local ones.
-    Ignored when memoization is off.
-
-    Violations stop the search once ``max_counterexamples`` schedules
-    have been found (each shrunk and packaged); the stats still count
-    everything explored up to that point.  ``depth < 0`` or
-    ``max_counterexamples < 1`` raise :class:`ScheduleError`.
+    The search stops executing actions after ``max_transitions`` and
+    reports ``complete=False``.  Violations stop it once
+    ``max_counterexamples`` schedules have been found (each shrunk and
+    packaged); the stats still count everything explored up to that
+    point.  ``depth < 0`` or ``max_counterexamples < 1`` raise
+    :class:`ScheduleError`.
     """
     _check_bounds(depth, max_counterexamples)
     stats = ExploreStats()
     oracle = Oracle.for_scenario(scenario)
     counterexamples: List[Counterexample] = []
-    if budget is None:
-        budget = TransitionBudget(max_transitions, max_seconds=max_seconds)
-    if not memoize or cut is not None:
-        memo = None
-    elif memo is None:
-        memo = Memo()
+    budget = TransitionBudget(max_transitions)
+    memo = Memo() if memoize else None
 
     def record_violation(schedule: Sequence[str]) -> None:
         stats.violations += 1
@@ -415,23 +331,15 @@ def explore(
         deepest = len(path)
         if len(counterexamples) >= max_counterexamples or budget.exhausted:
             return deepest
-        if cut is not None and len(path) == cut[0] and depth_left > 0:
-            # The shard rooted here does this node's own accounting; at
-            # depth_left == 0 the node is a leaf and is finished below.
-            cut[1].append((tuple(path), tuple(sleep.values())))
-            return deepest
         stats.max_depth_seen = max(stats.max_depth_seen, deepest)
         key = None
         sleep_labels: frozenset = frozenset()
         if memo is not None and depth_left >= MEMO_MIN_DEPTH:
             key = driver.state_key()
             sleep_labels = frozenset(sleep)
-            hit, from_base = memo.lookup(key, sleep_labels, depth_left)
+            hit = memo.lookup(key, sleep_labels, depth_left)
             if hit is not None:
-                if from_base:
-                    stats.shared_memo_hits += 1
-                else:
-                    stats.memo_hits += 1
+                stats.memo_hits += 1
                 stats.schedules += hit[2]
                 deepest = len(path) + min(hit[3], depth_left)
                 stats.max_depth_seen = max(stats.max_depth_seen, deepest)
@@ -506,12 +414,7 @@ def explore(
         return deepest
 
     root = ScheduleDriver(scenario, undo=True, states=memo and memo.states)
-    root.run(prefix)
-    root_path = list(prefix)
-    initial_sleep: Dict[str, Action] = (
-        {action.label: action for action in prefix_sleep} if reduce else {}
-    )
-    dfs(root, root_path, initial_sleep, root.responses(), depth - len(root_path))
+    dfs(root, [], {}, root.responses(), depth)
     return ExploreResult(
         scenario=scenario,
         mode=EXHAUSTIVE,
@@ -605,3 +508,47 @@ def random_walks(
         walks=walks,
         seed=seed,
     )
+
+
+def _walk_range(bounds: Dict) -> ExploreResult:
+    """Worker entry point: :func:`random_walks` over one walk range."""
+    return random_walks(**bounds)
+
+
+def random_walks_parallel(
+    scenario: ExploreScenario,
+    depth: int,
+    walks: int,
+    seed: int = 0,
+    parallel: int = 1,
+    max_counterexamples: int = 1,
+    shrink: bool = True,
+    policy: str = MIXED,
+) -> ExploreResult:
+    """:func:`random_walks` fanned out over contiguous walk ranges.
+
+    The ranges are a fixed function of ``walks`` — never of ``parallel``
+    — and their results merge left to right, so the merged result
+    (stats included) is identical for every worker count.
+    """
+    _check_bounds(depth, max_counterexamples)
+    count = min(16, walks) or 1
+    size, extra = divmod(walks, count)
+    shared = dict(
+        scenario=scenario, depth=depth, seed=seed, policy=policy,
+        max_counterexamples=max_counterexamples, shrink=shrink,
+    )
+    ranges, start = [], 0
+    for index in range(count):
+        length = size + (index < extra)
+        ranges.append(dict(shared, first_walk=start, walks=length))
+        start += length
+    results, _ = map_parallel(_walk_range, ranges, parallel)
+    merged = results[0]
+    for result in results[1:]:
+        merged = merged.merge(result)
+    # Ranges cannot coordinate early stopping, so each may contribute a
+    # counterexample; keep the first N in canonical (sorted-key) order.
+    merged.counterexamples = merged.counterexamples[:max_counterexamples]
+    merged.walks, merged.seed = walks, seed
+    return merged

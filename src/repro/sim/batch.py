@@ -53,38 +53,23 @@ def default_mp_context() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def map_parallel(
-    fn,
-    items,
-    parallel: int = 1,
-    initializer=None,
-    initargs: Tuple = (),
-):
+def map_parallel(fn, items, parallel: int = 1):
     """Map ``fn`` over ``items`` across worker processes, order preserved.
 
-    The deterministic backbone shared by the sweep runner and the
-    schedule-space explorer: results always come back in input order
-    (``Pool.map`` semantics), so a caller that merges them left-to-right
-    produces byte-identical output whether the work ran serially or on
-    any number of workers.  ``fn`` and every item must pickle.
-
-    ``initializer``/``initargs`` run once per worker process (the
-    explorer uses this to hand every worker the shared transition
-    budget); when the map degrades to in-process execution the
-    initializer runs once in-process instead, so ``fn`` sees the same
-    environment either way.
+    The deterministic backbone shared by the sweep runner, the load
+    generator and the explorer's random walks: results always come back
+    in input order (``Pool.map`` semantics), so a caller that merges
+    them left-to-right produces byte-identical output whether the work
+    ran serially or on any number of workers.  ``fn`` and every item
+    must pickle.
     """
     items = list(items)
     parallel = max(1, int(parallel))
     if parallel == 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(item) for item in items], 1
     workers = min(parallel, len(items))
     ctx = multiprocessing.get_context(default_mp_context())
-    with ctx.Pool(
-        processes=workers, initializer=initializer, initargs=initargs
-    ) as pool:
+    with ctx.Pool(processes=workers) as pool:
         results = pool.map(fn, items, chunksize=1)
     return results, workers
 

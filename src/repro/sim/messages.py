@@ -7,7 +7,7 @@ kernel never inspects them beyond an optional ``op_id`` attribute used
 for tracing and round counting.
 
 ``Envelope`` is a plain ``__slots__`` class rather than a dataclass: one
-envelope is allocated per message on the simulation's hottest path, and
+envelope is allocated per message on the simulation's busiest path, and
 slot attribute storage is measurably cheaper than dataclass construction.
 Envelopes compare by identity, which is what every consumer (transit
 pools, traces) relies on; treat them as immutable once submitted.

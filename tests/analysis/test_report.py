@@ -49,7 +49,7 @@ class TestExploreStatsRendering:
         assert (
             f"memo          : {memo['states']} states in {memo['variants']} "
             f"variants over {memo['parts']} interned parts; "
-            f"hits {result.stats.memo_hits} local, 0 base"
+            f"{result.stats.memo_hits} hits"
         ) in render_explore_stats(result).splitlines()
         plain = render_explore_stats(explore(scenario, depth=6, memoize=False))
         assert "memo   " not in plain

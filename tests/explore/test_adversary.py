@@ -18,7 +18,6 @@ from repro.explore import (
     ExploreScenario,
     ScheduleDriver,
     explore,
-    explore_parallel,
     random_walks,
 )
 from repro.registers.base import ClusterConfig
@@ -136,17 +135,25 @@ class TestEngineIdentityWithLies:
             ce.to_json() for ce in incremental.counterexamples
         ]
 
-    def test_parallel_sharding_covers_the_byzantine_space(self):
-        scenario = byz_scenario()
-        serial = explore(scenario, 5, memoize=False, max_counterexamples=2)
-        sharded = explore_parallel(
-            scenario, depth=5, parallel=2, memoize=False,
-            max_counterexamples=2,
+    @pytest.mark.parametrize(
+        "depth,counter,expected",
+        [(3, "sleep_pruned", 19), (4, "detectability_gaps", 36)],
+    )
+    def test_forge_menu_counts_every_leaf_and_audit(
+        self, depth, counter, expected
+    ):
+        """Leaf nodes count their enabled()/sleep accounting (19 pruned
+        at depth 3) and every violation carries its audit verdict (36
+        gaps at depth 4): numbers a hand-copied top of the search once
+        got wrong (1 pruned, 24 gaps)."""
+        scenario = byz_scenario(
+            "fast-byzantine@gullible-reader", strategies=("forge",)
         )
-        assert serial.stats.to_dict() == sharded.stats.to_dict()
-        assert [ce.key() for ce in serial.counterexamples] == [
-            ce.key() for ce in sharded.counterexamples
-        ]
+        stats = explore(
+            scenario, depth, memoize=False, max_counterexamples=50
+        ).stats
+        assert stats.fraud_proofs + stats.detectability_gaps == stats.violations
+        assert getattr(stats, counter) == expected
 
 
 class TestSectionSixThreshold:

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.explore import (
     ExploreScenario,
+    Memo,
     ScheduleDriver,
     TransitionBudget,
     explore,
@@ -111,20 +112,64 @@ class TestEngineIdentity:
             )
 
 
-class TestSharedBudget:
-    def test_budget_object_is_shared_across_calls(self):
-        scenario = _scenario("fast-crash", ClusterConfig(S=4, t=1, R=1), {})
-        budget = TransitionBudget(300)
-        first = explore(scenario, 6, budget=budget)
-        second = explore(scenario, 6, budget=budget)
-        assert not first.complete or not second.complete
-        assert budget.exhausted
-        assert first.stats.transitions + second.stats.transitions < 300
+class TestTransitionBudget:
+    SCENARIO = _scenario("fast-crash", ClusterConfig(S=4, t=1, R=1), {})
 
-    def test_wall_clock_deadline_truncates(self):
-        scenario = _scenario("fast-crash", ClusterConfig(S=5, t=1, R=2), {})
-        result = explore(scenario, 12, memoize=False, max_seconds=0.05)
+    def test_the_exhausting_tick_reports_false(self):
+        budget = TransitionBudget(3)
+        assert [budget.tick() for _ in range(3)] == [True, True, False]
+        assert budget.exhausted and budget.spent == 3
+
+    @pytest.mark.parametrize("memoize", [True, False], ids=["memo", "no-memo"])
+    def test_a_binding_budget_stops_one_short_of_its_limit(self, memoize):
+        """The exhausting transition is executed but not counted."""
+        result = explore(
+            self.SCENARIO, 7, memoize=memoize, max_transitions=300
+        )
         assert not result.complete
+        assert result.stats.transitions == 299
+
+    def test_an_unbinding_budget_changes_nothing(self):
+        tight = explore(self.SCENARIO, 6, max_transitions=10**6)
+        loose = explore(self.SCENARIO, 6, max_transitions=2 * 10**6)
+        assert tight.complete and loose.complete
+        assert tight.stats.to_dict() == loose.stats.to_dict()
+        assert tight.memo == loose.memo
+
+
+class TestMemoEntries:
+    """Godefroid's condition: an entry answers a node only if it was
+    explored at least as deep with a sleep set no larger."""
+
+    KEY = ("state",)
+
+    def test_a_hit_needs_depth_and_a_sleep_subset(self):
+        memo = Memo()
+        memo.store(self.KEY, frozenset({"a"}), 5, 7, 4)
+        assert memo.lookup(self.KEY, frozenset({"a"}), 6) is None
+        assert memo.lookup(self.KEY, frozenset(), 5) is None
+        assert memo.lookup(("other",), frozenset({"a"}), 5) is None
+        entry = (frozenset({"a"}), 5, 7, 4)
+        assert memo.lookup(self.KEY, frozenset({"a", "b"}), 4) == entry
+        assert memo.lookup(self.KEY, frozenset({"a"}), 5) == entry
+        assert memo.hits == 2 == memo.summary()["hits"]
+
+    def test_a_more_general_entry_replaces_the_ones_it_covers(self):
+        memo = Memo()
+        memo.store(self.KEY, frozenset({"a"}), 4, 3, 4)
+        memo.store(self.KEY, frozenset(), 5, 9, 5)
+        assert memo.table[self.KEY] == [(frozenset(), 5, 9, 5)]
+        # and a narrower one is not stored beside it
+        memo.store(self.KEY, frozenset({"b"}), 3, 1, 3)
+        assert memo.table[self.KEY] == [(frozenset(), 5, 9, 5)]
+
+    def test_incomparable_variants_are_capped(self):
+        memo = Memo()
+        for label in range(Memo.MAX_VARIANTS + 2):
+            memo.store(self.KEY, frozenset({label}), 4, 1, 4)
+        assert len(memo.table[self.KEY]) == Memo.MAX_VARIANTS
+        summary = memo.summary()
+        assert (summary["states"], summary["variants"]) == (1, Memo.MAX_VARIANTS)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.errors import ScheduleError
 from repro.explore import (
     ExploreScenario,
     explore,
-    explore_parallel,
     random_walks,
     random_walks_parallel,
     replay_counterexample,
@@ -189,13 +188,12 @@ class TestBudget:
         "search",
         [
             explore,
-            explore_parallel,
             lambda scenario, **bounds: random_walks(scenario, walks=5, **bounds),
             lambda scenario, **bounds: random_walks_parallel(
                 scenario, walks=5, **bounds
             ),
         ],
-        ids=["explore", "explore_parallel", "walks", "walks_parallel"],
+        ids=["explore", "walks", "walks_parallel"],
     )
     def test_bounds_that_search_nothing_are_rejected(self, search):
         """depth < 0 never reaches the leaf test (an unbounded search);

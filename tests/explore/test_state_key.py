@@ -10,10 +10,10 @@ together:
   agree on ``key_a == key_b ⇔ fingerprint_a == fingerprint_b``;
 * ``fingerprint()`` itself still returns what the parent commit returned
   (golden digests over corpus counterexample prefixes);
-* a key is small and flat, and never outlives its table's process:
-  ``Memo.hottest`` exports fingerprints, ``Memo(base=…)`` re-interns;
-* the sharded path gives the serial path's numbers (the pin a per-driver
-  table would break while still passing every serial count).
+* a key is small and flat, and the memo's summary counts what the
+  search stored;
+* ``repro explore`` runs the serial search the ledger times, with the
+  ledger's numbers.
 """
 
 import hashlib
@@ -29,10 +29,8 @@ from repro.errors import ScheduleError
 from repro.explore import (
     Counterexample,
     ExploreScenario,
-    Memo,
     ScheduleDriver,
     explore,
-    explore_parallel,
 )
 from repro.explore.driver import StateTable
 from repro.registers.base import ClusterConfig
@@ -142,65 +140,43 @@ def test_fingerprint_is_the_parent_commits_tuple(name, undo):
     assert digest.hexdigest()[:16] == GOLDEN[name]
 
 
-class TestKeysStayInTheirProcess:
+class TestMemoSummary:
     SCENARIO = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
 
-    def test_hottest_exports_fingerprints_and_a_base_is_reinterned(self):
-        memo = Memo()
-        explore(self.SCENARIO, depth=8, memo=memo)
-        exported = memo.hottest(50)
-        assert len(exported) == 50
-        other = Memo(base=exported)
-        renumbered = 0
-        for fingerprint, entries in exported.items():
-            assert len(fingerprint) == 6  # a fingerprint, not a key
-            sleep_labels, depth_left, _schedules, _rel_depth = entries[0]
-            key = other.states.key_of(fingerprint)
-            renumbered += key != memo.states.key_of(fingerprint)
-            hit, from_base = other.lookup(key, sleep_labels, depth_left)
-            assert from_base and hit == entries[0]
-        assert other.summary()["base_hits"] == 50
-        # the two tables number the same parts differently, which is why
-        # a key may not cross from one memo to another
-        assert renumbered > 0
-
     def test_summary_counts_what_the_search_stored(self):
-        memo = Memo()
-        result = explore(self.SCENARIO, depth=8, memo=memo)
-        summary = memo.summary()
-        assert result.memo == summary
-        assert summary["states"] == len(memo.table) > 0
+        result = explore(self.SCENARIO, depth=8)
+        summary = result.memo
+        assert summary["states"] > 0
         assert summary["variants"] >= summary["states"]
-        assert summary["local_hits"] == result.stats.memo_hits
-        assert summary["base_hits"] == result.stats.shared_memo_hits == 0
+        assert summary["hits"] == result.stats.memo_hits > 0
         # hash-consing: far fewer distinct parts than state x entity
         assert summary["parts"] < summary["states"]
         assert not explore(self.SCENARIO, depth=8, memoize=False).memo
 
 
-class TestShardedSearchKeepsItsNumbers:
-    """Serial counts alone cannot see a table that is private to each
-    driver: ids would differ between the probe and the shards, the base
-    would never hit, and both worker counts would be wrong alike."""
+class TestTheCliRunsTheLedgersSearch:
+    """``repro explore`` is the serial ``explore()`` the ledger times:
+    its JSON carries the library call's counts, the ledger's
+    ``memo-heavy`` row among them."""
 
     ARGS = [
         "explore", "--protocol", "fast-crash", "--servers", "4", "--t", "1",
-        "--readers", "1", "--depth", "10", "--format", "json",
+        "--readers", "1", "--format", "json",
     ]
 
-    def test_depth_ten_counts_and_bytes_for_one_and_two_workers(self, capsys):
-        outputs = []
-        for workers in ("1", "2"):
-            assert main(self.ARGS + ["--parallel", workers]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        stats = json.loads(outputs[0])["stats"]
-        assert (
-            stats["schedules"], stats["transitions"], stats["shared_memo_hits"]
-        ) == (32272, 7734, 40)
+    def _stats(self, capsys, *extra):
+        assert main(self.ARGS + list(extra)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["complete"]
+        stats = payload["stats"]
+        return stats["schedules"], stats["transitions"], stats["memo_hits"]
 
-    def test_library_call_agrees_and_reports_the_base_hits(self):
-        scenario = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
-        result = explore_parallel(scenario, depth=10, parallel=1)
-        assert result.stats.shared_memo_hits == 40 == result.memo["base_hits"]
-        assert result.stats.memo_hits == result.memo["local_hits"]
+    def test_depth_ten_completes_inside_a_tight_budget(self, capsys):
+        # 17 transitions of slack: any search doing more work than the
+        # serial one is truncated here and exits 3
+        assert self._stats(
+            capsys, "--depth", "10", "--max-transitions", "7700"
+        ) == (32272, 7683, 1132)
+
+    def test_depth_twelve_is_the_ledgers_memo_heavy_row(self, capsys):
+        assert self._stats(capsys, "--depth", "12")[:2] == (33504, 5699)

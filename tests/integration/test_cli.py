@@ -236,12 +236,68 @@ class TestExplore:
         assert payload["counterexamples"][0]["verdict"]["ok"] is False
 
     def test_parallel_identical_to_serial(self, capsys):
-        assert main(self.BROKEN_ARGS + ["--format", "json"]) == 1
+        walks = ["--format", "json", "--mode", "random", "--walks", "40"]
+        assert main(self.BROKEN_ARGS + walks) == 1
         serial = capsys.readouterr().out
-        assert main(
-            self.BROKEN_ARGS + ["--format", "json", "--parallel", "2"]
-        ) == 1
+        assert main(self.BROKEN_ARGS + walks + ["--parallel", "2"]) == 1
         assert serial == capsys.readouterr().out
+
+    def test_parallel_one_is_the_serial_search(self, capsys):
+        assert main(self.CLEAN_ARGS + ["--format", "json"]) == 0
+        serial = capsys.readouterr().out
+        assert main(self.CLEAN_ARGS + ["--format", "json", "--parallel", "1"]) == 0
+        assert serial == capsys.readouterr().out
+
+    def test_exhaustive_parallel_names_the_mode_it_applies_to(self, capsys):
+        assert main(
+            self.CLEAN_ARGS + ["--mode", "exhaustive", "--parallel", "3"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "explore: --parallel applies to --mode random; the exhaustive "
+            "search runs in one process\n"
+        )
+
+    def test_help_no_longer_speaks_of_shards(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "shard" not in text
+        assert "random mode: worker processes" in text
+        assert "exits 3" in text
+
+    def test_a_truncated_search_reports_incomplete_json(self, capsys):
+        import json
+
+        assert main(
+            self.CLEAN_ARGS
+            + ["--depth", "7", "--max-transitions", "500", "--format", "json"]
+        ) == 3
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["complete"] is False
+        assert payload["stats"]["violations"] == 0
+        assert payload["stats"]["transitions"] == 499
+        assert captured.err.count("\n") == 1
+        assert f"the {payload['stats']['schedules']} schedules" in captured.err
+
+    def test_a_violation_outranks_a_truncation(self, capsys):
+        """Exit 3 is for a search that found nothing before the budget
+        cut it short; one that found a violation first still exits 1."""
+        import json
+
+        assert main(
+            self.BROKEN_ARGS
+            + ["--max-counterexamples", "50", "--no-shrink",
+               "--max-transitions", "3000", "--format", "json"]
+        ) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["complete"] is False
+        assert payload["counterexamples"]
+        assert captured.err == ""
 
     def test_save_and_replay_round_trip(self, capsys, tmp_path):
         save_dir = tmp_path / "ces"
@@ -382,6 +438,7 @@ class TestOneFailurePath:
             ["explore", "--protocol", "nope"],
             ["explore", "--replay", "<a-list>"],
             ["explore", "--replay", "<an-artifact-without-its-scenario>"],
+            ["explore", "--parallel", "2", "--protocol", "fast-crash"],
             ["audit", "/nonexistent.json"],
             ["serve", "--protocol", "maxmin", "--servers", "3", "--t", "1"],
         ],
@@ -423,6 +480,20 @@ class TestOneFailurePath:
     def test_sweep_names_the_bad_size(self, argv, line, capsys):
         assert main(["sweep", *argv]) == 2
         assert capsys.readouterr().err.startswith(line)
+
+    def test_a_truncated_search_is_not_a_clean_verdict(self, capsys):
+        """Exit 3 and one stderr line; it used to exit 0 on partial
+        coverage, a note in the schedules line its only trace."""
+        assert main(
+            ["explore", "--protocol", "fast-crash", "--servers", "4",
+             "--t", "1", "--readers", "1", "--depth", "7",
+             "--max-transitions", "500"]
+        ) == 3
+        captured = capsys.readouterr()
+        assert "(truncated by transition budget)" in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("explore: ")
+        assert "--max-transitions 500" in lines[0]
 
     def test_an_exit_code_that_means_something_else_survives(self, tmp_path, capsys):
         """Replay mismatch is 1, not 2: only the print-and-return-2

@@ -10,11 +10,17 @@ from repro.sim.batch import (
     SweepSpec,
     build_matrix,
     execute_spec,
+    map_parallel,
     seed_matrix,
 )
 from repro.sim.latency import UniformLatency
 
 CONFIG = ClusterConfig(S=8, t=1, R=3)
+
+
+def _tagged(item):
+    """Pickles by name, so a worker process can run it."""
+    return (item, item * item)
 
 
 def small_matrix(seeds=2, check=True):
@@ -113,6 +119,29 @@ class TestExecuteSpec:
             protocol="fast-crash", scenario="smoke", config=CONFIG, seed=1, check=False
         )
         assert execute_spec(spec).atomic_ok is None
+
+
+class TestMapParallel:
+    """The order-preserving map under the sweep runner, the load
+    generator and the explorer's random walks."""
+
+    @pytest.mark.parametrize("parallel", [1, 2, 3])
+    def test_results_come_back_in_input_order(self, parallel):
+        results, workers = map_parallel(_tagged, range(7), parallel)
+        assert results == [(i, i * i) for i in range(7)]
+        assert workers == parallel
+
+    @pytest.mark.parametrize(
+        "parallel, items, workers",
+        [(0, 3, 1), (-2, 3, 1), (5, 1, 1), (4, 2, 2)],
+    )
+    def test_worker_count_is_clamped_to_the_work(self, parallel, items, workers):
+        results, used = map_parallel(_tagged, range(items), parallel)
+        assert used == workers
+        assert [item for item, _ in results] == list(range(items))
+
+    def test_no_items_is_no_work(self):
+        assert map_parallel(_tagged, [], 4) == ([], 1)
 
 
 class TestBatchRunner:
