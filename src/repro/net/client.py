@@ -8,12 +8,12 @@ practical: a client automaton is just a small Python object plus a route
 table entry; the socket count stays constant.
 
 Each connection is a :class:`PoolConnection`, a
-:class:`~repro.net.runtime.FrameLink` (framing, preamble, batching)
-that hands frames to ``handle_frame`` and reports its loss.
+:class:`~repro.net.runtime.FrameLink` (framing, preamble, write-through
+sends) that hands frames to ``handle_frame`` and reports its loss.
 
 ``run_op`` bridges the automaton world (synchronous steps, callbacks)
 into coroutine land: it invokes an operation on the pool's runtime and
-returns an awaitable resolved by the runtime's ``on_response`` hook when
+awaits one future, resolved by the runtime's ``on_response`` hook when
 the automaton completes the operation.
 
 The pool is chaos-hardened (see :mod:`repro.net.chaos`):
@@ -257,23 +257,19 @@ class ClientPool:
 
     def _send(self, conn: PoolConnection, dst: ProcessId, frame: bytes) -> None:
         if self.chaos is not None:
-            self.chaos.apply(dst.index, "send", lambda: conn.send_frame(frame))
+            self.chaos.apply(dst.index, "send", lambda: self._deliver_out(dst, frame))
         else:
             conn.send_frame(frame)
 
-    def begin_batch(self) -> None:
-        """Start coalescing outbound frames on every live connection.
+    def _deliver_out(self, dst: ProcessId, frame: bytes) -> None:
+        # Resolved at fire time: a delayed frame goes to the server's
+        # *current* connection (or nowhere, if its link is down meanwhile).
+        conn = self._conns.get(dst)
+        if conn is not None:
+            conn.send_frame(frame)
 
-        Between ``begin_batch`` and ``flush_batch`` all frames queued to
-        one connection leave in a single ``writelines`` (writev-style)
-        call — one syscall per server per tick instead of one per frame.
-        """
-        for conn in self._conns.values():
-            conn.begin_batch()
-
-    def flush_batch(self) -> None:
-        for conn in self._conns.values():
-            conn.flush()
+    def flush_batch(self) -> None:  # traced as ledger row net.client:flush_batch
+        """No-op: frames write through."""
 
     def handle_frame(
         self,
@@ -386,15 +382,11 @@ class ClientPool:
         if not frames:
             return
         sent = 0
-        self.begin_batch()
-        try:
-            for dst, frame in list(frames):
-                conn = self._conns.get(dst)
-                if conn is not None:
-                    self._send(conn, dst, frame)
-                    sent += 1
-        finally:
-            self.flush_batch()
+        for dst, frame in list(frames):
+            conn = self._conns.get(dst)
+            if conn is not None:
+                self._send(conn, dst, frame)
+                sent += 1
         if sent:
             self.ledger.retransmits += 1
 
@@ -423,12 +415,10 @@ class ClientPool:
         started = time.monotonic()
         try:
             self._recording = []
-            self.begin_batch()
             try:
                 op = self.runtime.invoke(pid, kind, value)
                 self._inflight[op.op_id] = self._recording
             finally:
-                self.flush_batch()
                 self._recording = None
             result = await self._await_response(waiter, op.op_id, timeout)
             self.ledger.op_completed(time.monotonic() - started)
@@ -452,24 +442,35 @@ class ClientPool:
     async def _await_response(
         self, waiter: asyncio.Future, op_id: int, timeout: Optional[float]
     ) -> Operation:
+        """Await ``waiter`` while one timer handle retransmits the op each
+        ``retry_interval`` and fails the waiter at the deadline."""
         interval = self.retry_interval
         if timeout is None and not interval:
             return await waiter
         loop = asyncio.get_running_loop()
         deadline = None if timeout is None else loop.time() + timeout
-        while True:
-            if deadline is None:
-                step: Optional[float] = interval
+        timer: asyncio.TimerHandle
+
+        def arm() -> None:
+            nonlocal timer
+            due = loop.time() + interval if interval else deadline
+            if deadline is not None and deadline <= due:
+                timer = loop.call_at(deadline, expire)
             else:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    raise asyncio.TimeoutError()
-                step = min(interval, remaining) if interval else remaining
-            try:
-                return await asyncio.wait_for(asyncio.shield(waiter), step)
-            except asyncio.TimeoutError:
-                if waiter.done() and not waiter.cancelled():
-                    return waiter.result()
-                if deadline is not None and loop.time() >= deadline:
-                    raise
+                timer = loop.call_at(due, retransmit)
+
+        def retransmit() -> None:
+            # The waiter may have resolved earlier in this loop pass.
+            if not waiter.done():
+                arm()  # first: the deadline survives a failing send
                 self._retransmit(op_id)
+
+        def expire() -> None:
+            if not waiter.done():
+                waiter.set_exception(asyncio.TimeoutError())
+
+        arm()
+        try:
+            return await waiter
+        finally:
+            timer.cancel()

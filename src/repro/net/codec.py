@@ -231,11 +231,26 @@ def _wv_signed(buf: bytearray, v: SignedPayload) -> None:
     _w_bytes(buf, v.tag)
 
 
+#: Tagged-value bytes of a pid, for the seen sets every ack carries.
+_PID_VALUE_CACHE: Dict[ProcessId, bytes] = {}
+
+
 def _wv_fset(buf: bytearray, v: frozenset) -> None:
     buf.append(_T_FSET)
     _w_uvar(buf, len(v))
-    for enc in sorted(_value_bytes(item) for item in v):
-        buf += enc
+    encoded = []
+    for item in v:
+        # ``type() is``, not a dict probe alone: a plain tuple equal to a
+        # pid hashes and compares equal to it, yet encodes as a tuple.
+        if type(item) is ProcessId:
+            enc = _PID_VALUE_CACHE.get(item)
+            if enc is None:
+                enc = _PID_VALUE_CACHE[item] = _value_bytes(item)
+        else:
+            enc = _value_bytes(item)
+        encoded.append(enc)
+    encoded.sort()
+    buf += b"".join(encoded)
 
 
 def _wv_tuple(buf: bytearray, v: tuple) -> None:
@@ -434,7 +449,7 @@ def _rv_signed(r: _Reader) -> SignedPayload:
 
 
 def _rv_fset(r: _Reader) -> frozenset:
-    return frozenset(_r_value(r) for _ in range(_r_uvar(r)))
+    return frozenset([_r_value(r) for _ in range(_r_uvar(r))])
 
 
 def _rv_tuple(r: _Reader) -> tuple:
@@ -603,7 +618,8 @@ def preamble_serializer(body: Any) -> Optional[str]:
     """The body format a preamble names, or ``None`` if ``body`` is an
     ordinary message frame."""
     n = len(PREAMBLE_MAGIC)
-    if len(body) < n or bytes(body[:n]) != PREAMBLE_MAGIC:
+    # The first-byte test spares every message frame the slice copy.
+    if len(body) < n or body[0] != 0xA5 or bytes(body[:n]) != PREAMBLE_MAGIC:
         return None
     try:
         return str(body[n:], "ascii")

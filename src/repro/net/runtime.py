@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ProtocolError
 from repro.net.codec import PREAMBLE, FrameBuffer
@@ -53,9 +53,10 @@ class AsyncRuntime(Runtime):
         self._routes: Dict[ProcessId, RouteFn] = {}
         self._default_route: Optional[RouteFn] = None
         self._rng = random.Random(seed)
-        # Per-operation client-phase accounting (see module docstring).
+        # Per-operation client-phase accounting (see module docstring):
+        # phases so far, and the step id that opened the latest one.
         self._op_phases: Dict[int, int] = {}
-        self._burst_seen: set = set()
+        self._phase_step: Dict[int, int] = {}
         #: rounds (client phases) of every *completed* operation, by op id.
         self.rounds_of: Dict[int, int] = {}
         self.dropped_unroutable = 0
@@ -82,8 +83,8 @@ class AsyncRuntime(Runtime):
         if op_id is not None and dst.is_server and src.is_client:
             # First server-bound message of this operation within the
             # current step opens a new communication phase.
-            if op_id not in self._burst_seen:
-                self._burst_seen.add(op_id)
+            if self._phase_step.get(op_id) != step_id:
+                self._phase_step[op_id] = step_id
                 self._op_phases[op_id] = self._op_phases.get(op_id, 0) + 1
         route = self._routes.get(dst, self._default_route)
         if route is None:
@@ -97,6 +98,7 @@ class AsyncRuntime(Runtime):
     def record_response(self, pid: ProcessId, result: Any, step_id: int) -> None:
         op = self.history.respond(pid, result, self.now)
         self.rounds_of[op.op_id] = self._op_phases.pop(op.op_id, 0)
+        self._phase_step.pop(op.op_id, None)
         self._responded(op)
 
     # ------------------------------------------------------------------
@@ -127,21 +129,12 @@ class AsyncRuntime(Runtime):
             return
         step_id = self._next_step
         self._next_step = step_id + 1
-        saved, self._burst_seen = self._burst_seen, set()
-        try:
-            receiver.on_message(payload, src, Context(self, dst, step_id))
-        finally:
-            self._burst_seen = saved
+        receiver.on_message(payload, src, Context(self, dst, step_id))
 
     def _begin(self, client: ClientProcess, kind: str, value: Any) -> Operation:
         pid = client.pid
         op = self.history.invoke(pid, kind, value=value, at=self.now)
-        step_id = self._new_step()
-        saved, self._burst_seen = self._burst_seen, set()
-        try:
-            client.begin_operation(op, Context(self, pid, step_id))
-        finally:
-            self._burst_seen = saved
+        client.begin_operation(op, Context(self, pid, self._new_step()))
         return op
 
     def abandon(self, pid: ProcessId) -> Optional[Operation]:
@@ -157,6 +150,7 @@ class AsyncRuntime(Runtime):
         if op is None:
             return None
         self._op_phases.pop(op.op_id, None)
+        self._phase_step.pop(op.op_id, None)
         client = self.processes.get(pid)
         if isinstance(client, ClientProcess):
             client.operation_completed()
@@ -171,22 +165,21 @@ class FrameLink(asyncio.Protocol):
     """One end of one framed TCP connection, either side of the service.
 
     ``owner`` is the :class:`~repro.net.client.ClientPool` or
-    :class:`~repro.net.server.NetServer` this link belongs to (its
-    ``begin_batch`` and ``flush_batch`` are used); a subclass
-    supplies :meth:`frame_received` and its connection bookkeeping.
+    :class:`~repro.net.server.NetServer` this link belongs to; a
+    subclass supplies :meth:`frame_received` and its connection
+    bookkeeping.  Frames write through: each :meth:`send_frame` is one
+    ``transport.write``, which buffers what a busy socket cannot take.
     """
 
     def __init__(self, owner: Any) -> None:
         self.owner = owner
         self.transport: Optional[asyncio.Transport] = None
         self.buffer = FrameBuffer()
-        self._batch: Optional[List[bytes]] = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport
         # Announce the body format first thing (the peer awaits or checks
-        # it); bypasses chaos and batching — connection plumbing, not
-        # protocol traffic.
+        # it); bypasses chaos — connection plumbing, not protocol traffic.
         transport.write(PREAMBLE)
 
     def frame_received(self, body: bytes) -> None:  # pragma: no cover - interface
@@ -200,32 +193,16 @@ class FrameLink(asyncio.Protocol):
             # Framing desync is unrecoverable for this connection only.
             self.close()
             return
-        owner = self.owner
-        owner.begin_batch()
-        try:
-            for body in bodies:
-                self.frame_received(body)
-        finally:
-            owner.flush_batch()
+        for body in bodies:
+            self.frame_received(body)
 
     def send_frame(self, frame: bytes) -> None:
-        if self._batch is not None:
-            self._batch.append(frame)
-        elif self.transport is not None and not self.transport.is_closing():
-            self.transport.write(frame)
+        transport = self.transport
+        if transport is not None and not transport.is_closing():
+            transport.write(frame)
 
-    def begin_batch(self) -> None:
-        """Coalesce subsequent ``send_frame`` calls until :meth:`flush`."""
-        if self._batch is None:
-            self._batch = []
-
-    def flush(self) -> None:
-        frames, self._batch = self._batch, None
-        if frames and self.transport is not None and not self.transport.is_closing():
-            if len(frames) == 1:
-                self.transport.write(frames[0])
-            else:
-                self.transport.writelines(frames)
+    def flush(self) -> None:  # traced as ledger rows net.client:flush / net.server:flush
+        """No-op: frames write through."""
 
     def close(self) -> None:
         if self.transport is not None:

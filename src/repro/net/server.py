@@ -12,8 +12,9 @@ Connection handling is :class:`~repro.net.runtime.FrameLink`, a plain
 ``data_received`` feeds a :class:`~repro.net.codec.FrameBuffer`, each
 complete frame is decoded and dispatched to the automaton, and replies
 the automaton emits to a client pid are framed onto whichever connection
-last spoke for that pid.  A connection that sends garbage is closed; the
-automaton and other connections are unaffected.
+last spoke for that pid.  A framing desync closes that connection only;
+a frame that does not decode, or decodes to field values the automaton
+cannot read, is counted in ``frames_bad`` and dropped.
 
 The max-min protocol needs server-to-server gossip links, which this v1
 topology (clients dial servers; servers never dial) does not provide;
@@ -182,14 +183,8 @@ class NetServer:
     # ------------------------------------------------------------------
     # frame plumbing
 
-    def begin_batch(self) -> None:
-        """Start coalescing outbound frames on every live connection."""
-        for conn in self.connections:
-            conn.begin_batch()
-
-    def flush_batch(self) -> None:
-        for conn in list(self.connections):
-            conn.flush()
+    def flush_batch(self) -> None:  # traced as ledger row net.server:flush_batch
+        """No-op: frames write through."""
 
     def handle_frame(self, conn: ServerConnection, body: bytes) -> None:
         name = preamble_serializer(body)
@@ -205,7 +200,6 @@ class NetServer:
         except ProtocolError:
             self.frames_bad += 1
             return  # drop the frame; a decode error is not a desync
-        self.frames_in += 1
         if src.is_client and src not in conn.claimed:
             # Replies to this client now route over this connection.
             conn.claimed.add(src)
@@ -218,12 +212,20 @@ class NetServer:
             self._stmt_cause = type(payload).__name__
         if self.chaos is not None:
             self.chaos.apply(
-                self.pid.index,
-                "recv",
-                lambda: self.runtime.deliver(src, dst, payload),
+                self.pid.index, "recv", lambda: self._deliver_in(src, dst, payload)
             )
         else:
+            self._deliver_in(src, dst, payload)
+
+    def _deliver_in(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
+        try:
             self.runtime.deliver(src, dst, payload)
+        except (AttributeError, TypeError):
+            # Decoded, but a field has a type the automaton cannot read (a
+            # str for a tag): drop it like an undecodable frame.
+            self.frames_bad += 1
+        else:
+            self.frames_in += 1
 
     def _route_out(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
         conn = self._client_conns.get(dst)

@@ -52,7 +52,7 @@ from repro.registers.messages import (
     StoreAck,
 )
 from repro.registers.timestamps import MWTimestamp, SignedValueTag, ValueTag
-from repro.sim.ids import reader, server, writer
+from repro.sim.ids import ProcessId, reader, server, writer
 
 # ----------------------------------------------------------------------
 # strategies (the closed field-type set, as in test_wire)
@@ -210,6 +210,22 @@ class TestRoundTrip:
                 server(1), reader(2), _sample_message("FastReadAck"),
                 statement=statement,
             )
+
+    def test_a_tuple_twin_of_a_pid_in_a_set_stays_a_tuple(self):
+        # ("reader", 1) hashes and compares equal to reader(1), so the
+        # encoder's pid cache must not hand it the pid's bytes.
+        codec = Codec()
+        frames = {}
+        for item in (ProcessId("reader", 1), ("reader", 1)):
+            message = FastReadAck(
+                op_id=3, tag=ValueTag(1, "v"), seen=frozenset({item}), r_counter=1
+            )
+            frames[type(item)] = codec.encode_frame(server(1), reader(2), message)
+        assert frames[ProcessId] != frames[tuple]
+        for item_type, frame in frames.items():
+            seen = codec.decode_body(FrameBuffer().feed(frame)[0])[2].seen
+            assert seen == {("reader", 1)}
+            assert [type(item) for item in seen] == [item_type]
 
     def test_mixed_stream_in_socket_sized_reads_decodes_equal(self):
         """Every kind, a tenth of the frames statement-bearing, as one
@@ -375,6 +391,8 @@ class TestPreamble:
             Codec().encode_frame(reader(1), server(1), _sample_message("Query"))
         )[0]
         assert preamble_serializer(body) is None
+        # the magic's first byte alone does not make a preamble
+        assert preamble_serializer(b"\xa5" + bytes(len(PREAMBLE_MAGIC))) is None
 
     def test_pool_refuses_a_json_server(self):
         # A raw server that announces json: the pool must raise at

@@ -24,7 +24,8 @@ from repro.net.chaos import (
     verify_run_record,
 )
 from repro.net import harness
-from repro.net.client import ClientPool
+from repro.net.client import ClientPool, PoolConnection
+from repro.net.codec import PREAMBLE, Codec, FrameBuffer
 from repro.net.harness import (
     ChaosEventDriver,
     ServerCluster,
@@ -33,13 +34,68 @@ from repro.net.harness import (
 from repro.net.loadgen import LoadSpec, merge_shard_results, run_load
 from repro.net.server import NetServer, build_net_cluster, start_servers
 from repro.registers.base import ClusterConfig
+from repro.registers.messages import FastRead, FastReadAck, FastWrite
+from repro.registers.timestamps import INITIAL_TAG
 from repro.sim.batch import default_mp_context
+from repro.sim.ids import reader, server, writer
 from repro.spec.histories import BOTTOM, History, parse_pid
 
 
 def _silent_member(*args):
     """Stand-in for ``harness._server_entry``: never writes to its pipe."""
     time.sleep(60)
+
+
+class _Transport:
+    """Records what a link writes; nothing ever answers."""
+
+    def __init__(self):
+        self.frames = []
+        self.closed = False
+
+    def write(self, data):
+        self.frames.append(data)
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+
+def _link(pool, pid):
+    conn = PoolConnection(pool, pid)
+    conn.connection_made(_Transport())
+    return conn
+
+
+def _socketless_pool(**options):
+    """An abd pool over three recording links (t=0: an op needs all
+    three servers, and none answers); returns it and a reader pid."""
+    config = ClusterConfig(S=3, t=0, R=1)
+    pool = ClientPool(
+        {pid: ("127.0.0.1", 0) for pid in config.server_ids},
+        reconnect=False,
+        **options,
+    )
+    cluster = build_net_cluster("abd", config, enforce=False)
+    pool.add_clients([*cluster.readers, *cluster.writers])
+    for pid in config.server_ids:
+        pool._install(pid, _link(pool, pid))
+    return pool, cluster.readers[0].pid
+
+
+def _spy_retransmits(pool):
+    """Loop times of every retransmit the pool's op timers fire."""
+    fired, original = [], pool._retransmit
+    loop = asyncio.get_running_loop()
+
+    def spy(op_id):
+        fired.append(loop.time())
+        original(op_id)
+
+    pool._retransmit = spy
+    return fired
 
 
 class TestHistoryAbandon:
@@ -145,6 +201,167 @@ class TestRunOpTimeout:
             await pool.close()
             for server in servers:
                 await server.stop()
+
+        asyncio.run(main())
+
+
+class TestOpTimer:
+    """``run_op`` awaits one future; one timer handle per op retransmits
+    every ``retry_interval`` and fails the op at its deadline."""
+
+    def test_completed_op_cancels_its_timer(self):
+        config = ClusterConfig(S=3, t=1, R=1)
+
+        async def main():
+            servers = await start_servers("abd", config, seed=5, enforce=False)
+            addrs = {pid: s.address for pid, s in zip(config.server_ids, servers)}
+            pool = ClientPool(addrs, seed=1, retry_interval=0.1)
+            cluster = build_net_cluster("abd", config, seed=5, enforce=False)
+            pool.add_clients([*cluster.readers, *cluster.writers])
+            await pool.connect()
+            fired = _spy_retransmits(pool)
+            pid = cluster.readers[0].pid
+            for _ in range(3):
+                await pool.run_op(pid, "read", timeout=5.0)
+            settled = len(fired)
+            await asyncio.sleep(0.35)  # over three intervals
+            assert len(fired) == settled
+            assert pool.runtime._phase_step == {}
+            await pool.close()
+            for srv in servers:
+                await srv.stop()
+
+        asyncio.run(main())
+
+    def test_stalled_op_retransmits_each_interval_and_times_out_on_time(self):
+        async def main():
+            pool, pid = _socketless_pool(retry_interval=0.1)
+            fired = _spy_retransmits(pool)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(asyncio.TimeoutError):
+                await pool.run_op(pid, "read", timeout=0.35)
+            assert loop.time() - started >= 0.35
+            # due at 0.1, 0.2 and 0.3; a late tick only makes fewer
+            assert 1 <= len(fired) <= 3
+            gaps = [b - a for a, b in zip([started, *fired], fired)]
+            assert min(gaps) >= 0.1 - 1e-3
+            assert pool.ledger.retransmits == len(fired)
+            for conn in pool._conns.values():
+                # preamble, the query, one copy per retransmit
+                assert len(conn.transport.frames) == 2 + len(fired)
+            await asyncio.sleep(0.25)
+            assert pool.ledger.retransmits == len(fired)  # the timer is gone
+            assert pool.ledger.timed_out == 1
+            assert pid not in pool._waiters
+            assert pool.runtime._phase_step == {}
+
+        asyncio.run(main())
+
+    def test_cancelling_the_caller_abandons_the_op_and_its_timer(self):
+        async def main():
+            pool, pid = _socketless_pool(retry_interval=0.05)
+            fired = _spy_retransmits(pool)
+            task = asyncio.ensure_future(pool.run_op(pid, "read", timeout=5.0))
+            await asyncio.sleep(0.12)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            settled = len(fired)
+            await asyncio.sleep(0.15)
+            assert len(fired) == settled
+            assert pid not in pool._waiters
+            assert pool.runtime.history.pending_of(pid) is None
+            assert pool.runtime._phase_step == {}
+            assert pool.ledger.timed_out == 0
+            # the pid is free: a new op on it starts (and is cancelled)
+            again = asyncio.ensure_future(pool.run_op(pid, "read"))
+            await asyncio.sleep(0)
+            assert pool.runtime.history.pending_of(pid) is not None
+            again.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await again
+
+        asyncio.run(main())
+
+
+class _HoldingChaos:
+    """Chaos stub that holds every frame until the test fires it."""
+
+    def __init__(self):
+        self.held = []
+
+    def apply(self, server, direction, fire):
+        self.held.append(fire)
+
+
+class TestDelayedFramesAfterReconnect:
+    def test_a_delayed_frame_goes_to_the_current_link(self):
+        async def main():
+            chaos = _HoldingChaos()
+            pool, pid = _socketless_pool(chaos=chaos, retry_interval=0)
+            task = asyncio.ensure_future(pool.run_op(pid, "read"))
+            await asyncio.sleep(0)
+            assert len(chaos.held) == 3  # one query per server, all held
+            # s1's link dies (its transport is closing) and a reconnect
+            # installs a new one before the delayed query fires.
+            stale = pool._conns[server(1)]
+            stale.transport.closed = True
+            fresh = _link(pool, server(1))
+            pool._install(server(1), fresh)
+            for fire in chaos.held:
+                fire()
+            assert stale.transport.frames == [PREAMBLE]
+            assert len(fresh.transport.frames) == 2
+            query = FrameBuffer().feed(fresh.transport.frames[1])[0]
+            assert Codec().decode_body(query)[:2] == (pid, server(1))
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(main())
+
+
+class TestHostileFrames:
+    def test_a_decodable_type_confused_frame_is_dropped_not_fatal(self):
+        """``FastWrite(tag="x")`` decodes (a str is a legal value) but the
+        server reads ``tag.ts``: the frame is counted bad and dropped,
+        the connection stays, and the read behind it is answered."""
+        config = ClusterConfig(S=4, t=1, R=1)
+
+        async def main():
+            srv = NetServer("fast-crash", config, 1, enforce=False)
+            await srv.start()
+            codec = Codec()
+            hostile = codec.encode_frame(writer(1), srv.pid, FastWrite(op_id=1, tag="x"))
+
+            def read(op_id):
+                return codec.encode_frame(
+                    reader(1), srv.pid, FastRead(op_id=op_id, tag=INITIAL_TAG, r_counter=op_id)
+                )
+
+            stream, writer_ = await asyncio.open_connection(*srv.address)
+            buffer = FrameBuffer()
+
+            async def next_reply():
+                while True:
+                    data = await asyncio.wait_for(stream.read(4096), 5.0)
+                    assert data, "the server closed the connection"
+                    for body in buffer.feed(data):
+                        if bytes(body) != PREAMBLE[4:]:
+                            return codec.decode_body(body)[2]
+
+            try:
+                writer_.write(PREAMBLE + hostile + read(1))
+                reply = await next_reply()
+                assert isinstance(reply, FastReadAck) and reply.op_id == 1
+                assert (srv.frames_in, srv.frames_bad) == (1, 1)
+                writer_.write(read(2))  # the same link still serves
+                assert (await next_reply()).op_id == 2
+                assert len(srv.connections) == 1
+            finally:
+                writer_.close()
+                await srv.stop()
 
         asyncio.run(main())
 

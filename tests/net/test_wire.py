@@ -222,21 +222,6 @@ class _Transport:
         self.closed = True
 
 
-class _Owner:
-    """What a link uses of its pool or server."""
-
-    def __init__(self):
-        self.links = []
-
-    def begin_batch(self):
-        for link in self.links:
-            link.begin_batch()
-
-    def flush_batch(self):
-        for link in self.links:
-            link.flush()
-
-
 class _EchoLink(FrameLink):
     """Sends every frame body it receives back, framed again."""
 
@@ -245,28 +230,30 @@ class _EchoLink(FrameLink):
 
 
 class TestFrameLink:
-    def test_preamble_batching_and_desync(self):
-        owner = _Owner()
-        for _ in range(2):
-            link = _EchoLink(owner)
+    def test_preamble_write_through_and_desync(self):
+        one, other = _EchoLink(None), _EchoLink(None)
+        for link in (one, other):
             link.connection_made(_Transport())
-            owner.links.append(link)
-        one, other = owner.links
         preamble = ("write", PREAMBLE)
         assert one.transport.calls == [preamble]
         assert other.transport.calls == [preamble]
 
-        # Three frames in one read answer in one writelines, after it.
+        # Three frames in one read answer in three writes, in order,
+        # each as its frame is handled: nothing waits for a flush.
         frames = [
             Codec().encode_frame(reader(1), server(1), Query(op_id=i))
             for i in (1, 2, 3)
         ]
         one.data_received(b"".join(frames))
-        assert one.transport.calls[1:] == [("writelines", frames)]
+        assert one.transport.calls[1:] == [("write", frame) for frame in frames]
+        one.flush()
+        assert len(one.transport.calls) == 4
 
-        # A MAX_FRAME header is a desync: it closes that link only.
+        # A MAX_FRAME header is a desync: it closes that link only, and a
+        # closing link writes nothing more.
         one.data_received(HEADER.pack(MAX_FRAME + 1))
         assert one.transport.closed and not other.transport.closed
-        assert one.transport.calls[1:] == [("writelines", frames)]
+        one.send_frame(frames[0])
+        assert len(one.transport.calls) == 4
         other.data_received(frames[0])
         assert other.transport.calls[1:] == [("write", frames[0])]

@@ -7,6 +7,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net.runtime import AsyncRuntime
+from repro.net.server import build_net_cluster
+from repro.registers.base import ClusterConfig
 from repro.sim import trace as tr
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server
@@ -133,6 +135,35 @@ class TestEveryRuntimeHostsAlike:
         second = runtime.history.operations[1]
         assert first.complete and second.complete
         assert seen == [(first.op_id, None), (second.op_id, None)]
+
+
+def _loopback_cluster(protocol):
+    runtime, drive = _loopback()
+    cluster = build_net_cluster(protocol, ClusterConfig(S=4, t=1, R=1), enforce=False)
+    runtime.add_processes(cluster.all_processes())
+    return runtime, drive, cluster.readers[0].pid
+
+
+class TestAsyncRuntimePhases:
+    """A phase is one step's burst of server-bound sends: the S sends of
+    one step count once, and a second step's sends count again."""
+
+    @pytest.mark.parametrize("protocol, phases", [("fast-crash", 1), ("abd", 2)])
+    def test_phases_count_steps_not_sends(self, protocol, phases):
+        runtime, drive, pid = _loopback_cluster(protocol)
+        op = runtime.invoke(pid, "read")
+        drive()
+        assert op.complete
+        assert runtime.rounds_of == {op.op_id: phases}
+        assert runtime._phase_step == {} and runtime._op_phases == {}
+
+    def test_abandoned_op_leaves_no_phase_entry(self):
+        runtime, _, pid = _loopback_cluster("abd")
+        op = runtime.invoke(pid, "read")
+        assert list(runtime._phase_step) == [op.op_id]
+        assert runtime.abandon(pid) is op
+        assert runtime._phase_step == {} and runtime._op_phases == {}
+        assert runtime.rounds_of == {}
 
 
 class TestBasics:
