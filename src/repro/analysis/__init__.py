@@ -1,4 +1,4 @@
-"""Metrics, tables and sweeps over simulation runs."""
+"""Metrics, tables and threshold-boundary cases over simulation runs."""
 
 from repro.analysis.metrics import (
     LatencySummary,
@@ -10,14 +10,13 @@ from repro.analysis.metrics import (
     summarize,
     throughput,
 )
-from repro.analysis.sweep import BoundaryCase, boundary_cases, grid, sweep
+from repro.analysis.sweep import BoundaryCase, boundary_cases
 from repro.analysis.tables import render_table
 
 __all__ = [
     "BoundaryCase",
     "LatencySummary",
     "boundary_cases",
-    "grid",
     "latencies",
     "latency_by_kind",
     "merge_summaries",
@@ -25,6 +24,5 @@ __all__ = [
     "percentile",
     "render_table",
     "summarize",
-    "sweep",
     "throughput",
 ]

@@ -1,34 +1,17 @@
-"""Parameter sweeps.
+"""Threshold-boundary cases.
 
-Generic helpers to run a function over a cartesian parameter grid and to
-enumerate the threshold-boundary cases (feasible at ``maxR``, infeasible
-at ``maxR + 1``) that the boundary benchmarks and tests sample.
+The parameter sets on the fast-feasibility frontier (feasible at
+``maxR``, infeasible at ``maxR + 1``) that the boundary benchmarks and
+tests sample.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List
 
 from repro.bounds.feasibility import fast_feasible, max_readers
-
-
-def grid(**axes: Iterable[Any]) -> List[Dict[str, Any]]:
-    """Cartesian product of named axes as a list of parameter dicts."""
-    names = list(axes.keys())
-    out: List[Dict[str, Any]] = []
-    for combo in itertools.product(*(list(axes[name]) for name in names)):
-        out.append(dict(zip(names, combo)))
-    return out
-
-
-def sweep(
-    fn: Callable[..., Any], points: Sequence[Mapping[str, Any]]
-) -> List[Tuple[Dict[str, Any], Any]]:
-    """Apply ``fn(**point)`` to every grid point; collect results."""
-    return [(dict(point), fn(**point)) for point in points]
 
 
 @dataclass(frozen=True)

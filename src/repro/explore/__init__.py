@@ -8,6 +8,9 @@ Public surface of the explorer subsystem:
   sleep-set reduction and a state memo, and seeded random walks for
   greater depths; :func:`random_walks_parallel` fans the walks across
   worker processes with deterministic merging.
+* :func:`flaw_witness` — one flaw-table row's witness
+  (:class:`FlawWitness`): a shrunk quorum-walk counterexample on the
+  flawed protocol and its control replay on the faithful one.
 * :class:`Oracle`, :class:`Counterexample`, :func:`shrink_schedule`,
   :func:`replay_counterexample` — verdicts via the online spec pipeline,
   schedule shrinking and byte-exact replayable artifacts.
@@ -27,9 +30,11 @@ from repro.explore.explorer import (
     RANDOM,
     ExploreResult,
     ExploreStats,
+    FlawWitness,
     Memo,
     TransitionBudget,
     explore,
+    flaw_witness,
     random_walks,
     random_walks_parallel,
 )
@@ -51,6 +56,7 @@ __all__ = [
     "ExploreScenario",
     "ExploreStats",
     "ExploreTarget",
+    "FlawWitness",
     "Memo",
     "Oracle",
     "RANDOM",
@@ -62,6 +68,7 @@ __all__ = [
     "build_counterexample",
     "drive",
     "explore",
+    "flaw_witness",
     "get_target",
     "quorum_walk",
     "random_walks",

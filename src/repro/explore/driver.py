@@ -103,8 +103,7 @@ class StateTable:
     driver interns into it, and it dies with them.  It only grows — ids
     are positions in :attr:`parts` and there is no ``clear``, so no key
     a memo holds can be invalidated.  Ids mean nothing in another
-    table: what leaves a process is :meth:`expand` output, and what
-    arrives is re-interned by :meth:`key_of`.
+    table.
     """
 
     __slots__ = ("ids", "parts")
@@ -118,18 +117,6 @@ class StateTable:
         if number == len(self.parts):
             self.parts.append(part)
         return number
-
-    def key_of(self, fingerprint: Tuple) -> Tuple[int, ...]:
-        """The state key of a :meth:`ScheduleDriver.fingerprint` tuple."""
-        processes, transit, *driver_part, history = fingerprint
-        pairs = ((queue, p) for queue, payloads in transit for p in payloads)
-        return (
-            len(processes),
-            self.intern(tuple(driver_part)),
-            self.intern(history),
-            *map(self.intern, processes),
-            *map(self.intern, pairs),
-        )
 
     def expand(self, key: Tuple[int, ...]) -> Tuple:
         """The fingerprint a key of this table stands for."""

@@ -12,7 +12,9 @@ Two modes share the driver's choice-point API:
   space for depths exhaustion cannot reach; every seed derives from one
   root via :func:`repro.sim.rng.substream`, so a sweep of walks is
   exactly reproducible, and :func:`random_walks_parallel` fans it out
-  over contiguous walk ranges.
+  over contiguous walk ranges.  :func:`flaw_witness` is the quorum-walk
+  hunt behind each row of the flaw table, its shrunk violation replayed
+  on the faithful protocol as the control.
 
 Exhaustive search runs on one driver with an undo journal
 (:meth:`ScheduleDriver.mark` / :meth:`ScheduleDriver.undo`): backtracking
@@ -41,9 +43,10 @@ and, on violation, shrink the schedule to a 1-minimal counterexample
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ScheduleError
 from repro.explore.choices import RandomChooser, drive, quorum_walk
@@ -56,8 +59,9 @@ from repro.explore.oracle import (
     WalkOracle,
     build_counterexample,
 )
+from repro.registers.ablations import Flaw
 from repro.sim.batch import map_parallel
-from repro.spec.histories import Verdict
+from repro.spec.histories import History, Verdict
 
 #: Default ceiling on executed transitions per exploration; a guard rail
 #: against accidentally unbounded state spaces, not a tuning knob.
@@ -552,3 +556,51 @@ def random_walks_parallel(
     merged.counterexamples = merged.counterexamples[:max_counterexamples]
     merged.walks, merged.seed = walks, seed
     return merged
+
+
+#: The flaw-table hunt behind :func:`flaw_witness`.  Quorum walks reach
+#: every breakable row within this many walks of this seed (mixed walks
+#: miss ``eager-reader`` and ``no-seen-reset``); ``no-seen-reset`` needs
+#: walks deeper than 24 actions.
+WITNESS_WALKS = 2000
+WITNESS_SEED = 0
+WITNESS_DEPTH = 32
+
+
+class FlawWitness(NamedTuple):
+    """A flaw's shrunk counterexample and its control run: the same
+    schedule strictly replayed on the faithful protocol."""
+
+    counterexample: Counterexample
+    control: History
+    control_verdict: Verdict
+
+
+@functools.cache
+def flaw_witness(flaw: Flaw) -> Optional[FlawWitness]:
+    """The witness of one :data:`~repro.registers.ablations.FLAWS` row,
+    or ``None`` when every walk of its scenario stays clean.
+
+    The scenario is the row's cluster and reads per reader, with a
+    Byzantine budget of ``config.b``.  The control applies every label
+    of the shrunk schedule to the base protocol (a label it cannot
+    apply raises :class:`ScheduleError`), so both protocols are judged
+    on one schedule.  Results are cached per row and shared: callers
+    must not mutate them.
+    """
+    scenario = ExploreScenario(
+        flaw.target,
+        flaw.config,
+        reads_per_reader=flaw.reads_per_reader,
+        byzantine_budget=flaw.config.b,
+    )
+    hunt = random_walks(
+        scenario, WITNESS_DEPTH, WITNESS_WALKS, seed=WITNESS_SEED, policy=QUORUM
+    )
+    if not hunt.counterexamples:
+        return None
+    found = hunt.counterexamples[0]
+    control = ScheduleDriver(replace(scenario, target=flaw.base.name))
+    control.run(found.schedule)
+    verdict = Oracle.for_scenario(control.scenario).judge(control.history)
+    return FlawWitness(found, control.history, verdict)

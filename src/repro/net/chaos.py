@@ -424,9 +424,10 @@ class FaultDecision(NamedTuple):
 class ChaosInjector:
     """Frame-layer interceptor executing one :class:`FaultPlan`.
 
-    One injector per transport endpoint (``side`` is ``"client"`` or
-    ``"server"``; load shards pass their ``shard`` index so their
-    decision streams are independent).  :meth:`decide` is the pure,
+    One injector per client pool, intercepting both directions of its
+    links (``side`` keys the decision streams and is recorded in run
+    records; load shards pass their ``shard`` index so their decision
+    streams are independent).  :meth:`decide` is the pure,
     replayable core — the *n*-th decision of a ``(server, direction)``
     stream depends only on the plan and ``n``; :meth:`apply` adds the
     wall-clock layer (partition windows, asyncio timers) on top.

@@ -353,7 +353,6 @@ def run_net_workload(
     op_timeout: float = 15.0,
     pace: float = 0.001,
     chaos_plan: Optional[FaultPlan] = None,
-    chaos_side: str = "client",
     accountable: bool = False,
 ) -> NetRunResult:
     """Run one closed-loop workload entirely over localhost sockets.
@@ -363,10 +362,9 @@ def run_net_workload(
     ``crash=(i, n)`` stops server ``s<i>`` after the ``n``-th operation
     response — the crash-mid-connection scenario (clients must still
     terminate as long as ``S - t`` servers survive and ``i`` is within
-    the failure budget).  ``chaos_plan`` injects wire-level faults,
-    either at the pool (``chaos_side="client"``, decisions recorded in
-    the returned result's ``chaos`` injector) or at every server
-    (``chaos_side="server"``).  ``accountable`` turns on the
+    the failure budget).  ``chaos_plan`` injects wire-level faults at
+    the pool, in both directions; its decisions are recorded in the
+    returned result's ``chaos`` injector.  ``accountable`` turns on the
     accountability overlay end to end: servers sign their replies, the
     pool verifies and retains the statements, and the result's
     ``transcript`` is ready for :func:`repro.accountability.audit`.
@@ -378,7 +376,6 @@ def run_net_workload(
             config,
             seed=seed,
             enforce=enforce,
-            chaos_plan=chaos_plan if chaos_side == "server" else None,
             accountable=accountable,
         )
         try:
@@ -388,7 +385,7 @@ def run_net_workload(
             }
             injector = (
                 ChaosInjector(chaos_plan, side="client", shard=0)
-                if chaos_plan is not None and chaos_side == "client"
+                if chaos_plan is not None
                 else None
             )
             pool = ClientPool(

@@ -183,16 +183,22 @@ async def _drive_writer(
     pool: ClientPool, pid, spec: LoadSpec, deadline: Optional[float], rng,
     stop: asyncio.Event,
 ) -> List[int]:
-    """The writer: periodic writes of increasing values until told to stop."""
+    """The writer: periodic writes of increasing values until told to stop.
+
+    A lone writer writes ``1, 2, ...``; each of several writes its own
+    ``"w2.1", "w2.2", ...``, so the multi-writer judge can tell every
+    write apart.
+    """
     done: List[int] = []
-    value = 0
+    step = 0
     writes_cap = spec.ops_per_client
     while not stop.is_set():
-        if writes_cap is not None and value >= writes_cap:
+        if writes_cap is not None and step >= writes_cap:
             break
         if deadline is not None and time.monotonic() >= deadline:
             break
-        value += 1
+        step += 1
+        value = step if spec.writers == 1 else f"{pid}.{step}"
         try:
             op = await pool.run_op(pid, "write", value=value, timeout=spec.timeout)
         except asyncio.TimeoutError:

@@ -29,7 +29,6 @@ from typing import Any, Dict, Optional, Set, Tuple
 from repro import accountability
 from repro.crypto.signatures import SignatureAuthority
 from repro.errors import ConfigurationError, ProtocolError
-from repro.net.chaos import ChaosInjector, FaultPlan
 from repro.net.codec import (
     BINARY_SERIALIZER,
     Codec,
@@ -99,13 +98,6 @@ class NetServer:
         enforce: set ``False`` to skip the protocol feasibility check —
             the load harness runs far more readers than the fast
             protocols' thresholds allow.
-        chaos: optional :class:`~repro.net.chaos.ChaosInjector` applied
-            to this server's own link (inbound ``recv`` before dispatch,
-            outbound ``send`` before the socket write).  Server-side
-            injection mirrors the client-side interceptor for
-            single-process deployments and tests; spawned clusters
-            normally leave chaos to the clients so the recorded
-            decision streams all live in collectable shard records.
         accountable: sign every reply with this server's key in the
             cluster-seed signing domain and attach the signed statement
             to the outgoing frame (see :mod:`repro.accountability`).
@@ -123,7 +115,6 @@ class NetServer:
         seed: int = 0,
         serializer: str = BINARY_SERIALIZER,
         enforce: bool = True,
-        chaos: Optional[ChaosInjector] = None,
         accountable: bool = False,
     ) -> None:
         cluster = build_net_cluster(protocol, config, seed=seed, enforce=enforce)
@@ -138,7 +129,6 @@ class NetServer:
         self.runtime = AsyncRuntime(seed=seed)
         self.runtime.add_process(self.automaton)
         self.runtime.set_default_route(self._route_out)
-        self.chaos = chaos
         self.accountable = accountable
         if accountable:
             # Every party derives the same authority from the shared
@@ -164,8 +154,6 @@ class NetServer:
             lambda: ServerConnection(self), self.host, self.port
         )
         self.port = self._asyncio_server.sockets[0].getsockname()[1]
-        if self.chaos is not None:
-            self.chaos.start()
 
     async def stop(self) -> None:
         if self._asyncio_server is not None:
@@ -210,14 +198,6 @@ class NetServer:
             # request type being dispatched is the cause of whatever
             # statements _route_out signs during this call.
             self._stmt_cause = type(payload).__name__
-        if self.chaos is not None:
-            self.chaos.apply(
-                self.pid.index, "recv", lambda: self._deliver_in(src, dst, payload)
-            )
-        else:
-            self._deliver_in(src, dst, payload)
-
-    def _deliver_in(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
         try:
             self.runtime.deliver(src, dst, payload)
         except (AttributeError, TypeError):
@@ -248,19 +228,7 @@ class NetServer:
             )
             self.statements_signed += 1
         frame = self.codec.encode_frame(src, dst, payload, statement=statement)
-        if self.chaos is not None:
-            self.chaos.apply(
-                self.pid.index, "send", lambda: self._deliver_out(dst, frame)
-            )
-        else:
-            conn.send_frame(frame)
-
-    def _deliver_out(self, dst: ProcessId, frame: bytes) -> None:
-        # Resolved at fire time: a delayed reply goes to the client's
-        # *current* connection (or nowhere, if it vanished meanwhile).
-        conn = self._client_conns.get(dst)
-        if conn is not None:
-            conn.send_frame(frame)
+        conn.send_frame(frame)
 
     def forget_connection(self, conn: ServerConnection) -> None:
         self.connections.discard(conn)
@@ -278,16 +246,14 @@ async def start_servers(
     protocol: str,
     config: ClusterConfig,
     base_port: int = 0,
-    chaos_plan: Optional[FaultPlan] = None,
     **options,
 ) -> "list[NetServer]":
     """Start all ``S`` servers of one cluster in this event loop.
 
     With ``base_port=0`` each server binds an ephemeral port; otherwise
-    server ``s<i>`` listens on ``base_port + i - 1``.  A ``chaos_plan``
-    installs one server-side injector per server (shard = server index).
-    ``options`` are :class:`NetServer`'s own (``host``, ``seed``,
-    ``serializer``, ``enforce``, ``accountable``).
+    server ``s<i>`` listens on ``base_port + i - 1``.  ``options`` are
+    :class:`NetServer`'s own (``host``, ``seed``, ``serializer``,
+    ``enforce``, ``accountable``).
     """
     servers = []
     for index in range(1, config.S + 1):
@@ -296,11 +262,6 @@ async def start_servers(
             config,
             index,
             port=base_port and base_port + index - 1,
-            chaos=(
-                None
-                if chaos_plan is None
-                else ChaosInjector(chaos_plan, side="server", shard=index)
-            ),
             **options,
         )
         await server.start()

@@ -295,24 +295,6 @@ class VectorBatchSummary:
     atomic_ok: Optional[bool]
     oracle_sampled: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "scenario": self.scenario,
-            "runs": self.runs,
-            "ops": self.ops,
-            "read_mean": self.read.mean,
-            "read_p99": self.read.p99,
-            "write_mean": self.write.mean,
-            "rounds": {
-                kind: {str(r): n for r, n in sorted(hist.items())}
-                for kind, hist in sorted(self.rounds.items())
-            },
-            "reads_fast": self.reads_fast,
-            "atomic_ok": self.atomic_ok,
-            "oracle_sampled": self.oracle_sampled,
-        }
-
 
 @dataclass
 class VectorSweepResult:

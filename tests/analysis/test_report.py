@@ -1,28 +1,42 @@
 """Tests for the consolidated reproduction report."""
 
+import pytest
+
 from repro.analysis.report import SECTIONS, generate_report, render_explore_stats
+from repro.registers.ablations import FLAWS
+
+
+@pytest.fixture(scope="module")
+def report():
+    """``(text, all_ok)``, built once: the report runs every experiment."""
+    return generate_report()
 
 
 class TestReport:
-    def test_all_sections_pass(self):
-        text, all_ok = generate_report()
+    def test_all_sections_pass(self, report):
+        text, all_ok = report
         assert all_ok, text
 
-    def test_report_covers_every_experiment_family(self):
-        text, _ = generate_report()
+    def test_report_covers_every_experiment_family(self, report):
+        text, _ = report
         for marker in (
             "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E10", "E11", "E12",
         ):
             assert marker in text
 
-    def test_every_section_reports_status(self):
-        text, _ = generate_report()
+    def test_every_section_reports_status(self, report):
+        text, _ = report
         assert text.count("[ok]") == len(SECTIONS)
 
-    def test_header_reflects_outcome(self):
-        text, all_ok = generate_report()
+    def test_header_reflects_outcome(self, report):
+        text, all_ok = report
         assert all_ok
         assert "all claims reproduced" in text
+
+    def test_ablation_row_lists_every_breakable_flaw(self, report):
+        text, _ = report
+        for name, flaw in FLAWS.items():
+            assert (f"{name}: broken in " in text) != flaw.expected_ok, name
 
 
 class TestExploreStatsRendering:

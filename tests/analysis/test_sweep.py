@@ -1,24 +1,7 @@
-"""Tests for parameter sweep helpers."""
+"""Tests for the threshold-boundary cases."""
 
-from repro.analysis.sweep import BoundaryCase, boundary_cases, grid, sweep
+from repro.analysis.sweep import BoundaryCase, boundary_cases
 from repro.bounds.feasibility import fast_feasible
-
-
-class TestGrid:
-    def test_cartesian_product(self):
-        points = grid(a=[1, 2], b=["x", "y"])
-        assert len(points) == 4
-        assert {"a": 1, "b": "x"} in points
-        assert {"a": 2, "b": "y"} in points
-
-    def test_single_axis(self):
-        assert grid(a=[1, 2, 3]) == [{"a": 1}, {"a": 2}, {"a": 3}]
-
-
-class TestSweep:
-    def test_applies_function(self):
-        results = sweep(lambda a, b: a + b, grid(a=[1, 2], b=[10]))
-        assert results == [({"a": 1, "b": 10}, 11), ({"a": 2, "b": 10}, 12)]
 
 
 class TestBoundaryCases:

@@ -117,6 +117,47 @@ class TestRunLoad:
         assert check["sim_read_rounds"] == [2]
 
 
+class TestWriters:
+    def test_lone_writer_writes_one_two_three(self, abd_cluster):
+        report = run_load(
+            LoadSpec(
+                protocol="abd",
+                addresses=tuple(abd_cluster.addresses),
+                t=1,
+                readers=2,
+                ops_per_client=3,
+                write_interval=0.01,
+                seed=43,
+            )
+        )
+        written = [op.value for op in report.history.operations if op.is_write]
+        assert written
+        assert written == list(range(1, len(written) + 1))
+        assert report.ok
+
+    def test_each_writer_writes_values_of_its_own(self):
+        # Two writers writing equal values leave the multi-writer judge
+        # unable to tell their writes apart, which can hide a violation.
+        config = ClusterConfig(S=3, t=1, R=1, W=2)
+        with ServerCluster.spawn("mwmr", config, seed=41, enforce=False) as cluster:
+            report = run_load(
+                LoadSpec(
+                    protocol="mwmr",
+                    addresses=tuple(cluster.addresses),
+                    t=1,
+                    readers=1,
+                    writers=2,
+                    ops_per_client=2,
+                    write_interval=0.01,
+                    seed=42,
+                )
+            )
+        written = [op.value for op in report.history.operations if op.is_write]
+        assert len(written) >= 2
+        assert len(set(written)) == len(written)
+        assert report.ok
+
+
 class TestCrashFault:
     def test_load_survives_killed_server(self):
         # t=1 abd cluster; hard-kill one member, then drive a load — every

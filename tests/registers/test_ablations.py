@@ -1,16 +1,13 @@
-"""Tests for the Figure 2 ablation study."""
+"""Tests for the ablations of Figures 2 and 5."""
 
 import pytest
 
+from repro.explore import flaw_witness, replay_counterexample
 from repro.registers.ablations import (
-    ABLATIONS,
+    FLAWS,
     EagerReader,
     NoCounterServer,
     TimidReader,
-    demonstrate_eager_reader,
-    demonstrate_hasty_writer,
-    demonstrate_no_seen_reset,
-    demonstrate_timid_reader,
 )
 from repro.registers.base import ClusterConfig
 from repro.registers.fast_crash import SPEC
@@ -19,49 +16,56 @@ from repro.sim.runtime import Simulation
 from repro.spec.atomicity import check_swmr_atomicity
 from repro.spec.histories import BOTTOM
 
+BREAKABLE = sorted(name for name, flaw in FLAWS.items() if not flaw.expected_ok)
+
+
+def _read_results(history):
+    return [op.result for op in history.reads if op.complete]
+
 
 class TestEachAblationBreaks:
-    @pytest.mark.parametrize("name", sorted(ABLATIONS))
+    """Every breakable row's witness: a shrunk violation the explorer
+    finds inside the feasible region, which the faithful protocol
+    survives under the same schedule."""
+
+    @pytest.mark.parametrize("name", BREAKABLE)
     def test_witness_demonstrates_necessity(self, name):
-        witness = ABLATIONS[name]()
-        assert not witness.ablated_verdict.ok, witness.describe()
-        assert witness.control_verdict.ok, witness.describe()
-        assert witness.demonstrates_necessity
+        flaw = FLAWS[name]
+        witness = flaw_witness(flaw)
+        assert witness is not None, name
+        found = witness.counterexample
+        assert found.scenario.target == flaw.target
+        assert flaw.base.requirement(found.scenario.config) is None
+        assert replay_counterexample(found)["violates"]
+        assert witness.control_verdict.ok, found.describe()
+
+    def test_witness_is_hunted_once_per_row(self):
+        # the report, the benchmark and these tests share one hunt per row
+        for name in BREAKABLE:
+            assert flaw_witness(FLAWS[name]) is flaw_witness(FLAWS[name]), name
 
     def test_eager_reader_returns_then_loses_value(self):
-        witness = demonstrate_eager_reader()
-        reads = [op for op in witness.ablated_history.reads if op.complete]
-        assert reads[0].result == 1
-        assert reads[1].result == BOTTOM
+        witness = flaw_witness(FLAWS["eager-reader"])
+        assert _read_results(witness.counterexample.history) == [1, BOTTOM]
+        assert _read_results(witness.control) == [BOTTOM, BOTTOM]
 
     def test_timid_reader_ignores_completed_write(self):
-        witness = demonstrate_timid_reader()
-        read = next(op for op in witness.ablated_history.reads if op.complete)
-        assert read.result == BOTTOM
-        # control returns the written value
-        control_read = next(
-            op for op in witness.control_history.reads if op.complete
-        )
-        assert control_read.result == 1
+        witness = flaw_witness(FLAWS["timid-reader"])
+        history = witness.counterexample.history
+        assert history.writes[0].complete
+        assert _read_results(history) == [BOTTOM]
+        assert _read_results(witness.control) == [1]
 
     def test_no_seen_reset_fires_predicate_spuriously(self):
-        witness = demonstrate_no_seen_reset()
-        second_round_reads = [
-            op for op in witness.ablated_history.reads if op.complete
-        ][-2:]
-        assert second_round_reads[0].result == 1  # polluted predicate fired
-        assert second_round_reads[1].result == BOTTOM
+        witness = flaw_witness(FLAWS["no-seen-reset"])
+        results = _read_results(witness.counterexample.history)
+        fired = results.index(1)  # the polluted predicate fired
+        assert BOTTOM in results[fired + 1:]
 
     def test_hasty_writer_completes_then_vanishes(self):
-        witness = demonstrate_hasty_writer()
-        write_op = witness.ablated_history.writes[0]
-        assert write_op.complete  # hasty: done after one ack
-        control_write = witness.control_history.writes[0]
-        assert not control_write.complete  # faithful: still pending
-
-    def test_describe_includes_both_verdicts(self):
-        text = demonstrate_eager_reader().describe()
-        assert "ablated" in text and "control" in text
+        witness = flaw_witness(FLAWS["hasty-writer"])
+        assert witness.counterexample.history.writes[0].complete  # one ack
+        assert not witness.control.writes[0].complete  # faithful: pending
 
 
 class TestAblatedComponentsInFreeRuns:

@@ -9,9 +9,9 @@ class.
 
 import pytest
 
-from repro.explore import ExploreScenario, explorer
+from repro.explore import ExploreScenario, explorer, flaw_witness
 from repro.registers import fast_byzantine, fast_crash
-from repro.registers.ablations import ABLATIONS, FLAWS
+from repro.registers.ablations import FLAWS
 from repro.registers.base import ClusterConfig
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, servers, writer
@@ -97,11 +97,11 @@ class TestFlawTable:
             assert len(overridden) == 1 and overridden[0].startswith("_"), flaw.name
 
     def test_witnesses_are_the_rows_that_have_one(self):
-        assert list(ABLATIONS) == [
-            "eager-reader", "timid-reader", "no-seen-reset", "hasty-writer",
+        """Every row is hunted inside the feasible region, and only the
+        row expected to survive there stays clean."""
+        assert [name for name, flaw in FLAWS.items() if flaw.expected_ok] == [
+            "no-counter"
         ]
-        assert all(FLAWS[name].witness is ABLATIONS[name] for name in ABLATIONS)
-        assert FLAWS["no-counter"].expected_ok
-        assert not any(
-            flaw.expected_ok for flaw in FLAWS.values() if flaw.name != "no-counter"
-        )
+        for flaw in FLAWS.values():
+            assert flaw.base.requirement(flaw.config) is None, flaw.name
+            assert (flaw_witness(flaw) is None) == flaw.expected_ok, flaw.name

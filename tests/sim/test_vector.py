@@ -170,10 +170,9 @@ class TestParity:
         assert batch.oracle_sampled == 2
         assert batch.atomic_ok is True
         assert batch.reads_fast is True
-        payload = batch.to_dict()
-        assert payload["protocol"] == "fast-crash"
+        assert batch.protocol == "fast-crash"
         # write-storm: 10 reads per reader (R=2) and 40 writes, per run.
-        assert payload["rounds"]["read"]["1"] == 4 * 10 * 2
+        assert batch.rounds["read"][1] == 4 * 10 * 2
         assert sweep.rounds["write"][1] == 4 * 40
 
 
