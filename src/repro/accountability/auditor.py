@@ -35,6 +35,7 @@ of checking a public-key signature.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -50,7 +51,7 @@ from repro.accountability.statements import (
     verify_statement,
 )
 
-FRAUD_PROOF_FORMAT = "repro-fraud-proof/v1"
+FRAUD_PROOF_FORMAT = "repro-fraud-proof/v2"
 
 #: Certificate kinds, in the order predicates are tried.
 DUPLICATE_SEQ = "duplicate-seq"
@@ -94,11 +95,11 @@ class FraudProof:
         fmt = data.get("format") if isinstance(data, dict) else None
         if fmt != FRAUD_PROOF_FORMAT:
             raise SpecificationError(
-                f"unsupported fraud proof format {fmt!r} "
+                f"unsupported fraud proof format {reprlib.repr(fmt)} "
                 f"(this build reads {FRAUD_PROOF_FORMAT})"
             )
         try:
-            return cls(
+            proof = cls(
                 accused=parse_pid(data["accused"]),
                 kind=data["kind"],
                 first=SignedStatement.from_wire(data["first"]),
@@ -107,6 +108,11 @@ class FraudProof:
             )
         except (KeyError, TypeError) as exc:
             raise SpecificationError(f"malformed fraud proof: {exc}") from None
+        if type(proof.kind) is not str or type(proof.authority_seed) is not int:
+            raise SpecificationError(
+                "malformed fraud proof: needs a str 'kind' and an int 'authority_seed'"
+            )
+        return proof
 
 
 def _lt(left: Any, right: Any) -> bool:

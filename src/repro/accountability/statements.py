@@ -27,6 +27,7 @@ for another server (forgeries are not).  The auditor in
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -38,7 +39,7 @@ from repro.crypto.signatures import (
 )
 from repro.errors import ProtocolError, SpecificationError
 from repro.registers import messages as msg
-from repro.registers.messages import decode_message, wire_decode_value, wire_encode_value
+from repro.registers.messages import decode_message
 from repro.sim.ids import ProcessId
 from repro.spec.histories import parse_pid
 
@@ -113,7 +114,8 @@ class SignedStatement:
         )
 
     # ------------------------------------------------------------------
-    # wire round-trip (used by the socket transport and fraud proofs)
+    # JSON round-trip (transcripts and fraud proofs): the fields and the
+    # tag; the signed payload is what the fields imply, so it is not sent
 
     def to_wire(self) -> Dict[str, Any]:
         return {
@@ -123,36 +125,37 @@ class SignedStatement:
             "op_id": self.op_id,
             "cause": self.cause_kind,
             "reply": self.reply.to_wire(),
-            "sig": wire_encode_value(self.signature),
+            "tag": self.signature.tag.hex(),
         }
 
     @classmethod
     def from_wire(cls, data: Dict[str, Any]) -> "SignedStatement":
-        """Parse a :meth:`to_wire` dict from an untrusted source.  Shape
-        is settled here — a statement that parses has an ``int`` seq and
-        a :class:`SignedPayload` signature with a ``bytes`` tag — so
-        that verifying and auditing it end in a verdict, whatever it
-        claims."""
+        """Parse a :meth:`to_wire` dict from an untrusted source into the
+        form :meth:`from_envelope` builds.  Shape is settled here — a
+        statement that parses has an ``int`` seq, an ``int`` or ``None``
+        op id, a ``str`` cause and a ``bytes`` tag — so that verifying
+        and auditing it end in a verdict, whatever it claims."""
         try:
-            stmt = cls(
-                server=parse_pid(data["server"]),
-                seq=data["seq"],
-                client=parse_pid(data["client"]),
-                op_id=data["op_id"],
-                cause_kind=data["cause"],
-                reply=decode_message(data["reply"]),
-                signature=wire_decode_value(data["sig"]),
+            server, seq, op_id, cause = (
+                parse_pid(data["server"]), data["seq"], data["op_id"], data["cause"]
             )
+            payload = StatementPayload(
+                server, seq, parse_pid(data["client"]), op_id, cause,
+                decode_message(data["reply"]),
+            )
+            tag = bytes.fromhex(data["tag"])
         except (KeyError, TypeError, ValueError, AttributeError, ProtocolError) as exc:
             raise SpecificationError(f"malformed signed statement: {exc}") from None
-        signature = stmt.signature
-        if type(stmt.seq) is not int:
-            raise SpecificationError(f"malformed signed statement: seq {stmt.seq!r} is not an int")
-        if not isinstance(signature, SignedPayload) or not isinstance(signature.tag, bytes):
+        if type(seq) is not int:
             raise SpecificationError(
-                f"malformed signed statement: sig {data['sig']!r} is not a signature"
+                f"malformed signed statement: seq {reprlib.repr(seq)} is not an int"
             )
-        return stmt
+        if (op_id is not None and type(op_id) is not int) or type(cause) is not str:
+            raise SpecificationError(
+                f"malformed signed statement: op_id {reprlib.repr(op_id)} is not an int "
+                f"or None, or cause {reprlib.repr(cause)} is not a str"
+            )
+        return _statement(payload, SignedPayload(server, payload, tag))
 
 
 _STATEMENT_BYTES = b"t7(" + _canonical(STATEMENT_DOMAIN) + b",%b,%b,%b,%b,%b,%b)"
@@ -161,10 +164,9 @@ _STATEMENT_BYTES = b"t7(" + _canonical(STATEMENT_DOMAIN) + b",%b,%b,%b,%b,%b,%b)
 class StatementPayload(CanonicalPayload):
     """The tuple a server signs, held as the six fields that vary.
 
-    The signature of every statement made or received in this process
-    carries one of these where a parsed statement carries the tuple
-    itself; it compares equal to that tuple and travels as it, so the
-    difference shows in no ``==`` and on no wire.
+    The signature of every statement in this process carries one of
+    these, whether the statement was signed here, read off a socket or
+    parsed from JSON; it compares equal to the tuple it stands for.
     """
 
     __slots__ = ("fields", "_bytes")
@@ -301,7 +303,7 @@ class TranscriptLog:
     forged statement is dropped, not fatal).
     """
 
-    FORMAT = "repro-transcript/v1"
+    FORMAT = "repro-transcript/v2"
 
     def __init__(self, authority_seed: int = 0) -> None:
         self.authority_seed = authority_seed
@@ -348,7 +350,8 @@ class TranscriptLog:
         fmt = data.get("format") if isinstance(data, dict) else None
         if fmt != cls.FORMAT:
             raise SpecificationError(
-                f"unsupported transcript format {fmt!r} (this build reads {cls.FORMAT})"
+                f"unsupported transcript format {reprlib.repr(fmt)} "
+                f"(this build reads {cls.FORMAT})"
             )
         seed, items = data.get("authority_seed"), data.get("statements")
         rejected = data.get("rejected", 0)
@@ -356,7 +359,8 @@ class TranscriptLog:
             raise SpecificationError(
                 "malformed transcript: needs an int 'authority_seed', an int "
                 "'rejected' and a list of 'statements' "
-                f"(got {seed!r}, {rejected!r} and a {type(items).__name__})"
+                f"(got {reprlib.repr(seed)}, {reprlib.repr(rejected)} "
+                f"and a {type(items).__name__})"
             )
         log = cls(authority_seed=seed)
         log.rejected = rejected

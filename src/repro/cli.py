@@ -702,11 +702,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     """Verify accountability certificates inside a saved artifact.
 
     Accepts any artifact family that can carry fraud proofs: a bare
-    ``repro-fraud-proof/v1`` file, a v3 counterexample, a load report,
+    ``repro-fraud-proof/v2`` file, a v3 counterexample, a load report,
     or a chaos run record from an audited run.  Exit codes: 0 every
     certificate verified (at least one present), 1 a certificate is
-    tampered/unverifiable, 3 the artifact holds no extractable proof
-    (clean run or detectability gap), 2 unreadable/unknown artifact.
+    tampered, malformed or v1, 3 the artifact holds no extractable proof
+    (clean run or detectability gap), 2 unreadable/unknown (a bare v1).
     """
     from repro.accountability import (
         FRAUD_PROOF_FORMAT,
@@ -1138,13 +1138,14 @@ def build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser(
         "audit",
         help="verify the accountability certificates inside a saved "
-        "artifact (fraud proof, counterexample, load report or chaos run "
-        "record)",
+        "artifact (repro-fraud-proof/v2, counterexample, load report or "
+        "chaos run record)",
     )
     aud.add_argument(
         "artifact",
         help="JSON artifact to audit; exit 0 = every certificate verified, "
-        "1 = tampered, 3 = no proof extractable",
+        "1 = tampered, malformed or v1, 3 = no proof extractable, 2 = unknown "
+        "artifact (a bare v1 proof too)",
     )
     aud.set_defaults(fn=_cmd_audit)
 

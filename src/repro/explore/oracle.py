@@ -84,7 +84,7 @@ class Counterexample:
       replay byte-exactly.
     * ``v3`` — additionally embeds the accountability verdict of the
       run's transcript audit: either a serialized
-      ``repro-fraud-proof/v1`` certificate naming the corrupted server,
+      ``repro-fraud-proof/v2`` certificate naming the corrupted server,
       or an explicit detectability-gap marker.
 
     Loading preserves the artifact's version and serialization emits it

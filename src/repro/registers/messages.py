@@ -21,19 +21,22 @@ Message families:
 Every message class carries explicit ``to_wire``/``from_wire``
 round-trip methods (via :class:`WireMessage`): ``to_wire`` produces a
 JSON-ready dict stamped with :data:`WIRE_VERSION` and the message type
-name, and ``from_wire`` reconstructs an *equal* instance.  The socket
-transport (:mod:`repro.net.codec`) frames exactly these dicts; the
-value codec below knows the closed set of types that appear in message
-fields (tags, process ids, frozensets, tuples, signature material).
+name, and ``from_wire`` reconstructs an *equal* instance.  A reply in
+a transcript or fraud proof travels as this dict and a statement signs
+its canonical bytes; the socket codec (:mod:`repro.net.codec`) packs
+the same fields as binary instead.  The value codec below knows the
+closed set of types that appear in message fields (tags, process ids,
+frozensets, tuples, signature material).
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Dict, FrozenSet, List, Tuple
 
-from repro.crypto.signatures import _CANONICAL, CanonicalPayload, SignedPayload, _canonical
+from repro.crypto.signatures import _CANONICAL, SignedPayload, _canonical
 from repro.errors import ProtocolError
 from repro.registers.timestamps import MWTimestamp, SignedValueTag, ValueTag
 from repro.sim.ids import ProcessId
@@ -59,9 +62,8 @@ def wire_encode_value(value: Any) -> Any:
 
 
 def _e_dict(value: dict) -> Dict[str, Any]:
-    # Plain (untagged) dicts, e.g. the reply-body dict inside a signed
-    # accountability statement.  Items are key-sorted so the encoding
-    # is deterministic.
+    # Plain (untagged) dicts; items are key-sorted so the encoding is
+    # deterministic.
     return {
         "__k": "dict",
         "items": [
@@ -102,8 +104,6 @@ _ENCODERS: Dict[type, Callable[[Any], Any]] = {
     list: lambda value: {"__k": "list", "items": [wire_encode_value(v) for v in value]},
     dict: _e_dict,
     bytes: lambda value: {"__k": "bytes", "hex": value.hex()},
-    # A self-encoding signature payload travels as what it stands for.
-    CanonicalPayload: lambda value: wire_encode_value(value.expand()),
 }
 
 
@@ -250,42 +250,55 @@ def _compile_message_writer(cls: type) -> Callable[[Any], bytes]:
     return writer
 
 
-def wire_decode_value(data: Any) -> Any:
-    """Inverse of :func:`wire_encode_value`."""
+#: Deepest ``"__k"`` nesting :func:`wire_decode_value` follows.  The
+#: deepest honest value is 3 levels (a Byzantine reply's tag: ``stag`` >
+#: ``signed`` > ``tuple``); hostile JSON nested a few hundred levels would
+#: otherwise end in a ``RecursionError``, here or in whatever re-encodes it.
+MAX_WIRE_DEPTH = 32
+
+
+def wire_decode_value(data: Any, depth: int = MAX_WIRE_DEPTH) -> Any:
+    """Inverse of :func:`wire_encode_value`, for at most ``depth`` levels."""
     if not isinstance(data, dict):
+        if isinstance(data, list):  # never encoded: a list travels as "__k": "list"
+            raise ProtocolError("cannot wire-decode an untagged list")
         return data
+    if depth <= 0:
+        raise ProtocolError(f"wire value nests deeper than {MAX_WIRE_DEPTH} levels")
     decode = _DECODERS.get(data.get("__k"))
     if decode is None:
         raise ProtocolError(f"cannot wire-decode value tagged {data.get('__k')!r}")
-    return decode(data)
+    return decode(data, depth - 1)
 
 
-_DECODERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-    "pid": lambda data: parse_pid(data["id"]),
-    "tag": lambda data: ValueTag(
-        ts=wire_decode_value(data["ts"]),
-        value=wire_decode_value(data["value"]),
-        prev_value=wire_decode_value(data["prev"]),
+_DECODERS: Dict[str, Callable[[Dict[str, Any], int], Any]] = {
+    "pid": lambda data, d: parse_pid(data["id"]),
+    "tag": lambda data, d: ValueTag(
+        ts=wire_decode_value(data["ts"], d),
+        value=wire_decode_value(data["value"], d),
+        prev_value=wire_decode_value(data["prev"], d),
     ),
-    "stag": lambda data: SignedValueTag(
-        ts=data["ts"],
-        value=wire_decode_value(data["value"]),
-        prev_value=wire_decode_value(data["prev"]),
-        signed=wire_decode_value(data["signed"]),
+    "stag": lambda data, d: SignedValueTag(
+        ts=wire_decode_value(data["ts"], d),
+        value=wire_decode_value(data["value"], d),
+        prev_value=wire_decode_value(data["prev"], d),
+        signed=wire_decode_value(data["signed"], d),
     ),
-    "mwts": lambda data: MWTimestamp(num=data["num"], wid=data["wid"]),
-    "signed": lambda data: SignedPayload(
+    "mwts": lambda data, d: MWTimestamp(
+        num=wire_decode_value(data["num"], d), wid=wire_decode_value(data["wid"], d)
+    ),
+    "signed": lambda data, d: SignedPayload(
         signer=parse_pid(data["signer"]),
-        payload=wire_decode_value(data["payload"]),
+        payload=wire_decode_value(data["payload"], d),
         tag=bytes.fromhex(data["tag"]),
     ),
-    "fset": lambda data: frozenset([wire_decode_value(v) for v in data["items"]]),
-    "tuple": lambda data: tuple([wire_decode_value(v) for v in data["items"]]),
-    "list": lambda data: [wire_decode_value(v) for v in data["items"]],
-    "dict": lambda data: {
-        wire_decode_value(key): wire_decode_value(val) for key, val in data["items"]
+    "fset": lambda data, d: frozenset([wire_decode_value(v, d) for v in data["items"]]),
+    "tuple": lambda data, d: tuple([wire_decode_value(v, d) for v in data["items"]]),
+    "list": lambda data, d: [wire_decode_value(v, d) for v in data["items"]],
+    "dict": lambda data, d: {
+        wire_decode_value(key, d): wire_decode_value(val, d) for key, val in data["items"]
     },
-    "bytes": lambda data: bytes.fromhex(data["hex"]),
+    "bytes": lambda data, d: bytes.fromhex(data["hex"]),
 }
 
 
@@ -314,7 +327,7 @@ class WireMessage:
         """Rebuild an instance from :meth:`to_wire` output (equal by ==)."""
         if data.get("v") != WIRE_VERSION:
             raise ProtocolError(
-                f"wire version mismatch: got {data.get('v')!r}, "
+                f"wire version mismatch: got {reprlib.repr(data.get('v'))}, "
                 f"this build speaks {WIRE_VERSION}"
             )
         name = data.get("t")
@@ -335,7 +348,7 @@ def decode_message(data: Dict[str, Any]) -> "WireMessage":
         cls = MESSAGE_TYPES[data["t"]]
     except (KeyError, TypeError):
         raise ProtocolError(
-            f"unknown wire message type {data.get('t')!r}"
+            f"unknown wire message type {reprlib.repr(data.get('t'))}"
         ) from None
     return cls.from_wire(data)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -139,7 +140,7 @@ def parse_pid(text: str) -> ProcessId:
         if index < 1:
             raise ValueError
     except (KeyError, ValueError, IndexError):
-        raise SpecificationError(f"malformed process id {text!r}") from None
+        raise SpecificationError(f"malformed process id {reprlib.repr(text)}") from None
     return ProcessId(kind, index)
 
 

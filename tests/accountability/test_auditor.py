@@ -1,7 +1,7 @@
 """Unit surface of the transcript auditor and fraud-proof certificates.
 
 The contradiction predicates, certificate extraction/minimality, the
-serialized ``repro-fraud-proof/v1`` round-trip, and standalone
+serialized ``repro-fraud-proof/v2`` round-trip, and standalone
 re-verification including tamper detection.
 """
 
@@ -21,10 +21,10 @@ from repro.accountability import (
     sign_statement,
     verify_fraud_proof,
 )
-from repro.crypto.signatures import SignatureAuthority
-from repro.errors import SpecificationError
+from repro.crypto.signatures import SignatureAuthority, SignedPayload
+from repro.errors import ProtocolError, SpecificationError
 from repro.registers import messages as msg
-from repro.registers.timestamps import ValueTag
+from repro.registers.timestamps import SignedValueTag, ValueTag
 from repro.sim.ids import reader, server, writer
 
 
@@ -248,16 +248,21 @@ class TestHostileCertificates:
     @pytest.mark.parametrize(
         "mutate, complaint",
         [
-            (lambda p: p["first"]["sig"].__setitem__("tag", "zz"), "non-hexadecimal"),
-            (lambda p: p["first"]["sig"].__setitem__("tag", 5), "malformed signed statement"),
-            (lambda p: p["first"].__setitem__("sig", None), "sig None is not a signature"),
-            (lambda p: p["first"].__setitem__("sig", "x"), "sig 'x' is not a signature"),
+            (lambda p: p["first"].__setitem__("tag", "zz"), "non-hexadecimal"),
+            (lambda p: p["first"].__setitem__("tag", "abc"), "non-hexadecimal"),
+            (lambda p: p["first"].__setitem__("tag", 5), "malformed signed statement"),
+            (lambda p: p["first"].__setitem__("tag", None), "malformed signed statement"),
+            (lambda p: p["first"].pop("tag"), "malformed signed statement: 'tag'"),
             (
-                lambda p: p["second"].__setitem__("sig", {"__k": "pid", "id": "s1"}),
-                "not a signature",
+                lambda p: p["second"].__setitem__("tag", {"__k": "bytes", "hex": "00"}),
+                "malformed signed statement",
             ),
-            (lambda p: p["second"].__setitem__("sig", {"__k": "nope"}), "cannot wire-decode"),
-            (lambda p: p["second"]["sig"].__setitem__("signer", "x9"), "malformed process id"),
+            (
+                lambda p: p["second"]["reply"]["f"].__setitem__("tag", {"__k": "nope"}),
+                "cannot wire-decode",
+            ),
+            (lambda p: p["second"].__setitem__("server", "x9"), "malformed process id"),
+            (lambda p: p["second"].__setitem__("client", "x9"), "malformed process id"),
             (lambda p: p["first"].__setitem__("seq", "0"), "seq '0' is not an int"),
             (lambda p: p["first"].__setitem__("seq", None), "seq None is not an int"),
             (lambda p: p["first"].__setitem__("seq", True), "seq True is not an int"),
@@ -268,6 +273,11 @@ class TestHostileCertificates:
             ),
             (lambda p: p.__setitem__("first", "s1#0"), "malformed"),
             (lambda p: p.__setitem__("accused", 1), "malformed fraud proof"),
+            (lambda p: p["first"].__setitem__("op_id", {"__k": "x"}), "op_id {'__k': 'x'}"),
+            (lambda p: p["first"].__setitem__("op_id", "1"), "op_id '1' is not an int"),
+            (lambda p: p["first"].__setitem__("cause", [1, 2]), r"cause \[1, 2\] is not a str"),
+            (lambda p: p.__setitem__("kind", ["tag-regression"]), "needs a str 'kind'"),
+            (lambda p: p.__setitem__("authority_seed", "0"), "an int 'authority_seed'"),
         ],
     )
     def test_malformed_is_a_named_error(self, mutate, complaint):
@@ -286,9 +296,11 @@ class TestHostileCertificates:
         [
             lambda p: p["second"]["reply"]["f"].__setitem__("tag", 5),
             lambda p: p["second"]["reply"]["f"].__setitem__("tag", None),
-            lambda p: p["first"].__setitem__("op_id", {"__k": "x"}),
-            lambda p: p["first"].__setitem__("cause", [1, 2]),
-            lambda p: p["first"]["sig"].__setitem__("payload", None),
+            lambda p: p["first"].__setitem__("op_id", None),
+            lambda p: p["first"].__setitem__("cause", "Query"),
+            lambda p: p["first"].__setitem__("tag", ""),
+            lambda p: p["first"].__setitem__("tag", "00" * 32),
+            lambda p: p["second"].__setitem__("tag", p["first"]["tag"]),
         ],
     )
     def test_well_formed_nonsense_is_a_verdict(self, mutate):
@@ -337,7 +349,7 @@ class TestHostileTranscripts:
 
     def test_malformed_statement_inside_is_a_named_error(self):
         data = self.good()
-        data["statements"][0]["sig"]["tag"] = "not hex"
+        data["statements"][0]["tag"] = "not hex"
         with pytest.raises(SpecificationError, match="malformed signed statement"):
             TranscriptLog.from_dict(data)
         data["statements"] = [None]
@@ -352,3 +364,109 @@ class TestHostileTranscripts:
     def test_the_untouched_transcript_still_loads_and_audits(self):
         log = TranscriptLog.from_dict(self.good())
         assert len(log) == 1 and audit_all(log) == []
+
+
+def _v1_statement(wire, statement):
+    """``wire`` as the v1 format wrote it: the tag inside a ``sig``
+    object beside a second, generically encoded copy of the statement."""
+    v1 = {key: val for key, val in wire.items() if key != "tag"}
+    signature = statement.signature
+    v1["sig"] = msg.wire_encode_value(
+        SignedPayload(signature.signer, statement.statement_payload(), signature.tag)
+    )
+    return v1
+
+
+class TestV1IsRefusedByName:
+    def test_v1_fraud_proof(self):
+        proof = TestFraudProofArtifact()._proof()
+        v1 = json.loads(json.dumps(proof.to_dict()))
+        v1["format"] = "repro-fraud-proof/v1"
+        for half in ("first", "second"):
+            v1[half] = _v1_statement(v1[half], getattr(proof, half))
+        assert "tag" not in v1["first"] and v1["first"]["sig"]["__k"] == "signed"
+        with pytest.raises(SpecificationError, match="unsupported fraud proof format "
+                           "'repro-fraud-proof/v1' .this build reads repro-fraud-proof/v2."):
+            verify_fraud_proof(v1)
+
+    def test_v1_transcript(self):
+        authority = SignatureAuthority(seed=0)
+        log = transcript(stmt(authority, 0, ts=1))
+        v1 = json.loads(json.dumps(log.to_dict()))
+        v1["format"] = "repro-transcript/v1"
+        v1["statements"] = [_v1_statement(v1["statements"][0], log.statements[0])]
+        with pytest.raises(SpecificationError, match="unsupported transcript format "
+                           "'repro-transcript/v1' .this build reads repro-transcript/v2."):
+            TranscriptLog.from_dict(v1)
+
+    def test_a_v1_statement_under_a_v2_header_is_malformed(self):
+        authority = SignatureAuthority(seed=0)
+        log = transcript(stmt(authority, 0, ts=1))
+        data = json.loads(json.dumps(log.to_dict()))
+        data["statements"] = [_v1_statement(data["statements"][0], log.statements[0])]
+        with pytest.raises(SpecificationError, match="malformed signed statement: 'tag'"):
+            TranscriptLog.from_dict(data)
+
+
+def _nested(depth, leaf='{"__k": "pid", "id": "r1"}'):
+    """JSON text of a value nested ``depth`` tagged lists deep."""
+    return '{"__k": "list", "items": [' * depth + leaf + "]}" * depth
+
+
+class TestHostileNesting:
+    """Hostile JSON that ``json`` accepts nests deeper than anything a
+    register message holds: every entry point names it instead of
+    overflowing the stack."""
+
+    def proof_with(self, where, text):
+        payload = json.loads(json.dumps(TestFraudProofArtifact()._proof().to_dict()))
+        target = payload["first"]["reply"]["f"] if where == "seen" else payload["first"]
+        target[where] = "@@"
+        return json.loads(json.dumps(payload).replace('"@@"', text))
+
+    @pytest.mark.parametrize(
+        "where, text, complaint",
+        [
+            ("seen", _nested(400), "nests deeper than 32 levels"),
+            ("seen", _nested(33), "nests deeper than 32 levels"),
+            ("seen", "[" * 600 + "]" * 600, "untagged list"),
+            ("op_id", "[" * 600 + "]" * 600, "op_id .* is not an int"),
+            ("cause", "[" * 600 + "]" * 600, "cause .* is not a str"),
+        ],
+        ids=["tagged-400", "tagged-33", "untagged-600", "op_id-600", "cause-600"],
+    )
+    def test_verify_fraud_proof(self, where, text, complaint):
+        with pytest.raises(SpecificationError, match=complaint):
+            verify_fraud_proof(self.proof_with(where, text))
+
+    def test_the_bound_admits_what_messages_hold(self):
+        """32 levels parse; the deepest honest value (a Byzantine tag) is 3."""
+        assert verify_fraud_proof(self.proof_with("seen", _nested(31))) is False
+        authority = SignatureAuthority(0)
+        authority.register(writer(1))
+        signed_tag = msg.wire_encode_value(
+            SignedValueTag(1, 1, None, authority.sign(writer(1), (1, 1, None)))
+        )
+        assert signed_tag["signed"]["payload"]["__k"] == "tuple"
+        assert msg.wire_decode_value(signed_tag, depth=3) is not None
+        with pytest.raises(ProtocolError, match="nests deeper"):
+            msg.wire_decode_value(signed_tag, depth=2)
+
+    def transcript_dict(self):
+        authority = SignatureAuthority(seed=0)
+        data = json.loads(json.dumps(transcript(stmt(authority, 0, ts=1)).to_dict()))
+        data["statements"][0]["reply"]["f"]["seen"] = "@@"
+        return json.loads(json.dumps(data).replace('"@@"', _nested(400)))
+
+    def test_transcript_from_dict(self):
+        with pytest.raises(SpecificationError, match="nests deeper"):
+            TranscriptLog.from_dict(self.transcript_dict())
+
+    def test_merge_shard_results(self):
+        from repro.net.loadgen import LoadSpec, merge_shard_results
+
+        spec = LoadSpec(protocol="fast-crash", addresses=(("h", 1),) * 5, t=1, readers=2)
+        shard = {"shard": 0, "clients": 0, "ops": [], "dropped": 0, "live_servers": 5,
+                 "transcript": self.transcript_dict()}
+        with pytest.raises(SpecificationError, match="nests deeper"):
+            merge_shard_results(spec, [shard])

@@ -4,8 +4,8 @@
 from the statement's fields; the tuple ``statement_payload()`` returns
 is the specification of those bytes.  This file pins the two together
 (differentially, across processes and against equal-but-different
-values), and shows that the signature's *claimed* payload — now built
-only when somebody reads it — still decides nothing.
+values), and shows that the signature's *claimed* payload decides
+nothing: in memory it is never read, and on the wire it is not written.
 """
 
 import json
@@ -169,48 +169,51 @@ def test_signed_in_another_process_under_another_hash_seed():
 
 
 class TestTheClaimedPayloadDecidesNothing:
-    """``sig.payload`` is what the signer *says* it signed.  The verifier
-    recomputes the bytes from the fields it received, so editing the
-    claim changes no verdict, and a true claim rescues no edited field."""
+    """A statement travels as its fields and the tag: no claim about
+    what was signed is on the wire.  Parsing rebuilds the signed payload
+    from the fields, so the tag is checked against what was received,
+    and editing any signed field or the tag fails verification."""
 
     def wire(self, authority):
         return json.loads(json.dumps(signed(authority).to_wire()))
 
-    def test_garbage_claim_still_verifies(self):
+    def test_the_wire_carries_fields_and_tag_only(self):
         authority = SignatureAuthority(seed=0)
+        stmt = signed(authority)
         wire = self.wire(authority)
-        wire["sig"]["payload"] = {"__k": "tuple", "items": ["not", "what", "was", "signed"]}
-        clone = SignedStatement.from_wire(wire)
-        assert verify_statement(authority, clone)
-        assert clone != signed(authority)  # == still sees the claim
-        assert clone.to_wire() == wire  # and it travels on as claimed
-
-    def test_claim_about_another_reply_still_verifies(self):
-        authority = SignatureAuthority(seed=0)
-        wire = self.wire(authority)
-        claimed_reply = wire["sig"]["payload"]["items"][6]
-        assert claimed_reply["__k"] == "dict"
-        wire["sig"]["payload"]["items"][6] = json.loads(
-            json.dumps(claimed_reply).replace('"FastReadAck"', '"FastWriteAck"')
-        )
-        assert verify_statement(authority, SignedStatement.from_wire(wire))
+        assert set(wire) == {"server", "seq", "client", "op_id", "cause", "reply", "tag"}
+        assert wire["tag"] == stmt.signature.tag.hex()
+        parsed = SignedStatement.from_wire(wire)
+        assert isinstance(parsed.signature.payload, StatementPayload)
+        assert parsed.signature.payload == parsed.statement_payload() == stmt.statement_payload()
+        assert parsed.signature.signer == parsed.server
+        assert verify_statement(authority, parsed)
 
     @pytest.mark.parametrize(
         "edit",
         [
+            lambda wire: wire.update(server="s2"),
             lambda wire: wire.update(seq=wire["seq"] + 1),
             lambda wire: wire.update(client="r2"),
             lambda wire: wire.update(op_id=9),
+            lambda wire: wire.update(op_id=None),
             lambda wire: wire.update(cause="FastWrite"),
             lambda wire: wire["reply"]["f"]["tag"].update(ts=5),
             lambda wire: wire["reply"]["f"].update(r_counter=1),
+            lambda wire: wire["reply"]["f"]["seen"]["items"].pop(),
+            lambda wire: wire["reply"].update(t="FastWriteAck"),
+            lambda wire: wire.update(tag=("%064x" % (int(wire["tag"], 16) ^ 1))),
+            lambda wire: wire.update(tag=wire["tag"][:-2]),
         ],
     )
-    def test_true_claim_does_not_rescue_an_edited_field(self, edit):
+    def test_an_edited_field_or_tag_does_not_verify(self, edit):
         authority = SignatureAuthority(seed=0)
+        authority.register(server(2))
         wire = self.wire(authority)
-        edit(wire)  # the claim under "sig" is untouched and still true of the original
-        assert not verify_statement(authority, SignedStatement.from_wire(wire))
+        edit(wire)
+        parsed = SignedStatement.from_wire(wire)
+        assert parsed.signature.payload == parsed.statement_payload()
+        assert not verify_statement(authority, parsed)
 
     def test_a_lazy_claim_made_from_other_fields_is_not_trusted(self):
         # In-process: the signature object of statement B, whose payload
@@ -233,7 +236,7 @@ class TestTheClaimedPayloadDecidesNothing:
         )
         parsed = SignedStatement.from_wire(stmt.to_wire())
         assert received == stmt == parsed == received
-        assert isinstance(parsed.signature.payload, tuple)
+        assert isinstance(parsed.signature.payload, StatementPayload)
         assert isinstance(received.signature.payload, StatementPayload)
         assert received.to_wire() == stmt.to_wire() == parsed.to_wire()
         as_parsed = SignedPayload(server(1), stmt.statement_payload(), stmt.signature.tag)

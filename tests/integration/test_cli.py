@@ -389,7 +389,8 @@ class TestExploreByzantine:
         text = files[0].read_text()
         # audited lie-bearing artifacts carry the certificate (v3)
         assert '"repro-counterexample/v3"' in text
-        assert '"repro-fraud-proof/v1"' in text
+        assert '"repro-fraud-proof/v2"' in text
+        assert '"sig"' not in text and '"repro-statement/v1"' not in text
         assert main(["explore", "--replay", str(files[0])]) == 0
         out = capsys.readouterr().out
         assert "history_identical: True" in out

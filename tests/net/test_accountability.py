@@ -293,12 +293,13 @@ class TestAuditCommand:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda stmt: stmt["sig"].__setitem__("tag", "zz" + stmt["sig"]["tag"][2:]),
-            lambda stmt: stmt.__setitem__("sig", None),
-            lambda stmt: stmt.__setitem__("sig", "x"),
+            lambda stmt: stmt.__setitem__("tag", "zz" + stmt["tag"][2:]),
+            lambda stmt: stmt.__setitem__("sig", stmt.pop("tag")),
+            lambda stmt: stmt.__setitem__("tag", None),
+            lambda stmt: stmt.__setitem__("tag", 5),
             lambda stmt: stmt.__setitem__("seq", "0"),
         ],
-        ids=["badhex", "nosig", "strsig", "strseq"],
+        ids=["badhex", "v1sig", "notag", "inttag", "strseq"],
     )
     def test_malformed_certificate_exits_1_without_a_traceback(self, mutate, capsys, tmp_path):
         ce = self.v3_artifact()

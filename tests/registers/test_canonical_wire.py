@@ -107,7 +107,7 @@ class TestValueWriter:
 
     def test_every_writer_shadows_an_encoder(self):
         # the rest of the encoder table (plain dicts, subclasses it
-        # adopted, self-encoding payloads) goes through the specification
+        # adopted) goes through the specification
         assert set(msg._CANONICAL_WIRE) <= set(msg._ENCODERS)
         assert dict not in msg._CANONICAL_WIRE and CanonicalPayload not in msg._CANONICAL_WIRE
 
