@@ -57,7 +57,7 @@ def render_explore_stats(result) -> str:
         adversary += f", byzantine budget {byzantine_budget} [{menu}]"
     memo = (  # only a memoized exhaustive search has one
         "memo          : {states} states in {variants} variants over {parts} "
-        "interned parts; {hits} hits"
+        "interned parts"
     )
     memo_lines = [memo.format_map(result.memo)] if getattr(result, "memo", None) else []
     lines = [

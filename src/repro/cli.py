@@ -315,7 +315,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         ExploreScenario,
         explore,
         get_target,
-        random_walks_parallel,
+        random_walks,
         replay_counterexample,
     )
 
@@ -349,11 +349,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
     # Bounds that would search nothing raise ScheduleError (exit 2).
     if args.mode == "exhaustive":
-        if args.parallel > 1:
-            raise ConfigurationError(
-                "--parallel applies to --mode random; the exhaustive search "
-                "runs in one process"
-            )
         result = explore(
             scenario,
             depth=args.depth,
@@ -364,12 +359,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             memoize=not args.no_memo,
         )
     else:
-        result = random_walks_parallel(
+        result = random_walks(
             scenario,
             depth=args.depth,
             walks=args.walks,
             seed=args.seed,
-            parallel=args.parallel,
             max_counterexamples=args.max_counterexamples,
             shrink=not args.no_shrink,
             policy=args.policy,
@@ -915,13 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
         "construction-shaped quorum walks, or alternate between them)",
     )
     xpl.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        help="random mode: worker processes the walk ranges fan out over "
-        "(1 = serial; the exhaustive search runs in one process)",
-    )
-    xpl.add_argument(
         "--no-memo",
         action="store_true",
         help="exhaustive mode: disable fingerprint memoization (the plain "
@@ -1165,10 +1152,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     # The one failure path: bad parameters, an unreadable or misshapen
     # file, an unknown name (the registries' KeyError) are one line on
-    # stderr and exit 2 (so is `explore --parallel N>1` in exhaustive
-    # mode).  Handlers keep only the exits that mean something else (1
-    # violation / mismatch, 3 nothing to prove or an exhaustive search
-    # truncated by its transition budget, 4 degraded beyond budget).
+    # stderr and exit 2 (so is an explore bound that searches nothing).
+    # Handlers keep only the exits that mean something else (1 violation
+    # / mismatch, 3 nothing to prove or an exhaustive search truncated by
+    # its transition budget, 4 degraded beyond budget).
     try:
         return args.fn(args)
     except (

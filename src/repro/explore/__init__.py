@@ -6,8 +6,7 @@ Public surface of the explorer subsystem:
   the choice-point model over :class:`repro.sim.controller.ScriptedExecution`.
 * :func:`explore` / :func:`random_walks` — bounded-exhaustive DFS with
   sleep-set reduction and a state memo, and seeded random walks for
-  greater depths; :func:`random_walks_parallel` fans the walks across
-  worker processes with deterministic merging.
+  greater depths; each runs serially in one process.
 * :func:`flaw_witness` — one flaw-table row's witness
   (:class:`FlawWitness`): a shrunk quorum-walk counterexample on the
   flawed protocol and its control replay on the faithful one.
@@ -36,7 +35,6 @@ from repro.explore.explorer import (
     explore,
     flaw_witness,
     random_walks,
-    random_walks_parallel,
 )
 from repro.explore.oracle import (
     Counterexample,
@@ -72,7 +70,6 @@ __all__ = [
     "get_target",
     "quorum_walk",
     "random_walks",
-    "random_walks_parallel",
     "replay_counterexample",
     "shrink_schedule",
 ]

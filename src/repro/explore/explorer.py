@@ -8,13 +8,14 @@ Two modes share the driver's choice-point API:
   and skip it while only actions independent of their own first step
   remain — so of two schedules that differ only by swapping commuting
   deliveries (different processes touched), one is pruned.
-* :func:`random_walks` — seeded uniform walks through the same action
-  space for depths exhaustion cannot reach; every seed derives from one
-  root via :func:`repro.sim.rng.substream`, so a sweep of walks is
-  exactly reproducible, and :func:`random_walks_parallel` fans it out
-  over contiguous walk ranges.  :func:`flaw_witness` is the quorum-walk
-  hunt behind each row of the flaw table, its shrunk violation replayed
-  on the faithful protocol as the control.
+* :func:`random_walks` — seeded walks through the same action space
+  for depths exhaustion cannot reach, stopping at the first violating
+  walk; every seed derives from one root via
+  :func:`repro.sim.rng.substream`, so a sweep of walks is exactly
+  reproducible.  ``repro explore --mode random`` runs it, and so does
+  :func:`flaw_witness`, the quorum-walk hunt behind each row of the
+  flaw table, its shrunk violation replayed on the faithful protocol
+  as the control.
 
 Exhaustive search runs on one driver with an undo journal
 (:meth:`ScheduleDriver.mark` / :meth:`ScheduleDriver.undo`): backtracking
@@ -60,7 +61,6 @@ from repro.explore.oracle import (
     build_counterexample,
 )
 from repro.registers.ablations import Flaw
-from repro.sim.batch import map_parallel
 from repro.spec.histories import History, Verdict
 
 #: Default ceiling on executed transitions per exploration; a guard rail
@@ -89,13 +89,6 @@ class ExploreStats:
     violations: int = 0
     fraud_proofs: int = 0  # violations whose audit yielded a certificate
     detectability_gaps: int = 0  # audited violations with no certificate
-
-    def merge(self, other: "ExploreStats") -> None:
-        """High-water marks (``max_*``) merge by ``max``, counters by ``+``."""
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            high_water = f.name.startswith("max_")
-            setattr(self, f.name, max(mine, theirs) if high_water else mine + theirs)
 
     def to_dict(self) -> Dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -130,29 +123,6 @@ class ExploreResult:
     @property
     def found_violation(self) -> bool:
         return bool(self.counterexamples)
-
-    def merge(self, other: "ExploreResult") -> "ExploreResult":
-        """Order-independent merge of two walk ranges' results."""
-        merged = ExploreResult(
-            scenario=self.scenario,
-            mode=self.mode,
-            depth=self.depth,
-            reduce=self.reduce,
-            stats=ExploreStats(**self.stats.to_dict()),
-            counterexamples=list(self.counterexamples),
-            complete=self.complete and other.complete,
-            walks=self.walks + other.walks,
-            seed=self.seed if self.seed is not None else other.seed,
-        )
-        merged.stats.merge(other.stats)
-        seen = {ce.key() for ce in merged.counterexamples}
-        for ce in other.counterexamples:
-            if ce.key() not in seen:
-                seen.add(ce.key())
-                merged.counterexamples.append(ce)
-        # Canonical order regardless of which range finished first.
-        merged.counterexamples.sort(key=lambda ce: ce.key())
-        return merged
 
 
 class TransitionBudget:
@@ -198,12 +168,11 @@ class Memo:
     #: than a few distinct (sleep set, depth) combinations.
     MAX_VARIANTS = 6
 
-    __slots__ = ("states", "table", "hits")
+    __slots__ = ("states", "table")
 
     def __init__(self) -> None:
         self.states = StateTable()
         self.table: Dict[Tuple, List[Tuple]] = {}
-        self.hits = 0
 
     def lookup(
         self, key: Tuple, sleep_labels: frozenset, depth_left: int
@@ -221,8 +190,6 @@ class Memo:
                     break
                 if best is None:
                     best = entry
-        if best is not None:
-            self.hits += 1
         return best
 
     def store(
@@ -246,25 +213,27 @@ class Memo:
             )
 
     def summary(self) -> Counter:
-        """What the memo holds and how often it answered."""
+        """What the memo holds (its hits are ``ExploreStats.memo_hits``)."""
         return Counter(
             states=len(self.table),
             variants=sum(map(len, self.table.values())),
             parts=len(self.states.parts),
-            hits=self.hits,
         )
 
 
-def _check_bounds(depth: int, max_counterexamples: int) -> None:
+def _check_bounds(depth: int, max_counterexamples: int, walks: int = 1) -> None:
     """A negative depth never reaches the ``depth_left == 0`` leaf test
-    (an unbounded search) and a zero quota stops before the first node
-    (a "clean" verdict on nothing): both are errors, not searches."""
+    (an unbounded search), and a zero quota or walk count stops before
+    the first node (a "clean" verdict on nothing): all are errors, not
+    searches."""
     if depth < 0:
         raise ScheduleError(f"depth must be >= 0, got {depth}")
     if max_counterexamples < 1:
         raise ScheduleError(
             f"max_counterexamples must be >= 1, got {max_counterexamples}"
         )
+    if walks < 1:
+        raise ScheduleError(f"walks must be >= 1, got {walks}")
 
 
 def explore(
@@ -464,15 +433,18 @@ def random_walks(
     """Seeded random walks through the same choice-point space.
 
     Walk ``i`` draws from ``substream(seed, "explore-walk", i)``; results
-    are a pure function of ``(scenario, depth, seed, walks, policy)`` no
-    matter how the walk range is sharded across processes.  Policies:
+    are a pure function of ``(scenario, depth, seed, first_walk, walks,
+    policy)``, and the search stops once ``max_counterexamples``
+    distinct counterexamples are found.  Policies:
     ``uniform`` picks any enabled action with equal probability (dense
     fine-grained interleavings), ``quorum`` walks operation by operation
     with random quorum choices and deliberate partial deliveries (the
     shape of the paper's lower-bound runs), and ``mixed`` — the default —
-    alternates between them by walk parity.
+    alternates between them by walk parity.  ``depth < 0``,
+    ``max_counterexamples < 1`` or ``walks < 1`` raise
+    :class:`ScheduleError`.
     """
-    _check_bounds(depth, max_counterexamples)
+    _check_bounds(depth, max_counterexamples, walks)
     stats = ExploreStats()
     oracle = Oracle.for_scenario(scenario)
     counterexamples: List[Counterexample] = []
@@ -512,50 +484,6 @@ def random_walks(
         walks=walks,
         seed=seed,
     )
-
-
-def _walk_range(bounds: Dict) -> ExploreResult:
-    """Worker entry point: :func:`random_walks` over one walk range."""
-    return random_walks(**bounds)
-
-
-def random_walks_parallel(
-    scenario: ExploreScenario,
-    depth: int,
-    walks: int,
-    seed: int = 0,
-    parallel: int = 1,
-    max_counterexamples: int = 1,
-    shrink: bool = True,
-    policy: str = MIXED,
-) -> ExploreResult:
-    """:func:`random_walks` fanned out over contiguous walk ranges.
-
-    The ranges are a fixed function of ``walks`` — never of ``parallel``
-    — and their results merge left to right, so the merged result
-    (stats included) is identical for every worker count.
-    """
-    _check_bounds(depth, max_counterexamples)
-    count = min(16, walks) or 1
-    size, extra = divmod(walks, count)
-    shared = dict(
-        scenario=scenario, depth=depth, seed=seed, policy=policy,
-        max_counterexamples=max_counterexamples, shrink=shrink,
-    )
-    ranges, start = [], 0
-    for index in range(count):
-        length = size + (index < extra)
-        ranges.append(dict(shared, first_walk=start, walks=length))
-        start += length
-    results, _ = map_parallel(_walk_range, ranges, parallel)
-    merged = results[0]
-    for result in results[1:]:
-        merged = merged.merge(result)
-    # Ranges cannot coordinate early stopping, so each may contribute a
-    # counterexample; keep the first N in canonical (sorted-key) order.
-    merged.counterexamples = merged.counterexamples[:max_counterexamples]
-    merged.walks, merged.seed = walks, seed
-    return merged
 
 
 #: The flaw-table hunt behind :func:`flaw_witness`.  Quorum walks reach

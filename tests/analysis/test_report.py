@@ -60,11 +60,16 @@ class TestExploreStatsRendering:
         scenario = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
         result = explore(scenario, depth=6)
         memo = result.memo
+        lines = render_explore_stats(result).splitlines()
         assert (
             f"memo          : {memo['states']} states in {memo['variants']} "
-            f"variants over {memo['parts']} interned parts; "
-            f"{result.stats.memo_hits} hits"
-        ) in render_explore_stats(result).splitlines()
+            f"variants over {memo['parts']} interned parts"
+        ) in lines
+        # the hit count is printed once, beside the other search counters
+        hits = [line for line in lines if "hits" in line]
+        assert len(hits) == 1 and hits[0].startswith("transitions   :")
+        assert hits[0].endswith(f", {result.stats.memo_hits} memo hits")
+        assert result.stats.memo_hits > 0
         plain = render_explore_stats(explore(scenario, depth=6, memoize=False))
         assert "memo   " not in plain
 

@@ -146,13 +146,18 @@ class TestMemoEntries:
     def test_a_hit_needs_depth_and_a_sleep_subset(self):
         memo = Memo()
         memo.store(self.KEY, frozenset({"a"}), 5, 7, 4)
-        assert memo.lookup(self.KEY, frozenset({"a"}), 6) is None
-        assert memo.lookup(self.KEY, frozenset(), 5) is None
-        assert memo.lookup(("other",), frozenset({"a"}), 5) is None
+        held = memo.summary()
         entry = (frozenset({"a"}), 5, 7, 4)
-        assert memo.lookup(self.KEY, frozenset({"a", "b"}), 4) == entry
-        assert memo.lookup(self.KEY, frozenset({"a"}), 5) == entry
-        assert memo.hits == 2 == memo.summary()["hits"]
+        answers = [
+            memo.lookup(self.KEY, frozenset({"a"}), 6),  # too shallow
+            memo.lookup(self.KEY, frozenset(), 5),  # sleep set not a subset
+            memo.lookup(("other",), frozenset({"a"}), 5),  # no such state
+            memo.lookup(self.KEY, frozenset({"a", "b"}), 4),
+            memo.lookup(self.KEY, frozenset({"a"}), 5),
+        ]
+        assert answers == [None, None, None, entry, entry]
+        # a lookup only reads: what the memo holds is unchanged
+        assert memo.summary() == held == {"states": 1, "variants": 1, "parts": 0}
 
     def test_a_more_general_entry_replaces_the_ones_it_covers(self):
         memo = Memo()

@@ -14,7 +14,6 @@ from repro.explore import (
     ExploreScenario,
     explore,
     random_walks,
-    random_walks_parallel,
     replay_counterexample,
 )
 from repro.registers.base import ClusterConfig
@@ -185,27 +184,30 @@ class TestBudget:
         assert result.stats.transitions <= 500
 
     @pytest.mark.parametrize(
-        "search",
+        "search, extra",
         [
-            explore,
-            lambda scenario, **bounds: random_walks(scenario, walks=5, **bounds),
-            lambda scenario, **bounds: random_walks_parallel(
-                scenario, walks=5, **bounds
-            ),
+            (explore, {}),
+            (random_walks, {"walks": 5}),
+            (random_walks, {"walks": 0}),
         ],
-        ids=["explore", "walks", "walks_parallel"],
+        ids=["explore", "walks", "zero-walks"],
     )
-    def test_bounds_that_search_nothing_are_rejected(self, search):
+    def test_bounds_that_search_nothing_are_rejected(self, search, extra):
         """depth < 0 never reaches the leaf test (an unbounded search);
-        a zero quota stops before the first node and reports "clean"."""
+        a zero quota or walk count stops before the first node and
+        reports "clean"."""
         scenario = ExploreScenario(
             "naive-fast-mwmr", ClusterConfig(S=2, t=1, R=1, W=2)
         )
         with pytest.raises(ScheduleError, match="depth must be >= 0"):
-            search(scenario, depth=-1)
+            search(scenario, depth=-1, **extra)
         with pytest.raises(ScheduleError, match="max_counterexamples must be"):
-            search(scenario, depth=7, max_counterexamples=0)
-        assert search(scenario, depth=0).stats.schedules >= 1
+            search(scenario, depth=7, max_counterexamples=0, **extra)
+        if extra.get("walks", 1) < 1:
+            with pytest.raises(ScheduleError, match="walks must be >= 1, got 0"):
+                search(scenario, depth=0, **extra)
+        else:
+            assert search(scenario, depth=0, **extra).stats.schedules >= 1
 
 
 @pytest.mark.parametrize("policy", ["uniform", "quorum", "mixed"])
@@ -216,3 +218,26 @@ def test_random_walks_are_reproducible(policy):
     first = random_walks(scenario, depth=10, walks=40, seed=7, policy=policy)
     second = random_walks(scenario, depth=10, walks=40, seed=7, policy=policy)
     assert first.stats.to_dict() == second.stats.to_dict()
+
+
+@pytest.mark.parametrize("policy", ["uniform", "quorum", "mixed"])
+@pytest.mark.parametrize("split, total", [(1, 2), (1, 5), (7, 17), (16, 40)])
+def test_split_walks_add_up_to_one_search(policy, split, total):
+    """Walk ``i`` depends only on ``(seed, i)``: on a clean scenario the
+    walks ``[0, split)`` and ``[split, total)`` count what one call over
+    ``[0, total)`` counts (the ledger's hunt starts at ``first_walk``)."""
+    scenario = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
+    bounds = dict(depth=8, seed=5, policy=policy)
+    whole = random_walks(scenario, walks=total, **bounds)
+    head = random_walks(scenario, walks=split, **bounds).stats.to_dict()
+    tail = random_walks(
+        scenario, walks=total - split, first_walk=split, **bounds
+    ).stats.to_dict()
+    added = {
+        name: max(head[name], count) if name.startswith("max_")
+        else head[name] + count
+        for name, count in tail.items()
+    }
+    assert not whole.found_violation
+    assert added == whole.stats.to_dict()
+    assert whole.stats.schedules == total

@@ -29,6 +29,7 @@ from repro.errors import ScheduleError
 from repro.explore import (
     Counterexample,
     ExploreScenario,
+    Memo,
     ScheduleDriver,
     explore,
 )
@@ -142,12 +143,23 @@ def test_fingerprint_is_the_parent_commits_tuple(name, undo):
 class TestMemoSummary:
     SCENARIO = ExploreScenario("fast-crash", ClusterConfig(S=4, t=1, R=1))
 
-    def test_summary_counts_what_the_search_stored(self):
+    def test_summary_counts_what_the_search_stored(self, monkeypatch):
+        answers = []
+        lookup = Memo.lookup
+
+        def counted(memo, *args):
+            answers.append(lookup(memo, *args))
+            return answers[-1]
+
+        monkeypatch.setattr(Memo, "lookup", counted)
         result = explore(self.SCENARIO, depth=8)
         summary = result.memo
         assert summary["states"] > 0
         assert summary["variants"] >= summary["states"]
-        assert summary["hits"] == result.stats.memo_hits > 0
+        # the search's one hit counter counts exactly the memo's answers
+        hits = sum(answer is not None for answer in answers)
+        assert result.stats.memo_hits == hits > 0
+        assert set(summary) == {"states", "variants", "parts"}
         # hash-consing: far fewer distinct parts than state x entity
         assert summary["parts"] < summary["states"]
         assert not explore(self.SCENARIO, depth=8, memoize=False).memo

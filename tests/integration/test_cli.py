@@ -235,29 +235,39 @@ class TestExplore:
         assert payload["counterexamples"]
         assert payload["counterexamples"][0]["verdict"]["ok"] is False
 
-    def test_parallel_identical_to_serial(self, capsys):
-        walks = ["--format", "json", "--mode", "random", "--walks", "40"]
-        assert main(self.BROKEN_ARGS + walks) == 1
-        serial = capsys.readouterr().out
-        assert main(self.BROKEN_ARGS + walks + ["--parallel", "2"]) == 1
-        assert serial == capsys.readouterr().out
+    #: The README's hunt: one server short of the bound (R = S/t - 2).
+    README_HUNT = [
+        "explore", "--protocol", "fast-crash",
+        "--servers", "4", "--t", "1", "--readers", "2", "--reads", "2",
+        "--depth", "16", "--mode", "random", "--policy", "quorum",
+        "--walks", "2000", "--seed", "4", "--format", "json",
+    ]
 
-    def test_parallel_one_is_the_serial_search(self, capsys):
-        assert main(self.CLEAN_ARGS + ["--format", "json"]) == 0
-        serial = capsys.readouterr().out
-        assert main(self.CLEAN_ARGS + ["--format", "json", "--parallel", "1"]) == 0
-        assert serial == capsys.readouterr().out
+    def test_random_mode_is_the_ledgers_walk_search(self, capsys):
+        """``--mode random`` is the serial ``random_walks`` that
+        ``flaw_witness`` and the ledger's hunt run: it stops at the first
+        violating walk, walk 673 of 2000."""
+        import json
 
-    def test_exhaustive_parallel_names_the_mode_it_applies_to(self, capsys):
-        assert main(
-            self.CLEAN_ARGS + ["--mode", "exhaustive", "--parallel", "3"]
-        ) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "explore: --parallel applies to --mode random; the exhaustive "
-            "search runs in one process\n"
+        from repro.explore import ExploreScenario, random_walks
+        from repro.registers.base import ClusterConfig
+
+        assert main(self.README_HUNT) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stats"]["schedules"] == 674
+        assert payload["stats"]["transitions"] == 9692
+        [found] = payload["counterexamples"]
+        assert found["provenance"]["walk"] == 673
+        scenario = ExploreScenario(
+            "fast-crash", ClusterConfig(S=4, t=1, R=2), reads_per_reader=2
         )
+        assert payload["scenario"] == scenario.to_dict()
+        library = random_walks(
+            scenario, depth=16, walks=2000, seed=4, max_counterexamples=1,
+            shrink=True, policy="quorum",
+        )
+        assert payload["stats"] == library.stats.to_dict()
+        assert [found] == [ce.to_dict() for ce in library.counterexamples]
 
     def test_help_no_longer_speaks_of_shards(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -265,7 +275,7 @@ class TestExplore:
         assert exit_info.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
         assert "shard" not in text
-        assert "random mode: worker processes" in text
+        assert "--parallel" not in text
         assert "exits 3" in text
 
     def test_a_truncated_search_reports_incomplete_json(self, capsys):
@@ -439,7 +449,8 @@ class TestOneFailurePath:
             ["explore", "--protocol", "nope"],
             ["explore", "--replay", "<a-list>"],
             ["explore", "--replay", "<an-artifact-without-its-scenario>"],
-            ["explore", "--parallel", "2", "--protocol", "fast-crash"],
+            ["explore", "--walks", "0", "--mode", "random", "--protocol", "fast-crash"],
+            ["explore", "--walks", "-5", "--mode", "random", "--protocol", "fast-crash"],
             ["audit", "/nonexistent.json"],
             ["serve", "--protocol", "maxmin", "--servers", "3", "--t", "1"],
         ],
