@@ -1,7 +1,7 @@
 """One-shot reproduction report.
 
 :func:`generate_report` runs a compact version of every experiment
-(E1–E11) and renders a markdown summary — the quickest way to see the
+(E1–E12) and renders a markdown summary — the quickest way to see the
 whole reproduction on one page, and the engine behind ``repro report``.
 Each section states the paper's claim and the freshly measured outcome;
 any mismatch renders as **FAIL**, making the report double as an

@@ -29,9 +29,9 @@ These three automata are the single implementation of the fast-register
 family.  Each load-bearing step of the pseudo-code is one small named
 method — a *guard* — so that Figure 5
 (:mod:`repro.registers.fast_byzantine`) overrides only what it adds and
-every ablation of :mod:`repro.registers.ablations` is a one-guard
-override.  Guards are methods, never per-instance state: the explorer
-fingerprints every automaton attribute.
+every row of :data:`repro.registers.ablations.FLAWS` names one guard and
+the stand-in that replaces it.  Guards are methods, never per-instance
+state: the explorer fingerprints every automaton attribute.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ class TestChainHolds:
     def test_every_claim_holds(self, S, t, b, R):
         report = verify_byzantine_chain(S, t, b, R)
         assert report.all_hold, report.describe()
+        assert report.final_values == (1, BOTTOM)
 
     def test_degenerate_b_zero_matches_crash_chain(self):
         byz = verify_byzantine_chain(S=8, t=2, b=0, R=2)

@@ -10,11 +10,18 @@ from repro.spec.histories import BOTTOM
 class TestChainHolds:
     @pytest.mark.parametrize(
         "S,t,R",
-        [(4, 1, 2), (5, 1, 3), (8, 2, 2), (9, 2, 3), (12, 3, 2), (6, 2, 2)],
+        [
+            (4, 1, 2), (5, 1, 3), (8, 2, 2), (9, 2, 3), (12, 3, 2), (6, 2, 2),
+            # exactly at the threshold (R + 2)t = S: the chain grows with R
+            (6, 1, 4), (7, 1, 5),
+        ],
     )
     def test_every_claim_holds(self, S, t, R):
         report = verify_crash_chain(S, t, R)
         assert report.all_hold, report.describe()
+        assert report.anchored_value == 1
+        assert report.final_values == (1, BOTTOM)
+        assert len(report.claims) == R + 2
 
     def test_claim_count(self):
         report = verify_crash_chain(S=9, t=2, R=3)

@@ -1,14 +1,11 @@
 """Tests for the ablations of Figures 2 and 5."""
 
+from hashlib import sha256
+
 import pytest
 
 from repro.explore import flaw_witness, replay_counterexample
-from repro.registers.ablations import (
-    FLAWS,
-    EagerReader,
-    NoCounterServer,
-    TimidReader,
-)
+from repro.registers.ablations import FLAWS
 from repro.registers.base import ClusterConfig
 from repro.registers.fast_crash import SPEC
 from repro.sim.latency import UniformLatency
@@ -39,8 +36,26 @@ class TestEachAblationBreaks:
         assert replay_counterexample(found)["violates"]
         assert witness.control_verdict.ok, found.describe()
 
+    @pytest.mark.parametrize(
+        "name,length,digest",
+        [
+            ("eager-reader", 12, "51d003aa96ba8943"),
+            ("timid-reader", 8, "8094ffff2cc6e48c"),
+            ("no-seen-reset", 24, "9bfdb6fadc622fec"),
+            ("hasty-writer", 7, "a81ea1e8c2c25dbb"),
+            ("gullible-reader", 6, "caa88ebae2e4aed4"),
+            ("crash-predicate", 12, "365410f27a38458e"),
+        ],
+    )
+    def test_witness_schedule_is_pinned(self, name, length, digest):
+        # the hunt is seeded and the shrink deterministic: a change to an
+        # ablation's body that alters its behaviour moves these
+        schedule = flaw_witness(FLAWS[name]).counterexample.schedule
+        assert len(schedule) == length
+        assert sha256("\n".join(schedule).encode()).hexdigest()[:16] == digest
+
     def test_witness_is_hunted_once_per_row(self):
-        # the report, the benchmark and these tests share one hunt per row
+        # the report and these tests share one hunt per row
         for name in BREAKABLE:
             assert flaw_witness(FLAWS[name]) is flaw_witness(FLAWS[name]), name
 
@@ -74,7 +89,7 @@ class TestAblatedComponentsInFreeRuns:
 
     def test_timid_reader_fails_fuzz(self):
         config = ClusterConfig(S=8, t=1, R=2)
-        cluster = SPEC.swap(TimidReader).build(config, enforce=False)
+        cluster = FLAWS["timid-reader"].build(config)
         sim = Simulation(seed=1, latency=UniformLatency(0.5, 1.5))
         cluster.install(sim)
         from repro.sim.ids import reader, writer
@@ -91,7 +106,7 @@ class TestAblatedComponentsInFreeRuns:
         config = ClusterConfig(S=8, t=1, R=2)
         found_violation = False
         for seed in range(25):
-            cluster = SPEC.swap(EagerReader).build(config, enforce=False)
+            cluster = FLAWS["eager-reader"].build(config)
             sim = Simulation(seed=seed, latency=UniformLatency(0.5, 1.5))
             cluster.install(sim)
             from repro.sim.ids import reader, writer
@@ -118,7 +133,7 @@ class TestNoCounterServer:
 
     def test_behaves_normally_without_stale_messages(self):
         config = ClusterConfig(S=8, t=1, R=3)
-        cluster = SPEC.swap(NoCounterServer).build(config, enforce=False)
+        cluster = FLAWS["no-counter"].build(config)
         sim = Simulation(seed=0, latency=UniformLatency(0.5, 1.5))
         cluster.install(sim)
         from repro.sim.ids import reader, writer
@@ -138,7 +153,7 @@ class TestNoCounterServer:
 
         config = ClusterConfig(S=8, t=1, R=3)
         honest = SPEC.build(config).honest_server(1)
-        ablated = NoCounterServer(server(1), config)
+        ablated = FLAWS["no-counter"].automaton(server(1), config)
         new_msg = msg.FastRead(op_id=2, tag=INITIAL_TAG, r_counter=2)
         stale_msg = msg.FastRead(op_id=1, tag=INITIAL_TAG, r_counter=1)
         assert run_captured(honest, new_msg, reader(1), 0.0)

@@ -95,6 +95,12 @@ class TestFlawTable:
                 attr for attr in vars(flaw.automaton) if not attr.startswith("__")
             ]
             assert len(overridden) == 1 and overridden[0].startswith("_"), flaw.name
+            # a misspelt guard would add a method nothing calls: a no-op row
+            assert overridden == [flaw.guard], flaw.name
+            assert callable(getattr(flaw.owner, flaw.guard, None)), flaw.name
+            assert getattr(flaw.automaton, flaw.guard) is not getattr(
+                flaw.owner, flaw.guard
+            ), flaw.name
 
     def test_witnesses_are_the_rows_that_have_one(self):
         """Every row is hunted inside the feasible region, and only the

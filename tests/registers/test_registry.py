@@ -8,7 +8,7 @@ import pytest
 import repro.registers
 from repro.errors import ConfigurationError
 from repro.registers import abd, fast_byzantine, fast_crash
-from repro.registers.ablations import EagerReader, NoResetServer
+from repro.registers.ablations import FLAWS
 from repro.registers.base import ClusterConfig, StorageServer
 from repro.registers.registry import PROTOCOLS, get_protocol
 
@@ -55,22 +55,23 @@ class TestOneDeclarationPerProtocol:
 
 class TestSwap:
     def test_class_stands_in_for_the_role_it_subclasses(self):
-        spec = fast_crash.SPEC.swap(EagerReader, NoResetServer)
+        eager = FLAWS["eager-reader"].automaton
+        no_reset = FLAWS["no-seen-reset"].automaton
+        spec = fast_crash.SPEC.swap(eager, no_reset)
         assert spec.name == "fast-crash(ablated)"
         assert spec.automata == fast_crash.SPEC.automata._replace(
-            reader=EagerReader, server=NoResetServer
+            reader=eager, server=no_reset
         )
         assert spec.requirement is fast_crash.SPEC.requirement
         assert fast_crash.SPEC.name == "fast-crash"  # the base is untouched
 
     def test_signed_stays_signed(self):
-        from repro.registers.ablations import GullibleReader
-
-        spec = fast_byzantine.SPEC.swap(GullibleReader)
+        gullible = FLAWS["gullible-reader"].automaton
+        spec = fast_byzantine.SPEC.swap(gullible)
         cluster = spec.build(ClusterConfig(S=4, t=1, R=2, b=1), enforce=False)
         assert cluster.authority is not None
         assert cluster.protocol == "fast-byzantine(ablated)"
-        assert {type(r) for r in cluster.readers} == {GullibleReader}
+        assert {type(r) for r in cluster.readers} == {gullible}
 
     @pytest.mark.parametrize("stranger", [StorageServer, int])
     def test_a_class_in_no_role_is_refused(self, stranger):
