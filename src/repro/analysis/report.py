@@ -1,7 +1,7 @@
 """One-shot reproduction report.
 
 :func:`generate_report` runs a compact version of every experiment
-(E1–E12) and renders a markdown summary — the quickest way to see the
+(E1–E13 but E9) and renders a markdown summary — the quickest way to see the
 whole reproduction on one page, and the engine behind ``repro report``.
 Each section states the paper's claim and the freshly measured outcome;
 any mismatch renders as **FAIL**, making the report double as an
@@ -456,7 +456,7 @@ def _section_ablations() -> Section:
         for name, witness in witnesses.items()
     }
     return Section(
-        title="E10 — ablations of Figures 2 and 5",
+        title="E13 — ablations of Figures 2 and 5",
         claim="every guard a flaw-table row removes is load-bearing: the explorer "
         "breaks the flawed protocol, the faithful one survives the same schedule",
         measured=", ".join(

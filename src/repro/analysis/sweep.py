@@ -1,8 +1,8 @@
 """Threshold-boundary cases.
 
 The parameter sets on the fast-feasibility frontier (feasible at
-``maxR``, infeasible at ``maxR + 1``) that the boundary benchmarks and
-tests sample.
+``maxR``, infeasible at ``maxR + 1``) that the boundary and
+lower-bound construction tests sample.
 """
 
 from __future__ import annotations

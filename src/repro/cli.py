@@ -835,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.set_defaults(fn=_cmd_lower_bound)
 
     sub.add_parser(
-        "report", help="run a compact version of every experiment (E1-E12)"
+        "report", help="run a compact version of every experiment (E1-E13 but E9)"
     ).set_defaults(fn=_cmd_report)
 
     chain = sub.add_parser(

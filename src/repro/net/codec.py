@@ -720,27 +720,27 @@ class Codec:
 class FrameBuffer:
     """Incremental length-prefix parser: feed bytes, get frame bodies.
 
-    One buffer per connection; ``feed`` returns zero or more complete
-    bodies and retains any partial tail for the next read.  Bodies are
-    ``memoryview`` slices into the fed data (zero-copy on the whole-
-    frames fast path); they stay valid indefinitely — the backing blob
-    is immutable ``bytes`` — but callers should decode and drop them
-    promptly so the blob can be released.
+    One buffer per connection.  Bodies slice immutable ``bytes`` (the fed
+    data itself when whole frames arrive; decode and drop them promptly);
+    a partial tail grows in place, so each byte is copied O(1) times.
     """
 
     __slots__ = ("_pending",)
 
     def __init__(self) -> None:
-        self._pending = b""
+        self._pending = bytearray()
 
     def feed(self, data: Any) -> List[memoryview]:
-        if self._pending:
-            blob = self._pending + data
-            self._pending = b""
-        elif isinstance(data, bytes):
-            blob = data
+        pending = self._pending
+        if pending:
+            pending += data  # in place: the prefix is not copied again
+            if len(pending) < HEADER.size or (
+                len(pending) - HEADER.size < HEADER.unpack_from(pending)[0] <= MAX_FRAME
+            ):
+                return []  # its first frame is still partial
+            blob, self._pending = bytes(pending), bytearray()
         else:
-            blob = bytes(data)
+            blob = data if isinstance(data, bytes) else bytes(data)
         bodies: List[memoryview] = []
         view = memoryview(blob)
         total = len(blob)
@@ -759,7 +759,7 @@ class FrameBuffer:
             bodies.append(view[start : start + length])
             offset = start + length
         if offset < total:
-            self._pending = blob[offset:]  # copies only the partial tail
+            self._pending = bytearray(view[offset:])  # copies only the partial tail
         return bodies
 
     @property

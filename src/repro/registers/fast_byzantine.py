@@ -22,7 +22,7 @@ the automata below subclass :mod:`repro.registers.fast_crash`'s and
 override only the guards Figure 5 changes.  With ``b = 0`` the protocol
 produces operation-for-operation the histories of Figure 2 (pinned by
 ``tests/registers/test_fast_family.py``) but keeps signature
-overheads; benchmarks compare both.
+overheads; the hop-latency tests compare both.
 """
 
 from __future__ import annotations

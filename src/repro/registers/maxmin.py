@@ -9,7 +9,7 @@ the **minimum** timestamp among ``S - t`` answers.
 From the client's perspective the read is one round, but it is *not
 fast* in the paper's sense (Section 3.2): servers wait for other
 messages (the gossip round) before answering, so the read costs three
-message delays instead of two — the benchmark suite shows it sitting
+message delays instead of two — the hop-latency tests show it sitting
 between ABD (four delays) and the fast protocol (two delays).
 
 Requires ``t < S/2``.

@@ -25,7 +25,7 @@ Atomicity for any ``R`` with ``t < S/2``:
 The point for the reproduction: under read-mostly workloads, almost all
 reads are fast; under write contention, the fast-read ratio collapses —
 quantifying exactly what the paper's impossibility result forces you to
-give up once ``R`` outgrows the threshold (benchmark E11).
+give up once ``R`` outgrows the threshold (experiment E11).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class SemifastReader(QuorumClient):
     """One round when the quorum agrees; write-back otherwise.
 
     ``fast_reads``/``slow_reads`` counters expose the fast-read ratio to
-    benchmarks without trace analysis.
+    tests and the report without trace analysis.
     """
 
     def __init__(self, pid: ProcessId, config: ClusterConfig) -> None:

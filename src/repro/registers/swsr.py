@@ -7,8 +7,8 @@ last returned tag}.  A single reader's reads are totally ordered, so
 monotonicity of returned timestamps is atomicity.
 
 Works for ``t < S/2`` — strictly better than instantiating Figure 2
-with ``R = 1`` (which would require ``t < S/3``); the threshold-table
-benchmark records this special case, and the R ≥ 2 example of the
+with ``R = 1`` (which would require ``t < S/3``); the feasibility
+tests record this special case, and the R ≥ 2 example of the
 introduction (one reader's quorum seeing an incomplete write that a
 second reader's quorum misses) is exactly why it cannot generalise.
 """

@@ -5,7 +5,7 @@ A minimal, deterministic discrete-event core.  The heap holds plain
 ``seq`` is an insertion counter that breaks ties, so two runs with
 identical inputs pop events in identical order.  Tuples compare at C
 speed and need no per-event closure, which is what makes large seed
-sweeps tractable (see ``benchmarks/bench_engine_throughput.py``).
+sweeps tractable (the ledger's ``sweep-scalar`` workload times it).
 
 Event *kinds* index a small jump table of handlers:
 

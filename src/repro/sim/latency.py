@@ -130,7 +130,7 @@ class ExponentialLatency(LatencyModel):
     """Exponential delays with the given mean, shifted by ``floor``.
 
     The heavy right tail makes this the adversarial-ish distribution used
-    in the asynchrony-sensitivity benchmarks: a small fraction of
+    in the tail-latency tests: a small fraction of
     messages is very late, which is what distinguishes one-round reads
     from two-round reads in the tail percentiles.
     """
@@ -199,7 +199,7 @@ class PerLinkLatency(LatencyModel):
 class SlowServerLatency(LatencyModel):
     """A set of straggler servers whose links are ``factor`` times slower.
 
-    This is how the benchmarks model the paper's motivation that a reader
+    This is how a run can model the paper's motivation that a reader
     can only wait for ``S - t`` servers: with ``t`` stragglers, one-round
     protocols complete from the fast majority while two-round protocols
     pay the straggler tax twice as often.

@@ -1,5 +1,7 @@
 """Tests for the consolidated reproduction report."""
 
+import re
+
 import pytest
 
 from repro.analysis.report import SECTIONS, generate_report, render_explore_stats
@@ -20,9 +22,16 @@ class TestReport:
     def test_report_covers_every_experiment_family(self, report):
         text, _ = report
         for marker in (
-            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E10", "E11", "E12",
+            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E10", "E11", "E12", "E13",
         ):
             assert marker in text
+        ids = [
+            experiment
+            for title in re.findall(r"^### (\S+) — ", text, re.MULTILINE)
+            for experiment in title.split("/")
+        ]
+        assert len(ids) == len(SECTIONS) + 1  # E1/E8 shares one section
+        assert len(ids) == len(set(ids)), ids
 
     def test_every_section_reports_status(self, report):
         text, _ = report

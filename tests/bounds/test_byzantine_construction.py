@@ -32,11 +32,29 @@ class TestBoundaryExamples:
     def test_three_readers(self):
         assert run_byzantine_lower_bound(S=10, t=1, b=1, R=4).violated
 
+    def test_b_widens_the_impossible_region(self):
+        """S=11, t=2, R=2 is crash-feasible, (R+2)t = 8 < 11; one liar
+        adds (R+1)b = 3, so 11 >= 11 and the construction applies."""
+        assert not construction_applies(11, 2, 2, b=0)
+        assert construction_applies(11, 2, 2, b=1)
+        assert run_byzantine_lower_bound(S=11, t=2, b=1, R=2).violated
+
 
 class TestFeasibleRegionRefused:
     def test_raises_inside_feasible_region(self):
         with pytest.raises(InfeasibleConstructionError):
             run_byzantine_lower_bound(S=8, t=1, b=1, R=2)  # 8 > 7
+        feasible = [
+            (S, t, b, R)
+            for S in range(8, 16)
+            for t in (1,)
+            for b in (0, 1)
+            for R in (2, 3)
+            if not construction_applies(S, t, R, b)
+        ]
+        for S, t, b, R in feasible:
+            with pytest.raises(InfeasibleConstructionError):
+                run_byzantine_lower_bound(S=S, t=t, b=b, R=R)
 
     def test_raises_for_single_reader(self):
         with pytest.raises(InfeasibleConstructionError):
@@ -58,9 +76,10 @@ class TestUnforgeabilityRespected:
         assert result.violated
 
 
-class TestSweep:
-    @pytest.mark.parametrize(
-        "S,t,b,R",
+#: Hand-picked points, then the whole impossible region of the
+#: ``S < 15, t <= 2, b <= t, R <= 3`` grid (``b = 0`` included).
+BEYOND_THRESHOLD = list(
+    dict.fromkeys(
         [
             (7, 1, 1, 2),
             (6, 1, 1, 2),
@@ -69,8 +88,21 @@ class TestSweep:
             (14, 2, 2, 2),
             (8, 2, 0, 2),
             (13, 2, 1, 3),
-        ],
+        ]
+        + [
+            (S, t, b, R)
+            for S in range(3, 15)
+            for t in (1, 2)
+            for b in (0, 1, 2)
+            for R in (2, 3)
+            if b <= t and t < S and construction_applies(S, t, R, b)
+        ]
     )
+)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("S,t,b,R", BEYOND_THRESHOLD)
     def test_violation_beyond_threshold(self, S, t, b, R):
         assert construction_applies(S, t, R, b)
         result = run_byzantine_lower_bound(S=S, t=t, b=b, R=R)

@@ -39,6 +39,17 @@ class TestFeasibleRegionRefused:
     def test_raises_inside_feasible_region(self):
         with pytest.raises(InfeasibleConstructionError):
             run_crash_lower_bound(S=9, t=1, R=2)
+        # inside R < S/t - 2 the partition the proof needs does not exist
+        feasible = [
+            (S, t, R)
+            for S in range(4, 13)
+            for t in (1, 2)
+            for R in (2, 3)
+            if t < S and not construction_applies(S, t, R)
+        ]
+        for S, t, R in feasible:
+            with pytest.raises(InfeasibleConstructionError):
+                run_crash_lower_bound(S=S, t=t, R=R)
 
     def test_raises_for_t_zero(self):
         with pytest.raises(InfeasibleConstructionError):
@@ -49,9 +60,11 @@ class TestFeasibleRegionRefused:
             run_crash_lower_bound(S=3, t=1, R=1)
 
 
-class TestSweep:
-    @pytest.mark.parametrize(
-        "S,t,R",
+#: Hand-picked points, then the whole impossible region of the
+#: ``S < 13, t <= 3, R <= 4`` grid, then the first infeasible reader
+#: count at every frontier point with ``S < 12``.
+BEYOND_THRESHOLD = list(
+    dict.fromkeys(
         [
             (4, 1, 2),
             (5, 1, 3),
@@ -62,8 +75,25 @@ class TestSweep:
             (15, 3, 3),
             (6, 2, 2),
             (7, 2, 2),
-        ],
+        ]
+        + [
+            (S, t, R)
+            for S in range(3, 13)
+            for t in (1, 2, 3)
+            for R in (2, 3, 4)
+            if t < S and construction_applies(S, t, R)
+        ]
+        + [
+            (case.S, case.t, case.R_bad)
+            for case in boundary_cases(range(4, 12), range(1, 4))
+            if case.R_bad >= 2
+        ]
     )
+)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("S,t,R", BEYOND_THRESHOLD)
     def test_violation_everywhere_beyond_threshold(self, S, t, R):
         assert construction_applies(S, t, R)
         result = run_crash_lower_bound(S=S, t=t, R=R)

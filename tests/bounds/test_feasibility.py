@@ -49,6 +49,7 @@ class TestFastReadPossible:
         """R=1 crash model: fast possible iff t < S/2, beating Figure 2."""
         assert fast_read_possible(S=5, t=2, R=1)
         assert not fast_feasible(S=5, t=2, R=1)  # Figure 2 alone needs S > 6
+        assert max_readers(S=5, t=2) < 1
         assert not fast_read_possible(S=4, t=2, R=1)
 
     def test_zero_readers_trivial(self):
@@ -115,6 +116,19 @@ class TestRegularAndTable:
     def test_regular_majority(self):
         assert regular_fast_feasible(S=3, t=1)
         assert not regular_fast_feasible(S=2, t=1)
+        # Section 8: wherever Figure 2 serves a reader the regular
+        # register is fast too, and at S=5, t=2 only the regular one is
+        rows = []
+        for S in range(3, 16):
+            for t in range(1, min(S, 5)):
+                atomic_r = 0
+                while fast_feasible(S, t, atomic_r + 1):
+                    atomic_r += 1
+                rows.append((S, t, regular_fast_feasible(S, t), atomic_r))
+        for S, t, regular_ok, atomic_r in rows:
+            if atomic_r >= 1:
+                assert regular_ok
+        assert (5, 2, True, 0) in rows
 
     def test_threshold_table_rows(self):
         rows = threshold_table(S_values=[4, 10], t_values=[1, 2], b_values=[0, 1])
@@ -122,6 +136,14 @@ class TestRegularAndTable:
         ten_one = next(row for row in rows if row.S == 10 and row.t == 1 and row.b == 0)
         assert ten_one.max_fast_readers == 7
         assert ten_one.regular_ok
+        rows = threshold_table(
+            S_values=range(3, 21), t_values=(1, 2, 3, 4), b_values=(0, 1, 2)
+        )
+        lookup = {(row.S, row.t, row.b): row.max_fast_readers for row in rows}
+        assert lookup[(10, 1, 0)] == 7  # R < 10/1 - 2 = 8
+        assert lookup[(20, 4, 0)] == 2  # R < 5 - 2 = 3
+        assert lookup[(7, 1, 1)] == 1  # R < 8/2 - 2 = 2
+        assert lookup[(20, 2, 2)] == 3  # R < 22/4 - 2 = 3.5
 
     def test_describe(self):
         rows = threshold_table(S_values=[6], t_values=[1])

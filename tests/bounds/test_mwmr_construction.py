@@ -10,7 +10,7 @@ from repro.errors import InfeasibleConstructionError
 
 
 class TestNaiveCandidateBroken:
-    @pytest.mark.parametrize("S", [2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("S", [2, 3, 4, 5, 6, 8])
     def test_chain_finds_violation(self, S):
         result = run_mwmr_impossibility(S=S)
         assert result.violated, result.describe()
@@ -25,6 +25,7 @@ class TestNaiveCandidateBroken:
         result = run_sequential_family(S=4, protocol="naive-fast-mwmr")
         assert result.violated
         assert result.first_violation.label.startswith("run1")
+        assert run_sequential_family(S=5, protocol="naive-fast-mwmr").violated
 
 
 class TestBaselinePasses:

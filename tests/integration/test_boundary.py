@@ -2,7 +2,8 @@
 
 For sampled parameter sets on the feasibility frontier:
 
-* at ``R = maxR`` the fast protocol passes randomized contention runs
+* at ``R = maxR`` the fast protocol passes contention runs under random
+  and constant latencies
   (atomic + fast, certified by the independent checkers);
 * at ``R = maxR + 1`` the matching lower-bound construction produces a
   concrete, checker-certified atomicity violation.
@@ -16,7 +17,7 @@ from repro.analysis.sweep import boundary_cases
 from repro.bounds import run_byzantine_lower_bound
 from repro.bounds import run_crash_lower_bound
 from repro.registers.base import ClusterConfig
-from repro.sim.latency import ExponentialLatency
+from repro.sim.latency import ConstantLatency, ExponentialLatency
 from repro.workloads import ClosedLoopWorkload, run_workload
 
 CRASH_CASES = [
@@ -38,13 +39,14 @@ class TestCrashFrontier:
     )
     def test_feasible_side_passes(self, case):
         config = ClusterConfig(S=case.S, t=case.t, R=case.R_ok)
-        for seed in range(3):
+        runs = [(seed, ExponentialLatency(mean=1.0)) for seed in range(3)]
+        for seed, latency in runs + [(1, ConstantLatency(1.0))]:
             result = run_workload(
                 "fast-crash",
                 config,
                 workload=ClosedLoopWorkload.contention(ops=5),
                 seed=seed,
-                latency=ExponentialLatency(mean=1.0),
+                latency=latency,
             )
             assert result.check_atomic().ok, result.history.describe()
             assert result.check_fast().ok
@@ -63,15 +65,16 @@ class TestByzantineFrontier:
     )
     def test_feasible_side_passes(self, case):
         config = ClusterConfig(S=case.S, t=case.t, b=case.b, R=case.R_ok)
-        result = run_workload(
-            "fast-byzantine",
-            config,
-            workload=ClosedLoopWorkload.contention(ops=4),
-            seed=1,
-            latency=ExponentialLatency(mean=1.0),
-        )
-        assert result.check_atomic().ok
-        assert result.check_fast().ok
+        for latency in (ExponentialLatency(mean=1.0), ConstantLatency(1.0)):
+            result = run_workload(
+                "fast-byzantine",
+                config,
+                workload=ClosedLoopWorkload.contention(ops=4),
+                seed=1,
+                latency=latency,
+            )
+            assert result.check_atomic().ok
+            assert result.check_fast().ok
 
     @pytest.mark.parametrize(
         "case", BYZ_CASES, ids=lambda c: f"S{c.S}-t{c.t}-b{c.b}-R{c.R_bad}"

@@ -6,6 +6,7 @@ full codec frame fed to a :class:`FrameBuffer` in arbitrary chunks.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,10 +193,33 @@ class TestCodecFrames:
         bodies = FrameBuffer().feed(stream)
         assert [codec.decode_body(b)[2].op_id for b in bodies] == [1, 2, 3, 4, 5]
 
+    def test_frame_split_over_many_reads_is_linear(self):
+        """One 4 MiB frame fed in 4 KiB reads: the partial tail grows in
+        place rather than re-copying its prefix on every read, and the
+        body does not pin a buffer the next read grows."""
+        payload = bytes(range(256)) * (16 * 1024)
+        stream = HEADER.pack(len(payload)) + payload
+        buffer, bodies = FrameBuffer(), []
+        started = time.perf_counter()
+        for position in range(0, len(stream), 4096):
+            bodies.extend(buffer.feed(stream[position : position + 4096]))
+        elapsed = time.perf_counter() - started
+        assert len(bodies) == 1 and bodies[0] == payload
+        assert buffer.pending_bytes == 0
+        assert elapsed <= 0.25, f"{elapsed:.3f} s for one 4 MiB frame"
+        for position in range(0, len(stream), 4096):
+            buffer.feed(stream[position : position + 4096])
+        assert bodies[0] == payload
+
     def test_oversized_frame_rejected(self):
         buffer = FrameBuffer()
         with pytest.raises(ProtocolError, match="MAX_FRAME"):
             buffer.feed(HEADER.pack(MAX_FRAME + 1))
+        # a header split across reads is checked once it is whole
+        split, header = FrameBuffer(), HEADER.pack(MAX_FRAME + 1)
+        assert split.feed(header[:2]) == []
+        with pytest.raises(ProtocolError, match="MAX_FRAME"):
+            split.feed(header[2:])
 
     def test_garbage_body_rejected(self):
         with pytest.raises(ProtocolError, match="undecodable"):

@@ -10,7 +10,7 @@ from repro.registers.base import ClusterConfig
 from repro.registers.fast_byzantine import SPEC, requirement
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, servers, writer
-from repro.sim.latency import UniformLatency
+from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.spec.atomicity import check_swmr_atomicity
 from repro.workloads import ClosedLoopWorkload, run_workload
 
@@ -109,6 +109,34 @@ class TestAttacks:
         result = byz_run(FEASIBLE, [1], two_faced, seed=6)
         assert result.check_atomic().ok
 
+    @pytest.mark.parametrize(
+        "behaviour", ["stale", "inflate-seen", "forge", "silent", "two-faced"]
+    )
+    def test_every_attack_at_one_hop(self, behaviour):
+        """The same menu at constant latency, one liar, seed 3."""
+
+        def hook(cluster):
+            if behaviour != "two-faced":
+                corrupt(cluster, 1, behaviour)
+                return
+            impostor = TwoFacedServer(
+                pid=server(1),
+                make_inner=partial(cluster.honest_server, 1),
+                victims={reader(1)},
+            )
+            cluster.replace_server(1, impostor)
+
+        result = run_workload(
+            "fast-byzantine",
+            FEASIBLE,
+            workload=ClosedLoopWorkload.contention(ops=6),
+            seed=3,
+            latency=ConstantLatency(1.0),
+            cluster_hook=hook,
+        )
+        verdict = result.check_atomic()
+        assert verdict.ok, f"{behaviour}: {verdict.describe()}"
+
     @pytest.mark.parametrize("seed", range(5))
     def test_mixed_attack_fuzz(self, seed):
         """b=2 attackers with different behaviours; atomicity must hold
@@ -130,6 +158,25 @@ class TestAttacks:
             cluster_hook=hook,
         )
         assert result.check_atomic().ok, result.history.describe()
+
+    def test_two_liars_at_one_hop_stay_atomic_and_fast(self):
+        """The full b=2 budget spent, at constant latency: every
+        operation still takes one round trip."""
+
+        def hook(cluster):
+            corrupt(cluster, 1, "stale")
+            corrupt(cluster, 2, "inflate-seen")
+
+        result = run_workload(
+            "fast-byzantine",
+            ClusterConfig(S=15, t=2, b=2, R=2),
+            workload=ClosedLoopWorkload.contention(ops=5),
+            seed=5,
+            latency=ConstantLatency(1.0),
+            cluster_hook=hook,
+        )
+        assert result.check_atomic().ok
+        assert result.check_fast().ok
 
 
 class TestValidityFiltering:

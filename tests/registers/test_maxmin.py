@@ -8,6 +8,7 @@ from repro.registers.maxmin import SPEC, requirement
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, writer
 from repro.spec.atomicity import check_swmr_atomicity
+from repro.sim.latency import ConstantLatency
 from repro.spec.fastness import client_rounds, server_replies_immediate
 from repro.workloads import ClosedLoopWorkload, run_workload
 
@@ -107,3 +108,23 @@ class TestBehaviour:
         slow = run_sequence("maxmin", CONFIG, ops)
         fast = run_sequence("fast-crash", fast_cfg, ops)
         assert slow.network.sent_count > fast.network.sent_count
+        # per read: fast 2S, ABD up to 4S, max-min S + S(S-1) gossip + S
+        per_read = {}
+        for protocol in ("fast-crash", "abd", "maxmin"):
+            per_read[protocol] = {}
+            for S in (5, 10, 20):
+                result = run_workload(
+                    protocol,
+                    ClusterConfig(S=S, t=1, R=1),
+                    workload=ClosedLoopWorkload(reads_per_reader=4, writes_per_writer=0),
+                    seed=0,
+                    latency=ConstantLatency(1.0),
+                )
+                reads = len([op for op in result.history.reads if op.complete])
+                per_read[protocol][S] = result.messages_sent() / reads
+        assert per_read["fast-crash"][20] == pytest.approx(40, rel=0.1)
+        assert per_read["abd"][20] == pytest.approx(80, rel=0.1)
+        assert per_read["maxmin"][20] > 20 * 20  # superlinear
+        ratio_maxmin = per_read["maxmin"][20] / per_read["maxmin"][5]
+        ratio_fast = per_read["fast-crash"][20] / per_read["fast-crash"][5]
+        assert ratio_maxmin > 2.5 * ratio_fast  # quadratic vs linear growth

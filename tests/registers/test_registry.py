@@ -11,6 +11,8 @@ from repro.registers import abd, fast_byzantine, fast_crash
 from repro.registers.ablations import FLAWS
 from repro.registers.base import ClusterConfig, StorageServer
 from repro.registers.registry import PROTOCOLS, get_protocol
+from repro.sim.latency import ConstantLatency
+from repro.workloads import ClosedLoopWorkload, run_workload
 
 #: ``repro protocols`` at the commit before the rows moved into the
 #: modules; the derived registry must print the same bytes.
@@ -85,6 +87,18 @@ class TestSwap:
             abd.SPEC.swap(StorageServer)
         assert abd.SPEC.swap(abd.AbdReader).automata == abd.SPEC.automata
 
+#: One S=9 configuration per protocol for the measured-rounds check.
+ROUND_CONFIGS = {
+    "fast-crash": ClusterConfig(S=9, t=1, R=2),
+    "fast-byzantine": ClusterConfig(S=9, t=1, b=1, R=2),
+    "abd": ClusterConfig(S=9, t=1, R=2),
+    "maxmin": ClusterConfig(S=9, t=1, R=2),
+    "swsr-fast": ClusterConfig(S=9, t=1, R=1),
+    "regular-fast": ClusterConfig(S=9, t=1, R=2),
+    "mwmr": ClusterConfig(S=9, t=1, R=2, W=2),
+    "naive-fast-mwmr": ClusterConfig(S=9, t=1, R=2, W=2),
+}
+
 
 class TestRegistry:
     def test_all_expected_protocols_present(self):
@@ -114,6 +128,23 @@ class TestRegistry:
                 assert spec.read_rounds == 1
             if spec.fast_writes:
                 assert spec.write_rounds == 1
+
+    @pytest.mark.parametrize("protocol", sorted(ROUND_CONFIGS))
+    def test_measured_rounds_match_declared_rounds(self, protocol):
+        """Client rounds per operation in a run are the declared ones, and
+        the fastness checker agrees with the declared fast flags."""
+        spec = PROTOCOLS[protocol]
+        result = run_workload(
+            protocol,
+            ROUND_CONFIGS[protocol],
+            workload=ClosedLoopWorkload(reads_per_reader=5, writes_per_writer=5),
+            seed=1,
+            latency=ConstantLatency(1.0),
+        )
+        rounds = result.rounds()
+        assert set(rounds.get("read", {spec.read_rounds: 0})) == {spec.read_rounds}
+        assert set(rounds.get("write", {spec.write_rounds: 0})) == {spec.write_rounds}
+        assert result.check_fast().ok == (spec.fast_reads and spec.fast_writes)
 
     def test_single_writer_protocols_reject_multiwriter_configs(self):
         config = ClusterConfig(S=20, t=1, R=2, W=2)

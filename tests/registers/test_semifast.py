@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.analysis.metrics import latency_by_kind
 from repro.errors import ConfigurationError
 from repro.registers.base import ClusterConfig
 from repro.registers.semifast import SPEC, fast_read_ratio, requirement
 from repro.sim.controller import ScriptedExecution
 from repro.sim.ids import reader, server, writer
-from repro.sim.latency import UniformLatency
+from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.runtime import Simulation
 from repro.spec.atomicity import check_swmr_atomicity
 from repro.workloads import ClosedLoopWorkload, run_workload
@@ -20,6 +21,20 @@ from tests.registers.helpers import (
 
 # Many readers on a small cluster: far beyond Figure 2's R < S/t - 2.
 CONFIG = ClusterConfig(S=5, t=2, R=6)
+
+
+def _run_semifast(workload, seed, latency):
+    """One run plus the cluster it ran on (for :func:`fast_read_ratio`)."""
+    captured = {}
+    result = run_workload(
+        "semifast",
+        CONFIG,
+        workload=workload,
+        seed=seed,
+        latency=latency,
+        cluster_hook=lambda cluster: captured.update(cluster=cluster),
+    )
+    return result, captured["cluster"]
 
 
 class TestRequirement:
@@ -127,12 +142,53 @@ class TestFastRatio:
             latency=UniformLatency(0.5, 1.5),
         )
         assert result.check_atomic().ok
-        # ratio accessible through the cluster hook is verified in the
-        # benchmark; here we check the counters exist and sum correctly
+        # the round counters exist and sum correctly
         rounds = result.rounds()["read"]
         total = sum(rounds.values())
         assert total == 60
         assert rounds.get(1, 0) > rounds.get(2, 0)  # mostly fast
+        # and the cluster's own ratio, at one hop per message
+        result, cluster = _run_semifast(
+            ClosedLoopWorkload(
+                reads_per_reader=15, writes_per_writer=2, think_time_mean=4.0
+            ),
+            seed=1,
+            latency=ConstantLatency(1.0),
+        )
+        assert result.check_atomic().ok
+        assert fast_read_ratio(cluster) > 0.8
+
+    def test_ratio_degrades_with_write_contention(self):
+        # Jittered latency: with constant delays a write lands at all
+        # servers simultaneously and no read ever observes a mixed quorum.
+        ratios = {}
+        for writes in (0, 4, 12, 30):
+            result, cluster = _run_semifast(
+                ClosedLoopWorkload(
+                    reads_per_reader=10, writes_per_writer=writes, think_time_mean=0.5
+                ),
+                seed=2,
+                latency=UniformLatency(0.2, 2.5),
+            )
+            assert result.check_atomic().ok
+            ratios[writes] = fast_read_ratio(cluster)
+        assert ratios[0] == 1.0  # no writes: every read fast
+        assert ratios[30] < ratios[0]  # contention costs rounds
+
+    def test_latency_between_fast_and_abd(self):
+        """Mean read latency sits between Figure 2's 2 hops and ABD's 4."""
+        workload = ClosedLoopWorkload(
+            reads_per_reader=10, writes_per_writer=10, think_time_mean=0.5
+        )
+        semi, _ = _run_semifast(workload, seed=3, latency=ConstantLatency(1.0))
+        abd = run_workload(
+            "abd", CONFIG, workload=workload, seed=3, latency=ConstantLatency(1.0)
+        )
+        assert semi.check_atomic().ok and abd.check_atomic().ok
+        semi_mean = latency_by_kind(semi.history)["read"].mean
+        abd_mean = latency_by_kind(abd.history)["read"].mean
+        assert 2.0 <= semi_mean <= abd_mean
+        assert abd_mean == pytest.approx(4.0)
 
     def test_ratio_helper_empty_cluster(self):
         cluster = SPEC.build(CONFIG)
