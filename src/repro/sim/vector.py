@@ -24,10 +24,12 @@ hop of its ``gossip`` fact.
 A read's value is the servers' tag at ``T + d``, which is the number of
 writes globally ordered before it; the global order is the stable sort
 of invocation times with ties broken in client arm order, exactly the
-event queue's FIFO tie-breaking.  Think times and start offsets are
-replayed through the *same* ``random.Random`` substreams the scalar
-workload driver uses, so every float in the timeline is bit-identical
-by construction, not by approximation.
+event queue's FIFO tie-breaking.  Per run, the kernel only seeds and
+draws: start offsets and think times come from the *same*
+``random.Random`` substreams the scalar workload driver uses (a client
+that draws nothing is never seeded); the timeline arithmetic is
+column-wise, the same IEEE additions in the same order, so every float
+is bit-identical by construction, not by approximation.
 
 The scalar engine stays the bit-exactness **oracle**: every batch
 samples ``k`` runs and replays them through
@@ -42,10 +44,10 @@ latency models, crash scenarios — fall back to the scalar engine with
 an explicit reason (see :func:`supports` and :data:`FALLBACK_NOTICE`).
 
 Memory: a chunk's timelines are two ``(runs x ops)`` float64 arrays,
-written row by row and computed on directly; groups with the same hop
-structure share them (:meth:`_GroupKernel._timelines`).  A sweep keeps
-those arrays and its slotted :class:`RunSummary` records; its peak is
-one chunk's kernel temporaries on top.
+written column by column and computed on directly; groups with the same
+hop structure share them (:meth:`_GroupKernel._timelines`).  A sweep
+keeps those arrays and its slotted :class:`RunSummary` records; its
+peak is one chunk's kernel temporaries on top.
 """
 
 from __future__ import annotations
@@ -236,44 +238,47 @@ def _client_plan(spec: SweepSpec) -> _Plan:
 # timeline replay (bit-exact per-client RNG chains)
 
 
-def _timeline_rows(
-    seed: int, plan: _Plan, d: float, workload
-) -> Tuple[List[float], List[float]]:
-    """One run's invocation/response instants, client-major.
+def _timeline_arrays(seeds: Sequence[int], plan: _Plan, d: float, workload):
+    """The chunk's ``(runs x ops)`` invocation and response instants.
 
-    The kernel's only per-run Python computation: the think-time and
-    start-offset chains consume the *same* ``random.Random`` substreams,
-    in the same draw order, as the scalar
-    :class:`~repro.workloads.generators.WorkloadDriver`, so every float
-    matches the engine bit for bit.  Downstream everything is batched
-    but packing the per-run :class:`RunSummary` records.
+    The per-run Python is only :func:`_draws`; the chains ``r = t + d
+    (+ d ...)`` and ``t = r + think`` are float64 column operations, the
+    same IEEE additions in the same order as the scalar driver's, so
+    every float matches the engine bit for bit.
     """
-    spread = workload.start_spread
-    mean = workload.think_time_mean
+    spread, mean = workload.start_spread, workload.think_time_mean
     burst = workload.burst_size
-    inv_row: List[float] = []
-    resp_row: List[float] = []
-    append_inv = inv_row.append
-    append_resp = resp_row.append
+    inv = np.empty((len(seeds), len(plan.is_write)))
+    resp = np.empty_like(inv)
+    col = 0
     for pid_str, n_ops, hops in plan.clients:
+        # After op k the driver draws a think time only between bursts.
+        thinks = [mean > 0.0 and (k + 1) % burst == 0 for k in range(n_ops - 1)]
+        draws = iter(_draws(seeds, pid_str, spread, mean, sum(thinks)))
+        t = next(draws) if spread else np.zeros(len(seeds))
+        for think in thinks + [False]:
+            inv[:, col] = t
+            r = t + d
+            for _ in range(hops - 1):
+                r += d
+            resp[:, col] = r
+            col += 1
+            t = r + next(draws) if think else r
+    return inv, resp
+
+
+def _draws(seeds: Sequence[int], pid_str: str, spread: float, mean: float, thinks: int):
+    """``(draws x runs)``: client ``pid_str``'s start offset (if ``spread``)
+    and ``thinks`` think times per run, from the *same* substream, in the
+    same order, as the scalar driver.  A client that draws nothing is never
+    seeded."""
+    flat: List[float] = []
+    for seed in seeds if spread or thinks else ():
         rng = substream(seed, "workload", pid_str)
-        t = rng.uniform(0.0, spread) if spread else 0.0
-        expovariate = rng.expovariate
-        last = n_ops - 1
-        for k in range(n_ops):
-            append_inv(t)
-            r = t
-            for _ in range(hops):
-                r = r + d
-            append_resp(r)
-            if k != last:
-                if burst > 1 and (k + 1) % burst:
-                    t = r
-                elif mean > 0.0:
-                    t = r + expovariate(1.0 / mean)
-                else:
-                    t = r
-    return inv_row, resp_row
+        if spread:
+            flat.append(rng.uniform(0.0, spread))
+        flat.extend([rng.expovariate(1.0 / mean) for _ in range(thinks)])
+    return np.array(flat).reshape(len(seeds), bool(spread) + thinks).T
 
 
 # ----------------------------------------------------------------------
@@ -348,20 +353,15 @@ class _GroupKernel:
         )
 
     def _timelines(self, specs: Sequence[SweepSpec]) -> Tuple[Any, Any]:
-        """The chunk's ``(runs x ops)`` invocation and response arrays,
-        each run's :func:`_timeline_rows` assigned into its row.  They
-        depend only on (seeds, delay, client layout, arrival knobs), so
-        same-hop protocols (fast-crash, regular-fast, swsr-fast) get the
-        *same*, read-only, arrays: keyed ``(chunk seeds, timeline key)``.
-        """
+        """The chunk's :func:`_timeline_arrays`.  They depend only on
+        (seeds, delay, client layout, arrival knobs), so same-hop
+        protocols (fast-crash, regular-fast, swsr-fast) get the *same*,
+        read-only, arrays: keyed ``(chunk seeds, timeline key)``."""
         seeds = tuple(spec.seed for spec in specs)
         key = (seeds, self._timeline_key)
         arrays = self._timeline_cache.get(key)
         if arrays is None:
-            shape = (len(seeds), len(self.plan.is_write))
-            inv, resp = np.empty(shape), np.empty(shape)
-            for i, seed in enumerate(seeds):
-                inv[i], resp[i] = _timeline_rows(seed, self.plan, self.d, self.workload)
+            inv, resp = _timeline_arrays(seeds, self.plan, self.d, self.workload)
             inv.flags.writeable = resp.flags.writeable = False
             arrays = self._timeline_cache[key] = (inv, resp)
         return arrays

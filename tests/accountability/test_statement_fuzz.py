@@ -128,7 +128,11 @@ def _statements_in(kind, data):
     if kind == "statement":
         return [data]
     if kind == "transcript":
-        return [item for item in data.get("statements", []) if isinstance(item, dict)]
+        # An earlier mutation may have replaced the list itself.
+        statements = data.get("statements")
+        if not isinstance(statements, list):
+            return []
+        return [item for item in statements if isinstance(item, dict)]
     return [data[half] for half in ("first", "second") if isinstance(data.get(half), dict)]
 
 

@@ -27,6 +27,7 @@ from repro.sim.vector import (
     run_vector_sweep,
     supports,
 )
+from repro.workloads.scenarios import SCENARIOS
 
 np = pytest.importorskip("numpy")
 
@@ -43,6 +44,9 @@ SUPPORTED = [
 ]
 
 CRASH_FREE = ["smoke", "read-heavy", "write-heavy", "contention", "write-storm"]
+
+# Figure 2's fast read at the sweep-vector workload's size.
+FIGURE_2 = ClusterConfig(S=13, t=3, R=2)
 
 
 def spec_for(protocol, config, scenario, seed, **kwargs):
@@ -230,13 +234,13 @@ class TestOracle:
             config=CONFIG,
             seeds=seed_matrix(5, 2),
         )
-        original = vector._timeline_rows
+        original = vector._timeline_arrays
 
-        def shifted(seed, plan, d, workload):
-            inv_row, resp_row = original(seed, plan, d, workload)
-            return [t + 0.25 for t in inv_row], [t + 0.25 for t in resp_row]
+        def shifted(seeds, plan, d, workload):
+            inv, resp = original(seeds, plan, d, workload)
+            return inv + 0.25, resp + 0.25
 
-        monkeypatch.setattr(vector, "_timeline_rows", shifted)
+        monkeypatch.setattr(vector, "_timeline_arrays", shifted)
         with pytest.raises(VectorMismatchError):
             run_vector_sweep(specs, oracle_samples=2)
 
@@ -281,13 +285,13 @@ class TestTimelineArrays:
             seeds=seed_matrix(8, seeds),
         )
         generated = []
-        original_rows = vector._timeline_rows
+        original_arrays = vector._timeline_arrays
 
-        def counting(seed, plan, d, workload):
-            generated.append(seed)
-            return original_rows(seed, plan, d, workload)
+        def counting(seeds, plan, d, workload):
+            generated.extend(seeds)
+            return original_arrays(seeds, plan, d, workload)
 
-        monkeypatch.setattr(vector, "_timeline_rows", counting)
+        monkeypatch.setattr(vector, "_timeline_arrays", counting)
         chunks = collect_chunks(monkeypatch)
         sweep = run_vector_sweep(specs)
         assert len(generated) == seeds
@@ -301,6 +305,49 @@ class TestTimelineArrays:
         assert first.inv.shape == (seeds, len(first.kernel.plan.is_write))
         assert not first.inv.flags.writeable
         assert sweep.batch.summaries == BatchRunner(specs).run().summaries
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            name for name in SCENARIOS
+            if supports(spec_for("fast-crash", FIGURE_2, name, 1)) is None
+        ],
+    )
+    def test_timelines_equal_the_scalar_drivers_for_every_run(
+        self, monkeypatch, scenario
+    ):
+        """Every row of the chunk's ``(inv, resp)`` is the client-major
+        ``(invoked_at, responded_at)`` of the scalar run; a client that
+        draws nothing (``contention``) is never seeded."""
+        from repro.workloads.runner import run_scenario
+
+        seeds = seed_matrix(11, 5)
+        specs = [spec_for("fast-crash", FIGURE_2, scenario, s) for s in seeds]
+        seeded = []
+        original = vector.substream
+
+        def counting(*path):
+            seeded.append(path)
+            return original(*path)
+
+        kernel = vector._GroupKernel(specs[0], {})
+        with monkeypatch.context() as patch:
+            patch.setattr(vector, "substream", counting)
+            inv, resp = kernel._timelines(specs)
+        for row, seed in enumerate(seeds):
+            result = run_scenario(
+                "fast-crash", FIGURE_2, scenario=scenario, seed=seed,
+                record_trace=False,
+            )
+            per_proc = {proc: [] for proc in kernel.plan.proc_of}
+            for op in result.history.complete_operations:
+                per_proc[str(op.proc)].append((op.invoked_at, op.responded_at))
+            scalar = [times for ops in per_proc.values() for times in ops]
+            assert list(zip(inv[row].tolist(), resp[row].tolist())) == scalar
+        workload = SCENARIOS[scenario].workload
+        draws = workload.start_spread > 0 or workload.think_time_mean > 0
+        clients = len(kernel.plan.clients)
+        assert len(seeded) == (len(seeds) * clients if draws else 0)
 
     def test_different_hop_structures_do_not_share(self, monkeypatch):
         specs = build_matrix(
