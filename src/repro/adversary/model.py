@@ -59,14 +59,16 @@ class Adversary:
         (the cluster's ``S``).
 
         A :class:`~repro.net.chaos.FaultPlan` (anything exposing
-        ``max_concurrent_failures(servers)``) maps into the model as pure
-        crash faults: the chaos layer drops, delays, duplicates and reorders
-        frames and stops whole servers, but never corrupts content, so
-        its Byzantine budget is always zero.  Validating the returned
-        adversary against a :class:`ClusterConfig` is how a chaotic run
-        is prevented from silently exceeding the declared ``t``.
+        ``max_concurrent_failures(servers)`` and ``events``) stops whole
+        servers and loses frames: crash faults.  A server it restarts
+        comes back blank, having forgotten what it acknowledged —
+        Section 6.2's memory loss — so each one also spends ``b``.
+        Validating the returned adversary against a
+        :class:`ClusterConfig` is how a chaotic run is prevented from
+        silently exceeding the declared ``t`` and ``b``.
         """
-        return cls.crash_only(plan.max_concurrent_failures(servers))
+        restarted = {e.server for e in plan.events if e.restart_at is not None}
+        return cls(plan.max_concurrent_failures(servers), len(restarted))
 
     def admits_failures(self, concurrent: int) -> bool:
         """Whether ``concurrent`` simultaneous server failures fit."""

@@ -36,8 +36,10 @@ from repro.errors import ConfigurationError
 from repro.registers import messages as msg
 from repro.registers.base import Cluster
 from repro.registers.timestamps import (
+    INITIAL_MW_TAG,
     INITIAL_SIGNED_TAG,
     INITIAL_TAG,
+    MWTimestamp,
     SignedValueTag,
     ValueTag,
 )
@@ -78,7 +80,7 @@ def _initial_tag_like(tag: Any) -> Optional[Any]:
     if isinstance(tag, SignedValueTag):
         return INITIAL_SIGNED_TAG
     if isinstance(tag, ValueTag):
-        return INITIAL_TAG
+        return INITIAL_MW_TAG if isinstance(tag.ts, MWTimestamp) else INITIAL_TAG
     return None
 
 

@@ -519,7 +519,7 @@ def _parse_chaos(text: str, servers: int, t: int):
     """``--chaos`` argument: a plan file, ``seed:N`` or ``seed:N:beyond[:k]``.
 
     ``seed:N`` derives the canned ≤ t plan (mild drops/delays/dups/
-    reorders plus one kill/restart when t ≥ 1); ``seed:N:beyond`` fails
+    reorders plus one kill when t ≥ 1); ``seed:N:beyond`` fails
     ``t+1`` servers outright (``:beyond:k`` for ``t+k``) — the graceful-
     degradation experiment.  Anything else is read as a serialized
     ``FaultPlan`` JSON file.
@@ -645,6 +645,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             plan,
             report.chaos_shards,
             t=spec.t,
+            b=spec.b,
             servers=spec.config.S,
             events=driver.executed if driver is not None else [],
             summary={
@@ -668,14 +669,15 @@ def _cmd_load(args: argparse.Namespace) -> int:
     ok = report.ok and (
         report.sim_check is None or report.sim_check["agree"]
     )
-    if plan is not None and plan.beyond_budget(spec.t, spec.config.S):
-        # Beyond the declared budget the service cannot promise liveness;
-        # a graceful run is one where every op completed or timed out
-        # cleanly and the degradation report is in hand.  Exit code 4
-        # marks exactly that outcome (0/1 stay within-budget semantics).
+    if plan is not None and plan.beyond_budget(spec.t, spec.config.S, spec.b):
+        # Beyond the declared budget the service cannot promise liveness
+        # (past t) or safety (past b); a graceful run is one where every
+        # op completed or timed out cleanly and the degradation report is
+        # in hand.  Exit code 4 marks exactly that outcome (0/1 stay
+        # within-budget semantics).
         print(
-            "chaos: plan exceeds t="
-            f"{spec.t} on purpose — degraded gracefully "
+            f"chaos: plan exceeds t={spec.t} or b={spec.b} on purpose — "
+            "degraded gracefully "
             f"({report.ops_incomplete} ops timed out cleanly)",
             file=sys.stderr,
         )

@@ -185,8 +185,8 @@ class SignatureAuthority:
         """True iff ``signed`` was produced by :meth:`sign` for its
         claimed signer and payload.  Byzantine code may hand this
         anything shaped like a :class:`SignedPayload`: a tag that is not
-        ``bytes`` or a signer that cannot be looked up is a rejection,
-        not an exception."""
+        ``bytes``, an unknown signer or a payload that cannot be
+        canonicalised (so never signed) is a rejection, not an exception."""
         if not isinstance(signed, SignedPayload) or not isinstance(signed.tag, bytes):
             return False
         try:
@@ -195,7 +195,11 @@ class SignatureAuthority:
             return False
         if secret is None:
             return False
-        expected = hmac.new(secret, _canonical(signed.payload), hashlib.sha256).digest()
+        try:
+            canonical = _canonical(signed.payload)
+        except SignatureError:
+            return False
+        expected = hmac.new(secret, canonical, hashlib.sha256).digest()
         return hmac.compare_digest(expected, signed.tag)
 
     def forge(self, claimed_signer: ProcessId, payload: Any) -> SignedPayload:

@@ -22,8 +22,9 @@ Three properties the design guarantees:
 * **Budget honesty.**  A plan is validated against the unified adversary
   model (:class:`repro.adversary.Adversary`): its peak number of
   concurrently *failed* servers (killed, partitioned, or behind a
-  ``drop=1.0`` link) must fit the declared crash budget ``t`` unless the
-  plan explicitly opts out with ``allow_beyond_budget`` — a chaotic run
+  ``drop=1.0`` link) must fit the declared crash budget ``t``, and its
+  fresh-state restarts the Byzantine budget ``b``, unless the plan
+  explicitly opts out with ``allow_beyond_budget`` — a chaotic run
   cannot silently exceed the model it claims to test.
 * **Graceful degradation is observable.**  The
   :class:`DegradationLedger` counts every operation as fast, slow or
@@ -129,8 +130,11 @@ class Partition:
 class ServerEvent:
     """Kill server ``server`` at ``kill_at``; restart it at ``restart_at``.
 
-    The restart is *fresh-state*: the crash-model adversary handing back
-    a recovered-but-amnesiac replica (``restart_at=None`` = never).
+    The restart is *fresh-state*: the replica comes back having forgotten
+    every write it acknowledged, which Section 6.2 counts as a Byzantine
+    failure.  So a restarted server stays charged to the crash budget
+    ``t`` until the end of the run and also spends one of ``b``
+    (``restart_at=None`` = never restarts).
     """
 
     server: int
@@ -191,7 +195,8 @@ class FaultPlan:
     # budget accounting (the adversary-model seam)
 
     def _failure_intervals(self, server: int) -> List[Tuple[float, float]]:
-        """Windows during which ``server`` counts as failed."""
+        """Windows during which ``server`` counts as failed: a killed
+        server from ``kill_at`` on, whether or not it restarts."""
         intervals: List[Tuple[float, float]] = []
         if self.link(server).full_outage:
             intervals.append((0.0, float("inf")))
@@ -200,8 +205,9 @@ class FaultPlan:
                 intervals.append((p.start, p.end))
         for e in self.events:
             if e.server == server:
-                end = float("inf") if e.restart_at is None else e.restart_at
-                intervals.append((e.kill_at, end))
+                # Restarted or not, it stays charged to the end of the run:
+                # a fresh-state replica has forgotten what it acknowledged.
+                intervals.append((e.kill_at, float("inf")))
         if not intervals:
             return []
         # Merge overlaps so one flapping server never counts twice.
@@ -251,8 +257,10 @@ class FaultPlan:
         """The allowance this plan consumes, in the unified fault model."""
         return Adversary.for_plan(self, servers)
 
-    def beyond_budget(self, t: int, servers: Optional[int] = None) -> bool:
-        return self.max_concurrent_failures(servers) > t
+    def beyond_budget(self, t: int, servers: Optional[int] = None, b: int = 0) -> bool:
+        """Whether the plan exceeds ``t``, or ``b`` by its fresh-state restarts."""
+        adversary = self.adversary(servers)
+        return adversary.crash_budget > t or adversary.byzantine_budget > b
 
     def validate(self, config: ClusterConfig) -> None:
         """Structural checks plus the adversary-model budget check."""
@@ -369,8 +377,10 @@ class FaultPlan:
         """A deterministic canned plan for ``(seed, S, t)``.
 
         ``beyond=0``: mild frame chaos on every link (drops, delays,
-        duplicates, reorders) plus — when ``t >= 1`` — one kill/restart
-        of a derived server, so the peak failure count stays ≤ ``t``.
+        duplicates, reorders) plus — when ``t >= 1`` — one kill of a
+        derived server, so the peak failure count stays ≤ ``t``.  The
+        server stays down: a fresh-state restart would spend ``b`` (see
+        :class:`ServerEvent`), so restarts come only from plan files.
         ``beyond=k``: ``t + k`` servers suffer a full outage from the
         start (``allow_beyond_budget`` set), the graceful-degradation
         experiment.
@@ -397,13 +407,7 @@ class FaultPlan:
         if t >= 1 and servers >= 2:
             victim = rng.randint(1, servers)
             kill_at = 0.8 + rng.random() * 0.4
-            events = (
-                ServerEvent(
-                    server=victim,
-                    kill_at=round(kill_at, 3),
-                    restart_at=round(kill_at + 1.0 + rng.random() * 0.5, 3),
-                ),
-            )
+            events = (ServerEvent(server=victim, kill_at=round(kill_at, 3)),)
         return cls(
             seed=seed,
             label=label or "generated",
@@ -753,6 +757,7 @@ def build_run_record(
     events: Optional[List[Dict[str, Any]]] = None,
     summary: Optional[Dict[str, Any]] = None,
     servers: Optional[int] = None,
+    b: int = 0,
 ) -> Dict[str, Any]:
     """The serialized artifact a chaotic run leaves behind.
 
@@ -761,14 +766,16 @@ def build_run_record(
     prove the injected-fault trace re-derives byte-identically), the
     kill/restart events actually executed, and a result summary.
     ``servers`` is the cluster's ``S`` (see
-    :meth:`FaultPlan.max_concurrent_failures`).
+    :meth:`FaultPlan.max_concurrent_failures`); ``t`` and ``b`` are its
+    budgets (see :meth:`FaultPlan.beyond_budget`).
     """
     return {
         "format": RUN_FORMAT,
         "plan": plan.to_dict(),
         "declared_t": t,
+        "declared_b": b,
         "max_concurrent_failures": plan.max_concurrent_failures(servers),
-        "within_budget": not plan.beyond_budget(t, servers),
+        "within_budget": not plan.beyond_budget(t, servers, b),
         "shards": {str(index): record for index, record in sorted(shards.items())},
         "events_executed": events or [],
         "summary": summary or {},

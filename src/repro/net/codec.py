@@ -4,9 +4,11 @@ A frame on the socket is ``4-byte big-endian length || body``, and the
 body is always ``repro-bin/v2``: ``kind byte || flags || src pid || dst
 pid || fields`` (plus, under flag ``0x02``, the ``seq || cause || tag``
 of the server's accountability statement about this reply), with
-per-message-type pack/unpack functions generated from the
-:data:`~repro.registers.messages.MESSAGE_TYPES` registry — no
-intermediate dict is built on either side.
+per-message-type pack/unpack functions built at import from the field
+annotations of the :data:`~repro.registers.messages.MESSAGE_TYPES`
+dataclasses — no intermediate dict is built on either side.  The
+annotations are the schema: a field holding a type its annotation does
+not admit is refused at its tag byte, before any automaton runs.
 
 Each side's first frame is :data:`PREAMBLE`, which names the body
 format; a peer that names another (an older build's ``json``) is
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 from repro.accountability.statements import SignedStatement
 from repro.crypto.signatures import SignedPayload
@@ -116,22 +119,8 @@ def _w_int(buf: bytearray, n: int) -> None:
     buf.append(n)
 
 
-def _w_str(buf: bytearray, s: str) -> None:
-    raw = s.encode("utf8")
-    n = len(raw)
-    if n < 0x80:
-        buf.append(n)
-    else:
-        _w_uvar(buf, n)
-    buf += raw
-
-
 def _w_bytes(buf: bytearray, b: bytes) -> None:
-    n = len(b)
-    if n < 0x80:
-        buf.append(n)
-    else:
-        _w_uvar(buf, n)
+    _w_uvar(buf, len(b))
     buf += b
 
 
@@ -203,34 +192,6 @@ def _wv_pid(buf: bytearray, v: ProcessId) -> None:
     _w_pid(buf, v)
 
 
-def _wv_vtag(buf: bytearray, v: ValueTag) -> None:
-    buf.append(_T_VTAG)
-    _w_value(buf, v.ts)
-    _w_value(buf, v.value)
-    _w_value(buf, v.prev_value)
-
-
-def _wv_stag(buf: bytearray, v: SignedValueTag) -> None:
-    buf.append(_T_STAG)
-    _w_int(buf, v.ts)
-    _w_value(buf, v.value)
-    _w_value(buf, v.prev_value)
-    _w_value(buf, v.signed)
-
-
-def _wv_mwts(buf: bytearray, v: MWTimestamp) -> None:
-    buf.append(_T_MWTS)
-    _w_int(buf, v.num)
-    _w_int(buf, v.wid)
-
-
-def _wv_signed(buf: bytearray, v: SignedPayload) -> None:
-    buf.append(_T_SIGNED)
-    _w_pid(buf, v.signer)
-    _w_value(buf, v.payload)
-    _w_bytes(buf, v.tag)
-
-
 #: Tagged-value bytes of a pid, for the seen sets every ack carries.
 _PID_VALUE_CACHE: Dict[ProcessId, bytes] = {}
 
@@ -275,25 +236,6 @@ def _wv_dict(buf: bytearray, v: dict) -> None:
     ):
         buf += key_enc
         buf += val_enc
-
-
-_VALUE_WRITERS: Dict[type, Callable[[bytearray, Any], None]] = {
-    type(None): _wv_none,
-    bool: _wv_bool,
-    int: _wv_int,
-    float: _wv_float,
-    str: _wv_str,
-    bytes: _wv_bytes,
-    ProcessId: _wv_pid,
-    ValueTag: _wv_vtag,
-    SignedValueTag: _wv_stag,
-    MWTimestamp: _wv_mwts,
-    SignedPayload: _wv_signed,
-    frozenset: _wv_fset,
-    tuple: _wv_tuple,
-    list: _wv_list,
-    dict: _wv_dict,
-}
 
 
 def _w_value(buf: bytearray, value: Any) -> None:
@@ -410,44 +352,6 @@ def _rv_float(r: _Reader) -> float:
     return v
 
 
-# The _rv_* readers below build the frozen dataclasses the way pickle
-# does — ``__new__`` plus a direct ``__dict__`` update — skipping the
-# per-field ``object.__setattr__`` calls of the generated ``__init__``.
-# Safe because none of these classes define ``__post_init__`` or slots;
-# measurably faster because decode constructs one per tagged value.
-
-
-def _rv_vtag(r: _Reader) -> ValueTag:
-    tag = ValueTag.__new__(ValueTag)
-    tag.__dict__.update(
-        ts=_r_value(r), value=_r_value(r), prev_value=_r_value(r)
-    )
-    return tag
-
-
-def _rv_stag(r: _Reader) -> SignedValueTag:
-    tag = SignedValueTag.__new__(SignedValueTag)
-    tag.__dict__.update(
-        ts=_r_int(r),
-        value=_r_value(r),
-        prev_value=_r_value(r),
-        signed=_r_value(r),
-    )
-    return tag
-
-
-def _rv_mwts(r: _Reader) -> MWTimestamp:
-    ts = MWTimestamp.__new__(MWTimestamp)
-    ts.__dict__.update(num=_r_int(r), wid=_r_int(r))
-    return ts
-
-
-def _rv_signed(r: _Reader) -> SignedPayload:
-    sig = SignedPayload.__new__(SignedPayload)
-    sig.__dict__.update(signer=_r_pid(r), payload=_r_value(r), tag=_r_bytes(r))
-    return sig
-
-
 def _rv_fset(r: _Reader) -> frozenset:
     return frozenset([_r_value(r) for _ in range(_r_uvar(r))])
 
@@ -468,26 +372,6 @@ def _rv_dict(r: _Reader) -> dict:
     return out
 
 
-_VALUE_READERS: Tuple[Optional[Callable[[_Reader], Any]], ...] = (
-    lambda r: None,  # _T_NONE
-    lambda r: False,  # _T_FALSE
-    lambda r: True,  # _T_TRUE
-    _r_int,  # _T_INT
-    _rv_float,  # _T_FLOAT
-    _r_str,  # _T_STR
-    _r_bytes,  # _T_BYTES
-    _r_pid,  # _T_PID
-    _rv_vtag,  # _T_VTAG
-    _rv_stag,  # _T_STAG
-    _rv_mwts,  # _T_MWTS
-    _rv_signed,  # _T_SIGNED
-    _rv_fset,  # _T_FSET
-    _rv_tuple,  # _T_TUPLE
-    _rv_list,  # _T_LIST
-    _rv_dict,  # _T_DICT
-)
-
-
 def _r_value(r: _Reader) -> Any:
     tag = r.buf[r.pos]
     r.pos += 1
@@ -505,68 +389,162 @@ def _r_value(r: _Reader) -> Any:
 
 
 # ----------------------------------------------------------------------
-# per-message-type packers, generated from the registry
+# typed slots: the dataclass annotations are the schema
 #
-# Each message kind compiles to a flat pack/unpack pair: fields whose
-# declared type is ``int`` or ``ProcessId`` are written raw (no tag
-# byte); everything else goes through the tagged value codec.  The
-# functions are built once at import and cached in the dispatch tables
-# below — the hot path is one dict lookup plus straight-line calls.
+# A field declared ``int``, ``ProcessId`` or ``bytes`` is written raw
+# (no tag byte), and ``Any`` (register values, signed payloads: the
+# caller's) is the generic value codec.  Every other field is a tagged
+# value whose annotation -- a ``Union`` of, or a ``FrozenSet`` of, types
+# in ``_TYPE_BYTE`` -- names the tag bytes it admits: a tag slot only
+# ``ValueTag``/``SignedValueTag``, a timestamp slot only an int or an
+# ``MWTimestamp``, a seen set only pids.  Anything else is refused at
+# that byte, so an automaton never sees a field of a type it does not
+# declare.  An annotation outside this table fails at import.
+
+_RAW: Dict[Any, Tuple[Callable, Callable]] = {
+    int: (_w_int, _r_int),
+    ProcessId: (_w_pid, _r_pid),
+    bytes: (_w_bytes, _r_bytes),
+    Any: (_w_value, _r_value),
+}
+
+_TYPE_BYTE: Dict[Any, int] = {
+    type(None): _T_NONE,
+    int: _T_INT,
+    ProcessId: _T_PID,
+    ValueTag: _T_VTAG,
+    SignedValueTag: _T_STAG,
+    MWTimestamp: _T_MWTS,
+    SignedPayload: _T_SIGNED,
+}
 
 
-def _compile_message_codec(name: str, cls: type) -> Tuple[Callable, Callable]:
-    pack_lines: List[str] = []
-    unpack_calls: List[str] = []
-    for field in fields(cls):
-        if field.type == "int":
-            pack_lines.append(f"    _w_int(buf, m.{field.name})")
-            unpack_calls.append("_r_int(r)")
-        elif field.type == "ProcessId":
-            pack_lines.append(f"    _w_pid(buf, m.{field.name})")
-            unpack_calls.append("_r_pid(r)")
-        else:
-            pack_lines.append(f"    _w_value(buf, m.{field.name})")
-            unpack_calls.append("_r_value(r)")
-    # Unpack builds the frozen dataclass pickle-style (``__new__`` plus
-    # one ``__dict__.update``): keyword evaluation order is the field
-    # read order, and the generated ``__init__``'s per-field
-    # ``object.__setattr__`` calls — pure overhead on the decode hot
-    # path — never run.  Safe: no registered message defines
-    # ``__post_init__`` or slots.
-    init_items = ", ".join(
-        f"{field.name}={call}"
-        for field, call in zip(fields(cls), unpack_calls)
-    )
-    source = (
-        f"def _pack_{name}(buf, m):\n"
-        + ("\n".join(pack_lines) if pack_lines else "    pass")
-        + f"\ndef _unpack_{name}(r):\n"
-        + "    m = _cls.__new__(_cls)\n"
-        + f"    m.__dict__.update({init_items})\n"
-        + "    return m\n"
-    )
-    namespace = {
-        "_w_int": _w_int,
-        "_w_pid": _w_pid,
-        "_w_value": _w_value,
-        "_r_int": _r_int,
-        "_r_pid": _r_pid,
-        "_r_value": _r_value,
-        "_cls": cls,
-    }
-    exec(source, namespace)  # noqa: S102 - trusted, registry-derived source
-    return namespace[f"_pack_{name}"], namespace[f"_unpack_{name}"]
+def _refused(r: _Reader, shown: str) -> ValueError:
+    return ValueError(f"value tag {r.buf[r.pos]:#04x} in a slot declared {shown}")
 
 
-_BINARY_PACK: Dict[type, Tuple[int, Callable]] = {}
-_BINARY_UNPACK: Dict[int, Callable] = {}
-_KIND_NAME_BY_BYTE: Dict[int, str] = {}
-for _name, _kind_byte in WIRE_KIND_BYTES.items():
-    _pack, _unpack = _compile_message_codec(_name, MESSAGE_TYPES[_name])
-    _BINARY_PACK[MESSAGE_TYPES[_name]] = (_kind_byte, _pack)
-    _BINARY_UNPACK[_kind_byte] = _unpack
-    _KIND_NAME_BY_BYTE[_kind_byte] = _name
-del _name, _kind_byte, _pack, _unpack
+def _admitting(shown: str, admitted: FrozenSet[int]) -> Callable[[_Reader], Any]:
+    """Reader of a tagged value whose tag byte is in ``admitted``."""
+
+    def read(r: _Reader) -> Any:
+        tag = r.buf[r.pos]
+        if tag not in admitted:
+            raise _refused(r, shown)
+        r.pos += 1
+        return _VALUE_READERS[tag](r)
+
+    return read
+
+
+def _slot(hint: Any) -> Tuple[Callable, Callable]:
+    """``(writer, reader)`` of a field declared ``hint``.  Writers check
+    nothing new: the sender is not the trust boundary."""
+    if hint in _RAW:
+        return _RAW[hint]
+    args = get_args(hint)
+    if all(arg in _TYPE_BYTE for arg in args):
+        shown = ", ".join(arg.__name__ for arg in args)
+        if get_origin(hint) is Union:
+            return _w_value, _admitting(f"Union[{shown}]", frozenset(_TYPE_BYTE[a] for a in args))
+        if get_origin(hint) is frozenset:
+            read_item = _admitting(shown, frozenset([_TYPE_BYTE[args[0]]]))
+
+            def read_set(r: _Reader) -> frozenset:
+                if r.buf[r.pos] != _T_FSET:
+                    raise _refused(r, f"FrozenSet[{shown}]")
+                r.pos += 1
+                return frozenset([read_item(r) for _ in range(_r_uvar(r))])
+
+            return _w_value, read_set
+    raise TypeError(f"the wire codec has no slot for {hint}")
+
+
+def _schema(cls: type) -> Tuple[Tuple[str, ...], Tuple[Tuple[Callable, Callable], ...]]:
+    """Field names of ``cls`` and the slot of each, by its annotation."""
+    hints = get_type_hints(cls)
+    names = tuple(field.name for field in fields(cls))
+    return names, tuple(_slot(hints[name]) for name in names)
+
+
+def _packer(cls: type, type_byte: Optional[int] = None) -> Callable[[bytearray, Any], None]:
+    """Writes the fields in declaration order, after ``type_byte`` when
+    ``cls`` travels as a tagged value."""
+    names, slots = _schema(cls)
+    pairs = tuple((name, slot[0]) for name, slot in zip(names, slots))
+    prefix = b"" if type_byte is None else bytes([type_byte])
+
+    def pack(buf: bytearray, m: Any) -> None:
+        buf += prefix
+        values = m.__dict__
+        for name, write in pairs:
+            write(buf, values[name])
+
+    return pack
+
+
+def _unpacker(cls: type) -> Callable[[_Reader], Any]:
+    """Reads the fields in declaration order into a ``cls`` built the
+    way pickle does (``__new__``, then each field straight into
+    ``__dict__``): the generated ``__init__``'s per-field
+    ``object.__setattr__`` calls never run.  Safe: no schema class
+    defines ``__post_init__`` or slots."""
+    names, slots = _schema(cls)
+    pairs = tuple((name, slot[1]) for name, slot in zip(names, slots))
+    new = cls.__new__
+
+    def unpack(r: _Reader) -> Any:
+        obj = new(cls)
+        values = obj.__dict__
+        for name, read in pairs:
+            values[name] = read(r)
+        return obj
+
+    return unpack
+
+
+_VALUE_WRITERS: Dict[type, Callable[[bytearray, Any], None]] = {
+    type(None): _wv_none,
+    bool: _wv_bool,
+    int: _wv_int,
+    float: _wv_float,
+    str: _wv_str,
+    bytes: _wv_bytes,
+    ProcessId: _wv_pid,
+    ValueTag: _packer(ValueTag, _T_VTAG),
+    SignedValueTag: _packer(SignedValueTag, _T_STAG),
+    MWTimestamp: _packer(MWTimestamp, _T_MWTS),
+    SignedPayload: _packer(SignedPayload, _T_SIGNED),
+    frozenset: _wv_fset,
+    tuple: _wv_tuple,
+    list: _wv_list,
+    dict: _wv_dict,
+}
+
+_VALUE_READERS: Tuple[Callable[[_Reader], Any], ...] = (
+    lambda r: None,  # _T_NONE
+    lambda r: False,  # _T_FALSE
+    lambda r: True,  # _T_TRUE
+    _r_int,  # _T_INT
+    _rv_float,  # _T_FLOAT
+    _r_str,  # _T_STR
+    _r_bytes,  # _T_BYTES
+    _r_pid,  # _T_PID
+    _unpacker(ValueTag),  # _T_VTAG
+    _unpacker(SignedValueTag),  # _T_STAG
+    _unpacker(MWTimestamp),  # _T_MWTS
+    _unpacker(SignedPayload),  # _T_SIGNED
+    _rv_fset,  # _T_FSET
+    _rv_tuple,  # _T_TUPLE
+    _rv_list,  # _T_LIST
+    _rv_dict,  # _T_DICT
+)
+
+_BINARY_PACK: Dict[type, Tuple[int, Callable]] = {
+    MESSAGE_TYPES[name]: (kind, _packer(MESSAGE_TYPES[name]))
+    for name, kind in WIRE_KIND_BYTES.items()
+}
+_BINARY_UNPACK = {kind: _unpacker(MESSAGE_TYPES[name]) for name, kind in WIRE_KIND_BYTES.items()}
+_KIND_NAME_BY_BYTE = {kind: name for name, kind in WIRE_KIND_BYTES.items()}
 
 
 def _w_statement(
@@ -585,7 +563,7 @@ def _w_statement(
             f"the frame {src} -> {dst} {type(payload).__name__} that carries it"
         )
     _w_uvar(buf, stmt.seq)
-    _w_str(buf, stmt.cause_kind)
+    _w_bytes(buf, stmt.cause_kind.encode("utf8"))
     _w_bytes(buf, stmt.signature.tag)
 
 

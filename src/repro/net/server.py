@@ -13,8 +13,10 @@ Connection handling is :class:`~repro.net.runtime.FrameLink`, a plain
 complete frame is decoded and dispatched to the automaton, and replies
 the automaton emits to a client pid are framed onto whichever connection
 last spoke for that pid.  A framing desync closes that connection only;
-a frame that does not decode, or decodes to field values the automaton
-cannot read, is counted in ``frames_bad`` and dropped.
+a frame that does not decode, or names a server as its sender, is
+counted in ``frames_bad`` and dropped.  Decoding holds every field to
+its declared type (:mod:`repro.net.codec`), so the automaton never sees
+a tag that is not a tag.
 
 The max-min protocol needs server-to-server gossip links, which this v1
 topology (clients dial servers; servers never dial) does not provide;
@@ -185,10 +187,12 @@ class NetServer:
             return
         try:
             src, dst, payload = self.codec.decode_body(body)
+            if not src.is_client:
+                raise ProtocolError(f"{src} is no client: servers never dial servers")
         except ProtocolError:
             self.frames_bad += 1
             return  # drop the frame; a decode error is not a desync
-        if src.is_client and src not in conn.claimed:
+        if src not in conn.claimed:
             # Replies to this client now route over this connection.
             conn.claimed.add(src)
             self._client_conns[src] = conn
@@ -198,14 +202,8 @@ class NetServer:
             # request type being dispatched is the cause of whatever
             # statements _route_out signs during this call.
             self._stmt_cause = type(payload).__name__
-        try:
-            self.runtime.deliver(src, dst, payload)
-        except (AttributeError, TypeError):
-            # Decoded, but a field has a type the automaton cannot read (a
-            # str for a tag): drop it like an undecodable frame.
-            self.frames_bad += 1
-        else:
-            self.frames_in += 1
+        self.runtime.deliver(src, dst, payload)
+        self.frames_in += 1
 
     def _route_out(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
         conn = self._client_conns.get(dst)

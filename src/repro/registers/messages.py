@@ -24,9 +24,13 @@ JSON-ready dict stamped with :data:`WIRE_VERSION` and the message type
 name, and ``from_wire`` reconstructs an *equal* instance.  A reply in
 a transcript or fraud proof travels as this dict and a statement signs
 its canonical bytes; the socket codec (:mod:`repro.net.codec`) packs
-the same fields as binary instead.  The value codec below knows the
-closed set of types that appear in message fields (tags, process ids,
-frozensets, tuples, signature material).
+the same fields as binary instead.  The field annotations are the wire
+schema: that codec decodes each field by its declared type, so a
+``tag`` is a ``ValueTag`` or ``SignedValueTag`` and a timestamp an int
+or an ``MWTimestamp`` before any automaton reads it; only register
+values are ``Any``.  The value codec below knows the closed set of
+types that appear in message fields (tags, process ids, frozensets,
+tuples, signature material).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Dict, FrozenSet, List, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Tuple, Union
 
 from repro.crypto.signatures import _CANONICAL, SignedPayload, _canonical
 from repro.errors import ProtocolError
@@ -362,7 +366,7 @@ class FastRead(WireMessage):
     tag, written back in-band (Figure 2 lines 13-14)."""
 
     op_id: int
-    tag: Any
+    tag: Union[ValueTag, SignedValueTag]
     r_counter: int
 
 
@@ -371,7 +375,7 @@ class FastWrite(WireMessage):
     """Writer -> servers.  ``r_counter`` is always 0 at the writer."""
 
     op_id: int
-    tag: Any
+    tag: Union[ValueTag, SignedValueTag]
     r_counter: int = 0
 
 
@@ -380,7 +384,7 @@ class FastReadAck(WireMessage):
     """Server -> reader: current tag, seen set and echoed counter."""
 
     op_id: int
-    tag: Any
+    tag: Union[ValueTag, SignedValueTag]
     seen: FrozenSet[ProcessId]
     r_counter: int
 
@@ -390,7 +394,7 @@ class FastWriteAck(WireMessage):
     """Server -> writer."""
 
     op_id: int
-    tag: Any
+    tag: Union[ValueTag, SignedValueTag]
     seen: FrozenSet[ProcessId]
     r_counter: int
 
@@ -411,7 +415,7 @@ class QueryReply(WireMessage):
     """Server -> client: the server's current tag."""
 
     op_id: int
-    tag: Any
+    tag: Union[ValueTag, SignedValueTag]
 
 
 @dataclass(frozen=True)
@@ -419,7 +423,7 @@ class Store(WireMessage):
     """Client -> servers: adopt this tag if newer (write or write-back)."""
 
     op_id: int
-    tag: Any
+    tag: Union[ValueTag, SignedValueTag]
 
 
 @dataclass(frozen=True)
@@ -427,7 +431,7 @@ class StoreAck(WireMessage):
     """Server -> client: acknowledges a Store, echoing its timestamp."""
 
     op_id: int
-    ts: Any
+    ts: Union[int, MWTimestamp]
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +453,7 @@ class MaxMinGossip(WireMessage):
     op_id: int
     reader: ProcessId
     r_counter: int
-    tag: Any
+    tag: Union[ValueTag, SignedValueTag]
 
 
 @dataclass(frozen=True)
@@ -457,7 +461,7 @@ class MaxMinReadAck(WireMessage):
     """Server -> reader: max tag over the server's gossip pool."""
 
     op_id: int
-    tag: Any
+    tag: Union[ValueTag, SignedValueTag]
     r_counter: int
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Tuple, Union
 
 from repro.crypto.signatures import SignatureAuthority, SignedPayload
 from repro.errors import ProtocolError
@@ -35,8 +35,12 @@ class MWTimestamp:
     num: int
     wid: int
 
-    def __lt__(self, other: "MWTimestamp") -> bool:
-        return (self.num, self.wid) < (other.num, other.wid)
+    def __lt__(self, other: Union[int, "MWTimestamp"]) -> bool:
+        if isinstance(other, MWTimestamp):
+            return (self.num, self.wid) < (other.num, other.wid)
+        # A tag's timestamp slot admits both kinds, so a peer can put a
+        # single-writer ``n`` next to pairs: it ranks as ``(n, -inf)``.
+        return self.num < other
 
     def next_for(self, wid: int) -> "MWTimestamp":
         return MWTimestamp(self.num + 1, wid)
@@ -55,7 +59,7 @@ class ValueTag:
     MWMR protocols use :class:`MWTimestamp`.
     """
 
-    ts: Any
+    ts: Union[int, MWTimestamp]
     value: Any = BOTTOM
     prev_value: Any = BOTTOM
 
@@ -73,6 +77,7 @@ INITIAL_TAG = ValueTag(0, BOTTOM, BOTTOM)
 INITIAL_MW_TAG = ValueTag(MWTimestamp(0, 0), BOTTOM, BOTTOM)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class SignedValueTag:
     """A value tag signed by the writer (Figure 5's ``ts_σw``).
@@ -91,6 +96,9 @@ class SignedValueTag:
 
     def payload_tuple(self) -> Tuple:
         return (self.ts, self.value, self.prev_value)
+
+    def __lt__(self, other: Union[ValueTag, "SignedValueTag"]) -> bool:
+        return self.ts < other.ts
 
     def __str__(self) -> str:
         suffix = "σw" if self.signed is not None else "unsigned"

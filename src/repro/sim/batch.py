@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import (
     LatencySummary,
@@ -167,23 +167,29 @@ def _verdict_str(ok: Optional[bool]) -> str:
 
 def execute_spec(spec: SweepSpec) -> RunSummary:
     """Run one spec to completion and summarise it (worker entry point)."""
+    return summarize_run(spec, run_spec(spec))
+
+
+def run_spec(spec: SweepSpec, record_trace: bool = False) -> Any:
+    """Run one spec to completion; the :class:`RunResult` it leaves."""
     # Imported here so a worker's import cost is paid once per process,
     # and to keep repro.sim free of an import cycle with the workloads
     # layer (batch sits above both).
-    from repro.workloads.runner import run_workload
-    from repro.workloads.scenarios import get_scenario
+    from repro.workloads.runner import run_scenario
 
-    scenario = get_scenario(spec.scenario)
-    result = run_workload(
-        protocol=spec.protocol,
-        config=spec.config,
-        workload=scenario.workload,
+    return run_scenario(
+        spec.protocol,
+        spec.config,
+        scenario=spec.scenario,
         seed=spec.seed,
         latency=spec.latency,
-        crash_plan=scenario.crash_plan(spec.config, spec.seed),
-        record_trace=False,
+        record_trace=record_trace,
         max_events=spec.max_events,
     )
+
+
+def summarize_run(spec: SweepSpec, result: Any) -> RunSummary:
+    """The :class:`RunSummary` of ``spec``'s run, traced or not."""
     # The run's online validator already tallied completions and
     # latencies while the simulation executed; the atomicity verdict is
     # computed once here and cached, so nothing downstream re-checks.

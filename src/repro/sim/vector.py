@@ -32,10 +32,10 @@ column-wise, the same IEEE additions in the same order, so every float
 is bit-identical by construction, not by approximation.
 
 The scalar engine stays the bit-exactness **oracle**: every batch
-samples ``k`` runs and replays them through
-:class:`~repro.sim.batch.BatchRunner` plus a traced
-:func:`~repro.workloads.runner.run_workload`, asserting identical
-summaries, verdicts, round counts, per-operation times and returned
+samples ``k`` runs and replays each once, traced, through
+:func:`~repro.sim.batch.run_spec`, asserting identical summaries (built
+by :func:`~repro.sim.batch.summarize_run`, as a scalar sweep builds
+them), verdicts, round counts, per-operation times and returned
 values.  A disagreement raises :class:`VectorMismatchError` — the
 kernel never silently drifts from the engine it abstracts.
 
@@ -69,7 +69,7 @@ from repro.analysis.metrics import (
     merge_summaries,
 )
 from repro.errors import ConfigurationError, ReproError
-from repro.sim.batch import BatchResult, BatchRunner, RunSummary, SweepSpec
+from repro.sim.batch import BatchResult, BatchRunner, RunSummary, SweepSpec, run_spec, summarize_run
 from repro.sim.latency import ConstantLatency
 from repro.sim.rng import derive_seed, substream
 
@@ -585,10 +585,10 @@ def _popcount(mask):
 def _oracle_check(chunk: _ChunkResult, samples: int, chunk_index: int) -> int:
     """Replay ``samples`` runs of the batch through the scalar engine.
 
-    Asserts bit-identical :class:`RunSummary` records (via
-    :class:`BatchRunner`) and, through a traced replay, identical
-    per-operation times, values, round counts and verdicts.  Returns
-    the number of runs checked.
+    One traced replay per sampled run: its :class:`RunSummary` (built by
+    the function a scalar sweep uses) must be bit-identical, and its
+    per-operation times, values, round counts and verdicts identical.
+    Returns the number of runs checked.
     """
     specs = chunk.specs
     if not specs or samples <= 0:
@@ -597,10 +597,10 @@ def _oracle_check(chunk: _ChunkResult, samples: int, chunk_index: int) -> int:
         derive_seed(specs[0].seed, "vector-oracle", chunk_index, len(specs))
     )
     picks = sorted(rng.sample(range(len(specs)), min(samples, len(specs))))
-    scalar = BatchRunner([specs[i] for i in picks], parallel=1).run()
-    for i, expect in zip(picks, scalar.summaries):
-        _agree(specs[i], "summary", chunk.summaries[i], expect)
-        _deep_compare(chunk, i)
+    for i in picks:
+        result = run_spec(specs[i], record_trace=True)
+        _agree(specs[i], "summary", chunk.summaries[i], summarize_run(specs[i], result))
+        _deep_compare(chunk, i, result)
     return len(picks)
 
 
@@ -612,19 +612,8 @@ def _agree(spec: SweepSpec, what: str, vector_value: Any, scalar_value: Any) -> 
         )
 
 
-def _deep_compare(chunk: _ChunkResult, index: int) -> None:
-    from repro.workloads.runner import run_scenario
-
+def _deep_compare(chunk: _ChunkResult, index: int, result: Any) -> None:
     spec, kernel = chunk.specs[index], chunk.kernel
-    result = run_scenario(
-        spec.protocol,
-        spec.config,
-        scenario=spec.scenario,
-        seed=spec.seed,
-        latency=spec.latency,
-        record_trace=True,
-        max_events=spec.max_events,
-    )
     # The history is in invocation order: regroup it client-major, the
     # kernel's flat layout (a process the plan lacks lands at the end).
     per_proc: Dict[str, List] = {proc: [] for proc in kernel.plan.proc_of}

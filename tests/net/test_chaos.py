@@ -143,8 +143,8 @@ class TestDeterminism:
 
 
 class TestBudgetAccounting:
-    def config(self, S=5, t=1):
-        return ClusterConfig(S=S, t=t, R=2)
+    def config(self, S=5, t=1, b=0):
+        return ClusterConfig(S=S, t=t, R=2, b=b)
 
     def test_within_budget_plan_validates(self):
         plan = FaultPlan(
@@ -152,9 +152,54 @@ class TestBudgetAccounting:
             default=LinkFaults(drop=0.1),
             events=(ServerEvent(server=2, kill_at=0.5, restart_at=1.5),),
         )
-        plan.validate(self.config())
+        # the fresh-state restart spends b as well as t
+        with pytest.raises(ConfigurationError, match="Byzantine budget 1"):
+            plan.validate(self.config())
+        plan.validate(self.config(b=1))
         assert plan.max_concurrent_failures() == 1
-        assert not plan.beyond_budget(1)
+        assert plan.beyond_budget(1)
+        assert not plan.beyond_budget(1, b=1)
+
+    def test_a_fresh_state_restart_is_a_byzantine_fault(self):
+        """Section 6.2's memory loss, at S=3 t=1: the write completes via
+        {s1, s2}, s2 forgets it, and a read via {s2, s3} returns ⊥.  No
+        crash-only budget admits that restart."""
+        from repro.faults.byzantine import MemoryWipeServer
+        from repro.registers.registry import get_protocol
+        from repro.sim.controller import ScriptedExecution
+        from repro.sim.ids import reader, server, writer
+        from repro.spec.atomicity import check_swmr_atomicity
+        from repro.spec.histories import BOTTOM
+        from repro.spec.regularity import check_swmr_regularity
+
+        config = ClusterConfig(S=3, t=1, R=1)
+        cluster = get_protocol("abd").build(config)
+        wiped = MemoryWipeServer(server(2), lambda: cluster.honest_server(2))
+        cluster.replace_server(2, wiped)
+        execution = cluster.install(ScriptedExecution())
+        write = execution.invoke(writer(1), "write", "v")
+        execution.complete_operation(write, via=[server(1), server(2)])
+        wiped.wipe()
+        read = execution.invoke(reader(1), "read")
+        execution.complete_operation(read, via=[server(2), server(3)])
+        assert read.result == BOTTOM
+        assert not check_swmr_atomicity(execution.history).ok
+        assert not check_swmr_regularity(execution.history).ok
+        plan = FaultPlan(events=(ServerEvent(server=2, kill_at=0.5, restart_at=1.0),))
+        with pytest.raises(ConfigurationError, match="Byzantine budget"):
+            plan.validate(ClusterConfig(S=3, t=1, R=1, b=0))
+
+    def test_a_restarted_server_stays_charged_to_t(self):
+        plan = FaultPlan(
+            events=(
+                ServerEvent(server=1, kill_at=0.5, restart_at=1.0),
+                ServerEvent(server=2, kill_at=2.0),
+            ),
+        )
+        assert plan.max_concurrent_failures() == 2
+        for b in (0, 1):
+            with pytest.raises(ConfigurationError, match="crash budget 2"):
+                plan.validate(self.config(S=5, t=1, b=b))
 
     def test_full_outage_link_counts_as_failed_server(self):
         plan = FaultPlan(seed=1, links=((3, LinkFaults(drop=1.0)),))
@@ -254,21 +299,27 @@ class TestBudgetAccounting:
             FaultPlan(default=LinkFaults(drop=1.5)).validate(self.config())
 
     def test_adversary_mapping_is_crash_only(self):
-        plan = FaultPlan(
-            seed=1,
-            events=(ServerEvent(server=1, kill_at=0.0, restart_at=1.0),),
-        )
+        plan = FaultPlan(seed=1, events=(ServerEvent(server=1, kill_at=0.0),))
         adversary = Adversary.for_plan(plan)
         assert adversary.crash_budget == 1
         assert adversary.byzantine_budget == 0
         assert adversary.admits_failures(1)
         assert not adversary.admits_failures(2)
+        # ...until a server comes back blank: each one spends b
+        restarted = FaultPlan(
+            seed=1,
+            events=(
+                ServerEvent(server=1, kill_at=0.0, restart_at=1.0),
+                ServerEvent(server=1, kill_at=2.0, restart_at=3.0),
+            ),
+        )
+        assert Adversary.for_plan(restarted) == Adversary(crash_budget=1, byzantine_budget=1)
 
     def test_generated_plan_within_budget(self):
         plan = FaultPlan.generate(7, servers=5, t=1)
         plan.validate(self.config())
         assert plan.max_concurrent_failures() <= 1
-        assert plan.events  # t >= 1 gets one kill/restart
+        assert [e.restart_at for e in plan.events] == [None]  # t >= 1: one kill
 
     def test_generated_beyond_plan_exceeds_t(self):
         plan = FaultPlan.generate(9, servers=3, t=1, beyond=1)
@@ -321,6 +372,15 @@ class TestRunRecords:
         record = self._record()
         assert record["within_budget"] is True
         assert record["declared_t"] == 1
+        assert record["declared_b"] == 0
+
+    def test_record_charges_a_restart_to_b(self):
+        plan = FaultPlan(
+            events=(ServerEvent(server=1, kill_at=0.5, restart_at=1.0),),
+            allow_beyond_budget=True,
+        )
+        assert build_run_record(plan, {}, t=1)["within_budget"] is False
+        assert build_run_record(plan, {}, t=1, b=1)["within_budget"] is True
 
 
 class TestLedger:

@@ -161,6 +161,36 @@ class TestChaosCommands:
         assert "peak_failures=3" in captured.err
         assert "degraded gracefully" in captured.err
 
+    def test_restart_plan_at_b0_is_beyond_budget(self, capsys, tmp_path):
+        from repro.net.chaos import FaultPlan, ServerEvent
+
+        plan_file = tmp_path / "restart.json"
+        plan_file.write_text(
+            FaultPlan(
+                events=(ServerEvent(server=1, kill_at=0.1, restart_at=0.3),),
+                allow_beyond_budget=True,
+            ).to_json()
+        )
+        run_file = tmp_path / "restart_run.json"
+        code = main(
+            [
+                "load",
+                "--protocol", "abd",
+                "--servers", "3",
+                "--t", "1",
+                "--clients", "1",
+                "--ops", "1",
+                "--workers", "1",
+                "--timeout", "5",
+                "--chaos", str(plan_file),
+                "--chaos-out", str(run_file),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 4, captured.err
+        assert "degraded gracefully" in captured.err
+        assert json.loads(run_file.read_text())["within_budget"] is False
+
     def test_bad_chaos_spec_exits_2(self, capsys):
         code = main(
             [

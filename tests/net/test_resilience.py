@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.chaos import (
     FaultPlan,
     LinkFaults,
@@ -324,9 +324,9 @@ class TestDelayedFramesAfterReconnect:
 
 class TestHostileFrames:
     def test_a_decodable_type_confused_frame_is_dropped_not_fatal(self):
-        """``FastWrite(tag="x")`` decodes (a str is a legal value) but the
-        server reads ``tag.ts``: the frame is counted bad and dropped,
-        the connection stays, and the read behind it is answered."""
+        """``FastWrite(tag="x")`` is refused at decode (a tag slot admits
+        only tags): the frame is counted bad and dropped, the connection
+        stays, and the read behind it is answered."""
         config = ClusterConfig(S=4, t=1, R=1)
 
         async def main():
@@ -472,8 +472,10 @@ class TestSpawnedClusterRecovery:
         assert set(multiprocessing.active_children()) <= before
 
     def test_kill_restart_mid_run_keeps_verdicts_clean_at_most_t(self):
-        """The ≤ t headline invariant, end to end over OS processes."""
-        config = ClusterConfig(S=5, t=1, R=8)
+        """The ≤ t headline invariant, end to end over OS processes.  The
+        fresh-state restart is charged as Section 6.2 charges it: to t
+        until the run ends, and to b."""
+        config = ClusterConfig(S=5, t=1, R=8, b=1)
         plan = FaultPlan(
             seed=4,
             default=LinkFaults(
@@ -482,6 +484,8 @@ class TestSpawnedClusterRecovery:
             events=(ServerEvent(server=2, kill_at=0.6, restart_at=1.6),),
         )
         assert plan.max_concurrent_failures() == 1
+        with pytest.raises(ConfigurationError, match="Byzantine budget 1"):
+            plan.validate(ClusterConfig(S=5, t=1, R=8, b=0))
         with ServerCluster.spawn(
             "abd", config, seed=11, enforce=False
         ) as cluster:
@@ -489,6 +493,7 @@ class TestSpawnedClusterRecovery:
                 protocol="abd",
                 addresses=tuple(cluster.addresses),
                 t=1,
+                b=1,
                 readers=8,
                 ops_per_client=None,
                 duration=2.5,
@@ -511,7 +516,7 @@ class TestSpawnedClusterRecovery:
         assert report.degradation["ops"]["timed_out"] == 0
         assert report.ops_complete > 0
         # The chaotic run replays byte-identically from its plan.
-        record = build_run_record(plan, report.chaos_shards, t=1)
+        record = build_run_record(plan, report.chaos_shards, t=1, b=1)
         assert record["within_budget"]
         assert verify_run_record(record)["ok"]
 

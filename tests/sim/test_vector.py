@@ -18,7 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ReproError
 from repro.registers.base import ClusterConfig
-from repro.sim.batch import BatchRunner, SweepSpec, build_matrix, seed_matrix
+from repro.registers.registry import PROTOCOLS
+from repro.sim.batch import (
+    BatchRunner,
+    SweepSpec,
+    build_matrix,
+    execute_spec,
+    run_spec,
+    seed_matrix,
+    summarize_run,
+)
 from repro.sim.latency import UniformLatency
 from repro.sim import vector
 from repro.sim.vector import (
@@ -246,6 +255,22 @@ class TestOracle:
 
     def test_mismatch_error_is_a_repro_error(self):
         assert issubclass(VectorMismatchError, ReproError)
+
+    @pytest.mark.parametrize(
+        "protocol, scenario",
+        [
+            (protocol, scenario)
+            for protocol in sorted(PROTOCOLS)
+            for scenario in SCENARIOS
+            if supports(spec_for(protocol, FIGURE_2, scenario, 7)) is None
+        ],
+    )
+    def test_a_traced_run_summarises_like_an_untraced_one(self, protocol, scenario):
+        """The oracle's one traced replay stands in for the untraced run a
+        scalar sweep summarises: same :class:`RunSummary` either way."""
+        spec = spec_for(protocol, FIGURE_2, scenario, 7)
+        traced = summarize_run(spec, run_spec(spec, record_trace=True))
+        assert traced == execute_spec(spec)
 
     def test_oracle_can_be_disabled(self):
         specs = build_matrix(
