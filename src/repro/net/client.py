@@ -142,6 +142,7 @@ class ClientPool:
             self._stmt_authority = SignatureAuthority(statement_seed)
             self.transcript = TranscriptLog(authority_seed=statement_seed)
         self.preamble_mismatches = 0
+        self.frames_bad = 0
         self._mismatch: Optional[Tuple[Optional[ProcessId], str]] = None
         self._conns: Dict[ProcessId, PoolConnection] = {}
         self._waiters: Dict[ProcessId, asyncio.Future] = {}
@@ -284,6 +285,7 @@ class ClientPool:
         try:
             src, dst, payload, statement = self.codec.decode_body_full(body)
         except ProtocolError:
+            self.frames_bad += 1
             return  # garbage from a server: drop, keep the connection
         if statement is not None and self.transcript is not None:
             # Key derivation for the claimed signer (idempotent) — the
@@ -293,6 +295,11 @@ class ClientPool:
             # rejected, never retained.
             self._stmt_authority.register(statement.server)
             self.transcript.record(statement, self._stmt_authority)
+        if server_pid is not None and src != server_pid:
+            # A reply speaks for the server at the other end of its link:
+            # one connection answering as several servers fills no quorum.
+            self.frames_bad += 1
+            return
         if self.chaos is not None and server_pid is not None:
             self.chaos.apply(
                 server_pid.index,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import EventBudgetExceeded
@@ -132,43 +131,6 @@ class EventQueue:
             raise RuntimeError(f"no handler installed for event kind {kind}")
         handler(entry[3])
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event as an :class:`Event`.
-
-        Fast-path entries are wrapped on the fly so legacy callers (and
-        :meth:`drain`) keep working; the hot loops use
-        :func:`run_until_quiet` / :meth:`pop_entry` instead.
-        """
-        entry = self.pop_entry()
-        if entry is None:
-            return None
-        time, seq, kind, payload = entry
-        if kind == CALL:
-            return payload
-        handler = self._handlers[kind]
-        if handler is None:
-            raise RuntimeError(f"no handler installed for event kind {kind}")
-        tag = f"deliver:{payload.env_id}" if kind == DELIVER else f"kind:{kind}"
-        return Event(time, seq, partial(handler, payload), tag)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event without removing it, or None."""
-        heap = self._heap
-        while heap and heap[0][2] == CALL and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def drain(self) -> List[Event]:
-        """Remove and return all remaining live events in order."""
-        out = []
-        while True:
-            event = self.pop()
-            if event is None:
-                return out
-            out.append(event)
-
 
 class VirtualClock:
     """Monotonic virtual clock advanced only by the runtime."""
@@ -203,8 +165,8 @@ def run_until_quiet(
     correct register workload quiesces once all operations complete.
 
     This is the engine's hot loop: it works on the raw heap and the jump
-    table directly, avoiding one method call and one object wrap per
-    event compared to ``pop()``.
+    table directly, avoiding two method calls per event compared to
+    :meth:`EventQueue.pop_entry` and :meth:`EventQueue.dispatch_entry`.
     """
     heap = queue._heap
     handlers = queue._handlers

@@ -66,8 +66,6 @@ class TraceLog:
         self.enabled = enabled
         self.events: List[TraceEvent] = []
         self._seq = itertools.count(1)
-        # step bookkeeping: step id -> envelope delivered in that step
-        self._delivery_of_step: Dict[int, Envelope] = {}
         self._send_step_of_env: Dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -102,8 +100,6 @@ class TraceLog:
         self.events.append(event)
         if kind == SEND and env is not None:
             self._send_step_of_env[env.env_id] = step_id
-        if kind == DELIVER and env is not None:
-            self._delivery_of_step[step_id] = env
         return event
 
     # ------------------------------------------------------------------
@@ -121,21 +117,6 @@ class TraceLog:
             and (op_id is None or event.op_id == op_id)
         ]
 
-    def deliveries_to(
-        self, pid: ProcessId, op_id: Optional[int] = None
-    ) -> List[TraceEvent]:
-        return [
-            event
-            for event in self.events
-            if event.kind == DELIVER
-            and event.pid == pid
-            and (op_id is None or event.op_id == op_id)
-        ]
-
-    def delivered_in_step(self, step_id: int) -> Optional[Envelope]:
-        """Envelope whose handling constitutes the given step, if any."""
-        return self._delivery_of_step.get(step_id)
-
     def send_step_of(self, env: Envelope) -> Optional[int]:
         """Step that emitted the given envelope."""
         return self._send_step_of_env.get(env.env_id)
@@ -149,14 +130,6 @@ class TraceLog:
                 if event.kind == SEND and (op_id is None or event.op_id == op_id)
             ]
         )
-
-    def ops_seen(self) -> List[int]:
-        ids = {
-            event.op_id
-            for event in self.events
-            if event.op_id is not None
-        }
-        return sorted(ids)
 
     def render(self, limit: Optional[int] = None) -> str:
         """Pretty-print the trace (for examples and debugging)."""

@@ -24,12 +24,14 @@ hop of its ``gossip`` fact.
 A read's value is the servers' tag at ``T + d``, which is the number of
 writes globally ordered before it; the global order is the stable sort
 of invocation times with ties broken in client arm order, exactly the
-event queue's FIFO tie-breaking.  Per run, the kernel only seeds and
-draws: start offsets and think times come from the *same*
-``random.Random`` substreams the scalar workload driver uses (a client
-that draws nothing is never seeded); the timeline arithmetic is
-column-wise, the same IEEE additions in the same order, so every float
-is bit-identical by construction, not by approximation.
+event queue's FIFO tie-breaking.  Start offsets and think times come
+from the *same* ``random.Random`` substreams the scalar workload driver
+uses, seeded and drawn column-wise by :func:`~repro.sim.rng.random_columns`
+(bit for bit, once per ``(chunk seeds, client)`` per sweep; a client
+that draws nothing is never seeded); per run, only ``derive_seed`` and
+``math.log`` run outside numpy.  The timeline arithmetic is column-wise
+too, the same IEEE operations in the same order, so every float is
+bit-identical by construction, not by approximation.
 
 The scalar engine stays the bit-exactness **oracle**: every batch
 samples ``k`` runs and replays each once, traced, through
@@ -46,8 +48,9 @@ an explicit reason (see :func:`supports` and :data:`FALLBACK_NOTICE`).
 Memory: a chunk's timelines are two ``(runs x ops)`` float64 arrays,
 written column by column and computed on directly; groups with the same
 hop structure share them (:meth:`_GroupKernel._timelines`).  A sweep
-keeps those arrays and its slotted :class:`RunSummary` records; its
-peak is one chunk's kernel temporaries on top.
+keeps those arrays, each client's ``(draws x runs)`` uniforms and its
+slotted :class:`RunSummary` records; its peak is one chunk's kernel
+temporaries, or one block of Mersenne Twister state, on top.
 """
 
 from __future__ import annotations
@@ -58,9 +61,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy is a hard dependency of the kernel, not of the package
+try:  # numpy >= 2.0 is a hard dependency of the kernel, not of the package
     import numpy as np
-except ImportError:  # pragma: no cover - exercised via supports()
+
+    np.bitwise_count  # the seen-bitmask popcount; numpy 1.x counts as unavailable
+except (ImportError, AttributeError):  # pragma: no cover - exercised via supports()
     np = None
 
 from repro.analysis.metrics import (
@@ -71,7 +76,7 @@ from repro.analysis.metrics import (
 from repro.errors import ConfigurationError, ReproError
 from repro.sim.batch import BatchResult, BatchRunner, RunSummary, SweepSpec, run_spec, summarize_run
 from repro.sim.latency import ConstantLatency
-from repro.sim.rng import derive_seed, substream
+from repro.sim.rng import derive_seed, random_columns
 
 #: The documented tail of every fallback diagnostic: tests and the CLI
 #: grep for this exact phrase.
@@ -157,7 +162,8 @@ class _Plan:
     """Static layout shared by every run of one (protocol, scenario,
     config) group: the flat, client-major operation axis."""
 
-    clients: Tuple[Tuple[str, int, int], ...]  # (pid str, ops, delay hops)
+    clients: Tuple[Tuple[str, int, int, int], ...]  # (pid str, ops, delay hops, draws)
+    arrivals: Tuple[float, float, int]  # start spread, think-time mean, burst size
     is_write: Tuple[bool, ...]  # per flat column
     proc_of: Tuple[str, ...]  # pid str per flat column
     client_bit: Tuple[int, ...]  # Figure 2 pid() bit per flat column
@@ -177,29 +183,27 @@ def _client_plan(spec: SweepSpec) -> _Plan:
     config = spec.config
     proto = get_protocol(spec.protocol)
     workload = get_scenario(spec.scenario).workload
-    clients: List[Tuple[str, int, int]] = []
+    clients: List[Tuple[str, int, int, int]] = []
     is_write: List[bool] = []
     proc_of: List[str] = []
     client_bit: List[int] = []
     S = config.S
-    if workload.writes_per_writer > 0:
-        for pid in config.writer_ids:
-            clients.append(
-                (str(pid), workload.writes_per_writer, 2 * proto.write_rounds)
-            )
-            is_write.extend([True] * workload.writes_per_writer)
-            proc_of.extend([str(pid)] * workload.writes_per_writer)
-            client_bit.extend([1 << 0] * workload.writes_per_writer)
-    n_readers = 0
-    if workload.reads_per_reader > 0:
-        for pid in config.reader_ids:
-            n_readers += 1
-            clients.append(
-                (str(pid), workload.reads_per_reader, _read_delay_hops(proto, S))
-            )
-            is_write.extend([False] * workload.reads_per_reader)
-            proc_of.extend([str(pid)] * workload.reads_per_reader)
-            client_bit.extend([1 << pid.index] * workload.reads_per_reader)
+    spread, mean, burst = workload.start_spread, workload.think_time_mean, workload.burst_size
+
+    def draws(ops: int) -> int:  # a start offset, then a think time between bursts
+        return bool(spread) + (mean > 0.0) * ((ops - 1) // burst)
+
+    arms = (
+        (True, workload.writes_per_writer, config.writer_ids, 2 * proto.write_rounds),
+        (False, workload.reads_per_reader, config.reader_ids, _read_delay_hops(proto, S)),
+    )
+    for writes, ops, pids, hops in arms:
+        for pid in pids if ops > 0 else ():
+            clients.append((str(pid), ops, hops, draws(ops)))
+            is_write.extend([writes] * ops)
+            proc_of.extend([str(pid)] * ops)
+            client_bit.extend([1 << (0 if writes else pid.index)] * ops)
+    n_readers = len(config.reader_ids) if workload.reads_per_reader > 0 else 0
     write_cols = tuple(i for i, w in enumerate(is_write) if w)
     read_cols = tuple(i for i, w in enumerate(is_write) if not w)
     # Requests and replies of every round, plus an all-to-all gossip round.
@@ -221,6 +225,7 @@ def _client_plan(spec: SweepSpec) -> _Plan:
             break
     return _Plan(
         clients=tuple(clients),
+        arrivals=(spread, mean, burst),
         is_write=tuple(is_write),
         proc_of=tuple(proc_of),
         client_bit=tuple(client_bit),
@@ -238,47 +243,56 @@ def _client_plan(spec: SweepSpec) -> _Plan:
 # timeline replay (bit-exact per-client RNG chains)
 
 
-def _timeline_arrays(seeds: Sequence[int], plan: _Plan, d: float, workload):
+def _timeline_arrays(seeds: Tuple[int, ...], plan: _Plan, d: float, streams: _Streams):
     """The chunk's ``(runs x ops)`` invocation and response instants.
 
-    The per-run Python is only :func:`_draws`; the chains ``r = t + d
-    (+ d ...)`` and ``t = r + think`` are float64 column operations, the
-    same IEEE additions in the same order as the scalar driver's, so
-    every float matches the engine bit for bit.
+    ``streams[seeds, pid str]`` is a drawing client's workload stream,
+    one row per ``random()`` (:class:`_Streams`).  A start offset and
+    a think time are ``Random.uniform(0.0, spread)`` and
+    ``Random.expovariate(1.0 / mean)`` on one row each, with ``math.log``
+    (not ``np.log``).  The chains ``r = t + d (+ d ...)`` and ``t = r +
+    think`` are float64 column operations.  All are the same IEEE
+    operations in the same order as the scalar driver's, so every float
+    matches the engine bit for bit.
     """
-    spread, mean = workload.start_spread, workload.think_time_mean
-    burst = workload.burst_size
+    spread, mean, burst = plan.arrivals
     inv = np.empty((len(seeds), len(plan.is_write)))
     resp = np.empty_like(inv)
     col = 0
-    for pid_str, n_ops, hops in plan.clients:
-        # After op k the driver draws a think time only between bursts.
-        thinks = [mean > 0.0 and (k + 1) % burst == 0 for k in range(n_ops - 1)]
-        draws = iter(_draws(seeds, pid_str, spread, mean, sum(thinks)))
-        t = next(draws) if spread else np.zeros(len(seeds))
-        for think in thinks + [False]:
+    for pid_str, n_ops, hops, draws in plan.clients:
+        rows = iter(streams[seeds, pid_str] if draws else ())
+        t = 0.0 + (spread - 0.0) * next(rows) if spread else np.zeros(len(seeds))
+        for k in range(n_ops):
             inv[:, col] = t
             r = t + d
             for _ in range(hops - 1):
                 r += d
-            resp[:, col] = r
+            resp[:, col] = t = r
             col += 1
-            t = r + next(draws) if think else r
+            # After op k the driver draws a think time only between bursts.
+            if mean > 0.0 and (k + 1) % burst == 0 and k + 1 < n_ops:
+                logs = np.fromiter(map(math.log, (1.0 - next(rows)).tolist()), float)
+                t = r + -logs / (1.0 / mean)
     return inv, resp
 
 
-def _draws(seeds: Sequence[int], pid_str: str, spread: float, mean: float, thinks: int):
-    """``(draws x runs)``: client ``pid_str``'s start offset (if ``spread``)
-    and ``thinks`` think times per run, from the *same* substream, in the
-    same order, as the scalar driver.  A client that draws nothing is never
-    seeded."""
-    flat: List[float] = []
-    for seed in seeds if spread or thinks else ():
-        rng = substream(seed, "workload", pid_str)
-        if spread:
-            flat.append(rng.uniform(0.0, spread))
-        flat.extend([rng.expovariate(1.0 / mean) for _ in range(thinks)])
-    return np.array(flat).reshape(len(seeds), bool(spread) + thinks).T
+class _Streams(dict):
+    """A sweep's workload streams: ``(chunk seeds, pid str)`` maps to the
+    client's :func:`random_columns` rows, ``substream(seed, "workload",
+    pid str)`` per run.  Each is seeded once, on first use, for the most
+    draws any of the sweep's ``plans`` takes from it."""
+
+    def __init__(self, plans: Sequence[_Plan]) -> None:
+        super().__init__()
+        self.draws: Dict[str, int] = {}
+        for pid_str, _, _, n in (client for plan in plans for client in plan.clients):
+            self.draws[pid_str] = max(self.draws.get(pid_str, 0), n)
+
+    def __missing__(self, key: Tuple[Tuple[int, ...], str]):
+        seeds, pid_str = key
+        paths = [derive_seed(seed, "workload", pid_str) for seed in seeds]
+        rows = self[key] = random_columns(paths, self.draws[pid_str])
+        return rows
 
 
 # ----------------------------------------------------------------------
@@ -329,28 +343,23 @@ class VectorSweepResult:
 
 
 class _GroupKernel:
-    """Lockstep executor for one (protocol, scenario, config) group;
-    ``timelines`` is the sweep's one cache (see :meth:`_timelines`)."""
+    """Lockstep executor for one (protocol, scenario, config) group, laid
+    out by ``plan``; ``timelines`` and ``streams`` are the sweep's caches
+    (see :meth:`_timelines` and :class:`_Streams`)."""
 
-    def __init__(self, template: SweepSpec, timelines: Dict[Tuple, Tuple]) -> None:
+    def __init__(
+        self, template: SweepSpec, plan: _Plan, timelines: Dict[Tuple, Tuple], streams: _Streams
+    ) -> None:
         from repro.registers.registry import get_protocol
-        from repro.workloads.scenarios import get_scenario
 
         self.template = template
         self.proto = get_protocol(template.protocol)
-        self.workload = get_scenario(template.scenario).workload
-        self.latency = template.latency or ConstantLatency()
-        self.d = self.latency.constant_delay()
-        self.plan = _client_plan(template)
+        self.d = (template.latency or ConstantLatency()).constant_delay()
+        self.plan = plan
         self.config = template.config
         self._timeline_cache = timelines
-        self._timeline_key = (
-            self.d,
-            self.plan.clients,
-            self.workload.start_spread,
-            self.workload.think_time_mean,
-            self.workload.burst_size,
-        )
+        self._timeline_key = (self.d, plan.clients, plan.arrivals)
+        self._streams = streams
 
     def _timelines(self, specs: Sequence[SweepSpec]) -> Tuple[Any, Any]:
         """The chunk's :func:`_timeline_arrays`.  They depend only on
@@ -361,7 +370,7 @@ class _GroupKernel:
         key = (seeds, self._timeline_key)
         arrays = self._timeline_cache.get(key)
         if arrays is None:
-            inv, resp = _timeline_arrays(seeds, self.plan, self.d, self.workload)
+            inv, resp = _timeline_arrays(seeds, self.plan, self.d, self._streams)
             inv.flags.writeable = resp.flags.writeable = False
             arrays = self._timeline_cache[key] = (inv, resp)
         return arrays
@@ -449,7 +458,7 @@ class _GroupKernel:
                 if min_a <= 1:
                     pred_sorted[:, j] = seen != 0
                 elif min_a:
-                    pred_sorted[:, j] = _popcount(seen) >= min_a
+                    pred_sorted[:, j] = np.bitwise_count(seen) >= min_a
             # Failed predicate: answer with the tag's predecessor value.
             pred_sorted |= kinds_sorted
             np.subtract(ret_sorted, 1, out=ret_sorted, where=~pred_sorted)
@@ -568,16 +577,6 @@ def _row_summaries(values) -> List[LatencySummary]:
     ]
 
 
-def _popcount(mask):
-    counter = getattr(np, "bitwise_count", None)
-    if counter is not None:
-        return counter(mask).astype(np.int64)
-    acc = np.zeros(mask.shape, dtype=np.int64)
-    for b in range(_MAX_MASK_CLIENTS + 1):
-        acc += ((mask >> np.uint64(b)) & np.uint64(1)).astype(np.int64)
-    return acc
-
-
 # ----------------------------------------------------------------------
 # the oracle
 
@@ -693,8 +692,10 @@ def run_vector_sweep(
 
     batches: List[VectorBatchSummary] = []
     timelines: Dict[Tuple, Tuple] = {}
-    for indices in grouped.values():
-        kernel = _GroupKernel(specs[indices[0]], timelines)
+    plans = {key: _client_plan(specs[indices[0]]) for key, indices in grouped.items()}
+    streams = _Streams(list(plans.values()))
+    for key, indices in grouped.items():
+        kernel = _GroupKernel(specs[indices[0]], plans[key], timelines, streams)
         for at in range(0, len(indices), chunk_size):
             chunk_idx = indices[at : at + chunk_size]
             chunk = kernel.run_chunk([specs[i] for i in chunk_idx])

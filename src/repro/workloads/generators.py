@@ -63,25 +63,6 @@ class ClosedLoopWorkload:
             start_spread=0.0,
         )
 
-    @staticmethod
-    def bursty(
-        ops: int = 20, burst_size: int = 5, pause_mean: float = 4.0
-    ) -> "ClosedLoopWorkload":
-        """Operations arrive in back-to-back bursts separated by pauses.
-
-        Within a burst the client re-invokes immediately after each
-        response; after ``burst_size`` operations it idles for an
-        exponential pause.  This is the on/off arrival shape of real
-        clients (page loads, batch jobs) and produces short windows of
-        intense contention instead of a uniform trickle.
-        """
-        return ClosedLoopWorkload(
-            reads_per_reader=ops,
-            writes_per_writer=ops,
-            think_time_mean=pause_mean,
-            burst_size=burst_size,
-        )
-
 
 class WorkloadDriver:
     """Arms a :class:`ClosedLoopWorkload` onto a simulation.

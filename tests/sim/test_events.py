@@ -13,7 +13,7 @@ class TestEventQueue:
         queue.schedule(1.0, lambda: order.append("a"))
         queue.schedule(3.0, lambda: order.append("c"))
         while queue:
-            queue.pop().action()
+            queue.dispatch_entry(queue.pop_entry())
         assert order == ["a", "b", "c"]
 
     def test_fifo_for_equal_times(self):
@@ -22,7 +22,7 @@ class TestEventQueue:
         for name in "abcde":
             queue.schedule(1.0, lambda name=name: order.append(name))
         while queue:
-            queue.pop().action()
+            queue.dispatch_entry(queue.pop_entry())
         assert order == list("abcde")
 
     def test_cancel_skips_event(self):
@@ -30,7 +30,7 @@ class TestEventQueue:
         fired = []
         event = queue.schedule(1.0, lambda: fired.append("x"))
         queue.cancel(event)
-        assert queue.pop() is None
+        assert queue.pop_entry() is None
         assert fired == []
 
     def test_cancel_is_idempotent(self):
@@ -48,30 +48,30 @@ class TestEventQueue:
         queue.cancel(e1)
         assert len(queue) == 1
 
-    def test_peek_time(self):
+    def test_earliest_entry_time(self):
         queue = EventQueue()
-        assert queue.peek_time() is None
+        assert queue.pop_entry() is None
         queue.schedule(5.0, lambda: None)
         queue.schedule(3.0, lambda: None)
-        assert queue.peek_time() == 3.0
+        assert queue.pop_entry()[0] == 3.0
 
-    def test_peek_time_skips_cancelled(self):
+    def test_earliest_entry_skips_cancelled(self):
         queue = EventQueue()
         early = queue.schedule(1.0, lambda: None)
         queue.schedule(2.0, lambda: None)
         queue.cancel(early)
-        assert queue.peek_time() == 2.0
+        assert queue.pop_entry()[0] == 2.0
 
     def test_negative_time_rejected(self):
         queue = EventQueue()
         with pytest.raises(ValueError):
             queue.schedule(-1.0, lambda: None)
 
-    def test_drain_returns_in_order(self):
+    def test_entries_pop_in_order(self):
         queue = EventQueue()
         queue.schedule(2.0, lambda: None, tag="late")
         queue.schedule(1.0, lambda: None, tag="early")
-        tags = [event.tag for event in queue.drain()]
+        tags = [entry[3].tag for entry in iter(queue.pop_entry, None)]
         assert tags == ["early", "late"]
 
 

@@ -60,29 +60,15 @@ class TestQueries:
         assert len(log.sends_by(server(1), op_id=1)) == 1
         assert log.sends_by(server(1), op_id=2) == []
 
-    def test_deliveries_to(self):
-        log, *_ = self.make_log()
-        assert len(log.deliveries_to(server(1))) == 1
-        assert len(log.deliveries_to(reader(1), op_id=1)) == 1
-
     def test_send_step_of(self):
         log, request, reply = self.make_log()
         assert log.send_step_of(request) == 1
         assert log.send_step_of(reply) == 2
 
-    def test_delivered_in_step(self):
-        log, request, _ = self.make_log()
-        assert log.delivered_in_step(2) == request
-        assert log.delivered_in_step(1) is None
-
     def test_message_count(self):
         log, *_ = self.make_log()
         assert log.message_count() == 3
         assert log.message_count(op_id=1) == 2
-
-    def test_ops_seen(self):
-        log, *_ = self.make_log()
-        assert log.ops_seen() == [1, 2]
 
     def test_render_is_textual(self):
         log, *_ = self.make_log()

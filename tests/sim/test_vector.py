@@ -29,7 +29,7 @@ from repro.sim.batch import (
     summarize_run,
 )
 from repro.sim.latency import UniformLatency
-from repro.sim import vector
+from repro.sim import rng, vector
 from repro.sim.vector import (
     FALLBACK_NOTICE,
     VectorMismatchError,
@@ -349,15 +349,17 @@ class TestTimelineArrays:
         seeds = seed_matrix(11, 5)
         specs = [spec_for("fast-crash", FIGURE_2, scenario, s) for s in seeds]
         seeded = []
-        original = vector.substream
+        original = vector.random_columns
 
-        def counting(*path):
-            seeded.append(path)
-            return original(*path)
+        def counting(stream_seeds, n):
+            seeded.extend(stream_seeds)
+            return original(stream_seeds, n)
 
-        kernel = vector._GroupKernel(specs[0], {})
+        plan = vector._client_plan(specs[0])
+        kernel = vector._GroupKernel(specs[0], plan, {}, vector._Streams([plan]))
         with monkeypatch.context() as patch:
-            patch.setattr(vector, "substream", counting)
+            patch.setattr(vector, "random_columns", counting)
+            patch.setattr(rng, "_MIN_COLUMNS", 0)  # five seeds, column path
             inv, resp = kernel._timelines(specs)
         for row, seed in enumerate(seeds):
             result = run_scenario(
@@ -384,6 +386,48 @@ class TestTimelineArrays:
         chunks = collect_chunks(monkeypatch)
         run_vector_sweep(specs)
         assert chunks[0].inv is not chunks[1].inv
+
+    def test_each_workload_stream_is_seeded_once_per_sweep(self, monkeypatch):
+        """Every scenario draws from the same ``(seed, "workload", pid)``
+        streams, a different number of times: w1 draws 8, 4 or 20 times
+        and r1 2, 20 or 5 (start offset included) in write-storm,
+        read-heavy and write-heavy.  The sweep seeds each ``(chunk seeds,
+        pid)`` stream once, for its most draws, and still equals the
+        scalar sweep."""
+        from repro.sim.rng import derive_seed
+
+        specs = build_matrix(
+            protocols=["fast-crash", "regular-fast"],
+            scenarios=["write-storm", "read-heavy", "write-heavy"],
+            config=CONFIG,
+            seeds=seed_matrix(12, 6),
+        )
+        draws = [
+            {pid: n for pid, _, _, n in vector._client_plan(
+                spec_for("fast-crash", CONFIG, scenario, 0)
+            ).clients}
+            for scenario in ("write-storm", "read-heavy", "write-heavy")
+        ]
+        assert [(d["w1"], d["r1"], d["r2"]) for d in draws] == [
+            (8, 2, 2), (4, 20, 20), (20, 5, 5)
+        ]
+        calls = []
+        original = vector.random_columns
+
+        def counting(stream_seeds, n):
+            calls.append((list(stream_seeds), n))
+            return original(stream_seeds, n)
+
+        monkeypatch.setattr(vector, "random_columns", counting)
+        sweep = run_vector_sweep(specs, chunk_size=4)
+        seeded = [(seed, n) for stream_seeds, n in calls for seed in stream_seeds]
+        expected = [
+            (derive_seed(spec.seed, "workload", pid), 20)
+            for spec in specs[:6]
+            for pid in ("w1", "r1", "r2")
+        ]
+        assert sorted(seeded) == sorted(expected)
+        assert sweep.batch.summaries == BatchRunner(specs).run().summaries
 
     def test_summaries_and_batches_match_the_recorded_digest(self):
         """sha256 of ``repr(summaries) + repr(batches)`` as recorded

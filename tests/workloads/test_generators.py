@@ -112,7 +112,9 @@ class TestBurstWorkload:
         assert ops_a == ops_b
 
     def test_bursty_completes_all_ops(self):
-        workload = ClosedLoopWorkload.bursty(ops=12, burst_size=4, pause_mean=3.0)
+        workload = ClosedLoopWorkload(
+            reads_per_reader=12, writes_per_writer=12, think_time_mean=3.0, burst_size=4
+        )
         sim, driver = drive(workload)
         assert len(sim.history) == driver.total_planned
         assert not sim.history.incomplete_operations
@@ -141,7 +143,9 @@ class TestBurstWorkload:
             ClosedLoopWorkload(burst_size=0)
 
     def test_burst_runs_deterministic(self):
-        workload = ClosedLoopWorkload.bursty(ops=8, burst_size=3)
+        workload = ClosedLoopWorkload(
+            reads_per_reader=8, writes_per_writer=8, think_time_mean=4.0, burst_size=3
+        )
         sim_a, _ = drive(workload, seed=11)
         sim_b, _ = drive(workload, seed=11)
         a = [(op.proc, op.invoked_at, op.responded_at) for op in sim_a.history.operations]
